@@ -547,11 +547,10 @@ def _cmd_ledger_index(args: argparse.Namespace) -> int:
         status = ledger.index_status()
     if args.json:
         print(_json.dumps(status, indent=2, sort_keys=True))
-        return 0 if status.get("enabled") else 1
-    if not status.get("enabled"):
-        print(f"{status['path']}: sidecar index disabled (scan fallback)")
-        return 1
+        return 0 if status["persisted"] else 1
     print(f"sidecar      : {status['sidecar']}")
+    if not status["persisted"]:
+        print("               not writable: rebuilt on every open")
     print(f"lines indexed: {status['lines']}")
     print(f"entries      : {status['entries']}")
     print(f"artifacts    : {status['artifacts']}")
@@ -559,7 +558,7 @@ def _cmd_ledger_index(args: argparse.Namespace) -> int:
     print(f"bytes covered: {status['bytes_covered']}")
     if status.get("tail_open"):
         print("tail         : unterminated (healed on next append)")
-    return 0
+    return 0 if status["persisted"] else 1
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:

@@ -17,12 +17,13 @@ iterations.  This module supplies the storage half of that story:
   reference resolution (entry id, unique id prefix, ``@N`` sequence,
   negative indices) and artifact attachment records that link an entry to
   the workbook exported from it;
-- :class:`LedgerIndex` — a persistent sidecar index (``<ledger>.idx``) of
-  byte offsets keyed by entry id, ``meta.service_cache_key`` and
-  ``(kind, system)``, appended incrementally on every write and validated
-  against a (size, line-count, tail-digest) stamp on load — so lookups
-  seek straight to the lines they need instead of re-parsing the whole
-  history, and the cost of a cache hit stays O(1) as the ledger grows;
+- :class:`LedgerIndex` — the in-memory index of byte offsets keyed by
+  entry id, ``meta.service_cache_key`` and ``(kind, system)`` that every
+  read goes through, extended incrementally on every write and cached in
+  a sidecar file (``<ledger>.idx``) validated against a (size,
+  line-count, tail-digest) stamp on load — so lookups seek straight to
+  the lines they need instead of re-parsing the whole history, and the
+  cost of a cache hit stays O(1) as the ledger grows;
 - ``record_fmea`` / ``record_fmeda`` / ``record_optimizer`` /
   ``record_iteration`` — builders that derive an entry from an analysis
   result plus its inputs.
@@ -50,8 +51,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -310,7 +311,7 @@ def _stats_metrics(result) -> Dict[str, object]:
     return out
 
 
-# -- the sidecar index -------------------------------------------------------
+# -- the index ---------------------------------------------------------------
 
 
 #: Short digest of a ledger line's raw bytes, stamped on its index record.
@@ -318,28 +319,44 @@ def _line_digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()[:12]
 
 
-class LedgerIndex:
-    """Persistent byte-offset index over a ledger file (``<ledger>.idx``).
+#: Keys a sidecar record of each line type must carry to be adopted.
+_RECORD_KEYS = {
+    "x": frozenset(("o", "n", "z", "d")),
+    "e": frozenset(("o", "n", "z", "d", "id", "g", "k", "s", "q")),
+    "a": frozenset(("o", "n", "z", "d", "tq", "p")),
+}
 
-    The sidecar holds one compact JSONL record per ledger line, carrying
-    the line's byte offset and length plus the keys lookups need — entry
-    id, content digest, kind, system and ``meta.service_cache_key`` — so
+
+class _StaleLine(Exception):
+    """A seek found other bytes than the index recorded for that line."""
+
+
+class LedgerIndex:
+    """In-memory byte-offset index over a ledger file, cached in
+    ``<ledger>.idx``.
+
+    The index holds one compact record per ledger line, carrying the
+    line's byte offset and length plus the keys lookups need — entry id,
+    content digest, kind, system and ``meta.service_cache_key`` — so
     ``entries(kind=...)``, ``latest()``, ``resolve()``, cache-key lookups
     and artifact folding seek straight to the lines that matter instead
     of re-parsing the whole history.  Artifact records are resolved to
     their target entry *at index time* (the latest entry with that id so
-    far, exactly the fold rule the scan applies), so folding costs no
-    file reads at all.
+    far), so folding costs no file reads at all.
 
-    Every record doubles as a stamp: it stores the ledger size after its
-    line (``z``) and a digest of the line's bytes (``d``); the line count
-    is the record count.  On load the last record's stamp is checked
-    against the ledger file — size shrunk or tail bytes changed means the
-    ledger was rewritten and the index **rebuilds** from scratch; size
-    grown means another process appended and the index **extends**
-    incrementally, parsing only the new tail.  A corrupt or truncated
-    sidecar also rebuilds.  The ledger file itself is never trusted less
-    than before: the scan path remains intact as a differential fallback.
+    Building the index from the file (:meth:`_rebuild`) is the only way
+    the ledger is ever parsed as a whole; the sidecar persists the result
+    so the next open can skip that parse.  Every record doubles as a
+    stamp: it stores the ledger size after its line (``z``) and a digest
+    of the line's bytes (``d``); the line count is the record count.  On
+    load the last record's stamp is checked against the ledger file —
+    size shrunk or tail bytes changed means the ledger was rewritten and
+    the index **rebuilds** from scratch; size grown means another process
+    appended and the index **extends** incrementally, parsing only the
+    new tail.  A corrupt or truncated sidecar also rebuilds, and a
+    sidecar that cannot be written is skipped (``persisted`` turns
+    false): the in-memory index serves the handle and the next open
+    rebuilds.
 
     Record keys (kept one or two characters to bound sidecar growth):
     ``o`` offset, ``n`` length, ``t`` line type (``e`` entry / ``a``
@@ -354,6 +371,9 @@ class LedgerIndex:
         self.ledger_path = Path(ledger_path)
         self.sidecar = Path(str(ledger_path) + ".idx")
         self.loaded = False
+        #: False once a sidecar write failed; later appends skip the
+        #: sidecar until a rebuild manages to rewrite it.
+        self.persisted = True
         #: Sidecar size as of our last write/load; -1 = unknown.  Appends
         #: land only when the file is where we left it — another writer
         #: moving it triggers an atomic full rewrite instead, so two
@@ -412,13 +432,12 @@ class LedgerIndex:
     ) -> Dict[str, object]:
         """The index record for one raw ledger line.
 
-        Classification mirrors the scan exactly: an entry line must parse,
-        be ``type == "entry"`` with a ``kind``, and round-trip through
-        :meth:`LedgerEntry.from_dict`; an artifact line must name a known
-        entry and a path — anything else is junk (``x``) and only its
-        offsets are kept.  The content digest is *recomputed* from the
-        payload (never trusted from the line) so indexed ``resolve()``
-        matches the scan even on hand-written lines.
+        An entry line must parse, be ``type == "entry"`` with a ``kind``,
+        and round-trip through :meth:`LedgerEntry.from_dict`; an artifact
+        line must name an entry indexed before it and a path — anything
+        else is junk (``x``) and only its offsets are kept.  The content
+        digest is *recomputed* from the payload (never trusted from the
+        line), so a hand-written line cannot claim another entry's id.
         """
         record: Dict[str, object] = {
             "o": offset,
@@ -475,35 +494,50 @@ class LedgerIndex:
             return 0
 
     def _persist_append(self, records: Sequence[Mapping[str, object]]) -> None:
-        if not records:
+        if not records or not self.persisted:
             return
-        blob = b"".join(
-            json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-            for record in records
-        )
         try:
             actual = self.sidecar.stat().st_size
         except OSError:
-            actual = 0 if not self.sidecar.exists() else -2
+            actual = 0
         if actual != self._sidecar_bytes:
             # Another handle wrote the sidecar since we last did; our
             # in-memory state (which already includes ``records``) is the
             # freshest view — replace the file wholesale, atomically.
             self._rewrite_sidecar()
             return
-        with open(self.sidecar, "ab") as handle:
-            handle.write(blob)
+        blob = b"".join(
+            json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+            for record in records
+        )
+        try:
+            with open(self.sidecar, "ab") as handle:
+                handle.write(blob)
+        except OSError:
+            self.persisted = False
+            return
         self._sidecar_bytes += len(blob)
 
     def _rewrite_sidecar(self) -> None:
+        """Replace the sidecar atomically, or skip it when it cannot be
+        written (a read-only directory, a directory at its path)."""
         tmp = self.sidecar.with_name(self.sidecar.name + ".tmp")
         blob = b"".join(
             json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
             for record in self.records
         )
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, self.sidecar)
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, self.sidecar)
+        except OSError:
+            self.persisted = False
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            return
+        self.persisted = True
         self._sidecar_bytes = len(blob)
 
     def _load_sidecar(self) -> bool:
@@ -513,41 +547,30 @@ class LedgerIndex:
             return self._ledger_size() == 0
         try:
             data = self.sidecar.read_bytes()
-            text = data.decode("utf-8")
-        except (OSError, UnicodeDecodeError):
-            return False
-        records: List[Dict[str, object]] = []
-        for line in text.splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                return False
-            if (
-                not isinstance(record, dict)
-                or not all(key in record for key in ("o", "n", "t", "z", "d"))
-            ):
-                return False
-            records.append(record)
-        size = self._ledger_size()
-        if not records:
-            return size == 0
-        last = records[-1]
-        end = int(last["z"])  # type: ignore[arg-type]
-        if end > size:
-            return False  # ledger truncated or rewritten shorter
-        try:
+            records = [
+                json.loads(line) for line in data.decode("utf-8").splitlines()
+            ]
+            size = self._ledger_size()
+            if not records:
+                return size == 0
+            last = records[-1]
+            end = int(last["z"])
+            if end > size:
+                return False  # ledger truncated or rewritten shorter
             with open(self.ledger_path, "rb") as handle:
-                handle.seek(int(last["o"]))  # type: ignore[arg-type]
-                raw = handle.read(int(last["n"]))  # type: ignore[arg-type]
-        except OSError:
+                handle.seek(int(last["o"]))
+                raw = handle.read(int(last["n"]))
+            if _line_digest(raw) != last["d"]:
+                return False  # tail rewritten in place
+            for record in records:
+                if not _RECORD_KEYS[record["t"]] <= record.keys() or (
+                    record["t"] == "e" and record["q"] != len(self.entries)
+                ):
+                    raise ValueError("malformed or misnumbered record")
+                self._register(record)
+        except (OSError, ValueError, KeyError, TypeError):
+            self._clear()
             return False
-        if _line_digest(raw) != last["d"]:
-            return False  # tail rewritten in place
-        for record in records:
-            if record["t"] == "e" and record.get("q") != len(self.entries):
-                self._clear()
-                return False  # sequence numbering corrupted
-            self._register(record)
         self.size = end
         self.tail_open = bool(last.get("u"))
         self._sidecar_bytes = len(data)
@@ -635,6 +658,7 @@ class LedgerIndex:
     def status(self) -> Dict[str, object]:
         return {
             "sidecar": str(self.sidecar),
+            "persisted": self.persisted,
             "lines": len(self.records),
             "entries": len(self.entries),
             "artifacts": sum(
@@ -658,69 +682,95 @@ class AnalysisLedger:
     result — the append-only discipline means entries are never rewritten).
     Loading tolerates corrupt or truncated lines.
 
-    Reads go through the :class:`LedgerIndex` sidecar by default, making
-    ``latest()``, ``resolve()``, ``latest_by_cache_key()`` and filtered
-    ``entries()`` O(1) in history size (one dict lookup + one line seek)
-    instead of a full-file parse.  ``use_index=False`` keeps the original
-    scan semantics — the differential reference the index is tested
-    against — and any index failure (unwritable sidecar, races with an
-    external rewrite mid-read) transparently falls back to the scan.
-    All mutation and index access is serialised by an internal lock, so
-    concurrent appends and lookups from service worker threads are safe.
+    Every read goes through the :class:`LedgerIndex`, making ``latest()``,
+    ``resolve()``, ``latest_by_cache_key()`` and filtered ``entries()``
+    O(1) in history size (one dict lookup + one line seek).  A seek that
+    finds other bytes than the index recorded — the file was rewritten
+    under this handle at the same size — forces one rebuild and a retry;
+    a second mismatch, or a ledger that cannot be read at all, raises
+    :class:`LedgerError`.  All mutation and index access is serialised by
+    an internal lock, so concurrent appends and lookups from service
+    worker threads are safe.
     """
 
-    def __init__(self, path: Union[str, Path], use_index: bool = True) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._use_index = bool(use_index)
-        self._index: Optional[LedgerIndex] = None
+        self._index = LedgerIndex(self.path)
         self._lock = threading.RLock()
 
     # -- index plumbing ----------------------------------------------------
 
-    def _indexed(self) -> Optional["LedgerIndex"]:
-        """The synced index, or ``None`` when disabled or broken.
-
-        A failure to build or persist the index permanently disables it
-        for this ledger object (counted by ``ledger_index_fallbacks``) —
-        the scan path serves every later read, never an exception.
-        """
-        if not self._use_index:
-            return None
+    def _synced(self, rebuild: bool = False) -> LedgerIndex:
+        """The index, made current with the file (or rebuilt from it);
+        the caller holds the lock."""
         try:
-            if self._index is None:
-                self._index = LedgerIndex(self.path)
+            if rebuild:
+                self._index._rebuild()
+                self._index.loaded = True
             return self._index.sync()
-        except (OSError, ValueError, KeyError, TypeError):
-            obs.counter("ledger_index_fallbacks").inc()
-            self._index = None
-            self._use_index = False
-            return None
+        except OSError as exc:
+            raise LedgerError(
+                f"cannot read analysis ledger {self.path}: {exc}"
+            ) from exc
 
     def _materialize(
-        self, index: "LedgerIndex", seq: int, handle=None
+        self, index: LedgerIndex, seq: int, handle
     ) -> LedgerEntry:
         """Parse the single ledger line behind entry ``seq`` and fold its
         index-resolved artifacts in."""
         record = index.entries[seq]
-        if handle is None:
-            with open(self.path, "rb") as own:
-                own.seek(int(record["o"]))  # type: ignore[arg-type]
-                raw = own.read(int(record["n"]))  # type: ignore[arg-type]
-        else:
+        try:
             handle.seek(int(record["o"]))  # type: ignore[arg-type]
             raw = handle.read(int(record["n"]))  # type: ignore[arg-type]
-        entry = LedgerEntry.from_dict(
-            json.loads(raw.decode("utf-8")), seq=seq
-        )
+            if _line_digest(raw) != record["d"]:
+                raise ValueError("line bytes changed since indexing")
+            entry = LedgerEntry.from_dict(
+                json.loads(raw.decode("utf-8")), seq=seq
+            )
+        except (ValueError, TypeError, KeyError) as exc:
+            raise _StaleLine(f"entry @{seq}: {exc}") from exc
         for path in index.artifacts_by_seq.get(seq, ()):
             if path not in entry.artifacts:
                 entry.artifacts.append(path)
         obs.counter("ledger_index_seeks").inc()
         return entry
 
+    def _read(
+        self, select: Callable[[LedgerIndex], Sequence[int]]
+    ) -> List[LedgerEntry]:
+        index = self._synced()
+        seqs = select(index)
+        if not seqs:
+            return []
+        try:
+            with open(self.path, "rb") as handle:
+                return [self._materialize(index, seq, handle) for seq in seqs]
+        except OSError as exc:
+            raise LedgerError(
+                f"cannot read analysis ledger {self.path}: {exc}"
+            ) from exc
+
+    def _load(
+        self, select: Callable[[LedgerIndex], Sequence[int]]
+    ) -> List[LedgerEntry]:
+        """The entries ``select`` picks from the synced index, in order.
+
+        A stale seek forces one rebuild, then ``select`` runs again."""
+        with self._lock:
+            try:
+                return self._read(select)
+            except _StaleLine:
+                self._synced(rebuild=True)
+            try:
+                return self._read(select)
+            except _StaleLine as exc:
+                raise LedgerError(
+                    f"ledger {self.path} changed while reading ({exc})"
+                ) from exc
+
+    @staticmethod
     def _entry_seqs(
-        self,
-        index: "LedgerIndex",
+        index: LedgerIndex,
         kind: Optional[str],
         system: Optional[str],
     ) -> Sequence[int]:
@@ -733,30 +783,18 @@ class AnalysisLedger:
         return range(len(index.entries))
 
     def index_status(self) -> Dict[str, object]:
-        """Sidecar-index health for ``same ledger-index``."""
+        """Index health for ``same ledger-index``."""
         with self._lock:
-            index = self._indexed()
-            if index is None:
-                return {"enabled": False, "path": str(self.path)}
-            status = index.status()
-        status.update(enabled=True, path=str(self.path))
+            status = self._synced().status()
+        status["path"] = str(self.path)
         return status
 
     def rebuild_index(self) -> Dict[str, object]:
-        """Force a from-scratch rebuild of the sidecar index."""
+        """Force a from-scratch rebuild of the index and its sidecar."""
         with self._lock:
-            if not self._use_index:
-                return {"enabled": False, "path": str(self.path)}
-            if self._index is None:
-                self._index = LedgerIndex(self.path)
-            try:
-                self._index._rebuild()
-                self._index.loaded = True
-            except OSError as exc:
-                raise LedgerError(
-                    f"cannot rebuild ledger index for {self.path}: {exc}"
-                ) from exc
-        return self.index_status()
+            status = self._synced(rebuild=True).status()
+        status["path"] = str(self.path)
+        return status
 
     # -- writing ----------------------------------------------------------
 
@@ -818,17 +856,14 @@ class AnalysisLedger:
         afterwards, so an append costs one stat + two small writes — no
         re-scan.  When the file ends in an interrupted, unterminated line
         a newline is healed in first, keeping line boundaries exactly
-        where the index recorded them.  Index persistence failures
-        degrade to scan mode; they never lose the ledger line itself.
+        where the index recorded them.
         """
-        index = self._indexed()
+        index = self._synced()
+        raw = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            raw = (
-                json.dumps(payload, sort_keys=True) + "\n"
-            ).encode("utf-8")
             with open(self.path, "ab") as handle:
-                if index is not None and index.tail_open:
+                if index.tail_open:
                     handle.write(b"\n")
                 offset = handle.tell()
                 handle.write(raw)
@@ -836,42 +871,13 @@ class AnalysisLedger:
             raise LedgerError(
                 f"cannot write analysis ledger {self.path}: {exc}"
             ) from exc
-        if index is not None:
-            try:
-                index.note_line(raw, offset, payload)
-            except (OSError, ValueError, KeyError, TypeError):
-                obs.counter("ledger_index_fallbacks").inc()
-                self._index = None
-                self._use_index = False
+        index.note_line(raw, offset, payload)
 
     def _next_seq(self) -> int:
         with self._lock:
-            index = self._indexed()
-            if index is not None:
-                return len(index.entries)
-        return sum(1 for _ in self._raw_entries())
+            return len(self._synced().entries)
 
     # -- reading ----------------------------------------------------------
-
-    def _raw_lines(self) -> Iterator[Mapping[str, object]]:
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except (ValueError, TypeError):
-                    continue  # truncated/corrupt line: skip, don't abort
-                if isinstance(record, dict):
-                    yield record
-
-    def _raw_entries(self) -> Iterator[Mapping[str, object]]:
-        for record in self._raw_lines():
-            if record.get("type") == "entry" and "kind" in record:
-                yield record
 
     def entries(
         self,
@@ -880,55 +886,10 @@ class AnalysisLedger:
     ) -> List[LedgerEntry]:
         """Entries in file order, artifact records folded in.
 
-        With the index, a filtered query parses only the matching lines
-        (seq numbers stay global, as the scan assigns them); without it,
-        the original full scan runs.
+        A filtered query parses only the matching lines; ``seq`` stays the
+        entry's position among all entries of the file.
         """
-        with self._lock:
-            index = self._indexed()
-            if index is not None:
-                try:
-                    seqs = list(self._entry_seqs(index, kind, system))
-                    if not seqs:
-                        return []
-                    with open(self.path, "rb") as handle:
-                        return [
-                            self._materialize(index, seq, handle)
-                            for seq in seqs
-                        ]
-                except (OSError, ValueError, KeyError, TypeError):
-                    obs.counter("ledger_index_fallbacks").inc()
-        return self._entries_scan(kind, system)
-
-    def _entries_scan(
-        self,
-        kind: Optional[str] = None,
-        system: Optional[str] = None,
-    ) -> List[LedgerEntry]:
-        """The index-free reference read: parse every line, fold, filter."""
-        entries: List[LedgerEntry] = []
-        by_id: Dict[str, List[LedgerEntry]] = {}
-        for record in self._raw_lines():
-            if record.get("type") == "entry" and "kind" in record:
-                try:
-                    entry = LedgerEntry.from_dict(record, seq=len(entries))
-                except (TypeError, ValueError, KeyError):
-                    continue
-                entries.append(entry)
-                by_id.setdefault(entry.entry_id, []).append(entry)
-            elif record.get("type") == "artifact":
-                # Attach to the *latest* entry with that id so far.
-                targets = by_id.get(str(record.get("entry")), [])
-                if targets and record.get("path"):
-                    path = str(record["path"])
-                    if path not in targets[-1].artifacts:
-                        targets[-1].artifacts.append(path)
-        return [
-            entry
-            for entry in entries
-            if (kind is None or entry.kind == kind)
-            and (system is None or entry.system == system)
-        ]
+        return self._load(lambda index: self._entry_seqs(index, kind, system))
 
     def latest(
         self,
@@ -936,42 +897,23 @@ class AnalysisLedger:
         system: Optional[str] = None,
     ) -> Optional[LedgerEntry]:
         """The most recent matching entry — one index lookup + one seek."""
-        with self._lock:
-            index = self._indexed()
-            if index is not None:
-                try:
-                    seqs = self._entry_seqs(index, kind, system)
-                    if not seqs:
-                        return None
-                    return self._materialize(index, seqs[-1])
-                except (OSError, ValueError, KeyError, TypeError):
-                    obs.counter("ledger_index_fallbacks").inc()
-        matching = self._entries_scan(kind=kind, system=system)
-        return matching[-1] if matching else None
+        found = self._load(
+            lambda index: self._entry_seqs(index, kind, system)[-1:]
+        )
+        return found[0] if found else None
 
     def latest_by_cache_key(self, cache_key: str) -> Optional[LedgerEntry]:
         """The newest entry whose ``meta.service_cache_key`` matches.
 
         The analysis service's cache hit: a dict lookup plus one line
-        seek, O(1) in ledger size.  Without the index this degrades to
-        the reverse scan the service originally performed.
+        seek, O(1) in ledger size.
         """
         if not cache_key:
             return None
-        with self._lock:
-            index = self._indexed()
-            if index is not None:
-                try:
-                    seqs = index.by_cache_key.get(cache_key, [])
-                    if not seqs:
-                        return None
-                    return self._materialize(index, seqs[-1])
-                except (OSError, ValueError, KeyError, TypeError):
-                    obs.counter("ledger_index_fallbacks").inc()
-        for entry in reversed(self._entries_scan()):
-            if entry.meta.get("service_cache_key") == cache_key:
-                return entry
-        return None
+        found = self._load(
+            lambda index: index.by_cache_key.get(cache_key, [])[-1:]
+        )
+        return found[0] if found else None
 
     def resolve(self, ref: str) -> LedgerEntry:
         """Resolve an entry reference.
@@ -979,91 +921,47 @@ class AnalysisLedger:
         Accepted forms: ``@N`` / plain integer (file-order sequence,
         negatives count from the end), ``latest``/``HEAD``, a full entry
         id, or a unique id/digest prefix.  When several entries share an
-        identical id (byte-identical re-runs) the latest wins.  With the
-        index, id and digest matching runs over the in-memory key maps
-        and only the winning entry's line is parsed.
+        identical id (byte-identical re-runs) the latest wins.  Id and
+        digest matching runs over the in-memory index; only the winning
+        entry's line is parsed.
         """
-        with self._lock:
-            index = self._indexed()
-            if index is not None:
-                try:
-                    return self._resolve_indexed(index, ref)
-                except LedgerError:
-                    raise
-                except (OSError, ValueError, KeyError, TypeError):
-                    obs.counter("ledger_index_fallbacks").inc()
-        return self._resolve_scan(ref)
-
-    @staticmethod
-    def _parse_ref(ref: str) -> Tuple[str, Optional[int]]:
         text = ref.strip()
-        index_text = text[1:] if text.startswith("@") else text
+        position: Optional[int] = None
         try:
-            return text, int(index_text)
+            position = int(text[1:] if text.startswith("@") else text)
         except ValueError:
-            return text, None
+            pass
 
-    def _resolve_indexed(self, index: "LedgerIndex", ref: str) -> LedgerEntry:
-        count = len(index.entries)
-        if not count:
-            raise LedgerError(f"ledger {self.path} has no entries")
-        text, position = self._parse_ref(ref)
-        if position is not None:
-            seq = position if position >= 0 else count + position
-            if not 0 <= seq < count:
+        def select(index: LedgerIndex) -> List[int]:
+            count = len(index.entries)
+            if not count:
+                raise LedgerError(f"ledger {self.path} has no entries")
+            if position is not None:
+                seq = position if position >= 0 else count + position
+                if not 0 <= seq < count:
+                    raise LedgerError(
+                        f"entry index {position} out of range "
+                        f"(ledger has {count} entries)"
+                    )
+                return [seq]
+            if text.lower() in ("latest", "head"):
+                return [count - 1]
+            matches = [
+                record
+                for record in index.entries
+                if str(record["id"]).startswith(text)
+                or str(record["g"]).startswith(text)
+            ]
+            if not matches:
+                raise LedgerError(f"no ledger entry matches {ref!r}")
+            distinct = {str(record["id"]) for record in matches}
+            if len(distinct) > 1:
                 raise LedgerError(
-                    f"entry index {position} out of range "
-                    f"(ledger has {count} entries)"
+                    f"ambiguous reference {ref!r}: matches {sorted(distinct)}"
                 )
-            return self._materialize(index, seq)
-        if text.lower() in ("latest", "head"):
-            return self._materialize(index, count - 1)
-        matches = [
-            record
-            for record in index.entries
-            if record["id"] == text
-            or str(record["id"]).startswith(text)
-            or str(record["g"]).startswith(text)
-        ]
-        if not matches:
-            raise LedgerError(f"no ledger entry matches {ref!r}")
-        distinct = {str(record["id"]) for record in matches}
-        if len(distinct) > 1:
-            raise LedgerError(
-                f"ambiguous reference {ref!r}: matches {sorted(distinct)}"
-            )
-        return self._materialize(index, int(matches[-1]["q"]))  # type: ignore[arg-type]
+            return [int(matches[-1]["q"])]  # type: ignore[arg-type]
 
-    def _resolve_scan(self, ref: str) -> LedgerEntry:
-        entries = self._entries_scan()
-        if not entries:
-            raise LedgerError(f"ledger {self.path} has no entries")
-        text, index = self._parse_ref(ref)
-        if index is not None:
-            try:
-                return entries[index]
-            except IndexError:
-                raise LedgerError(
-                    f"entry index {index} out of range "
-                    f"(ledger has {len(entries)} entries)"
-                ) from None
-        if text.lower() in ("latest", "head"):
-            return entries[-1]
-        matches = [
-            entry
-            for entry in entries
-            if entry.entry_id == text
-            or entry.entry_id.startswith(text)
-            or entry.content_digest.startswith(text)
-        ]
-        if not matches:
-            raise LedgerError(f"no ledger entry matches {ref!r}")
-        distinct = {entry.entry_id for entry in matches}
-        if len(distinct) > 1:
-            raise LedgerError(
-                f"ambiguous reference {ref!r}: matches {sorted(distinct)}"
-            )
-        return matches[-1]
+        return self._load(select)[0]
 
 
 # -- recorders ---------------------------------------------------------------

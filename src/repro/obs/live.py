@@ -60,6 +60,9 @@ def _backend_status() -> Dict[str, object]:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "same-live/1"
+    # Headers and body go out in separate writes; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on keep-alive connections.
+    disable_nagle_algorithm = True
 
     # The ThreadingHTTPServer instance carries a backref to the telemetry
     # server object (set in LiveTelemetryServer.start).

@@ -12,9 +12,11 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
   config) combined with the classification/deployment config — an
   identical submission is served straight from the ledger, bit-identical
   to the computed rows, without constructing the model at all.  Lookups
-  go through the ledger's persistent cache-key index
-  (:class:`~repro.obs.ledger.LedgerIndex`): one dict hit plus one line
-  seek, O(1) in history size, under a lock held only for the seek;
+  go through the ledger's cache-key index
+  (:class:`~repro.obs.ledger.LedgerIndex`, the ledger's one read path):
+  one dict hit plus one line seek, O(1) in history size, under a lock
+  held only for the seek.  A computed answer and a cached one are both
+  built from the recorded ledger entry, so they have the same keys;
 - identical submissions arriving while one is already computing are
   **coalesced single-flight**: the first becomes the leader, every later
   one attaches to its in-flight computation and receives the same rows
@@ -28,11 +30,11 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 
 Requests carry models as *payloads* (the ``repro-simulink/1`` dict format)
 rather than live objects: fingerprinting hashes the raw payload without
-materialising a :class:`SimulinkModel`, so a cache hit costs one ledger
-scan — the model-access analogue of :class:`LazyModelResource`'s
-load-on-reference semantics.  Materialised models are kept in a small
-digest-keyed LRU so concurrent tenants re-computing over the same model
-parse it once.
+materialising a :class:`SimulinkModel`, so a cache hit costs one index
+lookup and one line seek — the model-access analogue of
+:class:`LazyModelResource`'s load-on-reference semantics.  Materialised
+models are kept in a small digest-keyed LRU so concurrent tenants
+re-computing over the same model parse it once.
 """
 
 from __future__ import annotations
@@ -548,7 +550,7 @@ class AnalysisService:
             obs.histogram("service_job_wall_seconds").observe(wall)
             if job.cached:
                 # The cache-hit latency SLO watches this one: a hit that
-                # took as long as a compute means the ledger scan degraded.
+                # took as long as a compute means the ledger lookup degraded.
                 obs.histogram("service_cache_hit_wall_seconds").observe(wall)
             obs.emit_event(
                 "job_finished",
@@ -604,16 +606,7 @@ class AnalysisService:
         """
         with self._ledger_lock:
             entry = self.ledger.latest_by_cache_key(cache_key)
-        if entry is None:
-            return None
-        return {
-            "rows": entry.rows,
-            "spfm": entry.spfm,
-            "asil": entry.asil,
-            "entry": entry.entry_id,
-            "metrics": entry.metrics,
-            "from_cache": True,
-        }
+        return None if entry is None else _answer(entry, from_cache=True)
 
     # -- single-flight coalescing -----------------------------------------
 
@@ -752,8 +745,6 @@ class AnalysisService:
         self, request: AnalysisRequest, job: AnalysisJob
     ) -> Dict[str, object]:
         from repro.obs.ledger import (
-            fmea_rows_payload,
-            fmeda_rows_payload,
             record_fmea,
             record_fmeda,
             record_optimizer,
@@ -794,14 +785,7 @@ class AnalysisService:
                     spfm=value, asil=asil_from_spfm(value), config=config,
                     meta=meta,
                 )
-            return {
-                "rows": fmea_rows_payload(fmea),
-                "spfm": value,
-                "asil": asil_from_spfm(value),
-                "entry": entry.entry_id,
-                "metrics": entry.metrics,
-                "from_cache": False,
-            }
+            return _answer(entry, from_cache=False)
 
         if request.kind == "fmeda":
             from repro.safety import run_fmeda
@@ -823,15 +807,7 @@ class AnalysisService:
                     self.ledger, fmeda, model=model,
                     reliability=reliability, config=config, meta=meta,
                 )
-            return {
-                "rows": fmeda_rows_payload(fmeda),
-                "spfm": fmeda.spfm,
-                "asil": fmeda.asil,
-                "total_cost": fmeda.total_cost,
-                "entry": entry.entry_id,
-                "metrics": entry.metrics,
-                "from_cache": False,
-            }
+            return _answer(entry, from_cache=False)
 
         # kind == "search"
         from repro.safety import search_for_target
@@ -867,12 +843,24 @@ class AnalysisService:
                         "strategy": strategy},
                 meta=meta,
             )
-        return {
-            "rows": entry.rows,
-            "spfm": plan.spfm,
-            "asil": plan.asil,
-            "cost": plan.cost,
-            "entry": entry.entry_id,
-            "target_asil": request.target_asil,
-            "from_cache": False,
-        }
+        return _answer(entry, from_cache=False)
+
+
+def _answer(entry, from_cache: bool) -> Dict[str, object]:
+    """A job's answer, built from its recorded :class:`LedgerEntry` — so a
+    computed answer and the same question served from the ledger have one
+    shape and equal values."""
+    answer: Dict[str, object] = {
+        "rows": entry.rows,
+        "spfm": entry.spfm,
+        "asil": entry.asil,
+        "entry": entry.entry_id,
+        "metrics": entry.metrics,
+        "from_cache": from_cache,
+    }
+    if entry.kind == "fmeda":
+        answer["total_cost"] = entry.metrics.get("total_cost")
+    elif entry.kind == "optimizer":
+        answer["cost"] = entry.metrics.get("cost")
+        answer["target_asil"] = entry.config.get("target")
+    return answer

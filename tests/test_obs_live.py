@@ -348,6 +348,24 @@ class TestLiveServer:
             ]
             assert len(frames) == 2  # clamped since=0 → replay from start
 
+    def test_keep_alive_responses_do_not_stall(self):
+        with LiveTelemetryServer() as server:
+            host, port = server.address
+            conn = http.client.HTTPConnection(host, port, timeout=10.0)
+            walls = []
+            try:
+                for _ in range(20):
+                    start = time.perf_counter()
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    walls.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        walls.sort()
+        assert walls[len(walls) // 2] < 0.020, walls
+
     def test_unknown_path_is_404(self):
         with LiveTelemetryServer() as server:
             host, port = server.address

@@ -69,6 +69,43 @@ def service(tmp_path):
         yield svc
 
 
+def _fmeda_payload(fmea_payload, psu_fmea):
+    row = next(r for r in psu_fmea.rows if r.safety_related)
+    return dict(
+        fmea_payload,
+        kind="fmeda",
+        deployments=[{
+            "component": row.component,
+            "failure_mode": row.failure_mode,
+            "mechanism": "SM-test",
+            "coverage": 0.9,
+            "cost": 1.0,
+        }],
+    )
+
+
+def _mechanisms(psu_mechanisms):
+    return [
+        {
+            "component_class": spec.component_class,
+            "failure_mode": spec.failure_mode,
+            "name": spec.name,
+            "coverage": spec.coverage,
+            "cost": spec.cost,
+        }
+        for spec in psu_mechanisms.specs()
+    ]
+
+
+def _search_payload(fmea_payload, psu_mechanisms):
+    return dict(
+        fmea_payload,
+        kind="search",
+        mechanisms=_mechanisms(psu_mechanisms),
+        target_asil="ASIL-A",
+    )
+
+
 def _finish(service, job, timeout=JOB_TIMEOUT):
     service.wait(job.id, timeout)
     assert job.state in ("done", "failed"), job.state
@@ -223,18 +260,7 @@ class TestComputeAndCache:
         assert int(obs.counter("service_cache_hits").value) == 0
 
     def test_fmeda_job(self, service, fmea_payload, psu_fmea):
-        row = next(r for r in psu_fmea.rows if r.safety_related)
-        fmeda_payload = dict(
-            fmea_payload,
-            kind="fmeda",
-            deployments=[{
-                "component": row.component,
-                "failure_mode": row.failure_mode,
-                "mechanism": "SM-test",
-                "coverage": 0.9,
-                "cost": 1.0,
-            }],
-        )
+        fmeda_payload = _fmeda_payload(fmea_payload, psu_fmea)
         job = _finish(service, service.submit(fmeda_payload))
         assert job.state == "done", job.error
         assert job.result["rows"]
@@ -247,22 +273,8 @@ class TestComputeAndCache:
         assert plain.cached is False
 
     def test_search_job(self, service, fmea_payload, psu_mechanisms):
-        mechanisms = [
-            {
-                "component_class": spec.component_class,
-                "failure_mode": spec.failure_mode,
-                "name": spec.name,
-                "coverage": spec.coverage,
-                "cost": spec.cost,
-            }
-            for spec in psu_mechanisms.specs()
-        ]
-        search_payload = dict(
-            fmea_payload,
-            kind="search",
-            mechanisms=mechanisms,
-            target_asil="ASIL-A",
-        )
+        mechanisms = _mechanisms(psu_mechanisms)
+        search_payload = _search_payload(fmea_payload, psu_mechanisms)
         job = _finish(service, service.submit(search_payload))
         assert job.state == "done", job.error
         assert job.result["target_asil"] == "ASIL-A"
@@ -276,6 +288,41 @@ class TestComputeAndCache:
         assert job.state == "done", job.error
         if job.result.get("plan", "") is None:
             assert job.cached is False
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("fmea", ()),
+            ("fmeda", ("total_cost",)),
+            ("search", ("cost", "target_asil")),
+        ],
+    )
+    def test_cached_answer_equals_computed_answer(
+        self, service, fmea_payload, psu_fmea, psu_mechanisms, kind, extra
+    ):
+        payload = {
+            "fmea": fmea_payload,
+            "fmeda": _fmeda_payload(fmea_payload, psu_fmea),
+            "search": _search_payload(fmea_payload, psu_mechanisms),
+        }[kind]
+        first = _finish(service, service.submit(payload))
+        second = _finish(service, service.submit(payload))
+        assert first.state == second.state == "done", (
+            first.error, second.error,
+        )
+        assert (first.cached, second.cached) == (False, True)
+        assert (first.result["from_cache"], second.result["from_cache"]) == (
+            False, True,
+        )
+
+        def without_from_cache(result):
+            return {k: v for k, v in result.items() if k != "from_cache"}
+
+        assert without_from_cache(second.result) == without_from_cache(
+            first.result
+        )
+        for key in ("rows", "spfm", "asil", "entry", "metrics") + extra:
+            assert first.result.get(key) is not None, key
 
     def test_failed_job_reports_error(self, service, fmea_payload):
         bad = dict(fmea_payload, model={"format": "repro-simulink/1",
