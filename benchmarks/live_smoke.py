@@ -79,7 +79,9 @@ def main() -> int:
     # -- /healthz ---------------------------------------------------------
     health = json.loads(_get(f"{url}/healthz"))
     assert health["status"] == "ok", health
-    assert health["observability"] == {"tracing": True, "events": True}
+    assert health["observability"] == {
+        "tracing": True, "events": True, "logs": False,
+    }, health["observability"]
     campaign = health["events"]["campaign"]
     assert campaign["jobs_done"] == campaign["jobs_total"] == stats.jobs
 

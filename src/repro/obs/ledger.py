@@ -1000,19 +1000,29 @@ def record_fmea(
     config: Optional[Mapping[str, object]] = None,
     trace: str = "",
     meta: Optional[Mapping[str, object]] = None,
+    fingerprint: Optional[str] = None,
+    model_digest_value: Optional[str] = None,
 ) -> LedgerEntry:
-    """Record an FMEA run (injection or graph) as a ledger entry."""
+    """Record an FMEA run (injection or graph) as a ledger entry.
+
+    ``fingerprint`` (the campaign fingerprint of an injection run) and
+    ``model_digest_value`` (:func:`model_digest` of ``model``) take values
+    the caller already computed; each one left out is computed here.
+    """
     config = dict(config or {})
     rows = fmea_rows_payload(result)
-    fingerprint = ""
-    if getattr(result, "method", "") == "injection" and model is not None:
+    if getattr(result, "method", "") != "injection" or model is None:
+        fingerprint = ""
+    elif fingerprint is None:
         fingerprint = _campaign_fingerprint_for(model, reliability, config)
+    if model_digest_value is None:
+        model_digest_value = model_digest(model)
     entry = LedgerEntry(
         kind="fmea",
         system=result.system,
         spfm=spfm,
         asil=asil,
-        model_digest=model_digest(model),
+        model_digest=model_digest_value,
         reliability_digest=reliability_digest(reliability),
         fingerprint=fingerprint,
         config=config,
@@ -1033,8 +1043,15 @@ def record_fmeda(
     config: Optional[Mapping[str, object]] = None,
     trace: str = "",
     meta: Optional[Mapping[str, object]] = None,
+    model_digest_value: Optional[str] = None,
 ) -> LedgerEntry:
-    """Record an FMEDA (rows + SPFM/ASIL verdict) as a ledger entry."""
+    """Record an FMEDA (rows + SPFM/ASIL verdict) as a ledger entry.
+
+    ``model_digest_value`` is :func:`model_digest` of ``model`` when the
+    caller already computed it.
+    """
+    if model_digest_value is None:
+        model_digest_value = model_digest(model)
     config = dict(config or {})
     config.setdefault(
         "deployments",
@@ -1055,7 +1072,7 @@ def record_fmeda(
         system=result.system,
         spfm=result.spfm,
         asil=result.asil,
-        model_digest=model_digest(model),
+        model_digest=model_digest_value,
         reliability_digest=reliability_digest(reliability),
         config=config,
         rows=rows,
@@ -1080,8 +1097,15 @@ def record_optimizer(
     reliability=None,
     config: Optional[Mapping[str, object]] = None,
     meta: Optional[Mapping[str, object]] = None,
+    model_digest_value: Optional[str] = None,
 ) -> LedgerEntry:
-    """Record a mechanism-search outcome (a :class:`DeploymentPlan`)."""
+    """Record a mechanism-search outcome (a :class:`DeploymentPlan`).
+
+    ``model_digest_value`` is :func:`model_digest` of ``model`` when the
+    caller already computed it.
+    """
+    if model_digest_value is None:
+        model_digest_value = model_digest(model)
     rows = [
         {
             "component": d.component,
@@ -1097,7 +1121,7 @@ def record_optimizer(
         system=system,
         spfm=plan.spfm,
         asil=plan.asil,
-        model_digest=model_digest(model),
+        model_digest=model_digest_value,
         reliability_digest=reliability_digest(reliability),
         config=dict(config or {}),
         rows=rows,

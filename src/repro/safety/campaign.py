@@ -792,7 +792,8 @@ class FaultInjectionCampaign:
 
         Cached for the duration of ONE run only (:func:`campaign_fingerprint`
         hashes the whole model, so chunk-recovery pool rebuilds must not pay
-        it repeatedly) — ``_run_campaign`` invalidates the cache at entry,
+        it repeatedly) — ``_run_campaign`` resets the cache at entry, to the
+        fingerprint the caller passed to :meth:`run` or to nothing,
         because the iterate-and-rerun workflows (DECISIVE, service tenants)
         mutate the model or config between runs and a stale fingerprint
         would match the warm pool and checkpoint/cache keys of the *old*
@@ -1168,9 +1169,15 @@ class FaultInjectionCampaign:
 
     # -- the campaign -----------------------------------------------------
 
-    def run(self) -> FmeaResult:
+    def run(self, fingerprint: Optional[str] = None) -> FmeaResult:
         """Execute the campaign and return the component safety analysis
         model, with :class:`CampaignStats` attached as ``result.stats``.
+
+        ``fingerprint`` is this run's :func:`campaign_fingerprint` when the
+        caller has already computed it (the analysis service hashes each
+        request once and hands the value down).  It keys the warm pool and
+        the checkpoint for this run only; the next run without one hashes
+        the model afresh.
 
         With observability enabled the campaign is one ``campaign`` span
         over ``campaign.baseline`` / ``campaign.enumerate`` /
@@ -1185,7 +1192,7 @@ class FaultInjectionCampaign:
         """
         with obs.correlation(self.correlation_id):
             if self.solver_backend is None:
-                return self._run_campaign()
+                return self._run_campaign(fingerprint)
             # Campaign-wide backend: the naive/transient/baseline paths
             # solve through module-level functions that read the process
             # default, so pin it for the duration of the run (workers pin
@@ -1193,17 +1200,18 @@ class FaultInjectionCampaign:
             previous = default_backend()
             set_default_backend(self.solver_backend)
             try:
-                return self._run_campaign()
+                return self._run_campaign(fingerprint)
             finally:
                 set_default_backend(previous)
 
-    def _run_campaign(self) -> FmeaResult:
+    def _run_campaign(self, fingerprint: Optional[str]) -> FmeaResult:
         started = time.perf_counter()
         self._pool_reused = False
         # The model/config may have been mutated since the previous run of
-        # this campaign object; recompute the fingerprint per run so warm-
-        # pool tokens and checkpoint keys always reflect current content.
-        self._fingerprint = None
+        # this campaign object; take the fingerprint afresh per run (the
+        # caller's, or recomputed) so warm-pool tokens and checkpoint keys
+        # always reflect current content.
+        self._fingerprint = fingerprint
         stats = CampaignStats(
             workers=self.workers,
             requested_workers=self.workers,

@@ -157,7 +157,11 @@ def job_deadline(seconds: Optional[float]) -> Iterator[None]:
 
 
 def _canonical(value: object) -> object:
-    """JSON-stable view of fingerprint inputs (sorted, primitive types)."""
+    """JSON-stable view of fingerprint inputs (sorted, primitive types).
+
+    This is the definition of the canonical form; :func:`canonical_json`
+    only skips the walk when the result is provably the same.
+    """
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
@@ -165,6 +169,34 @@ def _canonical(value: object) -> object:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+_SEPARATORS = (",", ":")
+
+
+def canonical_json(value: object) -> str:
+    """``json.dumps(_canonical(value), sort_keys=True)`` in compact form,
+    without the Python-level walk whenever that walk changes nothing.
+
+    The walk only matters for values that are not already plain JSON:
+    non-``str`` keys (stringified and sorted by their string), tuples,
+    non-``dict`` mappings and arbitrary objects (``repr``).  So the value is
+    serialised directly first, and that text is used only when parsing it
+    back gives an equal value — which fails for every one of those cases
+    (an ``int`` key comes back as ``str``, a tuple as a list, ``NaN`` is
+    unequal to itself) or raises ``TypeError`` before the check.  The one
+    input the check cannot see is a ``str`` subclass used as a key whose
+    ``__str__`` differs from its value; no model payload has one.  A JSON
+    payload of a few MB then costs one C-level dump and one parse instead
+    of a recursive copy.
+    """
+    try:
+        blob = json.dumps(value, sort_keys=True, separators=_SEPARATORS)
+    except (TypeError, ValueError):
+        blob = None
+    if blob is not None and json.loads(blob) == value:
+        return blob
+    return json.dumps(_canonical(value), sort_keys=True, separators=_SEPARATORS)
 
 
 def campaign_fingerprint(
@@ -181,15 +213,21 @@ def campaign_fingerprint(
     solve the same circuits, so their checkpointed outcomes are mutually
     valid — whatever the execution strategy, worker count or
     classification thresholds.
+
+    ``model`` is a design model (anything with ``to_dict()``) or that
+    payload dict itself, which is how the analysis service hashes a request
+    without materialising the model.
     """
     payload = {
-        "model": _canonical(model.to_dict()),
+        "model": model if isinstance(model, Mapping) else model.to_dict(),
         "reliability": [
             {
                 "class": entry.component_class,
                 "fit": entry.fit,
+                # Lists, not tuples: the same JSON, and it keeps the whole
+                # payload on canonical_json's fast path.
                 "modes": [
-                    (m.name, m.distribution, m.nature)
+                    [m.name, m.distribution, m.nature]
                     for m in entry.failure_modes
                 ],
             }
@@ -202,7 +240,7 @@ def campaign_fingerprint(
         "dt": dt,
         "overrides": _canonical(behavior_overrides or {}),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = canonical_json(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

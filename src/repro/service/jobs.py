@@ -30,17 +30,23 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 
 Requests carry models as *payloads* (the ``repro-simulink/1`` dict format)
 rather than live objects: fingerprinting hashes the raw payload without
-materialising a :class:`SimulinkModel`, so a cache hit costs one index
-lookup and one line seek — the model-access analogue of
-:class:`LazyModelResource`'s load-on-reference semantics.  Materialised
+materialising a :class:`SimulinkModel`, so a cache hit costs one
+fingerprint, one index lookup and one line seek — the model-access analogue
+of :class:`LazyModelResource`'s load-on-reference semantics.  Materialised
 models are kept in a small digest-keyed LRU so concurrent tenants
 re-computing over the same model parse it once.
+
+Each content key is computed once per job and handed down: the fingerprint
+keys the cache, the campaign's warm pool and checkpoint, and the ledger
+entry; the model digest keys the LRU; and the LRU entry keeps the model's
+ledger digest, so FMEA, FMEDA and search of one model pay it once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import queue
 import threading
 import time
@@ -65,6 +71,12 @@ _KINDS = ("fmea", "fmeda", "search")
 
 #: Materialised models kept warm, by model-payload digest.
 _MODEL_CACHE_SIZE = 16
+
+#: Solver settings a request may leave out (or send as ``null``), with the
+#: campaign's own defaults.
+_ANALYSES = ("dc", "transient")
+_DEFAULT_T_STOP = 5e-3
+_DEFAULT_DT = 5e-5
 
 
 class ServiceError(Exception):
@@ -121,25 +133,39 @@ def reliability_from_payload(payload: Sequence[Mapping[str, object]]):
     return model
 
 
-class _PayloadModel:
-    """Duck-typed stand-in for :class:`SimulinkModel` during fingerprinting.
+def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
+    """``config`` with ``analysis``, ``t_stop`` and ``dt`` filled in and
+    checked, so the fingerprint and the campaign read the same values.
 
-    :func:`campaign_fingerprint` only calls ``to_dict()``; handing it the
-    raw request payload hashes exactly what a materialised model would
-    serialise back to, without building a single block object.
+    A missing or ``null`` value takes the campaign default; a malformed one
+    raises :class:`ServiceError`, which ``POST /jobs`` answers with 400.
     """
-
-    __slots__ = ("_payload",)
-
-    def __init__(self, payload: Mapping[str, object]) -> None:
-        self._payload = payload
-
-    def to_dict(self) -> Mapping[str, object]:
-        return self._payload
-
-    @property
-    def name(self) -> str:
-        return str(self._payload.get("name", "model"))
+    out = dict(config)
+    analysis = out.get("analysis")
+    if analysis is None:
+        analysis = "dc"
+    if not isinstance(analysis, str) or analysis not in _ANALYSES:
+        raise ServiceError(
+            f"config.analysis must be one of {_ANALYSES}, got {analysis!r}"
+        )
+    out["analysis"] = analysis
+    for key, default in (("t_stop", _DEFAULT_T_STOP), ("dt", _DEFAULT_DT)):
+        value = out.get(key)
+        if value is None:
+            value = default
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:
+                pass
+        if not math.isfinite(number) or number <= 0:
+            raise ServiceError(
+                f"config.{key} must be a finite positive number, "
+                f"got {value!r}"
+            )
+        out[key] = number
+    return out
 
 
 @dataclass
@@ -152,8 +178,10 @@ class AnalysisRequest:
     and classification parameters (``threshold``, ``sensors``,
     ``assume_stable``, ``min_absolute_delta``, ``analysis``, ``t_stop``,
     ``dt``, ``workers``, ``strategy``, ``solver_backend``,
-    ``job_timeout``, ``max_retries``).  ``deployments`` (fmeda) and
-    ``mechanisms`` + ``target_asil`` (search) extend the base FMEA.
+    ``job_timeout``, ``max_retries``); ``analysis``, ``t_stop`` and ``dt``
+    are normalised at construction (see :func:`_normalised_config`).
+    ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
+    extend the base FMEA.
     """
 
     kind: str
@@ -164,6 +192,10 @@ class AnalysisRequest:
     mechanisms: List[Dict[str, object]] = field(default_factory=list)
     target_asil: str = ""
     tenant: str = ""
+    #: The parsed reliability payload, built on first use.
+    _reliability: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -179,6 +211,7 @@ class AnalysisRequest:
             raise ServiceError("reliability must be a list of entry dicts")
         if self.kind == "search" and not self.mechanisms:
             raise ServiceError("search requests need a mechanisms catalogue")
+        self.config = _normalised_config(self.config)
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "AnalysisRequest":
@@ -202,16 +235,29 @@ class AnalysisRequest:
 
     # -- keys -------------------------------------------------------------
 
+    def reliability_model(self):
+        """The reliability payload as a :class:`ReliabilityModel`, parsed
+        once per request and shared by the fingerprint, the campaign and
+        the ledger entry."""
+        if self._reliability is None:
+            self._reliability = reliability_from_payload(self.reliability)
+        return self._reliability
+
     def fingerprint(self) -> str:
-        """The campaign fingerprint, computed off the raw payloads."""
+        """The campaign fingerprint, computed off the raw payloads.
+
+        It equals :func:`campaign_fingerprint` of the materialised model
+        whenever the payload is a model's ``to_dict()``, since
+        ``SimulinkModel.from_dict`` round-trips it.
+        """
         from repro.safety.resilience import campaign_fingerprint
 
         return campaign_fingerprint(
-            _PayloadModel(self.model),
-            reliability_from_payload(self.reliability),
-            str(self.config.get("analysis", "dc")),
-            float(self.config.get("t_stop", 5e-3)),  # type: ignore[arg-type]
-            float(self.config.get("dt", 5e-5)),  # type: ignore[arg-type]
+            self.model,
+            self.reliability_model(),
+            self.config["analysis"],  # type: ignore[arg-type]
+            self.config["t_stop"],  # type: ignore[arg-type]
+            self.config["dt"],  # type: ignore[arg-type]
             None,
         )
 
@@ -241,6 +287,8 @@ class AnalysisRequest:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def model_digest(self) -> str:
+        """Digest of the model payload: the key of the service's LRU of
+        materialised models."""
         blob = json.dumps(self.model, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -373,7 +421,7 @@ class AnalysisService:
         #: leader instead of starting their own campaign.
         self._inflight: Dict[str, AnalysisJob] = {}
         self._inflight_lock = threading.Lock()
-        self._model_cache: "OrderedDict[str, object]" = OrderedDict()
+        self._model_cache: "OrderedDict[str, _CachedModel]" = OrderedDict()
         self._model_cache_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._stopping = False
@@ -427,7 +475,7 @@ class AnalysisService:
         job = AnalysisJob(
             id=uuid.uuid4().hex[:12],
             kind=request.kind,
-            system=_PayloadModel(request.model).name,
+            system=str(request.model.get("name", "model")),
             tenant=request.tenant,
             submitted_at=time.time(),
             request=request,
@@ -688,27 +736,28 @@ class AnalysisService:
 
     # -- computation ------------------------------------------------------
 
-    def _materialize_model(self, request: AnalysisRequest):
+    def _materialize_model(self, request: AnalysisRequest) -> "_CachedModel":
         """The payload as a :class:`SimulinkModel`, via the digest LRU."""
         from repro.simulink import SimulinkModel
 
         digest = request.model_digest()
         with self._model_cache_lock:
-            model = self._model_cache.get(digest)
-            if model is not None:
+            cached = self._model_cache.get(digest)
+            if cached is not None:
                 self._model_cache.move_to_end(digest)
                 obs.counter("service_model_cache_hits").inc()
-                return model
-        model = SimulinkModel.from_dict(dict(request.model))
+                return cached
+        cached = _CachedModel(SimulinkModel.from_dict(dict(request.model)))
         with self._model_cache_lock:
-            self._model_cache[digest] = model
+            self._model_cache[digest] = cached
             while len(self._model_cache) > _MODEL_CACHE_SIZE:
                 self._model_cache.popitem(last=False)
-        return model
+        return cached
 
     def _campaign(
         self,
         request: AnalysisRequest,
+        model,
         fingerprint: str,
         correlation_id: Optional[str] = None,
     ):
@@ -731,8 +780,8 @@ class AnalysisService:
         sensors = config.get("sensors")
         assume_stable = config.get("assume_stable", ())
         return FaultInjectionCampaign(
-            self._materialize_model(request),
-            reliability_from_payload(request.reliability),
+            model,
+            request.reliability_model(),
             sensors=sensors,  # type: ignore[arg-type]
             assume_stable=tuple(assume_stable),  # type: ignore[arg-type]
             checkpoint=checkpoint,
@@ -761,19 +810,22 @@ class AnalysisService:
         }
         if request.tenant:
             meta["tenant"] = request.tenant
+        cached = self._materialize_model(request)
+        model = cached.model
+        reliability = request.reliability_model()
         fmea = self._campaign(
-            request, job.fingerprint, correlation_id=job.correlation_id
-        ).run()
+            request, model, job.fingerprint,
+            correlation_id=job.correlation_id,
+        ).run(fingerprint=job.fingerprint)
         # SLO state at record time: a run recorded while the service was
         # burning its error budget carries the breach in its provenance,
         # which is what the `watch-regressions` slo rule checks.
         meta["slo"] = summarize(self.slo.evaluate())
-        reliability = reliability_from_payload(request.reliability)
-        model = self._materialize_model(request)
+        digest = cached.ledger_digest()
         config = {
-            "analysis": request.config.get("analysis", "dc"),
-            "t_stop": request.config.get("t_stop", 5e-3),
-            "dt": request.config.get("dt", 5e-5),
+            "analysis": request.config["analysis"],
+            "t_stop": request.config["t_stop"],
+            "dt": request.config["dt"],
             "threshold": request.config.get("threshold", 0.2),
         }
 
@@ -783,7 +835,8 @@ class AnalysisService:
                 entry = record_fmea(
                     self.ledger, fmea, model=model, reliability=reliability,
                     spfm=value, asil=asil_from_spfm(value), config=config,
-                    meta=meta,
+                    meta=meta, fingerprint=job.fingerprint,
+                    model_digest_value=digest,
                 )
             return _answer(entry, from_cache=False)
 
@@ -806,6 +859,7 @@ class AnalysisService:
                 entry = record_fmeda(
                     self.ledger, fmeda, model=model,
                     reliability=reliability, config=config, meta=meta,
+                    model_digest_value=digest,
                 )
             return _answer(entry, from_cache=False)
 
@@ -841,9 +895,29 @@ class AnalysisService:
                 reliability=reliability,
                 config={**config, "target": request.target_asil,
                         "strategy": strategy},
-                meta=meta,
+                meta=meta, model_digest_value=digest,
             )
         return _answer(entry, from_cache=False)
+
+
+class _CachedModel:
+    """A materialised model in the service's LRU, plus its ledger
+    :func:`~repro.obs.ledger.model_digest`, computed the first time a job
+    records against the model.  Two workers racing on a fresh entry may
+    both compute it; they get the same value."""
+
+    __slots__ = ("model", "_ledger_digest")
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self._ledger_digest: Optional[str] = None
+
+    def ledger_digest(self) -> str:
+        if self._ledger_digest is None:
+            from repro.obs import ledger
+
+            self._ledger_digest = ledger.model_digest(self.model)
+        return self._ledger_digest
 
 
 def _answer(entry, from_cache: bool) -> Dict[str, object]:

@@ -147,6 +147,65 @@ class TestRequestValidation:
         )
         assert request.fingerprint() == expected
 
+    def test_solver_config_normalised_at_submit(self, fmea_payload):
+        absent = AnalysisRequest.from_payload(fmea_payload)
+        assert (
+            absent.config["analysis"], absent.config["t_stop"],
+            absent.config["dt"],
+        ) == ("dc", 5e-3, 5e-5)
+        nulls = json.loads(json.dumps(fmea_payload))
+        nulls["config"].update(analysis=None, t_stop=None, dt=None)
+        # `null` means the default: the fingerprint hashes what the
+        # campaign runs, not the string "None".
+        assert AnalysisRequest.from_payload(nulls).fingerprint() == (
+            absent.fingerprint()
+        )
+        ints = json.loads(json.dumps(fmea_payload))
+        ints["config"].update(analysis="transient", t_stop=1, dt=1)
+        request = AnalysisRequest.from_payload(ints)
+        assert request.config["t_stop"] == 1.0
+        assert isinstance(request.config["t_stop"], float)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("analysis", "ac", "config.analysis"),
+            ("analysis", 1, "config.analysis"),
+            ("analysis", ["dc"], "config.analysis"),
+            ("t_stop", 0, "config.t_stop"),
+            ("t_stop", -1e-3, "config.t_stop"),
+            ("t_stop", "5e-3", "config.t_stop"),
+            ("t_stop", True, "config.t_stop"),
+            ("t_stop", float("inf"), "config.t_stop"),
+            ("t_stop", 10 ** 400, "config.t_stop"),
+            ("dt", float("nan"), "config.dt"),
+            ("dt", [5e-5], "config.dt"),
+        ],
+    )
+    def test_malformed_solver_config_rejected(
+        self, fmea_payload, key, value, message
+    ):
+        bad = json.loads(json.dumps(fmea_payload))
+        bad["config"][key] = value
+        with pytest.raises(ServiceError, match=message):
+            AnalysisRequest.from_payload(bad)
+
+    def test_campaign_runs_the_fingerprinted_config(
+        self, tmp_path, fmea_payload
+    ):
+        """The service fingerprint equals the campaign's own token by
+        construction: both read the normalised config."""
+        payload = json.loads(json.dumps(fmea_payload))
+        payload["config"].update(analysis=None, t_stop=2, dt=1e-4)
+        request = AnalysisRequest.from_payload(payload)
+        service = AnalysisService(tmp_path / "ledger.jsonl")
+        model = service._materialize_model(request).model
+        campaign = service._campaign(request, model, request.fingerprint())
+        assert (campaign.analysis, campaign.t_stop, campaign.dt) == (
+            "dc", 2.0, 1e-4
+        )
+        assert campaign._campaign_token() == request.fingerprint()
+
     def test_cache_key_folds_in_classification_config(self, fmea_payload):
         base = AnalysisRequest.from_payload(fmea_payload)
         tweaked_payload = json.loads(json.dumps(fmea_payload))
@@ -682,6 +741,32 @@ class TestHTTPEndpoints:
         )
         assert status == 400
         assert "kind" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("analysis", "ac"),
+            ("analysis", 3),
+            ("t_stop", 0),
+            ("t_stop", -1.0),
+            ("t_stop", "soon"),
+            ("t_stop", float("inf")),
+            ("dt", float("nan")),
+            ("dt", False),
+        ],
+    )
+    def test_malformed_solver_config_is_400(
+        self, server, fmea_payload, key, value
+    ):
+        bad = json.loads(json.dumps(fmea_payload))
+        bad["config"][key] = value
+        status, payload = _http_request(
+            *server.address, "POST", "/jobs", bad
+        )
+        assert status == 400
+        assert f"config.{key}" in payload["error"]
+        # Refused at submit: no job was queued for a worker to fail.
+        assert server.service.jobs() == []
 
     def test_unknown_job_is_404(self, server):
         status, payload = _http_request(
