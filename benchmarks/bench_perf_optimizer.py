@@ -5,6 +5,10 @@ synthetic catalogues of growing size, cross-checks the DP against the
 enumerated optimum on every feasible case (bit-equal cost *and* SPFM), and
 writes the measurements to ``BENCH_optimizer.json`` at the repo root.
 
+A System B-scale case (96 rows, two options each, two-decimal costs) times
+the bounded target search against the whole-frontier fold plus scan on an
+already-met, a reachable and an unreachable target.
+
 Acceptance (full mode):
 
 - on the ``near_cap`` case — a deployment space just under the historical
@@ -14,10 +18,13 @@ Acceptance (full mode):
   bit-equal to the enumerated optimum and ``dp_pareto_front`` equals the
   enumeration-based front plan for plan;
 - on the ``beyond_cap`` case enumeration raises while the DP still returns
-  the exact front.
+  the exact front;
+- on the ``system_b_scale`` case the bounded search returns the same plan
+  (cost, SPFM and deployments) as the unbounded fold on every target, and
+  is >= 3x faster on the reachable one.
 
 Smoke mode (``BENCH_OPTIMIZER_SMOKE=1``): shrinks ``near_cap``, runs one
-repeat and skips the speedup assertion, so CI exercises the whole path in
+repeat and skips the speedup assertions, so CI exercises the whole path in
 seconds.
 
 Provenance (``BENCH_OPTIMIZER_LEDGER=/path/to/ledger.jsonl``): records the
@@ -39,6 +46,10 @@ from _harness import format_rows, report_table
 from repro.safety.fmea import FmeaResult, FmeaRow
 from repro.safety.mechanisms import MechanismSpec, SafetyMechanismModel
 from repro.safety.optimizer import (
+    _dp_frontier,
+    _dp_scan,
+    _options_per_row,
+    _SpfmEvaluator,
     dp_pareto_front,
     dp_search_for_target,
     enumerate_plans,
@@ -54,12 +65,18 @@ TRAJECTORY_KEEP = 120
 REPEATS = 1 if SMOKE else 3
 SPEEDUP_TARGET = 10.0
 TARGET_ASIL = "ASIL-C"
+#: System B-scale search: rows, the bounded-vs-unbounded speedup asked of
+#: the reachable target, and one target of each kind.
+SCALE_ROWS = 96
+BOUNDED_SPEEDUP_TARGET = 3.0
+SCALE_TARGETS = {"met": "ASIL-A", "reachable": "ASIL-B", "unreachable": "ASIL-D"}
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_optimizer.json"
 
-#: Realistic catalogues quote a handful of distinct costs/coverages —
-#: partial cost sums collide, which is exactly what keeps the DP frontier
-#: small (see docs/performance.md).
+#: The enumeration cases quote a handful of distinct costs/coverages, so
+#: partial cost sums collide and the DP frontier stays small; the
+#: two-decimal costs of ``system_b_scale_case`` do not collide (see
+#: docs/performance.md).
 _COSTS = (1.0, 2.0, 3.0, 5.0, 8.0)
 _COVERAGES = (0.60, 0.90, 0.99)
 
@@ -99,6 +116,87 @@ def synth_case(rows, specs_per_row, seed):
                 )
             )
     return fmea, SafetyMechanismModel(specs)
+
+
+def system_b_scale_case(seed):
+    """``SCALE_ROWS`` rows with two options each, costs and coverages drawn
+    like the service benchmark's catalogues (``round(uniform(0.5, 8), 2)``,
+    ``round(uniform(0.6, 0.99), 3)``).  Most components also carry a latent,
+    non-safety-related mode, so ``ASIL-B`` is reachable and ``ASIL-D`` is
+    not."""
+    rng = random.Random(seed)
+    fmea = FmeaResult(system=f"synth_b_{SCALE_ROWS}x2", method="manual")
+    specs = []
+    for index in range(SCALE_ROWS):
+        fit = rng.choice((5.0, 10.0, 20.0, 50.0, 100.0))
+        share = rng.choice((1.0, 0.6, 0.4, 0.3))
+        fmea.rows.append(
+            FmeaRow(
+                component=f"C{index}",
+                component_class=f"K{index}",
+                fit=fit,
+                failure_mode="Open",
+                nature="open",
+                distribution=share,
+                safety_related=True,
+            )
+        )
+        if share < 1.0:
+            fmea.rows.append(
+                FmeaRow(
+                    component=f"C{index}",
+                    component_class=f"K{index}",
+                    fit=fit,
+                    failure_mode="Drift",
+                    nature="drift",
+                    distribution=1.0 - share,
+                    safety_related=False,
+                )
+            )
+        for option in range(2):
+            specs.append(
+                MechanismSpec(
+                    f"K{index}",
+                    "Open",
+                    f"m{index}_{option}",
+                    round(rng.uniform(0.6, 0.99), 3),
+                    round(rng.uniform(0.5, 8.0), 2),
+                )
+            )
+    return fmea, SafetyMechanismModel(specs)
+
+
+def unbounded_search(fmea, catalogue, target):
+    """The whole (cost, residual) frontier, then the cost-ascending scan."""
+    states, _ = _dp_frontier(_options_per_row(fmea, catalogue))
+    return _dp_scan(states, _SpfmEvaluator(fmea), target)
+
+
+def plan_key(plan):
+    return None if plan is None else (plan.cost, plan.spfm, plan.deployments)
+
+
+def bench_system_b_scale():
+    """Bounded vs unbounded search per target kind; asserts equal plans."""
+    fmea, catalogue = system_b_scale_case(0)
+    entry = {"rows": SCALE_ROWS, "options_per_row": 2, "targets": {}}
+    for kind, target in SCALE_TARGETS.items():
+        unbounded_s, reference = timed(unbounded_search, fmea, catalogue, target)
+        bounded_s, plan = timed(dp_search_for_target, fmea, catalogue, target)
+        assert plan_key(plan) == plan_key(reference), (kind, target)
+        assert (plan is None) == (kind == "unreachable"), (kind, target)
+        if kind == "met":
+            assert plan.deployments == (), target
+        entry["targets"][kind] = {
+            "target": target,
+            "unbounded_s": round(unbounded_s, 6),
+            "bounded_s": round(bounded_s, 6),
+            "speedup": round(unbounded_s / bounded_s, 2),
+            "cost": None if plan is None else plan.cost,
+        }
+    states, _ = _dp_frontier(_options_per_row(fmea, catalogue))
+    entry["front_size"] = len(states)
+    return entry
 
 
 def timed(fn, *args, **kwargs):
@@ -147,6 +245,15 @@ def _extended_trajectory(payload):
     except Exception:  # noqa: BLE001 — provenance decoration only
         point["git"] = ""
     for case, entry in payload["cases"].items():
+        if case == "system_b_scale":
+            point[case] = {
+                kind: {
+                    "bounded_s": timing["bounded_s"],
+                    "unbounded_s": timing["unbounded_s"],
+                }
+                for kind, timing in entry["targets"].items()
+            }
+            continue
         point[case] = {
             "space": entry["space"],
             "dp_s": entry["dp_s"],
@@ -273,9 +380,30 @@ def test_bench_optimizer():
         }
     )
 
+    scale = bench_system_b_scale()
+    payload["cases"]["system_b_scale"] = scale
+    for kind, timing in scale["targets"].items():
+        table.append(
+            {
+                "Case": f"b_scale/{kind}",
+                "Space": f"3^{SCALE_ROWS}",
+                "Exh(s)": f"unbounded {timing['unbounded_s']:.3f}",
+                "DP(s)": f"{timing['bounded_s']:.4f}",
+                "Greedy(s)": "-",
+                "Speedup": f"{timing['speedup']:.1f}x",
+                "Front": scale["front_size"],
+            }
+        )
+
     near_cap = payload["cases"]["near_cap"]
+    reachable = scale["targets"]["reachable"]
+    payload["bounded_speedup_target"] = BOUNDED_SPEEDUP_TARGET
     payload["accepted"] = bool(
-        SMOKE or near_cap["speedup"] >= SPEEDUP_TARGET
+        SMOKE
+        or (
+            near_cap["speedup"] >= SPEEDUP_TARGET
+            and reachable["speedup"] >= BOUNDED_SPEEDUP_TARGET
+        )
     )
     payload["trajectory"] = _extended_trajectory(payload)
     JSON_PATH.write_text(
@@ -291,4 +419,9 @@ def test_bench_optimizer():
         assert near_cap["speedup"] >= SPEEDUP_TARGET, (
             "DP must beat exhaustive enumeration by "
             f">= {SPEEDUP_TARGET}x near the cap, got {near_cap['speedup']}x"
+        )
+        assert reachable["speedup"] >= BOUNDED_SPEEDUP_TARGET, (
+            "the bounded search must beat the unbounded fold by "
+            f">= {BOUNDED_SPEEDUP_TARGET}x on the reachable System B-scale "
+            f"target, got {reachable['speedup']}x"
         )

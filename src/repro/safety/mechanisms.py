@@ -66,6 +66,9 @@ class SafetyMechanismModel:
 
     def __init__(self, specs: Optional[Iterable[MechanismSpec]] = None) -> None:
         self._specs: List[MechanismSpec] = []
+        #: (class key, mode key) -> applicable specs in catalogue order, so
+        #: a search looks each FMEA row up once instead of scanning.
+        self._by_pair: Dict[Tuple[str, str], List[MechanismSpec]] = {}
         for spec in specs or []:
             self.add(spec)
 
@@ -74,8 +77,17 @@ class SafetyMechanismModel:
         key = component_class.strip().lower()
         return cls._SYNONYMS.get(key, key)
 
+    @staticmethod
+    def _mode_key(failure_mode: str) -> str:
+        return failure_mode.strip().lower()
+
     def add(self, spec: MechanismSpec) -> MechanismSpec:
         self._specs.append(spec)
+        pair = (
+            self._class_key(spec.component_class),
+            self._mode_key(spec.failure_mode),
+        )
+        self._by_pair.setdefault(pair, []).append(spec)
         return spec
 
     def specs(self) -> List[MechanismSpec]:
@@ -85,14 +97,8 @@ class SafetyMechanismModel:
         self, component_class: str, failure_mode: str
     ) -> List[MechanismSpec]:
         """Mechanisms applicable to a (class, failure mode) pair."""
-        class_key = self._class_key(component_class)
-        mode_key = failure_mode.strip().lower()
-        return [
-            spec
-            for spec in self._specs
-            if self._class_key(spec.component_class) == class_key
-            and spec.failure_mode.strip().lower() == mode_key
-        ]
+        pair = (self._class_key(component_class), self._mode_key(failure_mode))
+        return list(self._by_pair.get(pair, ()))
 
     def best_for(
         self, component_class: str, failure_mode: str

@@ -11,8 +11,9 @@ Strategies:
   separable Pareto dynamic program (the default).  SPFM (Eq. 1) is additive
   over per-failure-mode residual rates, so the search space separates by
   row: fold rows one at a time, keeping only (cost, residual-rate) states
-  that survive dominance pruning.  Polynomial in rows × options × frontier
-  instead of exponential in rows;
+  that survive dominance pruning (and, for a target search, that can still
+  finish under the target at no more than the greedy plan's cost).
+  Polynomial in rows × options × frontier instead of exponential in rows;
 - :func:`enumerate_plans` — exhaustive enumeration over per-failure-mode
   options (bounded; raises when the space is too large);
 - :func:`greedy_plan` — iteratively deploy the mechanism with the best
@@ -43,10 +44,9 @@ from repro.safety.metrics import (
 #: Exhaustive enumeration cap (number of candidate plans).
 _MAX_ENUMERATION = 200_000
 
-#: DP frontier bound: when the non-dominated state count of one row fold
-#: exceeds this, epsilon-bucket merging switches on automatically (see
-#: :func:`_dp_frontier`) so near-continuous cost data cannot blow up the
-#: search.  Real catalogues (few distinct costs) stay far below it.
+#: DP frontier cap: a row fold whose non-dominated state count exceeds this
+#: raises, like enumeration past its cap.  System B searches peak at a few
+#: thousand states (see docs/performance.md).
 _MAX_DP_STATES = 200_000
 
 #: Strategies accepted by :func:`search_for_target`.
@@ -266,11 +266,33 @@ def _dp_deployments(state: _DpState) -> List[Deployment]:
     return chosen
 
 
+def _option_residual(mode_rate: float, option: Optional[Deployment]) -> float:
+    return mode_rate if option is None else mode_rate * (1.0 - option.coverage)
+
+
+def _min_residual_suffix(
+    per_row: List[Tuple[FmeaRow, List[Optional[Deployment]]]],
+) -> List[float]:
+    """``suffix[i]``: the least residual rate rows ``i..`` can still add.
+
+    Each row contributes at least its best option's residual, so a state
+    folded through row ``i - 1`` cannot finish below ``residual +
+    suffix[i]``.  ``suffix[len(per_row)]`` is ``0.0``.
+    """
+    suffix = [0.0] * (len(per_row) + 1)
+    for index in range(len(per_row) - 1, -1, -1):
+        row, options = per_row[index]
+        suffix[index] = suffix[index + 1] + min(
+            _option_residual(row.mode_rate, option) for option in options
+        )
+    return suffix
+
+
 def _dp_frontier(
     per_row: List[Tuple[FmeaRow, List[Optional[Deployment]]]],
-    lambda_total: float,
-    resolution: float,
-    max_states: int,
+    max_states: int = _MAX_DP_STATES,
+    residual_room: Optional[List[float]] = None,
+    cost_limit: float = math.inf,
 ) -> Tuple[List[_DpState], Dict[str, float]]:
     """Fold rows one at a time, keeping non-dominated (cost, residual) states.
 
@@ -281,18 +303,17 @@ def _dp_frontier(
     state that is >=-cost and >=-residual of another can never lead to a
     better completion (every completion adds the same deltas to both).
 
-    Dominance pruning alone keeps the frontier small when costs repeat (real
-    catalogues quote a few distinct costs, so partial sums collide).  On
-    near-continuous cost data the exact frontier can keep growing, so an
-    **epsilon-bucket merge** bounds it: states whose residuals fall in the
-    same bucket of width ``resolution * lambda_total`` are merged, keeping
-    the cheapest.  ``resolution`` is expressed in SPFM units; each fold's
-    merge can raise the surviving residual by at most one bucket, so the
-    achieved SPFM of the returned optimum understates the true optimum by
-    at most ``len(per_row) * resolution``.  ``resolution=0`` (default)
-    disables merging — the frontier is exact — and merging switches on
-    automatically at ``2 / max_states`` only if a fold's exact frontier
-    exceeds ``max_states``.
+    Two optional bounds let a target search drop states early (both only
+    ever drop a state together with everything it dominates, so the
+    surviving part of the frontier is unchanged):
+
+    - ``residual_room[i]`` — the largest residual a state folded through
+      row ``i`` may carry and still finish under the target;
+    - ``cost_limit`` — states costing more than a known feasible plan
+      cannot be the cheapest.
+
+    Without bounds the final frontier is the exact Pareto front.  A fold
+    whose frontier exceeds ``max_states`` raises :class:`ValueError`.
 
     Cost and residual accumulate in FMEA row order, matching the float-op
     order of ``sum(d.cost for d in deployments)`` over row-ordered plans,
@@ -302,29 +323,26 @@ def _dp_frontier(
     stats: Dict[str, float] = {
         "candidates": 0,
         "pruned": 0,
-        "merged": 0,
+        "bound_pruned": 0,
         "max_frontier": 1,
-        "auto_resolution": 0.0,
     }
     states: List[_DpState] = [_DpState(0.0, 0.0, None, None)]
-    effective = resolution
-    for row, options in per_row:
-        mode_rate = row.mode_rate
-        option_residuals = [
-            mode_rate if option is None else mode_rate * (1.0 - option.coverage)
+    for index, (row, options) in enumerate(per_row):
+        scored = [
+            (option, _option_residual(row.mode_rate, option))
             for option in options
         ]
-        candidates = [
-            _DpState(
-                state.cost if option is None else state.cost + option.cost,
-                state.residual + residual,
-                state,
-                option,
-            )
-            for state in states
-            for option, residual in zip(options, option_residuals)
-        ]
-        stats["candidates"] += len(candidates)
+        room = math.inf if residual_room is None else residual_room[index]
+        candidates: List[_DpState] = []
+        for state in states:
+            for option, delta in scored:
+                residual = state.residual + delta
+                cost = state.cost if option is None else state.cost + option.cost
+                if residual <= room and cost <= cost_limit:
+                    candidates.append(_DpState(cost, residual, state, option))
+        generated = len(states) * len(scored)
+        stats["candidates"] += generated
+        stats["bound_pruned"] += generated - len(candidates)
         candidates.sort(key=lambda s: (s.cost, s.residual))
         frontier: List[_DpState] = []
         best = math.inf
@@ -333,63 +351,91 @@ def _dp_frontier(
                 frontier.append(state)
                 best = state.residual
         stats["pruned"] += len(candidates) - len(frontier)
-        if len(frontier) > max_states and effective <= 0.0:
-            effective = 2.0 / max_states
-            stats["auto_resolution"] = effective
-        if effective > 0.0 and lambda_total > 0.0:
-            eps = effective * lambda_total
-            merged: List[_DpState] = []
-            last_bucket: Optional[int] = None
-            # Frontier residuals decrease along increasing cost, so equal
-            # buckets are consecutive and the first (cheapest) one wins.
-            for state in frontier:
-                bucket = int(state.residual / eps)
-                if bucket != last_bucket:
-                    merged.append(state)
-                    last_bucket = bucket
-            stats["merged"] += len(frontier) - len(merged)
-            frontier = merged
+        if len(frontier) > max_states:
+            raise ValueError(
+                f"DP frontier has {len(frontier)} states after row "
+                f"{index + 1} of {len(per_row)} (> {max_states})"
+            )
         states = frontier
         stats["max_frontier"] = max(stats["max_frontier"], len(states))
-    stats["resolution"] = effective
     return states, stats
 
 
 def _publish_dp(sp, stats: Dict[str, float], final_states: int) -> None:
     candidates = int(stats["candidates"])
-    dropped = int(stats["pruned"] + stats["merged"])
+    dropped = int(stats["pruned"] + stats["bound_pruned"])
     sp.set(
         states=final_states,
         candidates=candidates,
         pruned=int(stats["pruned"]),
-        merged=int(stats["merged"]),
+        bound_pruned=int(stats["bound_pruned"]),
         max_frontier=int(stats["max_frontier"]),
         prune_ratio=round(dropped / candidates, 4) if candidates else 0.0,
     )
-    if stats["auto_resolution"]:
-        sp.set(auto_resolution=stats["auto_resolution"])
     if obs.enabled():
         obs.counter("optimizer_dp_states").inc(final_states)
         obs.counter("optimizer_dp_pruned").inc(dropped)
+
+
+def _residual_threshold(target_asil: str, lambda_total: float) -> float:
+    """The largest DP residual whose plan may meet ``target_asil``.
+
+    The target slack in residual-rate units; the tiny tolerance covers
+    summation-order float noise between the DP's row-order residual and
+    the evaluator's per-component grouping.
+    """
+    slack = (1.0 - ASIL_SPFM_TARGETS[target_asil]) * lambda_total
+    return slack * (1.0 + 1e-9) + 1e-12
+
+
+def _incumbent_limit(cost: float) -> float:
+    """The largest DP cost a state may carry against a plan of ``cost``.
+
+    Greedy sums its cost in choice order and the DP in row order, so the
+    same plan can differ in the last bit (``128.85999999999996`` against
+    ``128.85999999999999``); a strict bound would drop the optimum.
+    """
+    return cost * (1.0 + 1e-9) + 1e-12
+
+
+def _dp_scan(
+    states: List[_DpState], evaluator: _SpfmEvaluator, target_asil: str
+) -> Optional[DeploymentPlan]:
+    """The cheapest state of a cost-ascending frontier that meets the target."""
+    threshold = _residual_threshold(target_asil, evaluator.lambda_total)
+    for state in states:
+        if state.residual > threshold:
+            continue
+        plan = evaluator.plan(_dp_deployments(state))
+        if plan.meets(target_asil):
+            return plan
+    return None
 
 
 def dp_search_for_target(
     fmea: FmeaResult,
     catalogue: SafetyMechanismModel,
     target_asil: str,
-    resolution: float = 0.0,
     max_states: int = _MAX_DP_STATES,
 ) -> Optional[DeploymentPlan]:
     """Exact minimal-cost plan meeting ``target_asil`` via the Pareto DP.
 
     Equivalent to enumerating every plan and taking the cheapest feasible
-    one, but polynomial: O(rows x options x frontier).  With the default
-    ``resolution=0`` the result is the exact optimum (bit-equal cost to the
-    enumerated optimum); a positive ``resolution`` bounds the frontier at
-    the price of understating the achieved SPFM by at most
-    ``rows * resolution`` (see :func:`_dp_frontier`).
+    one (bit-equal cost), but polynomial: O(rows x options x frontier).
+    The fold is bounded by the target (see :func:`_dp_frontier`):
 
-    Returns ``None`` when no plan in the catalogue reaches the target.
+    - **completability** — a state whose residual plus the least residual
+      the remaining rows can add is over the target slack cannot finish
+      under it; when even the empty prefix fails this check the target is
+      unreachable and the search returns before any fold;
+    - **incumbent** — :func:`greedy_plan` gives a feasible plan; a state
+      costing more than it cannot be the cheapest (up to
+      :func:`_incumbent_limit`'s tolerance).
+
+    Both bounds drop a state only together with every state it dominates,
+    so the bounded frontier's cheapest feasible state is the unbounded
+    one's.  Returns ``None`` when no plan in the catalogue reaches the
+    target.
     """
     spfm_meets(1.0, target_asil)  # validate the ASIL name up front
     per_row = _options_per_row(fmea, catalogue)
@@ -397,31 +443,45 @@ def dp_search_for_target(
     with obs.span(
         "optimizer.dp", target=target_asil, rows=len(per_row)
     ) as sp:
+        # The prune bound adds a margin far above the float noise between
+        # a prefix-plus-suffix sum and the full row-order sum.
+        limit = (
+            _residual_threshold(target_asil, evaluator.lambda_total)
+            + 1e-9 * evaluator.lambda_total
+        )
+        suffix = _min_residual_suffix(per_row)
+        if suffix[0] > limit:
+            sp.set(unreachable=True, met=False)
+            return None
+        incumbent = _greedy(per_row, evaluator, target_asil)
+        cost_limit = math.inf
+        if incumbent is not None:
+            cost_limit = _incumbent_limit(incumbent.cost)
+            sp.set(incumbent_cost=incumbent.cost)
         states, stats = _dp_frontier(
-            per_row, evaluator.lambda_total, resolution, max_states
+            per_row,
+            max_states,
+            residual_room=[limit - rest for rest in suffix[1:]],
+            cost_limit=cost_limit,
         )
+        plan = _dp_scan(states, evaluator, target_asil)
+        if plan is None and incumbent is not None:
+            # Only reachable when the evaluator and the DP disagree on a
+            # plan within float noise of the target: answer exactly as
+            # the unbounded fold would.
+            states, stats = _dp_frontier(per_row, max_states)
+            plan = _dp_scan(states, evaluator, target_asil)
         _publish_dp(sp, stats, len(states))
-        # The feasibility threshold in residual-rate units; the tiny slack
-        # covers summation-order float noise between the DP's row-order
-        # residual and the evaluator's per-component grouping.
-        slack = (
-            (1.0 - ASIL_SPFM_TARGETS[target_asil]) * evaluator.lambda_total
-        )
-        for state in states:  # cost-ascending: first feasible is cheapest
-            if state.residual > slack * (1.0 + 1e-9) + 1e-12:
-                continue
-            plan = evaluator.plan(_dp_deployments(state))
-            if plan.meets(target_asil):
-                sp.set(met=True, cost=plan.cost)
-                return plan
-        sp.set(met=False)
-    return None
+        if plan is None:
+            sp.set(met=False)
+        else:
+            sp.set(met=True, cost=plan.cost)
+    return plan
 
 
 def dp_pareto_front(
     fmea: FmeaResult,
     catalogue: SafetyMechanismModel,
-    resolution: float = 0.0,
     max_states: int = _MAX_DP_STATES,
 ) -> List[DeploymentPlan]:
     """The non-dominated (cost, SPFM) plans via the Pareto DP.
@@ -432,9 +492,7 @@ def dp_pareto_front(
     per_row = _options_per_row(fmea, catalogue)
     evaluator = _SpfmEvaluator(fmea)
     with obs.span("optimizer.dp_pareto", rows=len(per_row)) as sp:
-        states, stats = _dp_frontier(
-            per_row, evaluator.lambda_total, resolution, max_states
-        )
+        states, stats = _dp_frontier(per_row, max_states)
         _publish_dp(sp, stats, len(states))
         plans = [evaluator.plan(_dp_deployments(state)) for state in states]
         plans.sort(key=lambda plan: (plan.cost, -plan.spfm))
@@ -460,8 +518,12 @@ def greedy_plan(
 
     Returns ``None`` when the catalogue cannot reach the target.
     """
-    per_row = _options_per_row(fmea, catalogue)
-    evaluator = _SpfmEvaluator(fmea)
+    return _greedy(
+        _options_per_row(fmea, catalogue), _SpfmEvaluator(fmea), target_asil
+    )
+
+
+def _greedy(per_row, evaluator, target_asil) -> Optional[DeploymentPlan]:
     chosen: Dict[Tuple[str, str], Deployment] = {}
 
     def current_plan() -> DeploymentPlan:
@@ -488,7 +550,9 @@ def _greedy_loop(
     # changes only that component's residual contribution, so the trial
     # SPFM is lambda_SPF minus the component's old contribution plus its
     # re-derived one — O(component rows) per candidate instead of a full
-    # deployment-dict rebuild and rescore.
+    # deployment-dict rebuild and rescore.  A trial's contribution depends
+    # only on its component's coverage, so it is kept until a move lands on
+    # that component; each round then re-scores only the moved component.
     #
     # Ranking: a move must improve SPFM by > 1e-12.  Paid moves
     # (extra_cost > 0) rank by gain per unit cost; free moves
@@ -506,6 +570,9 @@ def _greedy_loop(
     }
     lambda_spf = sum(contributions.values())
     lambda_total = evaluator.lambda_total
+    trials: Dict[str, Dict[Tuple[int, int], float]] = {
+        component: {} for component in evaluator.components
+    }
     while not plan.meets(target_asil):
         iterations += 1
         if iterations > max_iterations:
@@ -514,33 +581,38 @@ def _greedy_loop(
             return None
         best_key: Optional[Tuple[int, float]] = None
         best_deployment: Optional[Deployment] = None
-        for row, options in per_row:
+        for row_index, (row, options) in enumerate(per_row):
             key = (row.component, row.failure_mode)
             incumbent = chosen.get(key)
             base_contribution = contributions[row.component]
-            for option in options:
+            scored = trials[row.component]
+            for option_index, option in enumerate(options):
                 if option is None:
                     continue
                 if incumbent is not None and option.coverage <= incumbent.coverage:
                     continue
-                had_previous = key in coverage
-                previous = coverage.get(key, 0.0)
-                coverage[key] = option.coverage
-                try:
-                    trial_contribution = evaluator.component_contribution(
-                        row.component, coverage
-                    )
-                except (FmeaError, ArithmeticError):
-                    # A single unscorable trial must not abort the search;
-                    # skip the candidate and keep looking for a valid move.
-                    if obs.enabled():
-                        obs.counter("optimizer_trial_failures").inc()
-                    continue
-                finally:
-                    if had_previous:
-                        coverage[key] = previous
-                    else:
-                        del coverage[key]
+                trial_contribution = scored.get((row_index, option_index))
+                if trial_contribution is None:
+                    had_previous = key in coverage
+                    previous = coverage.get(key, 0.0)
+                    coverage[key] = option.coverage
+                    try:
+                        trial_contribution = evaluator.component_contribution(
+                            row.component, coverage
+                        )
+                    except (FmeaError, ArithmeticError):
+                        # A single unscorable trial must not abort the
+                        # search; skip the candidate and keep looking for
+                        # a valid move.
+                        if obs.enabled():
+                            obs.counter("optimizer_trial_failures").inc()
+                        continue
+                    finally:
+                        if had_previous:
+                            coverage[key] = previous
+                        else:
+                            del coverage[key]
+                    scored[(row_index, option_index)] = trial_contribution
                 if obs.enabled():
                     obs.counter("optimizer_greedy_delta_evals").inc()
                 trial_spfm = 1.0 - (
@@ -562,6 +634,7 @@ def _greedy_loop(
         contributions[best_deployment.component] = (
             evaluator.component_contribution(best_deployment.component, coverage)
         )
+        trials[best_deployment.component].clear()
         lambda_spf = sum(contributions.values())
         plan = current_plan()
     return plan
@@ -584,7 +657,6 @@ def search_for_target(
     target_asil: str,
     max_exhaustive: int = 20_000,
     strategy: str = "dp",
-    resolution: float = 0.0,
 ) -> Optional[DeploymentPlan]:
     """Minimal-cost plan meeting ``target_asil``.
 
@@ -604,9 +676,7 @@ def search_for_target(
         "optimizer.search", target=target_asil, strategy=strategy
     ) as sp:
         if strategy == "dp":
-            return dp_search_for_target(
-                fmea, catalogue, target_asil, resolution=resolution
-            )
+            return dp_search_for_target(fmea, catalogue, target_asil)
         if strategy == "greedy":
             return greedy_plan(fmea, catalogue, target_asil)
         try:
@@ -626,7 +696,6 @@ def pareto_front(
     catalogue: SafetyMechanismModel,
     max_plans: int = _MAX_ENUMERATION,
     strategy: str = "dp",
-    resolution: float = 0.0,
 ) -> List[DeploymentPlan]:
     """Non-dominated plans: no other plan has lower cost *and* higher SPFM.
 
@@ -637,7 +706,7 @@ def pareto_front(
     """
     _check_strategy(strategy, PARETO_STRATEGIES)
     if strategy == "dp":
-        return dp_pareto_front(fmea, catalogue, resolution=resolution)
+        return dp_pareto_front(fmea, catalogue)
     with obs.span("optimizer.pareto") as sp:
         plans = enumerate_plans(fmea, catalogue, max_plans=max_plans)
         plans.sort(key=lambda plan: (plan.cost, -plan.spfm))

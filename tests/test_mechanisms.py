@@ -46,6 +46,15 @@ class TestCatalogue:
     def test_mc_synonym(self, catalogue):
         assert catalogue.options_for("MC", "RAM Failure")
 
+    def test_options_keep_catalogue_order_across_spellings(self, catalogue):
+        # Specs added later under another spelling of the same pair join it
+        # in catalogue order; the caller gets its own list.
+        catalogue.add(MechanismSpec(" mc ", "ram failure ", "Parity", 0.6, 0.5))
+        options = catalogue.options_for("MCU", "RAM Failure")
+        assert [spec.name for spec in options] == ["ECC", "Scrubbing", "Parity"]
+        options.clear()
+        assert len(catalogue.options_for("mc", "RAM FAILURE")) == 3
+
     def test_best_for_prefers_coverage_then_cost(self):
         catalogue = SafetyMechanismModel(
             [
