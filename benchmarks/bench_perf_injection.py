@@ -14,14 +14,23 @@ A fourth tier times the parameterized distribution-grid case study
 ``sparse``, over a seeded injection sample, and checks both backends —
 and a naive re-assembly run — agree row for row.
 
+The ``parallel`` row asks for ``workers`` and lets the campaign's fan-out
+rule (:data:`~repro.safety.campaign.PARALLEL_MIN_WORK`) decide: the power
+supply and System A sit below the crossover and run serially, the full
+System B (230 jobs × 107 unknowns) clears it and fans out.  In full mode
+a fifth tier times a grid sample well above it (``k=96``, ~240 jobs):
+serial against the per-campaign pool the rule picks there, so the
+retained fan-out has benchmarked cases on each side of its rule.
+
 Acceptance (full mode):
 
 - the batched engine (best of incremental / parallel) beats naive
   per-fault re-assembly by >= 3x wall clock on the largest classic case
   (System B, ~230 injection jobs over ~107 MNA unknowns);
-- incremental and auto-parallel each run at least as fast as naive on
+- incremental and the parallel row each run at least as fast as naive on
   *every* classic case (speedup >= 1.0 per case, not just the largest);
-- the sparse backend beats the dense backend by >= 3x on the grid tier.
+- the sparse backend beats the dense backend by >= 3x on the grid tier;
+- the pool beats the serial campaign on the fan-out grid sample.
 
 Smoke mode (``BENCH_INJECTION_SMOKE=1``): shrinks System B and the grid,
 runs one repeat per strategy and skips the speedup assertions, so CI
@@ -80,6 +89,10 @@ SYSTEM_B_BENCH_RAILS = 4 if SMOKE else 14
 GRID_FEEDERS = 2 if SMOKE else 8
 GRID_SECTIONS = 12 if SMOKE else 300
 GRID_SAMPLE_K = 8 if SMOKE else 24
+#: Grid sample above the fan-out crossover (full mode only), and the
+#: alternating serial/pool rounds timed on it (best of each arm).
+GRID_FANOUT_K = 96
+GRID_FANOUT_ROUNDS = 3
 SPEEDUP_TARGET = 3.0
 #: Sparse vs dense backend on the grid tier (full mode).
 SPARSE_SPEEDUP_TARGET = 3.0
@@ -89,10 +102,7 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_injection.json"
 STRATEGIES = (
     ("naive", {"incremental": False}),
     ("incremental", {}),
-    (
-        "parallel",
-        {"workers": max(2, os.cpu_count() or 1), "strategy": "auto"},
-    ),
+    ("parallel", {"workers": max(2, os.cpu_count() or 1)}),
 )
 
 GRID_BACKENDS = (
@@ -175,6 +185,7 @@ def rows_identical(reference, other, tol=1e-9):
 _TRAJECTORY_KEYS = (
     "jobs",
     "naive_s",
+    "serial_s",
     "incremental_s",
     "parallel_s",
     "dense_s",
@@ -364,6 +375,70 @@ def _grid_case(payload):
     return entry
 
 
+def _grid_fanout_case(payload):
+    """Time a grid sample above the fan-out crossover, serial against the
+    per-campaign pool the rule picks there (alternating, best of each).
+
+    The model is named apart from the grid tier's, so the ledger pairs
+    each night's fan-out entry with the previous night's."""
+    model = build_power_grid_simulink(
+        name="power_grid_fanout",
+        feeders=GRID_FEEDERS,
+        sections_per_feeder=GRID_SECTIONS,
+    )
+    reliability = power_network_reliability()
+    stable = power_grid_injection_sample(model, k=GRID_FANOUT_K, seed=0)
+    arms = (("serial", {}), ("parallel", dict(STRATEGIES)["parallel"]))
+    runs = {label: (math.inf, None) for label, _ in arms}
+    for _ in range(GRID_FANOUT_ROUNDS):
+        for label, kwargs in arms:
+            seconds, result = time_campaign(
+                model, reliability, stable, kwargs, repeats=1
+            )
+            if seconds < runs[label][0]:
+                runs[label] = (seconds, result)
+    identical = rows_identical(runs["serial"][1], runs["parallel"][1])
+    assert identical, "power_grid_fanout: pool and serial rows disagree"
+    stats = runs["parallel"][1].stats
+    entry = {
+        "jobs": stats.jobs,
+        "sample_k": GRID_FANOUT_K,
+        "workers": stats.workers,
+        "serial_s": round(runs["serial"][0], 6),
+        "parallel_s": round(runs["parallel"][0], 6),
+        "parallel_speedup": round(
+            runs["serial"][0] / runs["parallel"][0], 3
+        ),
+        "rows_identical": identical,
+    }
+    payload["cases"]["power_grid_fanout"] = entry
+    if LEDGER_PATH:
+        _ledger_record(
+            "power_grid_fanout",
+            model,
+            reliability,
+            runs["parallel"][1],
+            timings={label: round(runs[label][0], 6) for label in runs},
+        )
+    report_table(
+        "BENCH injection fanout",
+        "serial vs per-campaign pool above the fan-out crossover",
+        format_rows(
+            [
+                {
+                    "Case": "power_grid_fanout",
+                    "Jobs": stats.jobs,
+                    "Workers": stats.workers,
+                    "Serial(s)": f"{runs['serial'][0]:.3f}",
+                    "Pool(s)": f"{runs['parallel'][0]:.3f}",
+                    "Pool/Serial": f"{entry['parallel_speedup']:.2f}x",
+                }
+            ]
+        ),
+    )
+    return entry
+
+
 def test_bench_injection():
     if TRACE_PATH:
         from repro import obs
@@ -388,6 +463,7 @@ def test_bench_injection():
     table = []
     _classic_cases(payload, table)
     grid = _grid_case(payload)
+    fanout = None if SMOKE else _grid_fanout_case(payload)
 
     largest = payload["cases"]["system_b"]
     classic = {
@@ -399,6 +475,8 @@ def test_bench_injection():
         or (
             largest["speedup"] >= SPEEDUP_TARGET
             and grid["sparse_speedup"] >= SPARSE_SPEEDUP_TARGET
+            and fanout["workers"] > 1
+            and fanout["parallel_speedup"] > 1.0
             and all(
                 entry["incremental_speedup"] >= 1.0
                 and entry["parallel_speedup"] >= 1.0
@@ -435,12 +513,19 @@ def test_bench_injection():
             f">= {SPARSE_SPEEDUP_TARGET}x on the grid, "
             f"got {grid['sparse_speedup']}x"
         )
+        assert fanout["workers"] > 1, (
+            "the grid fan-out sample must clear the fan-out crossover"
+        )
+        assert fanout["parallel_speedup"] > 1.0, (
+            "the pool must beat the serial campaign above the crossover, "
+            f"got {fanout['parallel_speedup']}x"
+        )
         for case, entry in classic.items():
             assert entry["incremental_speedup"] >= 1.0, (
                 f"{case}: incremental slower than naive "
                 f"({entry['incremental_speedup']}x)"
             )
             assert entry["parallel_speedup"] >= 1.0, (
-                f"{case}: auto-parallel slower than naive "
+                f"{case}: parallel row slower than naive "
                 f"({entry['parallel_speedup']}x)"
             )

@@ -698,8 +698,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _add_search_strategy_argument(parser: argparse.ArgumentParser) -> None:
     """Optimizer-backend flag for the mechanism-search verbs.
 
-    Named ``--search-strategy`` because ``--strategy`` already selects the
-    injection-campaign execution mode on the same commands.
+    Named ``--search-strategy`` so it cannot be mistaken for an
+    injection-campaign option on the same commands.
     """
     parser.add_argument(
         "--search-strategy",
@@ -718,16 +718,9 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="process-pool workers for the injection campaign (default 1)",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=["fixed", "serial", "auto"],
-        default="fixed",
-        help="execution strategy: 'fixed' uses --workers as given, "
-        "'serial' forces one worker, 'auto' picks serial incremental "
-        "execution below the measured parallel break-even job count "
-        "and fans out above it",
+        help="cap on process-pool workers for the injection campaign "
+        "(default 1); a campaign fans out only when its jobs x MNA "
+        "unknowns clear the measured crossover",
     )
     parser.add_argument(
         "--solver-backend",
@@ -766,7 +759,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
 def _campaign_kwargs(args: argparse.Namespace) -> dict:
     return {
         "workers": getattr(args, "workers", 1),
-        "strategy": getattr(args, "strategy", "fixed"),
         "solver_backend": getattr(args, "solver_backend", None),
         "max_retries": getattr(args, "max_retries", 2),
         "job_timeout": getattr(args, "job_timeout", None),

@@ -310,10 +310,9 @@ def drain_worker_data() -> Optional[Dict[str, object]]:
     picklable blob.
 
     Returns ``None`` when observability is entirely disabled, so the parent
-    can skip the merge.  Draining *clears* the stores: a long-lived worker
-    (the warm campaign pool serves many chunks, possibly across campaigns)
-    must hand each chunk's delta to the parent exactly once, never its
-    cumulative history."""
+    can skip the merge.  Draining *clears* the stores: a worker serving
+    several chunks must hand each chunk's delta to the parent exactly
+    once, never its cumulative history."""
     if not _ENABLED and not _EVENTS_ENABLED and not _LOGS_ENABLED:
         return None
     payload: Dict[str, object] = {}

@@ -1,8 +1,8 @@
 """Structured progress events (the ``repro.obs`` live-telemetry substrate).
 
 Spans and metrics answer "what happened" after a run; the event bus answers
-"what is happening" *during* one.  Producers — the campaign engine, the warm
-worker pool, the recovery ladder, the DECISIVE loop — emit small typed
+"what is happening" *during* one.  Producers — the campaign engine, its
+pool workers, the recovery ladder, the DECISIVE loop — emit small typed
 events through :func:`repro.obs.emit_event`; consumers attach in four ways:
 
 - a **JSONL sink** (:meth:`EventBus.attach_jsonl`) appends one line per
@@ -18,7 +18,7 @@ events through :func:`repro.obs.emit_event`; consumers attach in four ways:
 
 The event taxonomy (see ``docs/observability.md`` for the payload schema):
 ``campaign_started``, ``chunk_completed``, ``job_retried``,
-``pool_worker_lost``, ``pool_acquired``, ``worker_heartbeat``,
+``pool_worker_lost``, ``worker_heartbeat``,
 ``checkpoint_written``, ``campaign_finished``, ``iteration_finished``.
 
 Everything here is dependency-free and lock-protected; with events disabled
@@ -338,7 +338,7 @@ class EventBus:
         """Worker side: pop buffered events as picklable dicts.
 
         Like :func:`repro.obs.drain_worker_data`, draining clears the
-        buffer — a warm-pool worker hands each chunk's events to the parent
+        buffer — a pool worker hands each chunk's events to the parent
         exactly once, never its cumulative history."""
         with self._lock:
             events = [event.to_dict() for event in self._buffer]
@@ -463,10 +463,9 @@ class ConsoleProgress:
             self._chunks_seen = 0
             self._write(
                 "campaign started: system={system} analysis={analysis} "
-                "jobs={jobs} workers={workers} strategy={strategy}".format(
+                "jobs={jobs} workers={workers}".format(
                     system=p.get("system"), analysis=p.get("analysis"),
                     jobs=p.get("jobs"), workers=p.get("workers"),
-                    strategy=p.get("strategy"),
                 )
             )
         elif event.type == "campaign_finished":

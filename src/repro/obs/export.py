@@ -158,12 +158,10 @@ _METRIC_HELP = {
     "campaign_wall_seconds": "Wall time of the last campaign, seconds.",
     "campaign_baseline_seconds": "Healthy baseline solve time, seconds.",
     "campaign_workers": "Workers actually used by the last campaign.",
-    "campaign_requested_workers": "Workers requested for the last campaign.",
+    "campaign_requested_workers": "Worker cap set for the last campaign.",
     "campaign_job_seconds": "Per-injection execution time, seconds.",
     "campaign_job_wall_seconds":
         "Per-job wall time including retries and backoff, seconds.",
-    "campaign_pool_reuses": "Campaigns served by the warm worker pool.",
-    "campaign_pool_reuse": "Whether the last campaign reused the warm pool.",
     "decisive_fmea_reuses": "DECISIVE Step 4a evaluations served from cache.",
     "service_fmea_reuses":
         "Service FMEDA/search jobs derived from the recorded FMEA.",

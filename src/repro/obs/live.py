@@ -9,7 +9,7 @@ service (ROADMAP item 1).  Three endpoints:
   ``obs.prometheus_text()`` produces post-run; histogram reads are atomic,
   so a mid-campaign scrape still satisfies ``parse_prometheus_text``);
 - ``GET /healthz`` — JSON liveness: process uptime, observability flags,
-  solver backend, warm-pool state, and the event bus's campaign summary
+  solver backend, and the event bus's campaign summary
   (jobs done/total + ETA);
 - ``GET /events`` — Server-Sent Events stream of the
   :class:`~repro.obs.events.EventBus`.  ``?since=SEQ`` (or the standard
@@ -39,14 +39,6 @@ __all__ = ["LiveTelemetryServer"]
 
 #: Seconds between SSE keepalive comments while no events arrive.
 _KEEPALIVE_SECONDS = 5.0
-
-
-def _pool_status() -> Dict[str, object]:
-    try:
-        from repro.safety import pool
-        return pool.status()
-    except Exception:  # noqa: BLE001 — health must degrade, not 500
-        return {"warm": False}
 
 
 def _backend_status() -> Dict[str, object]:
@@ -112,7 +104,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "logs": obs.logs_enabled(),
             },
             "solver_backend": _backend_status(),
-            "pool": _pool_status(),
             "events": obs.event_bus().status(),
         }
         payload.update(telemetry.healthz_extra())

@@ -2,7 +2,7 @@
 
 Spans time regions, events drive progress UIs, metrics aggregate — but
 operating the analysis service also needs plain *narrative*: "job X
-retried after TimeoutError", "warm pool discarded (fingerprint changed)",
+retried after TimeoutError", "pool worker lost (chunk 2, attempt 1)",
 "checkpoint flushed 128 outcomes".  :class:`StructuredLog` collects those
 as small typed records that always carry the ambient ``correlation_id``
 (see ``repro.obs.correlation``), the emitting pid, and free-form fields —

@@ -60,7 +60,7 @@ class Gauge:
     Every write stamps a wall-clock ``updated_ns``; :meth:`restore` applies
     a (value, stamp) pair only when the stamp is not older than the current
     one.  That makes cross-process merges genuinely *last-write*-wins: a
-    warm-pool worker re-shipping a stale snapshot after the parent already
+    pool worker re-shipping a stale snapshot after the parent already
     recorded a newer value cannot clobber it (and, unlike summing, re-merge
     of the same snapshot is idempotent)."""
 

@@ -8,11 +8,12 @@ This module turns that loop into a campaign:
 2. every injection is enumerated up front as an :class:`InjectionJob`;
 3. jobs execute against a single :class:`~repro.circuit.CompiledSystem`
    (cached LU factorization + Sherman–Morrison–Woodbury low-rank updates,
-   with exact full-assembly fallback), either serially or fanned out over a
-   process pool with deterministic row ordering;
+   with exact full-assembly fallback), serially or — past a measured
+   crossover — fanned out over a process pool, with deterministic row
+   ordering;
 4. rows are classified in enumeration order, so the resulting
    :class:`~repro.safety.fmea.FmeaResult` is row-for-row identical to the
-   historical per-mode re-solve, whatever the execution strategy.
+   historical per-mode re-solve, whatever the execution path.
 
 Per-campaign instrumentation (job counts, solve mix, factorization reuses,
 wall time) is attached to the result as :class:`CampaignStats` — the raw
@@ -44,7 +45,6 @@ from repro.circuit import (
     system_size,
 )
 from repro.circuit.netlist import Netlist
-from repro.safety import pool as _warm_pool
 from repro.reliability import ReliabilityModel
 from repro.safety.fmea import (
     DEFAULT_MIN_ABSOLUTE_DELTA,
@@ -74,24 +74,17 @@ from repro.simulink.electrical import ElectricalConversion
 #: Serial campaigns flush the checkpoint every this many completed jobs.
 _CHECKPOINT_EVERY = 25
 
-#: ``strategy="auto"`` fans out only at or above this many pending jobs.
-#: Benchmarks (BENCH_injection.json) put parallel execution at 0.39–0.43x
-#: of the incremental serial solve for 9–30-job campaigns — pool start-up
-#: and conversion pickling dwarf the solves — while 200+-job campaigns see
-#: 3–4x.  The break-even sits well above small demo models, so `auto`
-#: stays serial until the fan-out can plausibly amortise its fixed cost.
-AUTO_PARALLEL_MIN_JOBS = 64
-
-#: ``auto`` also fans out *below* :data:`AUTO_PARALLEL_MIN_JOBS` when the
-#: per-job solve itself is heavy.  A factorized solve costs ~O(size²) per
-#: RHS, so ``jobs * size**2`` estimates total campaign work; above this
-#: budget the solves dominate pool start-up even for a handful of jobs
-#: (e.g. a 60-job campaign on a ~2500-unknown grid).  Small demo models
-#: (size < ~50) can never reach it with fewer than 64 jobs.
-AUTO_PARALLEL_MIN_COST = 1e8
-
-#: Cost-based fan-out still needs enough jobs to share between workers.
-_AUTO_COST_MIN_JOBS = 4
+#: A campaign with ``workers > 1`` fans out only when its estimated work,
+#: ``pending_jobs × system_size`` (MNA unknowns), reaches this.  Below it a
+#: fresh process pool (fork, per-worker priming, teardown) costs more than
+#: it saves.  Measured on a 2-vCPU VM, serial incremental vs a 2-worker
+#: pool in alternating pairs: serial wins every campaign up to System B
+#: with 8 rails (134 jobs × 65 unknowns = 8.7k); System B with 14 rails
+#: (24.6k) and the 62-job grid sample (152k) are near ties that the pool
+#: edges on pair wins; the pool wins the 120- and 240-job grid samples
+#: clearly.  The table is in docs/performance.md ("When a campaign fans
+#: out"); ``benchmarks/fanout_crossover.py`` re-measures it.
+PARALLEL_MIN_WORK = 2e4
 
 
 @dataclass(frozen=True)
@@ -112,13 +105,11 @@ class CampaignStats:
 
     jobs: int = 0  # injection simulations requested
     rows: int = 0  # FMEA rows produced (jobs + uninjectable warnings)
-    workers: int = 1  # workers actually used (1 after a parallel fallback)
-    requested_workers: int = 1  # workers the caller asked for
+    workers: int = 1  # workers used (1 when serial or after a fallback)
+    requested_workers: int = 1  # the caller's worker cap
     mode: str = "incremental"  # 'incremental' | 'naive'
-    strategy: str = "fixed"  # 'fixed' | 'serial' | 'auto'
     analysis: str = "dc"
     solver_backend: str = "auto"  # requested backend spec ('auto' if unset)
-    pool_reused: bool = False  # warm worker pool reused from a prior campaign
     wall_time: float = 0.0  # whole campaign, seconds
     baseline_time: float = 0.0  # healthy solve, seconds
     solves: int = 0
@@ -181,7 +172,6 @@ class CampaignStats:
         obs.gauge("campaign_baseline_seconds").set(self.baseline_time)
         obs.gauge("campaign_workers").set(self.workers)
         obs.gauge("campaign_requested_workers").set(self.requested_workers)
-        obs.gauge("campaign_pool_reuse").set(1.0 if self.pool_reused else 0.0)
         if self.parallel_fallback:
             obs.counter("campaign_parallel_fallbacks").inc()
 
@@ -433,8 +423,7 @@ def _campaign_worker_init(
     if solver_backend is not None:
         # Campaign-wide backend: the naive/transient paths solve through
         # module-level functions that read the process default, and this
-        # worker process exists only to serve this campaign configuration
-        # (the warm-pool token includes the backend).
+        # worker process exists only to serve this campaign.
         set_default_backend(solver_backend)
     _WORKER_STATE["conversion"] = conversion
     _WORKER_STATE["analysis"] = analysis
@@ -469,8 +458,8 @@ def _campaign_worker_chunk(
         "retries": 0, "timeouts": 0, "job_wall_times": job_wall_times,
     }
     # One heartbeat per chunk: the event's pid identifies this worker, so
-    # the parent (and /events subscribers) can see which warm-pool workers
-    # are actually serving — it rides home in the drained payload below.
+    # the parent (and /events subscribers) can see which pool workers are
+    # actually serving — it rides home in the drained payload below.
     obs.emit_event("worker_heartbeat", chunk_jobs=len(chunk))
     for job in chunk:
         outcome, retries, timeouts, wall = _run_job_isolated(
@@ -522,22 +511,15 @@ class FaultInjectionCampaign:
         are identical either way — topology-changing faults transparently
         fall back to full assembly;
     workers:
-        number of worker processes.  ``0``/``1`` runs serially; ``N > 1``
-        fans jobs out over a process pool.  Row order is deterministic
-        (enumeration order) regardless of completion order.  When a pool
-        cannot be created (restricted environments) the campaign degrades
-        to serial execution and flags ``stats.parallel_fallback``;
-    strategy:
-        how the worker count is chosen.  ``"fixed"`` (default) uses
-        ``workers`` exactly as given; ``"serial"`` forces one worker;
-        ``"auto"`` runs the incremental serial solver below a measured
-        crossover — :data:`AUTO_PARALLEL_MIN_JOBS` pending jobs, *or*
-        fewer jobs whose estimated solve work ``jobs * size**2`` exceeds
-        :data:`AUTO_PARALLEL_MIN_COST` (large MNA systems amortise pool
-        start-up with far fewer jobs than demo-sized ones) — and fans
-        out above it (using ``workers`` when > 1, else one worker per
-        CPU, capped by the job count).  The decision is recorded in
-        ``stats.strategy`` and ``stats.workers``;
+        cap on worker processes (default 1: serial).  With ``N > 1`` a
+        run fans its pending jobs out over a fresh process pool of up to
+        ``N`` workers only when ``pending_jobs × system_size`` reaches
+        :data:`PARALLEL_MIN_WORK`; below that crossover it runs serially.
+        ``stats.requested_workers`` records the cap, ``stats.workers``
+        the count a run used.  Row order is deterministic (enumeration
+        order) regardless of completion order.  When a pool cannot be
+        created (restricted environments) the campaign degrades to
+        serial execution and flags ``stats.parallel_fallback``;
     solver_backend:
         linear-solver engine for every MNA solve in the campaign
         (baseline, incremental fault solves, workers): ``"dense"``
@@ -581,7 +563,6 @@ class FaultInjectionCampaign:
         dt: float = 5e-5,
         incremental: bool = True,
         workers: int = 1,
-        strategy: str = "fixed",
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         job_timeout: Optional[float] = None,
@@ -593,11 +574,6 @@ class FaultInjectionCampaign:
         if analysis not in ("dc", "transient"):
             raise FmeaError(
                 f"analysis must be 'dc' or 'transient', got {analysis!r}"
-            )
-        if strategy not in ("fixed", "serial", "auto"):
-            raise FmeaError(
-                f"strategy must be 'fixed', 'serial' or 'auto', "
-                f"got {strategy!r}"
             )
         if job_timeout is not None and job_timeout <= 0:
             raise FmeaError(
@@ -622,7 +598,6 @@ class FaultInjectionCampaign:
         self.dt = dt
         self.incremental = incremental
         self.workers = max(1, int(workers))
-        self.strategy = strategy
         self.retry_policy = RetryPolicy(
             max_retries=max(0, int(max_retries)), backoff=retry_backoff
         )
@@ -634,7 +609,6 @@ class FaultInjectionCampaign:
         #: pool workers).  ``None`` inherits whatever ambient id the caller
         #: installed (the service wraps ``run()`` in its job's id anyway).
         self.correlation_id = correlation_id
-        self._pool_reused = False
         self._fingerprint: Optional[str] = None
         self._shared_compiled: Optional[CompiledSystem] = None
         self._job_wall_times: List[float] = []
@@ -788,16 +762,16 @@ class FaultInjectionCampaign:
         return outcomes
 
     def _campaign_token(self) -> str:
-        """Content hash identifying this campaign's worker configuration.
+        """Content hash of this campaign's model and analysis parameters.
 
         Cached for the duration of ONE run only (:func:`campaign_fingerprint`
-        hashes the whole model, so chunk-recovery pool rebuilds must not pay
-        it repeatedly) — ``_run_campaign`` resets the cache at entry, to the
-        fingerprint the caller passed to :meth:`run` or to nothing,
+        hashes the whole model, so the checkpoint and every progress event
+        must not pay it repeatedly) — ``_run_campaign`` resets the cache at
+        entry, to the fingerprint the caller passed to :meth:`run` or to
+        nothing,
         because the iterate-and-rerun workflows (DECISIVE, service tenants)
         mutate the model or config between runs and a stale fingerprint
-        would match the warm pool and checkpoint/cache keys of the *old*
-        model state.
+        would match the checkpoint of the *old* model state.
         """
         if self._fingerprint is None:
             self._fingerprint = campaign_fingerprint(
@@ -811,36 +785,19 @@ class FaultInjectionCampaign:
         return self._fingerprint
 
     def _new_pool(self, conversion: ElectricalConversion, size: int):
-        """Acquire the warm worker pool (or a fresh one on token mismatch).
+        """A fresh ``size``-worker process pool for this run.
 
-        The token captures everything ``_campaign_worker_init`` bakes into
-        the workers; an exact match means the cached pool's workers are
-        already initialised identically and can serve this campaign with
-        zero start-up cost.
+        Every worker runs :func:`_campaign_worker_init` once with this
+        campaign's configuration and the ambient correlation id, so its
+        events, spans and logs carry the job's id home.  The caller shuts
+        the pool down.  Tests replace this method to inject pool doubles.
         """
-        max_workers = max(1, min(self.workers, size))
-        # The ambient correlation id is baked into the worker initargs (so
-        # worker-side events/spans/logs carry it) and therefore into the
-        # token: a pool initialised for another job's id must not serve
-        # this one.  Uncorrelated campaigns (cid None) keep full reuse.
-        cid = obs.correlation_id()
-        token = (
-            self._campaign_token(),
-            max_workers,
-            self.incremental,
-            obs.enabled(),
-            obs.events_enabled(),
-            obs.logs_enabled(),
-            self.retry_policy,
-            self.job_timeout,
-            self.solver_backend,
-            cid,
-        )
-        executor, reused = _warm_pool.acquire(
-            token,
-            max_workers,
-            _campaign_worker_init,
-            (
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(
+            max_workers=size,
+            initializer=_campaign_worker_init,
+            initargs=(
                 conversion,
                 self.analysis,
                 self.t_stop,
@@ -852,21 +809,20 @@ class FaultInjectionCampaign:
                 self.solver_backend,
                 obs.events_enabled(),
                 obs.logs_enabled(),
-                cid,
+                obs.correlation_id(),
             ),
         )
-        if reused:
-            self._pool_reused = True
-        return executor
 
     def _execute_parallel(
         self,
         conversion: ElectricalConversion,
         jobs: Sequence[InjectionJob],
         stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint] = None,
+        checkpoint: Optional[CampaignCheckpoint],
+        workers: int,
     ) -> Dict[int, _Outcome]:
-        """Fan jobs out over a process pool, chunk-granularly recoverable.
+        """Fan jobs out over ``workers`` processes, chunk-granularly
+        recoverable.
 
         A chunk whose worker dies is resubmitted to a fresh pool up to
         ``max_retries`` times, then bisected — so one poisoned job cannot
@@ -878,7 +834,7 @@ class FaultInjectionCampaign:
         completed: Dict[int, _Outcome] = {}
         try:
             self._parallel_rounds(
-                conversion, jobs, stats, completed, checkpoint
+                conversion, jobs, stats, completed, checkpoint, workers
             )
         except Exception as exc:  # noqa: BLE001 — pool layer must not abort
             # Restricted environments (no fork/semaphores) or repeated
@@ -895,6 +851,7 @@ class FaultInjectionCampaign:
         stats: CampaignStats,
         completed: Dict[int, _Outcome],
         checkpoint: Optional[CampaignCheckpoint],
+        workers: int,
     ) -> None:
         from concurrent.futures.process import BrokenProcessPool
 
@@ -902,8 +859,7 @@ class FaultInjectionCampaign:
         # workers; outcomes are re-keyed by job index, so ordering is
         # deterministic whatever the completion order.
         chunks = [
-            tuple(jobs[offset :: self.workers])
-            for offset in range(self.workers)
+            tuple(jobs[offset :: workers]) for offset in range(workers)
         ]
         pending = [
             _ChunkTask(order=(i,), jobs=chunk)
@@ -969,19 +925,16 @@ class FaultInjectionCampaign:
                 else:
                     zero_progress_rounds = 0
                 pending = self._requeue_lost(lost, stats, completed)
-                if pool_broken:
-                    # A broken executor can never serve again — evict it
-                    # from the warm cache even when nothing is pending.
-                    _warm_pool.discard(pool)
-                    if pending:
-                        pool = self._new_pool(conversion, len(pending))
+                if pool_broken and pending:
+                    # A broken executor can never serve again.
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = self._new_pool(conversion, len(pending))
                 if pending:
                     time.sleep(self.retry_policy.delay(1))
         finally:
-            # Keeps the healthy warm pool alive for the next campaign;
-            # shuts down anything else (including already-discarded pools —
-            # idempotent).
-            _warm_pool.release(pool)
+            # Join the workers: a run leaves no processes behind, and the
+            # teardown is charged to the run that forked them.
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _requeue_lost(
         self,
@@ -1043,36 +996,13 @@ class FaultInjectionCampaign:
                 completed[job.index] = ("failed", failure.to_dict())
         return requeued
 
-    def _effective_workers(
-        self, pending_jobs: int, size: Optional[int] = None
-    ) -> int:
-        """Worker count for this run, given how many jobs remain.
-
-        ``fixed`` honours the requested count, ``serial`` is always one,
-        and ``auto`` fans out only past a measured crossover: at/above
-        :data:`AUTO_PARALLEL_MIN_JOBS` pending jobs, or — when ``size``
-        (the MNA system dimension) is known — whenever the estimated
-        solve work ``jobs * size**2`` reaches
-        :data:`AUTO_PARALLEL_MIN_COST`.  Below both bounds, measured pool
-        start-up cost exceeds the incremental serial solve (see
-        BENCH_injection.json).
-        """
-        if self.strategy == "serial":
-            return 1
-        if self.strategy == "auto":
-            heavy = (
-                size is not None
-                and pending_jobs >= _AUTO_COST_MIN_JOBS
-                and pending_jobs * float(size) ** 2 >= AUTO_PARALLEL_MIN_COST
-            )
-            if pending_jobs < AUTO_PARALLEL_MIN_JOBS and not heavy:
-                return 1
-            if self.workers > 1:
-                return self.workers
-            import os
-
-            return max(1, min(pending_jobs, os.cpu_count() or 1))
-        return self.workers
+    def _effective_workers(self, pending_jobs: int, size: int) -> int:
+        """Worker count for one run: up to the ``workers`` cap when the
+        estimated work ``pending_jobs × size`` (``size``: MNA unknowns)
+        reaches :data:`PARALLEL_MIN_WORK`, else one (serial)."""
+        if self.workers > 1 and pending_jobs * size >= PARALLEL_MIN_WORK:
+            return min(self.workers, pending_jobs)
+        return 1
 
     def _execute(
         self,
@@ -1085,10 +1015,10 @@ class FaultInjectionCampaign:
             return {}
         outcomes: Dict[int, _Outcome] = {}
         remaining: Sequence[InjectionJob] = jobs
-        if self.workers > 1:
+        if stats.workers > 1:
             try:
                 outcomes = self._execute_parallel(
-                    conversion, jobs, stats, checkpoint
+                    conversion, jobs, stats, checkpoint, stats.workers
                 )
                 remaining = ()
             except _ParallelUnavailable as exc:
@@ -1175,9 +1105,9 @@ class FaultInjectionCampaign:
 
         ``fingerprint`` is this run's :func:`campaign_fingerprint` when the
         caller has already computed it (the analysis service hashes each
-        request once and hands the value down).  It keys the warm pool and
-        the checkpoint for this run only; the next run without one hashes
-        the model afresh.
+        request once and hands the value down).  It keys the checkpoint
+        and the progress events for this run only; the next run without
+        one hashes the model afresh.
 
         With observability enabled the campaign is one ``campaign`` span
         over ``campaign.baseline`` / ``campaign.enumerate`` /
@@ -1206,17 +1136,14 @@ class FaultInjectionCampaign:
 
     def _run_campaign(self, fingerprint: Optional[str]) -> FmeaResult:
         started = time.perf_counter()
-        self._pool_reused = False
         # The model/config may have been mutated since the previous run of
         # this campaign object; take the fingerprint afresh per run (the
-        # caller's, or recomputed) so warm-pool tokens and checkpoint keys
-        # always reflect current content.
+        # caller's, or recomputed) so checkpoint keys always reflect
+        # current content.
         self._fingerprint = fingerprint
         stats = CampaignStats(
-            workers=self.workers,
             requested_workers=self.workers,
             mode="incremental" if self.incremental else "naive",
-            strategy=self.strategy,
             analysis=self.analysis,
             solver_backend=self.solver_backend or "auto",
         )
@@ -1272,16 +1199,14 @@ class FaultInjectionCampaign:
 
             checkpoint, preloaded = self._open_checkpoint(jobs, stats)
             pending = [job for job in jobs if job.index not in preloaded]
-            # The strategy decision happens here, once the *pending* job
-            # count is known — resumed jobs cost nothing, so a mostly
-            # checkpointed campaign rightly stays serial under `auto`.
-            # The MNA dimension feeds the cost-model crossover: large
-            # systems justify fan-out with far fewer jobs.
-            self.workers = self._effective_workers(
-                len(pending), size=system_size(conversion.netlist)
+            # Fan-out is decided per run, once the *pending* job count is
+            # known — resumed jobs cost nothing, so a mostly checkpointed
+            # campaign rightly stays serial.  ``self.workers`` stays the
+            # caller's cap for the next run.
+            stats.workers = self._effective_workers(
+                len(pending), system_size(conversion.netlist)
             )
-            stats.workers = self.workers
-            campaign_span.set(workers=self.workers)
+            campaign_span.set(workers=stats.workers)
             self._job_wall_times = []
             self._progress_total = stats.jobs
             self._progress_done = len(preloaded)
@@ -1295,8 +1220,7 @@ class FaultInjectionCampaign:
                     analysis=self.analysis,
                     jobs=stats.jobs,
                     rows=stats.rows,
-                    workers=self.workers,
-                    strategy=self.strategy,
+                    workers=stats.workers,
                     mode=stats.mode,
                     resumed=len(preloaded),
                     fingerprint=fingerprint,
@@ -1304,7 +1228,7 @@ class FaultInjectionCampaign:
                 obs.log(
                     "info", "campaign started",
                     system=self.model.name, analysis=self.analysis,
-                    jobs=stats.jobs, workers=self.workers,
+                    jobs=stats.jobs, workers=stats.workers,
                     fingerprint=fingerprint,
                 )
             with obs.span(
@@ -1355,7 +1279,6 @@ class FaultInjectionCampaign:
                         self._classify(row, outcome, baseline, monitored)
                     )
             stats.job_failures = len(result.failures)
-            stats.pool_reused = self._pool_reused
             if not result.rows:
                 raise FmeaError(
                     "FMEA produced no rows: no component matched the "
@@ -1387,7 +1310,6 @@ class FaultInjectionCampaign:
                 wall_seconds=stats.wall_time,
                 retries=stats.retries,
                 job_failures=stats.job_failures,
-                pool_reused=stats.pool_reused,
                 parallel_fallback=stats.parallel_fallback,
                 fingerprint=fingerprint,
             )
@@ -1405,8 +1327,8 @@ class FaultInjectionCampaign:
         """Set up checkpointing; with ``resume``, load prior outcomes."""
         if self.checkpoint is None:
             return None, {}
-        # Same per-run fingerprint as the warm-pool token — one whole-model
-        # hash per run keys both the checkpoint file and the pool.
+        # The per-run fingerprint: one whole-model hash per run keys both
+        # the checkpoint file and the progress events.
         fingerprint = self._campaign_token()
         checkpoint = CampaignCheckpoint(
             self.checkpoint, fingerprint, resume=self.resume

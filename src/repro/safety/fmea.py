@@ -230,7 +230,6 @@ def run_simulink_fmea(
     dt: float = 5e-5,
     incremental: bool = True,
     workers: int = 1,
-    strategy: str = "fixed",
     max_retries: int = 2,
     retry_backoff: float = 0.05,
     job_timeout: Optional[float] = None,
@@ -268,11 +267,9 @@ def run_simulink_fmea(
         factorization + low-rank updates) instead of per-mode full
         re-assembly; rows are identical either way;
     workers:
-        worker processes for the injection campaign (``1``: serial);
-    strategy:
-        ``"fixed"`` (use ``workers`` as given), ``"serial"``, or
-        ``"auto"`` — pick serial incremental execution below the measured
-        parallel break-even job count, fan out above it;
+        cap on worker processes for the injection campaign (``1``:
+        serial); the campaign fans out only past the measured crossover
+        :data:`repro.safety.campaign.PARALLEL_MIN_WORK`;
     max_retries / retry_backoff / job_timeout / checkpoint / resume:
         fault-tolerance controls — bounded retry with exponential backoff,
         per-job wall-clock budgets, and checkpoint–resume of completed job
@@ -301,7 +298,6 @@ def run_simulink_fmea(
         dt=dt,
         incremental=incremental,
         workers=workers,
-        strategy=strategy,
         max_retries=max_retries,
         retry_backoff=retry_backoff,
         job_timeout=job_timeout,

@@ -147,7 +147,6 @@ class SAME:
         threshold: float = 0.2,
         assume_stable: Iterable[str] = (),
         workers: int = 1,
-        strategy: str = "fixed",
         max_retries: int = 2,
         job_timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
@@ -156,10 +155,10 @@ class SAME:
     ) -> FmeaResult:
         """Injection-based FMEA of the Simulink model.
 
-        ``workers``/``strategy``/``max_retries``/``job_timeout``/
-        ``checkpoint``/``resume``/``solver_backend`` are forwarded to
+        ``workers``/``max_retries``/``job_timeout``/``checkpoint``/
+        ``resume``/``solver_backend`` are forwarded to
         :class:`~repro.safety.campaign.FaultInjectionCampaign` so iterative
-        SAME workflows get the same execution strategy, fault tolerance,
+        SAME workflows get the same worker cap, fault tolerance,
         checkpoint–resume behaviour and solver backend as the CLI.
         """
         self._require("simulink_model")
@@ -174,7 +173,6 @@ class SAME:
                 threshold=threshold,
                 assume_stable=assume_stable,
                 workers=workers,
-                strategy=strategy,
                 max_retries=max_retries,
                 job_timeout=job_timeout,
                 checkpoint=checkpoint,
@@ -185,7 +183,7 @@ class SAME:
                 self.last_fmea,
                 self.simulink_model,
                 sp,
-                config={"threshold": threshold, "strategy": strategy},
+                config={"threshold": threshold},
             )
         return self.last_fmea
 

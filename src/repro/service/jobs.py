@@ -6,7 +6,7 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 - **submit** an :class:`AnalysisRequest` (fmea / fmeda / search) and get an
   :class:`AnalysisJob` back immediately; a pool of worker *threads* drains
   the queue, dispatching into :class:`FaultInjectionCampaign` with the
-  full retry/checkpoint machinery and the process-wide warm worker pool;
+  full retry/checkpoint machinery;
 - results are **cached against the analysis ledger**, keyed by the
   campaign fingerprint (content hash of model + reliability + solver
   config) combined with the classification/deployment config — an
@@ -42,7 +42,7 @@ models are kept in a small digest-keyed LRU so concurrent tenants
 re-computing over the same model parse it once.
 
 Each content key is computed once per job and handed down: the fingerprint
-keys the cache, the campaign's warm pool and checkpoint, and the ledger
+keys the cache, the campaign's checkpoint, and the ledger
 entry; the model digest keys the LRU; and the LRU entry keeps the model's
 ledger digest, so FMEA, FMEDA and search of one model pay it once.
 """
@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import queue
 import threading
 import time
@@ -140,10 +141,14 @@ def reliability_from_payload(payload: Sequence[Mapping[str, object]]):
 
 def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
     """``config`` with ``analysis``, ``t_stop`` and ``dt`` filled in and
-    checked, so the fingerprint and the campaign read the same values.
+    checked, so the fingerprint and the campaign read the same values, and
+    the campaign options ``workers``, ``max_retries``, ``job_timeout`` and
+    ``solver_backend`` checked.
 
     A missing or ``null`` value takes the campaign default; a malformed one
     raises :class:`ServiceError`, which ``POST /jobs`` answers with 400.
+    ``workers`` is capped at the machine's CPU count: every worker is a
+    forked process.
     """
     out = dict(config)
     analysis = out.get("analysis")
@@ -164,7 +169,29 @@ def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
                 f"got {value!r}"
             )
         out[key] = float(value)  # type: ignore[arg-type]
+    from repro.circuit import BACKENDS
+
+    cpus = os.cpu_count() or 1
+    for key, valid, expected in (
+        ("workers", lambda v: _integer(v) and 1 <= v <= cpus,
+         f"an integer in [1, {cpus}]"),
+        ("max_retries", lambda v: _integer(v) and v >= 0,
+         "a non-negative integer"),
+        ("job_timeout", lambda v: _finite(v) and v > 0,
+         "a finite positive number"),
+        ("solver_backend", lambda v: v in BACKENDS, f"one of {BACKENDS}"),
+    ):
+        value = out.get(key)
+        if value is not None and not valid(value):
+            raise ServiceError(
+                f"config.{key} must be {expected}, got {value!r}"
+            )
     return out
+
+
+def _integer(value: object) -> bool:
+    """Whether ``value`` is a JSON integer (``bool`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite(value: object) -> bool:
@@ -220,7 +247,7 @@ class AnalysisRequest:
     :func:`reliability_payload` list form.  ``config`` carries campaign
     and classification parameters (``threshold``, ``sensors``,
     ``assume_stable``, ``min_absolute_delta``, ``analysis``, ``t_stop``,
-    ``dt``, ``workers``, ``strategy``, ``solver_backend``,
+    ``dt``, ``workers``, ``solver_backend``,
     ``job_timeout``, ``max_retries``); ``analysis``, ``t_stop`` and ``dt``
     are normalised at construction (see :func:`_normalised_config`).
     ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
@@ -461,9 +488,9 @@ class AnalysisService:
         doubles as the result cache and the provenance record — every
         computed job appends an entry, every cache hit is served from one;
     workers:
-        worker *threads* draining the queue.  Each campaign may itself fan
-        out over the process-wide warm pool, so a handful of threads
-        saturates the machine;
+        worker *threads* draining the queue.  A campaign fans out over
+        processes only when its request sets ``config.workers`` above 1
+        and the campaign clears the measured crossover;
     checkpoint_dir:
         when set, every campaign checkpoints to
         ``<dir>/<fingerprint>.jsonl`` with ``resume=True`` — a job retried
@@ -866,7 +893,7 @@ class AnalysisService:
         kwargs: Dict[str, object] = {}
         for key in (
             "threshold", "min_absolute_delta", "analysis", "t_stop", "dt",
-            "workers", "strategy", "max_retries", "job_timeout",
+            "workers", "max_retries", "job_timeout",
             "solver_backend",
         ):
             if key in config and config[key] is not None:

@@ -217,12 +217,13 @@ class _ChaoticPool:
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_backend_parity_survives_worker_kills(
-    cases, naive_reference, monkeypatch, backend, seed
+    cases, naive_reference, monkeypatch, force_fan_out, backend, seed
 ):
     """Row parity must hold per backend even while the pool is being
     randomly killed and the campaign retries/bisects chunks."""
     model, reliability, stable = cases["grid"]
     rng = np.random.default_rng(seed)
+    pools = []
 
     def chaotic_new_pool(self, conversion, size):
         campaign_mod._campaign_worker_init(
@@ -236,7 +237,8 @@ def test_backend_parity_survives_worker_kills(
             self.job_timeout,
             self.solver_backend,
         )
-        return _ChaoticPool(rng)
+        pools.append(_ChaoticPool(rng))
+        return pools[-1]
 
     monkeypatch.setattr(
         FaultInjectionCampaign, "_new_pool", chaotic_new_pool
@@ -248,4 +250,5 @@ def test_backend_parity_survives_worker_kills(
         workers=2,
         solver_backend=backend,
     ).run()
+    assert pools, "the campaign never fanned out"
     assert_rows_identical(naive_reference["grid"], result)

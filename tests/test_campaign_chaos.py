@@ -98,7 +98,7 @@ def assert_rows_identical(reference, other):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_worker_kills_preserve_row_equivalence(
-    system_b, clean_serial, monkeypatch, seed
+    system_b, clean_serial, monkeypatch, force_fan_out, seed
 ):
     model, reliability = system_b
     rng = np.random.default_rng(seed)
@@ -128,6 +128,10 @@ def test_random_worker_kills_preserve_row_equivalence(
         max_retries=3,
         retry_backoff=0.001,
     ).run()
+    # Fan-out really happened (the smoke System B sits below the
+    # crossover, so without ``force_fan_out`` the drill would run serially
+    # and pass vacuously).
+    assert pools
     kills = sum(pool.kills for pool in pools)
     # Whatever the kill pattern — including a zero-progress collapse into
     # the serial fallback — every healthy job's row must match the clean

@@ -27,6 +27,7 @@ from repro.casestudies import (
     power_supply_reliability,
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
+from repro.safety import campaign as campaign_mod
 from repro.safety import run_simulink_fmea
 from repro.safety.campaign import FaultInjectionCampaign
 
@@ -59,20 +60,24 @@ def _build_case(name):
 
 @pytest.fixture(scope="module")
 def campaign_results():
-    """Each case study run naive / incremental / parallel, computed once."""
+    """Each case study run naive / incremental / parallel, computed once.
+    The parallel run is forced past the fan-out crossover: the case
+    studies sit below it and would otherwise run serially."""
     results = {}
-    for name in CASE_NAMES:
-        model, reliability, stable = _build_case(name)
-        runs = {}
-        for label, kwargs in (
-            ("naive", {"incremental": False}),
-            ("incremental", {}),
-            ("parallel", {"workers": 2}),
-        ):
-            runs[label] = FaultInjectionCampaign(
-                model, reliability, assume_stable=stable, **kwargs
-            ).run()
-        results[name] = runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign_mod, "PARALLEL_MIN_WORK", 0)
+        for name in CASE_NAMES:
+            model, reliability, stable = _build_case(name)
+            runs = {}
+            for label, kwargs in (
+                ("naive", {"incremental": False}),
+                ("incremental", {}),
+                ("parallel", {"workers": 2}),
+            ):
+                runs[label] = FaultInjectionCampaign(
+                    model, reliability, assume_stable=stable, **kwargs
+                ).run()
+            results[name] = runs
     return results
 
 
@@ -113,6 +118,7 @@ def test_incremental_matches_naive(campaign_results, case):
 @pytest.mark.parametrize("case", CASE_NAMES)
 def test_parallel_matches_naive(campaign_results, case):
     runs = campaign_results[case]
+    assert runs["parallel"].stats.workers == 2
     assert_rows_identical(runs["naive"], runs["parallel"])
 
 

@@ -246,11 +246,14 @@ class _InlinePool:
 
 
 def _install_inline_pool(monkeypatch, kill_when):
-    """Replace the process pool with an in-process double.
+    """Replace the process pool with an in-process double, and force every
+    ``workers > 1`` campaign to fan out (the power supply sits far below
+    the crossover).  ``state["inits"]`` counts the pools built.
 
     The worker initializer runs inline (trace disabled: the double shares
     the parent's obs registry, so a worker-side reset would wipe it).
     """
+    monkeypatch.setattr(campaign_mod, "PARALLEL_MIN_WORK", 0)
     state = {"pool": None, "inits": 0, "prime_solves": 0}
 
     def fake_new_pool(self, conversion, size):
@@ -292,6 +295,7 @@ def test_killed_chunk_is_resubmitted_not_rerun_serially(
 
     state = _install_inline_pool(monkeypatch, kill_first)
     result = _campaign(case, workers=2).run()
+    assert state["inits"] == 2  # the first pool, then one after the kill
     assert killed["done"]
     assert result.failures == []
     assert result.stats.retries > 0
@@ -313,11 +317,12 @@ def test_repeatedly_dying_worker_bisects_out_poisoned_job(
     # Any chunk containing job 0 kills its worker: retries are spent, the
     # chunk is bisected, and finally job 0 alone is failed out while every
     # other job completes in the pool.
-    _install_inline_pool(
+    state = _install_inline_pool(
         monkeypatch,
         lambda index, chunk: any(job.index == 0 for job in chunk),
     )
     result = _campaign(case, workers=2, max_retries=1).run()
+    assert state["inits"] > 1
     assert len(result.failures) == 1
     failure = result.failures[0]
     assert failure.index == 0
@@ -331,8 +336,9 @@ def test_repeatedly_dying_worker_bisects_out_poisoned_job(
 def test_dead_pool_degrades_to_serial_with_requested_workers(
     case, clean_serial, monkeypatch
 ):
-    _install_inline_pool(monkeypatch, lambda index, chunk: True)
+    state = _install_inline_pool(monkeypatch, lambda index, chunk: True)
     result = _campaign(case, workers=3).run()
+    assert state["inits"] > 0
     assert result.stats.parallel_fallback is True
     assert result.stats.workers == 1
     assert result.stats.requested_workers == 3
@@ -344,11 +350,16 @@ def test_dead_pool_degrades_to_serial_with_requested_workers(
 def test_unavailable_pool_keeps_requested_workers_field(
     case, clean_serial, monkeypatch
 ):
+    sizes = []
+
     def no_pool(self, conversion, size):
+        sizes.append(size)
         raise OSError("no process pools in this environment")
 
+    monkeypatch.setattr(campaign_mod, "PARALLEL_MIN_WORK", 0)
     monkeypatch.setattr(FaultInjectionCampaign, "_new_pool", no_pool)
     result = _campaign(case, workers=4).run()
+    assert sizes == [4]
     assert result.stats.parallel_fallback is True
     assert result.stats.workers == 1
     assert result.stats.requested_workers == 4
@@ -442,6 +453,58 @@ def test_checkpoint_invalidated_by_model_change(case, tmp_path):
     assert other.stats.resumed_jobs == 0
 
 
+class TestFingerprintStaleness:
+    """Regression: the campaign fingerprint used to be cached forever on
+    the campaign object, so mutating the model between ``run()`` calls
+    (the DECISIVE / service-tenant workflow) kept matching the OLD model's
+    checkpoint key."""
+
+    def test_fingerprint_recomputed_per_run(self):
+        model = build_power_supply_simulink()
+        campaign = FaultInjectionCampaign(
+            model, power_supply_reliability(),
+            assume_stable=ASSUMED_STABLE,
+        )
+        campaign.run()
+        first = campaign._campaign_token()
+        model.block("DC1").set_param("voltage", 6.0)
+        campaign.run()
+        second = campaign._campaign_token()
+        assert first != second
+
+    def test_unmutated_rerun_keeps_the_token(self):
+        campaign = FaultInjectionCampaign(
+            build_power_supply_simulink(), power_supply_reliability(),
+            assume_stable=ASSUMED_STABLE,
+        )
+        campaign.run()
+        first = campaign._campaign_token()
+        campaign.run()
+        assert campaign._campaign_token() == first
+
+    def test_mutated_model_does_not_resume_the_stale_checkpoint(
+        self, tmp_path
+    ):
+        path = tmp_path / "campaign.ckpt.jsonl"
+        model = build_power_supply_simulink()
+        campaign = FaultInjectionCampaign(
+            model, power_supply_reliability(),
+            assume_stable=ASSUMED_STABLE, checkpoint=path, resume=True,
+        )
+        first = campaign.run()
+        assert first.stats.resumed_jobs == 0
+        assert campaign.run().stats.resumed_jobs == first.stats.jobs
+
+        model.block("DC1").set_param("voltage", 6.0)
+        mutated = campaign.run()
+        assert mutated.stats.resumed_jobs == 0
+        fresh = FaultInjectionCampaign(
+            model, power_supply_reliability(),
+            assume_stable=ASSUMED_STABLE,
+        ).run()
+        assert_rows_identical(fresh, mutated)
+
+
 def test_resume_without_checkpoint_is_an_error(case):
     model, reliability = case
     from repro.safety.fmea import FmeaError
@@ -472,10 +535,11 @@ def test_acceptance_poisoned_job_plus_killed_chunk_plus_resume(
         lambda job: job.index == 0,
         lambda job: RuntimeError("forced solver exception"),
     )
-    _install_inline_pool(monkeypatch, kill_one_chunk)
+    state = _install_inline_pool(monkeypatch, kill_one_chunk)
     result = _campaign(
         case, workers=2, max_retries=2, checkpoint=path
     ).run()
+    assert state["inits"] > 0
     assert killed["done"]
     # ... the campaign completes with exactly one structured JobFailure,
     assert len(result.failures) == 1

@@ -313,18 +313,18 @@ def test_gauge_merge_keeps_newer_local_write_over_stale_snapshot():
     """A snapshot drained *before* the parent's own write must not clobber
     the newer value when it is merged late (out-of-order worker delta)."""
     worker = MetricsRegistry()
-    worker.gauge("campaign_pool_reuse").set(0)
+    worker.gauge("campaign_workers").set(1)
     stale = worker.snapshot()  # drained first ...
 
     parent = MetricsRegistry()
-    parent.gauge("campaign_pool_reuse").set(1)  # ... written after
+    parent.gauge("campaign_workers").set(2)  # ... written after
     parent.merge(stale)
-    assert parent.gauge("campaign_pool_reuse").value == 1
+    assert parent.gauge("campaign_workers").value == 2
 
     # A genuinely newer snapshot still wins over the older local write.
-    worker.gauge("campaign_pool_reuse").set(0)
+    worker.gauge("campaign_workers").set(1)
     parent.merge(worker.snapshot())
-    assert parent.gauge("campaign_pool_reuse").value == 0
+    assert parent.gauge("campaign_workers").value == 1
 
 
 def test_gauge_restore_without_timestamp_applies_unconditionally():

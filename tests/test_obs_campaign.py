@@ -99,7 +99,7 @@ def test_serial_trace_job_spans_and_metrics_match_stats(system_b, tmp_path):
     assert exported["campaign_job_seconds"]["count"] == stats.jobs
 
 
-def test_parallel_trace_merges_worker_spans(system_b):
+def test_parallel_trace_merges_worker_spans(system_b, force_fan_out):
     obs.enable()
     serial = _campaign(system_b).run()
     serial_stats = serial.stats
@@ -107,6 +107,7 @@ def test_parallel_trace_merges_worker_spans(system_b):
 
     result = _campaign(system_b, workers=2).run()
     stats = result.stats
+    assert stats.workers == 2 or stats.parallel_fallback
     records = obs.tracer().records()
     job_spans = _job_spans(records)
     assert len(job_spans) == stats.jobs == serial_stats.jobs
@@ -133,7 +134,7 @@ def test_parallel_trace_merges_worker_spans(system_b):
     assert all(r.parent_id in by_id or r.parent_id is None for r in records)
 
 
-def test_parallel_determinism_of_merged_trace(system_b):
+def test_parallel_determinism_of_merged_trace(system_b, force_fan_out):
     """Two identical parallel runs merge worker spans in the same order."""
     obs.enable()
 
@@ -142,6 +143,7 @@ def test_parallel_determinism_of_merged_trace(system_b):
         result = _campaign(system_b, workers=2).run()
         if result.stats.parallel_fallback:
             pytest.skip("no process pool available in this environment")
+        assert result.stats.workers == 2
         return [
             (r.name, r.attrs.get("job"), r.attrs.get("component"))
             for r in obs.tracer().records()
@@ -152,7 +154,7 @@ def test_parallel_determinism_of_merged_trace(system_b):
 
 
 def test_parallel_fallback_stats_and_spans_not_double_counted(
-    system_b, monkeypatch
+    system_b, monkeypatch, force_fan_out
 ):
     import concurrent.futures
 

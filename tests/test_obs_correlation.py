@@ -559,12 +559,10 @@ class TestCampaignCorrelation:
         assert entry.meta["correlation_id"] == cid
 
     def test_pool_worker_events_carry_the_campaign_cid(
-        self, psu_simulink, psu_reliability
+        self, psu_simulink, psu_reliability, force_fan_out
     ):
-        from repro.safety import pool
         from repro.safety.campaign import FaultInjectionCampaign
 
-        pool.shutdown_all()  # cold pool: workers must initialise with cid
         obs.enable_events()
         cid = obs.mint_correlation_id()
         FaultInjectionCampaign(
@@ -573,8 +571,7 @@ class TestCampaignCorrelation:
         ).run()
         events = obs.event_bus().events()
         heartbeats = [e for e in events if e.type == "worker_heartbeat"]
-        if not heartbeats:
-            pytest.skip("campaign fell back to serial on this runner")
+        assert heartbeats, "the campaign never fanned out"
         parent_pid = events[0].pid
         assert any(e.pid != parent_pid for e in heartbeats)
         assert all(e.cid == cid for e in heartbeats)

@@ -3,7 +3,7 @@
 The acceptance gate for the observability PR: a campaign run with the
 event plane enabled must emit a monotonically increasing progress stream
 whose final ``done`` equals ``CampaignStats.jobs`` (serially and through
-the warm pool, with worker heartbeats shipped back over the existing
+a process pool, with worker heartbeats shipped back over the existing
 drain/ingest path), ``/metrics`` must round-trip through
 ``parse_prometheus_text`` *while the campaign is still running*, and the
 SSE stream must be well-formed per the EventSource framing rules.
@@ -170,10 +170,9 @@ class TestCampaignEvents:
         assert dones[-1] == stats.jobs
         assert all(b > a for a, b in zip(dones, dones[1:]))
 
-    def test_parallel_progress_and_heartbeats_from_pool(self, system_b):
-        from repro.safety import pool
-
-        pool.shutdown_all()
+    def test_parallel_progress_and_heartbeats_from_pool(
+        self, system_b, force_fan_out
+    ):
         obs.enable_events()
         collected = []
         obs.event_bus().add_callback(collected.append)
@@ -186,6 +185,7 @@ class TestCampaignEvents:
         stats = result.stats
         if stats.parallel_fallback:
             pytest.skip("no process pool available on this platform")
+        assert stats.workers == 2
         dones = [
             e.payload["done"]
             for e in collected
@@ -196,28 +196,6 @@ class TestCampaignEvents:
         heartbeats = [e for e in collected if e.type == "worker_heartbeat"]
         assert heartbeats, "workers should ship heartbeats back to the parent"
         assert all(h.pid != os.getpid() for h in heartbeats)
-        acquired = [e for e in collected if e.type == "pool_acquired"]
-        assert acquired and acquired[0].payload["reused"] is False
-
-        # Second campaign on the same fingerprint reuses the warm pool and
-        # its already-initialised workers still report heartbeats.
-        obs.event_bus().clear()
-        second = []
-        obs.event_bus().add_callback(second.append)
-        try:
-            stats2 = _campaign(
-                system_b, workers=2
-            ).run().stats
-        finally:
-            obs.event_bus().remove_callback(second.append)
-        if not stats2.pool_reused:
-            pytest.skip("pool not reused (broken pool on this platform)")
-        reused = [e for e in second if e.type == "pool_acquired"]
-        assert reused[0].payload["reused"] is True
-        assert any(e.type == "worker_heartbeat" for e in second)
-        assert [
-            e.payload["done"] for e in second if e.type == "chunk_completed"
-        ][-1] == stats2.jobs
 
     def test_events_off_costs_nothing_visible(self, system_b):
         # Flag check only: with the plane disabled a campaign emits nothing.
@@ -274,7 +252,7 @@ class TestLiveServer:
         # the final chunk_completed fires once every job has executed
         assert families["campaign_job_wall_seconds"]["count"] == stats.jobs
 
-    def test_healthz_reports_planes_pool_and_campaign(self, system_b):
+    def test_healthz_reports_planes_and_campaign(self, system_b):
         obs.enable()
         obs.enable_events()
         _campaign(system_b, workers=1).run()
@@ -287,7 +265,7 @@ class TestLiveServer:
         assert health["observability"] == {
             "tracing": True, "events": True, "logs": False,
         }
-        assert "warm" in health["pool"]
+        assert "pool" not in health
         assert health["solver_backend"]["default"]
         campaign = health["events"]["campaign"]
         assert campaign["active"] is False

@@ -11,6 +11,7 @@ cache-hit rate and a bounded cache-hit latency, and the HTTP surface
 
 import http.client
 import json
+import os
 import re
 import threading
 import time
@@ -154,6 +155,26 @@ MALFORMED_DERIVED = [
 ]
 
 
+#: Malformed campaign options, each refused at submit: (key, value).  A
+#: worker count is bounded by the CPU count, since each worker is a process.
+MALFORMED_CAMPAIGN_CONFIG = [
+    ("workers", 512),
+    pytest.param(
+        "workers", (os.cpu_count() or 1) + 1, id="workers-above-cpu-count"
+    ),
+    ("workers", 0),
+    ("workers", "x"),
+    ("workers", 2.0),
+    ("workers", True),
+    ("max_retries", "lots"),
+    ("max_retries", -1),
+    ("job_timeout", -1),
+    ("job_timeout", 0),
+    ("job_timeout", float("nan")),
+    ("solver_backend", "cuda"),
+]
+
+
 def _finish(service, job, timeout=JOB_TIMEOUT):
     service.wait(job.id, timeout)
     assert job.state in ("done", "failed"), job.state
@@ -237,6 +258,28 @@ class TestRequestValidation:
         bad["config"][key] = value
         with pytest.raises(ServiceError, match=message):
             AnalysisRequest.from_payload(bad)
+
+    @pytest.mark.parametrize("key, value", MALFORMED_CAMPAIGN_CONFIG)
+    def test_malformed_campaign_config_rejected(
+        self, fmea_payload, key, value
+    ):
+        bad = json.loads(json.dumps(fmea_payload))
+        bad["config"][key] = value
+        with pytest.raises(ServiceError, match=f"config.{key}"):
+            AnalysisRequest.from_payload(bad)
+
+    def test_campaign_config_bounds_accepted(self, fmea_payload):
+        payload = json.loads(json.dumps(fmea_payload))
+        payload["config"].update(
+            workers=os.cpu_count() or 1, max_retries=0, job_timeout=0.5,
+            solver_backend="sparse",
+        )
+        AnalysisRequest.from_payload(payload)
+        payload["config"].update(
+            workers=None, max_retries=None, job_timeout=None,
+            solver_backend=None,
+        )
+        AnalysisRequest.from_payload(payload)
 
     def test_campaign_runs_the_fingerprinted_config(
         self, tmp_path, fmea_payload
@@ -893,6 +936,19 @@ class TestHTTPEndpoints:
         assert status == 400
         assert f"config.{key}" in payload["error"]
         # Refused at submit: no job was queued for a worker to fail.
+        assert server.service.jobs() == []
+
+    @pytest.mark.parametrize("key, value", MALFORMED_CAMPAIGN_CONFIG)
+    def test_malformed_campaign_config_is_400(
+        self, server, fmea_payload, key, value
+    ):
+        bad = json.loads(json.dumps(fmea_payload))
+        bad["config"][key] = value
+        status, payload = _http_request(
+            *server.address, "POST", "/jobs", bad
+        )
+        assert status == 400
+        assert f"config.{key}" in payload["error"]
         assert server.service.jobs() == []
 
     @pytest.mark.parametrize(
