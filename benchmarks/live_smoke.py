@@ -80,7 +80,7 @@ def main() -> int:
     health = json.loads(_get(f"{url}/healthz"))
     assert health["status"] == "ok", health
     assert health["observability"] == {
-        "tracing": True, "events": True, "logs": False,
+        "tracing": True, "events": True,
     }, health["observability"]
     campaign = health["events"]["campaign"]
     assert campaign["jobs_done"] == campaign["jobs_total"] == stats.jobs

@@ -5,11 +5,14 @@ over plain HTTP:
 
 1. submits an FMEA job for the power-supply case study and waits for it
    to compute (a cache miss: the ledger starts empty);
-2. resubmits the *identical* payload and asserts it is served from the
+2. checks the computed job's ``service-log`` artifact on its ledger
+   entry holds exactly the records ``GET /jobs/<id>/events`` replays
+   (same ``seq``s, all with the job's correlation id);
+3. resubmits the *identical* payload and asserts it is served from the
    ledger — ``cached`` is true, the rows are bit-identical to the
    computed ones, and ``service_cache_hits`` is 1 on ``/metrics``;
-3. checks ``/healthz`` carries the service summary;
-4. writes the final ``/metrics`` scrape to ``SERVICE_metrics.txt`` (the
+4. checks ``/healthz`` carries the service summary;
+5. writes the final ``/metrics`` scrape to ``SERVICE_metrics.txt`` (the
    CI artifact).
 
 Exits non-zero on any violation.  Run as::
@@ -61,6 +64,37 @@ def _wait_done(url: str, job_id: str) -> dict:
     raise AssertionError(f"job {job_id} did not finish in {JOB_SECONDS}s")
 
 
+def _service_log(ledger: Path, entry_id: str) -> Path:
+    """The ``service-log`` artifact linked to ``entry_id``.  The service
+    exports it right after the job turns ``done``, so poll briefly."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        for line in ledger.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if (
+                record.get("type") == "artifact"
+                and record.get("entry") == entry_id
+                and record.get("kind") == "service-log"
+            ):
+                return Path(record["path"])
+        time.sleep(0.1)
+    raise AssertionError(f"entry {entry_id} has no service-log artifact")
+
+
+def _sse_frames(url: str) -> list:
+    """``(id, event, data)`` per frame of a bounded (``limit=``) stream."""
+    frames = []
+    for block in _get(url).decode("utf-8").split("\n\n"):
+        fields = dict(
+            line.split(": ", 1) for line in block.splitlines() if ": " in line
+        )
+        if "data" in fields:
+            frames.append(
+                (int(fields["id"]), fields["event"], json.loads(fields["data"]))
+            )
+    return frames
+
+
 def main() -> int:
     from repro.casestudies.power_supply import (
         ASSUMED_STABLE,
@@ -110,6 +144,25 @@ def main() -> int:
             first = _wait_done(url, _post(f"{url}/jobs", payload)["id"])
             assert first["cached"] is False, "first submission must compute"
             assert first["result"]["rows"], "computed FMEA has no rows"
+
+            artifact = _service_log(ledger, first["result"]["entry"])
+            records = [
+                json.loads(line)
+                for line in artifact.read_text(encoding="utf-8").splitlines()
+            ]
+            frames = _sse_frames(
+                f"{url}/jobs/{first['id']}/events?since=0&limit={len(records)}"
+            )
+            assert [data for _, _, data in frames] == records, (
+                "service-log artifact differs from the job's event replay"
+            )
+            assert [seq for seq, _, _ in frames] == [r["seq"] for r in records]
+            assert all(r["cid"] == first["correlation_id"] for r in records)
+            types = [r["type"] for r in records]
+            assert "job_started" in types, types
+            assert records[-1]["type"] == "job_finished", types
+            assert records[-1]["level"] == "info", records[-1]
+            print(f"service-log OK: {len(records)} records match the replay")
 
             second = _wait_done(url, _post(f"{url}/jobs", payload)["id"])
             assert second["cached"] is True, (

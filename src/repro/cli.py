@@ -51,27 +51,26 @@ def _obs_begin(args: argparse.Namespace) -> dict:
 
     Returns a session dict carrying everything :func:`_obs_end` must tear
     down: the live HTTP server (``--serve``), the console renderer
-    (``--progress``), the JSONL event sink (``--events``), the structured
-    log plane (``--logs``) and the sampling profiler (``--profile``).
+    (``--progress``), the JSONL event sink (``--events``) and the sampling
+    profiler that :func:`main` started for ``--profile``.
     ``--serve`` turns on both tracing (so ``/metrics`` has live content)
     and the event bus (so ``/events`` streams); ``--progress``/``--events``
     need only the event bus.
 
     Whenever any plane is armed, the invocation also mints a correlation
-    id and installs it process-wide, so every span, event and log record
-    the run produces — pool workers included — carries the same id.
+    id and installs it process-wide, so every span and event the run
+    produces — pool workers included — carries the same id.
     """
     session: dict = {}
     serve = getattr(args, "serve", None)
     progress = bool(getattr(args, "progress", False))
     events_path = getattr(args, "events", None)
-    logs_path = getattr(args, "logs", None)
     profile_path = getattr(args, "profile", None)
     wants_trace = bool(
         getattr(args, "trace", None) or getattr(args, "metrics", None) or serve
     )
     wants_events = bool(serve or progress or events_path)
-    if not (wants_trace or wants_events or logs_path or profile_path):
+    if not (wants_trace or wants_events or profile_path):
         return session
     from repro import obs
 
@@ -83,11 +82,6 @@ def _obs_begin(args: argparse.Namespace) -> dict:
     if wants_events and not obs.events_enabled():
         obs.enable_events()
         session["disable_events"] = True
-    if logs_path and not obs.logs_enabled():
-        obs.enable_logs()
-        session["disable_logs"] = True
-    if logs_path:
-        session["logs_path"] = logs_path
     if events_path:
         session["events_path"] = obs.event_bus().attach_jsonl(events_path)
     if progress:
@@ -103,20 +97,27 @@ def _obs_begin(args: argparse.Namespace) -> dict:
             f"(GET /metrics /healthz /events)",
             file=sys.stderr,
         )
-    if profile_path:
-        from repro.obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler()
-        if profiler.start():
-            session["profiler"] = profiler
-            session["profile_path"] = profile_path
-        else:
-            print(
-                "profiling unavailable (not the main thread?); "
-                "--profile ignored",
-                file=sys.stderr,
-            )
+    profiler = getattr(args, "profiler", None)
+    if profiler is not None:
+        session["profiler"] = profiler
+        session["profile_path"] = profile_path
     return session
+
+
+def _start_profiler(path: Optional[str]):
+    """Arm the ``--profile`` sampler, or ``None`` without the flag."""
+    if not path:
+        return None
+    from repro.obs.profile import SamplingProfiler
+
+    profiler = SamplingProfiler()
+    if profiler.start():
+        return profiler
+    print(
+        "profiling unavailable (not the main thread?); --profile ignored",
+        file=sys.stderr,
+    )
+    return None
 
 
 def _obs_end(
@@ -159,12 +160,6 @@ def _obs_end(
         path = session["events_path"]
         print(f"event log written to {path}")
         artifacts.append(("events", path))
-    if session.get("logs_path") is not None:
-        from repro import obs
-
-        path = obs.log_plane().write_jsonl(session["logs_path"])
-        print(f"structured log written to {path}")
-        artifacts.append(("log", path))
     if session.get("renderer") is not None:
         from repro import obs
 
@@ -174,7 +169,6 @@ def _obs_end(
     if (
         session.get("disable_events")
         or session.get("disable_tracing")
-        or session.get("disable_logs")
         or session.get("cid")
     ):
         from repro import obs
@@ -183,8 +177,6 @@ def _obs_end(
             obs.disable_events()
         if session.get("disable_tracing"):
             obs.disable()
-        if session.get("disable_logs"):
-            obs.disable_logs()
         if session.get("cid"):
             obs.set_correlation_id(None)
     ledger = getattr(same, "ledger", None) if same is not None else None
@@ -615,15 +607,13 @@ def _cmd_serve_analysis(args: argparse.Namespace) -> int:
     from repro.obs.ledger import AnalysisLedger
     from repro.service import AnalysisService, AnalysisServiceServer
 
-    # The service plane wants metrics (/metrics has live content), the
-    # event bus (/events streams job lifecycle, /healthz aggregates it)
-    # and the log plane (per-job structured logs become ledger artifacts).
+    # The service plane wants metrics (/metrics has live content) and the
+    # event stream (/events streams job lifecycle, /healthz aggregates it,
+    # and each computed job's records become a ledger artifact).
     if not obs.enabled():
         obs.enable()
     if not obs.events_enabled():
         obs.enable_events()
-    if not obs.logs_enabled():
-        obs.enable_logs()
 
     slo_objectives = None
     if args.slo:
@@ -807,13 +797,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--events",
         metavar="PATH",
-        help="append every progress event to this JSONL file",
-    )
-    parser.add_argument(
-        "--logs",
-        metavar="PATH",
-        help="write structured JSONL logs (leveled records carrying the "
-        "invocation's correlation id) to PATH",
+        help="append every event (progress and leveled log records) to "
+        "this JSONL file",
     )
     parser.add_argument(
         "--profile",
@@ -1045,7 +1030,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # Sample from here, before the verb's own imports and set-up, so the
+    # profile covers the whole command; _obs_end writes it.
+    args.profiler = _start_profiler(getattr(args, "profile", None))
+    try:
+        return args.func(args)
+    finally:
+        if args.profiler is not None:
+            args.profiler.stop()
 
 
 if __name__ == "__main__":

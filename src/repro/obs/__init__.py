@@ -27,23 +27,26 @@ Pool workers trace into their own process-local state;
 (parent side) move spans and metrics across the process boundary with
 deterministic id remapping, so merged traces are reproducible.
 
-A second, independently-switched plane carries **live telemetry**: a typed
-progress :class:`~repro.obs.events.EventBus` (:func:`enable_events` /
-:func:`emit_event`), an HTTP server exposing ``/metrics`` ``/healthz``
-``/events`` (:func:`serve_live`), and a sampling profiler
-(``repro.obs.profile``).  Worker events ride the same
-``drain_worker_data`` / ``ingest_worker_data`` delta path as spans.
+A second, independently-switched plane is the **event stream**: typed,
+leveled records (:class:`~repro.obs.events.Event`) on one bounded
+:class:`~repro.obs.events.EventBus` (:func:`enable_events` /
+:func:`emit_event`).  It drives the ``--progress`` console, the
+``--events`` JSONL sink, the ``/events`` SSE feed of the live HTTP server
+(:func:`serve_live`, next to ``/metrics`` and ``/healthz``) and the
+service's per-job log artifacts; a log line is an event with a level.
+Worker events ride the same ``drain_worker_data`` / ``ingest_worker_data``
+delta path as spans.  A sampling profiler lives in ``repro.obs.profile``.
 
-A third plane carries **structured logs** (:func:`enable_logs` /
-:func:`log`, ``repro.obs.logs``): leveled JSONL records for service
-operators, again independently switched and worker-drained.
+Spans stay in their own :class:`~repro.obs.tracing.Tracer` rather than on
+the event ring: a trace export needs every span of a run, and the span
+hot path takes no lock.
 
-Cutting across all three planes is the **correlation context**: the
+Cutting across both planes is the **correlation context**: the
 analysis service mints a ``correlation_id`` per job (the CLI per
 invocation), installs it with :func:`correlation` /
-:func:`set_correlation_id`, and every event, span attribute, log record
-and ledger entry emitted underneath carries it — including from pool
-workers, which receive the id through their initargs.  That is what makes
+:func:`set_correlation_id`, and every event, span attribute and ledger
+entry emitted underneath carries it — including from pool workers, which
+receive the id through their initargs.  That is what makes
 ``/jobs/<id>/events`` per-job streams and per-job log artifacts possible
 on a multi-tenant service.
 """
@@ -75,14 +78,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.events import ConsoleProgress, Event, EventBus
-from repro.obs.logs import LogRecord, StructuredLog
 from repro.obs.tracing import NOOP_SPAN, Span, SpanRecord, Tracer
 
 __all__ = [
     "enable", "disable", "enabled", "reset",
     "enable_events", "disable_events", "events_enabled",
     "emit_event", "event_bus", "serve_live",
-    "enable_logs", "disable_logs", "logs_enabled", "log", "log_plane",
     "mint_correlation_id", "set_correlation_id", "correlation_id",
     "correlation",
     "span", "current_span_id", "current_span_name", "tracer",
@@ -94,16 +95,13 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricError",
     "Span", "SpanRecord", "Tracer", "NOOP_SPAN", "DEFAULT_TIME_BUCKETS",
     "Event", "EventBus", "ConsoleProgress",
-    "LogRecord", "StructuredLog",
 ]
 
 _ENABLED: bool = False
 _EVENTS_ENABLED: bool = False
-_LOGS_ENABLED: bool = False
 _TRACER = Tracer()
 _REGISTRY = MetricsRegistry()
 _BUS = EventBus()
-_LOG = StructuredLog()
 
 # -- correlation context ----------------------------------------------------
 # Thread-local stack over a process-global default: the service's worker
@@ -157,6 +155,13 @@ def correlation(cid: Optional[str]) -> Iterator[Optional[str]]:
 _TRACER.cid_provider = correlation_id
 
 
+def _span_dropped() -> None:
+    counter("obs_spans_dropped").inc()
+
+
+_TRACER.on_drop = _span_dropped
+
+
 def enable() -> None:
     """Turn tracing + metrics collection on (module-wide)."""
     global _ENABLED
@@ -173,17 +178,16 @@ def enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop all collected spans, metrics, buffered events and log records
-    (the enabled flags are kept; the correlation context is cleared)."""
+    """Drop all collected spans, metrics and buffered events (the enabled
+    flags are kept; the correlation context is cleared)."""
     global _CID_GLOBAL
     _TRACER.clear()
     _REGISTRY.reset()
     _BUS.clear()
-    _LOG.clear()
     _CID_GLOBAL = None
 
 
-# -- the live-telemetry plane (events; independently switched) --------------
+# -- the event stream (independently switched) -------------------------------
 
 
 def enable_events() -> None:
@@ -203,13 +207,14 @@ def events_enabled() -> bool:
     return _EVENTS_ENABLED
 
 
-def emit_event(type_: str, **payload: object):
-    """Publish one typed progress event stamped with the ambient
-    correlation id; ``None`` (one flag check) when the event bus is
-    disabled — same hot-path discipline as :func:`span`."""
+def emit_event(type_: str, level: str = "info", **payload: object):
+    """Publish one typed event at ``level`` (``debug``, ``info``,
+    ``warning`` or ``error``) stamped with the ambient correlation id;
+    ``None`` (one flag check) when the event stream is disabled — same
+    hot-path discipline as :func:`span`."""
     if not _EVENTS_ENABLED:
         return None
-    return _BUS.emit(type_, payload, cid=correlation_id())
+    return _BUS.emit(type_, payload, cid=correlation_id(), level=level)
 
 
 def event_bus() -> EventBus:
@@ -223,37 +228,6 @@ def serve_live(host: str = "127.0.0.1", port: int = 0):
     from repro.obs.live import LiveTelemetryServer
 
     return LiveTelemetryServer(host, port).start()
-
-
-# -- the structured-log plane (independently switched) -----------------------
-
-
-def enable_logs() -> None:
-    """Turn the structured log plane on (module-wide, independent of
-    :func:`enable` and :func:`enable_events`)."""
-    global _LOGS_ENABLED
-    _LOGS_ENABLED = True
-
-
-def disable_logs() -> None:
-    global _LOGS_ENABLED
-    _LOGS_ENABLED = False
-
-
-def logs_enabled() -> bool:
-    return _LOGS_ENABLED
-
-
-def log(level: str, message: str, **fields: object):
-    """Append one structured log record stamped with the ambient
-    correlation id; ``None`` (one flag check) when the plane is off."""
-    if not _LOGS_ENABLED:
-        return None
-    return _LOG.log(level, message, cid=correlation_id(), **fields)
-
-
-def log_plane() -> StructuredLog:
-    return _LOG
 
 
 # -- tracing ----------------------------------------------------------------
@@ -307,13 +281,13 @@ def registry() -> MetricsRegistry:
 
 def drain_worker_data() -> Optional[Dict[str, object]]:
     """Worker side: pop this process's spans + metrics (+ events) as a
-    picklable blob.
+    picklable blob with ``spans``, ``metrics`` and ``events`` keys.
 
     Returns ``None`` when observability is entirely disabled, so the parent
     can skip the merge.  Draining *clears* the stores: a worker serving
     several chunks must hand each chunk's delta to the parent exactly
     once, never its cumulative history."""
-    if not _ENABLED and not _EVENTS_ENABLED and not _LOGS_ENABLED:
+    if not _ENABLED and not _EVENTS_ENABLED:
         return None
     payload: Dict[str, object] = {}
     if _ENABLED:
@@ -323,8 +297,6 @@ def drain_worker_data() -> Optional[Dict[str, object]]:
         payload["metrics"] = snapshot
     if _EVENTS_ENABLED:
         payload["events"] = _BUS.drain_dicts()
-    if _LOGS_ENABLED:
-        payload["logs"] = _LOG.drain_dicts()
     return payload
 
 
@@ -354,10 +326,6 @@ def ingest_worker_data(
         events = payload.get("events")
         if events:
             _BUS.ingest(events)  # type: ignore[arg-type]
-    if _LOGS_ENABLED:
-        records = payload.get("logs")
-        if records:
-            _LOG.ingest(records)  # type: ignore[arg-type]
     return merged
 
 

@@ -1,12 +1,17 @@
-"""Structured progress events (the ``repro.obs`` live-telemetry substrate).
+"""The ``repro.obs`` event stream: typed, leveled telemetry records.
 
-Spans and metrics answer "what happened" after a run; the event bus answers
-"what is happening" *during* one.  Producers — the campaign engine, its
-pool workers, the recovery ladder, the DECISIVE loop — emit small typed
-events through :func:`repro.obs.emit_event`; consumers attach in four ways:
+Spans and metrics answer "what happened" after a run; the event stream
+answers "what is happening" *during* one, and is also the operator's log.
+Every record is an :class:`Event`: a type, a level (``debug``, ``info``,
+``warning`` or ``error``), a payload, the emitting pid and the ambient
+correlation id.  Producers — the campaign engine, its pool workers, the
+recovery ladder, the DECISIVE loop, the analysis service — publish through
+:func:`repro.obs.emit_event`; consumers attach in five ways:
 
 - a **JSONL sink** (:meth:`EventBus.attach_jsonl`) appends one line per
   event, flushed immediately, so ``tail -f`` works mid-campaign;
+- a **per-stream export** (:meth:`EventBus.write_jsonl`) writes one
+  correlation id's buffered records — the service's per-job log artifact;
 - **callback subscribers** (:meth:`EventBus.add_callback`) drive the
   ``--progress`` console renderer in-process;
 - **queue subscribers** (:meth:`EventBus.subscribe`) feed the ``/events``
@@ -16,10 +21,8 @@ events through :func:`repro.obs.emit_event`; consumers attach in four ways:
   per-chunk delta path as spans and metrics, re-sequenced deterministically
   on the parent (chunk-submission order), preserving origin pid/timestamp.
 
-The event taxonomy (see ``docs/observability.md`` for the payload schema):
-``campaign_started``, ``chunk_completed``, ``job_retried``,
-``pool_worker_lost``, ``worker_heartbeat``,
-``checkpoint_written``, ``campaign_finished``, ``iteration_finished``.
+The event taxonomy and each type's level are tabled in
+``docs/observability.md``.
 
 Everything here is dependency-free and lock-protected; with events disabled
 (the default) producers pay a single module-flag check in
@@ -40,16 +43,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
-__all__ = ["Event", "EventBus", "ConsoleProgress", "DEFAULT_BUFFER"]
+__all__ = ["Event", "EventBus", "ConsoleProgress", "DEFAULT_BUFFER", "LEVELS"]
 
 #: Replay-buffer depth: enough for the whole event stream of any test-sized
-#: campaign, bounded so week-long service runs cannot grow without limit.
-DEFAULT_BUFFER = 1024
+#: campaign and for the recent jobs' per-job streams of a busy service,
+#: bounded so week-long service runs cannot grow without limit.
+DEFAULT_BUFFER = 4096
+
+#: Severity order.  Unknown levels coerce to ``info``: a typo'd level must
+#: never crash an instrumented hot path.
+LEVELS = ("debug", "info", "warning", "error")
+
+
+def _coerce_level(level: object) -> str:
+    return level if level in LEVELS else "info"  # type: ignore[return-value]
 
 
 @dataclass
 class Event:
-    """One typed progress event.
+    """One typed, leveled telemetry record.
 
     ``cid`` is the correlation id of the job/invocation the event belongs
     to (``None`` for uncorrelated emitters); it survives the worker
@@ -62,6 +74,7 @@ class Event:
     pid: int
     payload: Dict[str, object] = field(default_factory=dict)
     cid: Optional[str] = None
+    level: str = "info"  # one of LEVELS
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -70,6 +83,7 @@ class Event:
             "ts": self.ts,
             "pid": self.pid,
             "payload": dict(self.payload),
+            "level": self.level,
         }
         if self.cid is not None:
             out["cid"] = self.cid
@@ -85,6 +99,7 @@ class Event:
             pid=int(data.get("pid", 0)),
             payload=dict(data.get("payload", {})),  # type: ignore[arg-type]
             cid=None if cid is None else str(cid),
+            level=_coerce_level(data.get("level", "info")),
         )
 
 
@@ -117,10 +132,12 @@ class EventBus:
         type_: str,
         payload: Optional[Mapping[str, object]] = None,
         cid: Optional[str] = None,
+        level: str = "info",
     ) -> Event:
         """Publish one event (allocating the next sequence number)."""
         return self._publish(
-            type_, time.time(), os.getpid(), dict(payload or {}), cid
+            type_, time.time(), os.getpid(), dict(payload or {}), cid,
+            _coerce_level(level),
         )
 
     def _publish(
@@ -130,11 +147,13 @@ class EventBus:
         pid: int,
         payload: Dict[str, object],
         cid: Optional[str] = None,
+        level: str = "info",
     ) -> Event:
         with self._lock:
             self._seq += 1
             event = Event(
-                seq=self._seq, type=type_, ts=ts, pid=pid, payload=payload, cid=cid
+                seq=self._seq, type=type_, ts=ts, pid=pid, payload=payload,
+                cid=cid, level=level,
             )
             if (
                 self._buffer.maxlen is not None
@@ -321,6 +340,18 @@ class EventBus:
             self._sink_path = path
         return path
 
+    def write_jsonl(self, path: Union[str, Path], cid: Optional[str] = None) -> Path:
+        """Write the buffered events (with ``cid``, that correlation
+        stream's, read through the id index) to ``path`` — the per-job
+        ledger-artifact export."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        events = self.events(cid=cid)
+        with open(path, "w", encoding="utf-8") as handle:
+            for event in events:
+                handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        return path
+
     def detach_jsonl(self) -> Optional[Path]:
         with self._lock:
             path, self._sink_path = self._sink_path, None
@@ -361,7 +392,8 @@ class EventBus:
                 continue
             merged.append(
                 self._publish(
-                    event.type, event.ts, event.pid, dict(event.payload), event.cid
+                    event.type, event.ts, event.pid, dict(event.payload),
+                    event.cid, event.level,
                 )
             )
         return merged

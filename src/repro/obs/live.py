@@ -101,7 +101,6 @@ class _Handler(BaseHTTPRequestHandler):
             "observability": {
                 "tracing": obs.enabled(),
                 "events": obs.events_enabled(),
-                "logs": obs.logs_enabled(),
             },
             "solver_backend": _backend_status(),
             "events": obs.event_bus().status(),

@@ -8,7 +8,11 @@ spans nest, forming a tree per campaign / analysis run.  Design points:
   exporters can align spans from different processes on a display axis;
 - **thread safety** — the active-span stack is thread-local, so spans
   started on different threads nest independently; finished records are
-  appended under a lock;
+  appended without a lock (``deque.append`` is atomic under the GIL);
+- **bounded retention** — finished records live in a ring of
+  :data:`SPAN_BUFFER` records, so a long-running service that never
+  exports its trace keeps a constant-size tracer; evictions are reported
+  through :attr:`Tracer.on_drop`;
 - **process safety** — worker processes trace into their own tracer and
   ship finished records back as plain dicts; :meth:`Tracer.ingest` remaps
   span ids and re-parents the worker roots deterministically, so a merged
@@ -24,8 +28,16 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+#: Finished spans a tracer retains before evicting the oldest (~8 MB at
+#: ~504 B per record).  Sized above the largest traced run in
+#: ``benchmarks/``: the full-mode ``bench_perf_injection.py`` with
+#: ``BENCH_INJECTION_TRACE`` records 11,362 spans, so every benchmark trace
+#: export stays complete.
+SPAN_BUFFER = 16384
 
 
 @dataclass
@@ -136,11 +148,13 @@ class Span:
 
 
 class Tracer:
-    """Collects finished :class:`SpanRecord` objects for one process."""
+    """Collects finished :class:`SpanRecord` objects for one process,
+    keeping the newest ``depth`` of them."""
 
-    def __init__(self) -> None:
+    def __init__(self, depth: int = SPAN_BUFFER) -> None:
         self._lock = threading.Lock()
-        self._records: List[SpanRecord] = []
+        self.depth = depth
+        self._records: "deque[SpanRecord]" = deque(maxlen=depth)
         # itertools.count.__next__ is atomic under the GIL — id allocation
         # on the span hot path needs no lock.
         self._ids = itertools.count(1)
@@ -151,6 +165,11 @@ class Tracer:
         #: stored in ``attrs``, so it survives the worker drain/ingest
         #: re-sequencing like any other attribute.
         self.cid_provider: Optional[Callable[[], Optional[str]]] = None
+        #: Optional zero-arg callable run once per record the full ring
+        #: evicts (``repro.obs`` counts them in ``obs_spans_dropped``).
+        #: The check takes no lock, so concurrent finishes at the moment
+        #: the ring fills may go uncounted.
+        self.on_drop: Optional[Callable[[], None]] = None
 
     # -- the thread-local active-span stack -------------------------------
     # Entries are ``(span_id, name)`` tuples: the id drives parenting and
@@ -218,9 +237,12 @@ class Tracer:
         return Span(self, record)
 
     def _finish(self, record: SpanRecord) -> None:
-        # list.append is atomic under the GIL; the lock is only needed by
-        # operations that swap or iterate the list (records/drain/clear).
-        self._records.append(record)
+        # deque.append is atomic under the GIL; the lock is only needed by
+        # operations that swap or iterate the ring (records/drain/clear).
+        records = self._records
+        if len(records) == self.depth and self.on_drop is not None:
+            self.on_drop()
+        records.append(record)
 
     # -- access / merge ---------------------------------------------------
 
@@ -232,12 +254,12 @@ class Tracer:
     def drain(self) -> List[SpanRecord]:
         """Pop and return all finished spans (e.g. from a pool worker)."""
         with self._lock:
-            records, self._records = self._records, []
-            return records
+            records, self._records = self._records, deque(maxlen=self.depth)
+            return list(records)
 
     def clear(self) -> None:
         with self._lock:
-            self._records = []
+            self._records = deque(maxlen=self.depth)
 
     def ingest(
         self,
@@ -272,5 +294,5 @@ class Tracer:
                     thread=record.thread,
                 )
                 merged.append(clone)
-                self._records.append(clone)
+                self._finish(clone)
             return merged

@@ -346,11 +346,7 @@ def _attempt_job(
                 )
                 return ("failed", failure.to_dict()), attempt - 1, 0
             obs.emit_event(
-                "job_retried", job=job.index, component=job.component,
-                attempt=attempt, error=type(exc).__name__,
-            )
-            obs.log(
-                "warning", "job retried", job=job.index,
+                "job_retried", level="warning", job=job.index,
                 component=job.component, attempt=attempt,
                 error=type(exc).__name__,
             )
@@ -400,7 +396,6 @@ def _campaign_worker_init(
     job_timeout: Optional[float] = None,
     solver_backend: Optional[str] = None,
     events_enabled: bool = False,
-    logs_enabled: bool = False,
     correlation_id: Optional[str] = None,
 ) -> None:
     if trace_enabled:
@@ -411,13 +406,11 @@ def _campaign_worker_init(
         # The event plane switches independently of tracing (a --progress
         # run without --trace still needs worker heartbeats).
         obs.enable_events()
-    if logs_enabled:
-        obs.enable_logs()
-    if trace_enabled or events_enabled or logs_enabled:
+    if trace_enabled or events_enabled:
         obs.reset()
     # After reset (which clears the correlation context): a worker process
     # serves exactly one campaign configuration, so the job's id is its
-    # process-global default — every worker-side event/span/log carries it
+    # process-global default — every worker-side event and span carries it
     # home through the drain/ingest delta path.
     obs.set_correlation_id(correlation_id)
     if solver_backend is not None:
@@ -808,7 +801,6 @@ class FaultInjectionCampaign:
                 self.job_timeout,
                 self.solver_backend,
                 obs.events_enabled(),
-                obs.logs_enabled(),
                 obs.correlation_id(),
             ),
         )
@@ -948,14 +940,10 @@ class FaultInjectionCampaign:
             attempt = task.attempt + 1
             obs.emit_event(
                 "pool_worker_lost",
+                level="warning",
                 chunk=".".join(map(str, task.order)),
                 jobs=len(task.jobs),
                 attempt=attempt,
-            )
-            obs.log(
-                "warning", "pool worker lost",
-                chunk=".".join(map(str, task.order)),
-                jobs=len(task.jobs), attempt=attempt,
             )
             if attempt <= self.retry_policy.max_retries:
                 stats.retries += 1
@@ -1212,8 +1200,7 @@ class FaultInjectionCampaign:
             self._progress_done = len(preloaded)
             self._progress_resumed = len(preloaded)
             self._progress_t0 = time.perf_counter()
-            if obs.events_enabled() or obs.logs_enabled():
-                fingerprint = self._short_fingerprint()
+            if obs.events_enabled():
                 obs.emit_event(
                     "campaign_started",
                     system=self.model.name,
@@ -1223,13 +1210,7 @@ class FaultInjectionCampaign:
                     workers=stats.workers,
                     mode=stats.mode,
                     resumed=len(preloaded),
-                    fingerprint=fingerprint,
-                )
-                obs.log(
-                    "info", "campaign started",
-                    system=self.model.name, analysis=self.analysis,
-                    jobs=stats.jobs, workers=stats.workers,
-                    fingerprint=fingerprint,
+                    fingerprint=self._short_fingerprint(),
                 )
             with obs.span(
                 "campaign.execute", jobs=len(pending), resumed=len(preloaded)
@@ -1300,8 +1281,7 @@ class FaultInjectionCampaign:
             )
         result.stats = stats
         stats.publish()
-        if obs.events_enabled() or obs.logs_enabled():
-            fingerprint = self._short_fingerprint()
+        if obs.events_enabled():
             obs.emit_event(
                 "campaign_finished",
                 system=self.model.name,
@@ -1311,13 +1291,7 @@ class FaultInjectionCampaign:
                 retries=stats.retries,
                 job_failures=stats.job_failures,
                 parallel_fallback=stats.parallel_fallback,
-                fingerprint=fingerprint,
-            )
-            obs.log(
-                "info", "campaign finished",
-                system=self.model.name, jobs=stats.jobs, rows=stats.rows,
-                wall_seconds=round(stats.wall_time, 4),
-                job_failures=stats.job_failures, fingerprint=fingerprint,
+                fingerprint=self._short_fingerprint(),
             )
         return result
 

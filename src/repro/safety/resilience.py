@@ -85,8 +85,8 @@ class JobFailure:
     def from_exception(
         cls, job, exc: BaseException, kind: str = "exception", retries: int = 0
     ) -> "JobFailure":
-        obs.log(
-            "error", "injection job failed",
+        obs.emit_event(
+            "injection_job_failed", level="error",
             job=job.index, component=job.component, kind=kind,
             error=type(exc).__name__, retries=retries,
         )
@@ -377,12 +377,9 @@ class CampaignCheckpoint:
         self._pending = []
         obs.emit_event(
             "checkpoint_written",
+            level="debug",
             path=str(self.path),
             written=written,
             recorded=len(self._seen),
-        )
-        obs.log(
-            "debug", "checkpoint flushed",
-            path=str(self.path), written=written, recorded=len(self._seen),
         )
         return written

@@ -431,7 +431,7 @@ class AnalysisJob:
     coalesced_with: str = ""
     fingerprint: str = ""
     cache_key: str = ""
-    #: Minted at submit; stamps every event/span/log/ledger entry the job
+    #: Minted at submit; stamps every event/span/ledger entry the job
     #: produces (including inside pool workers) and keys the job's
     #: ``/jobs/<id>/events`` stream.
     correlation_id: str = ""
@@ -553,7 +553,7 @@ class AnalysisService:
         # Baseline SLO snapshot: burn-rate windows need a "before" to diff
         # against, and a young service's windows span its whole life.
         self.slo.observe()
-        obs.log("info", "analysis service started", workers=self.worker_count)
+        obs.emit_event("service_started", workers=self.worker_count)
         for index in range(self.worker_count):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -607,10 +607,6 @@ class AnalysisService:
         with obs.correlation(job.correlation_id):
             obs.emit_event(
                 "job_submitted", job=job.id, kind=job.kind, system=job.system
-            )
-            obs.log(
-                "info", "job submitted", job=job.id, kind=job.kind,
-                system=job.system, tenant=job.tenant or None,
             )
         return job
 
@@ -683,7 +679,7 @@ class AnalysisService:
 
     def _run_job(self, job: AnalysisJob) -> None:
         # The whole job — campaign, pool workers, ledger append, every
-        # event/span/log — runs under the job's correlation id.
+        # event and span — runs under the job's correlation id.
         with obs.correlation(job.correlation_id or None):
             self._run_job_correlated(job)
 
@@ -694,7 +690,6 @@ class AnalysisService:
             job.started_at - job.submitted_at
         )
         obs.emit_event("job_started", job=job.id, kind=job.kind)
-        obs.log("info", "job started", job=job.id, kind=job.kind)
         try:
             request = job.request
             assert request is not None
@@ -707,7 +702,6 @@ class AnalysisService:
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = "failed"
             obs.counter("service_jobs_failed").inc()
-            obs.log("error", "job failed", job=job.id, error=job.error)
         finally:
             job.finished_at = time.time()
             job.request = None  # free the (possibly large) payload
@@ -717,17 +711,16 @@ class AnalysisService:
                 # The cache-hit latency SLO watches this one: a hit that
                 # took as long as a compute means the ledger lookup degraded.
                 obs.histogram("service_cache_hit_wall_seconds").observe(wall)
+            failed = {"error": job.error} if job.state == "failed" else {}
             obs.emit_event(
                 "job_finished",
+                level="error" if failed else "info",
                 job=job.id,
                 kind=job.kind,
                 state=job.state,
                 cached=job.cached,
                 wall_seconds=round(wall, 6),
-            )
-            obs.log(
-                "info", "job finished", job=job.id, state=job.state,
-                cached=job.cached, wall_seconds=round(wall, 6),
+                **failed,
             )
             # Post-job SLO snapshot: gives the burn-rate windows their
             # cadence (failure bursts become visible on the next evaluate).
@@ -736,12 +729,12 @@ class AnalysisService:
             job.done_event.set()
 
     def _export_job_log(self, job: AnalysisJob) -> None:
-        """Attach the job's structured-log slice to its ledger entry.
+        """Attach the job's event stream to its ledger entry.
 
         Only for computed jobs (cache hits made no entry of their own) and
-        only when the log plane is on; export failures are swallowed — an
-        artifact is telemetry, not part of the result."""
-        if not obs.logs_enabled() or not job.correlation_id or job.cached:
+        only when the event stream is on; export failures are swallowed —
+        an artifact is telemetry, not part of the result."""
+        if not obs.events_enabled() or not job.correlation_id or job.cached:
             return
         result = job.result if isinstance(job.result, dict) else None
         entry_id = result.get("entry") if result else None
@@ -749,7 +742,7 @@ class AnalysisService:
             return
         try:
             path = self.ledger.path.parent / "logs" / f"{job.id}.jsonl"
-            obs.log_plane().write_jsonl(path, cid=job.correlation_id)
+            obs.event_bus().write_jsonl(path, cid=job.correlation_id)
             with self._ledger_lock:
                 self.ledger.attach_artifact(
                     str(entry_id), path, kind="service-log"
@@ -840,10 +833,6 @@ class AnalysisService:
             job.coalesced_with = leader.correlation_id
             obs.counter("service_coalesced_jobs").inc()
             obs.emit_event("job_coalesced", job=job.id, leader=leader.id)
-            obs.log(
-                "info", "job coalesced", job=job.id,
-                leader=leader.id, cache_key=job.cache_key[:16],
-            )
             leader.done_event.wait()
             if leader.state == "done" and isinstance(leader.result, dict):
                 result = dict(leader.result)
@@ -949,7 +938,7 @@ class AnalysisService:
                 rows=rows_from_payload_fmea(base.rows),
             )
             obs.counter("service_fmea_reuses").inc()
-            obs.log("info", "fmea reused", job=job.id, entry=base.entry_id)
+            obs.emit_event("fmea_reused", job=job.id, entry=base.entry_id)
         else:
             cached = self._materialize_model(request)
             model = cached.model

@@ -242,7 +242,6 @@ def test_power_supply_request_keys_are_unchanged():
 def clean_obs():
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
     yield
     obs.disable_events()

@@ -157,6 +157,37 @@ def test_drain_and_ingest_worker_payload_round_trip():
     assert obs.counter("campaign_jobs").value == 1
 
 
+def test_tracer_keeps_the_newest_depth_records_and_counts_the_rest():
+    tracer = Tracer(depth=4)
+    dropped = []
+    tracer.on_drop = lambda: dropped.append(1)
+    for index in range(10):
+        with tracer.span("step", {"index": index}):
+            pass
+    assert [r.attrs["index"] for r in tracer.records()] == [6, 7, 8, 9]
+    assert len(dropped) == 6
+    # drain pops the retained window; the ring keeps its depth
+    assert [r.attrs["index"] for r in tracer.drain()] == [6, 7, 8, 9]
+    assert tracer.records() == []
+    # ingest still returns every merged record; the ring keeps the newest
+    shipped = [SpanRecord(span_id=i, parent_id=None, name="w") for i in range(6)]
+    merged = tracer.ingest(shipped)
+    assert len(merged) == 6
+    assert tracer.records() == merged[-4:]
+    assert len(dropped) == 8
+
+
+def test_evicted_spans_are_counted_in_obs_spans_dropped(monkeypatch):
+    obs.enable()
+    monkeypatch.setattr(obs.tracer(), "depth", 3)
+    obs.reset()  # rebuilds the ring at the patched depth
+    for _ in range(5):
+        with obs.span("step"):
+            pass
+    assert len(obs.tracer().records()) == 3
+    assert obs.counter("obs_spans_dropped").value == 2
+
+
 def test_drain_worker_data_is_none_when_disabled():
     assert obs.drain_worker_data() is None
     assert obs.ingest_worker_data(None) == []

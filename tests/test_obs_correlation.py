@@ -1,5 +1,5 @@
 """Job-scoped observability: correlation ids, per-job event streams,
-structured logs and the SLO/burn-rate plane.
+leveled (log) events and the SLO/burn-rate plane.
 
 Acceptance surface from the correlation PR:
 
@@ -22,7 +22,6 @@ import pytest
 from repro import obs
 from repro.casestudies.power_supply import ASSUMED_STABLE
 from repro.obs.events import ConsoleProgress, Event, EventBus
-from repro.obs.logs import LogRecord, StructuredLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
@@ -44,12 +43,10 @@ JOB_TIMEOUT = 120.0
 def clean_obs():
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
     yield
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
 
 
@@ -200,76 +197,83 @@ class TestSpanCorrelation:
         assert record.attrs["correlation_id"] == "e" * 16
 
 
-# -- structured logs ---------------------------------------------------------
+# -- structured logs: leveled events on the one stream -------------------------
 
 
 class TestStructuredLog:
-    def test_levels_and_min_level_filter(self):
-        log = StructuredLog()
-        log.log("debug", "d")
-        log.log("info", "i")
-        log.log("warning", "w")
-        log.log("error", "e")
-        log.log("bogus-level", "b")  # coerced to info, not dropped
-        assert len(log.records()) == 5
-        warn_up = log.records(min_level="warning")
-        assert [r.message for r in warn_up] == ["w", "e"]
+    """A log line is an event with a level: the structured-log guarantees
+    (cid filter, JSONL export, re-sequencing, the worker delta path) hold
+    on the one event stream."""
 
     def test_cid_filter_and_jsonl_export(self, tmp_path):
-        log = StructuredLog()
-        log.log("info", "mine", cid="a" * 16, job="j1")
-        log.log("info", "theirs", cid="b" * 16)
-        log.log("info", "nobody's")
-        path = log.write_jsonl(tmp_path / "job.jsonl", cid="a" * 16)
+        bus = EventBus()
+        bus.emit("mine", {"job": "j1"}, cid="a" * 16, level="warning")
+        bus.emit("theirs", {}, cid="b" * 16)
+        bus.emit("nobodys", {})
+        path = bus.write_jsonl(tmp_path / "job.jsonl", cid="a" * 16)
         lines = [
             json.loads(line)
             for line in path.read_text().splitlines()
         ]
-        assert len(lines) == 1
-        assert lines[0]["message"] == "mine"
-        assert lines[0]["correlation_id"] == "a" * 16
-        assert lines[0]["fields"] == {"job": "j1"}
+        assert lines == [e.to_dict() for e in bus.events(cid="a" * 16)]
+        (line,) = lines
+        assert line["type"] == "mine"
+        assert line["cid"] == "a" * 16
+        assert line["payload"] == {"job": "j1"}
+        assert line["level"] == "warning"
 
     def test_drain_ingest_resequences_preserving_origin(self):
-        worker = StructuredLog()
-        worker.log("warning", "pool trouble", cid="c" * 16)
+        worker = EventBus()
+        worker.emit("pool_trouble", {}, cid="c" * 16, level="warning")
         shipped = worker.drain_dicts()
-        assert worker.records() == []
-        parent = StructuredLog()
-        parent.log("info", "parent line")
+        assert worker.events() == []
+        parent = EventBus()
+        parent.emit("parent_line", {})
         parent.ingest(shipped)
-        records = parent.records()
-        assert [r.seq for r in records] == [1, 2]
-        assert records[1].message == "pool trouble"
-        assert records[1].cid == "c" * 16
+        events = parent.events()
+        assert [e.seq for e in events] == [1, 2]
+        assert events[1].type == "pool_trouble"
+        assert events[1].cid == "c" * 16
+        assert events[1].level == "warning"
+        assert (events[1].ts, events[1].pid) == (
+            shipped[0]["ts"], shipped[0]["pid"],
+        )
 
     def test_obs_log_is_gated_and_stamps_cid(self):
         with obs.correlation("d" * 16):
-            obs.log("info", "dropped while disabled")
-        assert obs.log_plane().records() == []
-        obs.enable_logs()
+            obs.emit_event("dropped_while_disabled", level="error")
+        assert obs.event_bus().events() == []
+        obs.enable_events()
         with obs.correlation("d" * 16):
-            obs.log("info", "kept", detail=1)
-        (record,) = obs.log_plane().records()
-        assert record.cid == "d" * 16
-        assert record.fields == {"detail": 1}
+            obs.emit_event("kept", level="error", detail=1)
+        (event,) = obs.event_bus().events()
+        assert event.cid == "d" * 16
+        assert event.level == "error"
+        assert event.payload == {"detail": 1}
 
     def test_logs_ride_the_worker_delta_protocol(self):
-        obs.enable_logs()
+        obs.enable()
+        obs.enable_events()
         with obs.correlation("b" * 16):
-            obs.log("error", "worker-side failure")
+            obs.emit_event("worker_side_failure", level="error")
         payload = obs.drain_worker_data()
-        assert payload["logs"]
-        assert obs.log_plane().records() == []
+        assert set(payload) == {"spans", "metrics", "events"}
+        assert obs.event_bus().events() == []
         obs.ingest_worker_data(payload)
-        (record,) = obs.log_plane().records()
-        assert record.message == "worker-side failure"
-        assert record.cid == "b" * 16
+        (event,) = obs.event_bus().events()
+        assert event.type == "worker_side_failure"
+        assert event.level == "error"
+        assert event.cid == "b" * 16
 
     def test_record_round_trip(self):
-        record = LogRecord(seq=3, ts=1.5, level="warning", message="m",
-                           pid=7, cid="a" * 16, fields={"k": "v"})
-        assert LogRecord.from_dict(record.to_dict()) == record
+        event = Event(seq=3, type="m", ts=1.5, pid=7, payload={"k": "v"},
+                      cid="a" * 16, level="warning")
+        assert Event.from_dict(event.to_dict()) == event
+        data = event.to_dict()
+        data["level"] = "bogus"  # a typo'd level coerces, never crashes
+        assert Event.from_dict(data).level == "info"
+        del data["level"]
+        assert Event.from_dict(data).level == "info"
 
 
 # -- SLO engine --------------------------------------------------------------
@@ -536,7 +540,6 @@ class TestCampaignCorrelation:
         from repro.safety.campaign import FaultInjectionCampaign
 
         obs.enable_events()
-        obs.enable_logs()
         cid = obs.mint_correlation_id()
         result = FaultInjectionCampaign(
             psu_simulink, psu_reliability, sensors=["CS1"],
@@ -547,9 +550,8 @@ class TestCampaignCorrelation:
         assert all(e.cid == cid for e in events), [
             (e.type, e.cid) for e in events if e.cid != cid
         ]
-        log_records = obs.log_plane().records(cid=cid)
-        assert {r.message for r in log_records} >= {
-            "campaign started", "campaign finished",
+        assert {e.type for e in obs.event_bus().events(cid=cid)} >= {
+            "campaign_started", "campaign_finished",
         }
         started = next(e for e in events if e.type == "campaign_started")
         assert started.payload["fingerprint"]
@@ -671,7 +673,6 @@ def _poll_done(host, port, job_id, timeout=JOB_TIMEOUT):
 @pytest.fixture
 def server(tmp_path):
     obs.enable_events()
-    obs.enable_logs()
     service = AnalysisService(tmp_path / "ledger.jsonl", workers=2)
     srv = AnalysisServiceServer(service, "127.0.0.1", 0).start()
     yield srv
@@ -741,11 +742,16 @@ class TestJobStreams:
             for line in open(expected, encoding="utf-8")
         ]
         assert records
-        assert all(
-            r["correlation_id"] == job["correlation_id"] for r in records
-        )
-        messages = {r["message"] for r in records}
-        assert {"job started", "job finished"} <= messages
+        assert all(r["cid"] == job["correlation_id"] for r in records)
+        types = [r["type"] for r in records]
+        assert {"job_started", "job_finished"} <= set(types)
+        # The artifact is exactly the job's stream on the event bus.
+        assert records == [
+            e.to_dict()
+            for e in obs.event_bus().events(cid=job["correlation_id"])
+        ]
+        assert records[-1]["type"] == "job_finished"
+        assert records[-1]["level"] == "info"
 
     def test_unknown_job_events_404(self, server):
         host, port = server.address
@@ -755,11 +761,12 @@ class TestJobStreams:
     def test_last_event_id_resumes_like_since(self, server):
         host, port = server.address
         bus = obs.event_bus()
+        base = bus.last_seq()  # the service's own service_started record
         for index in range(6):
             bus.emit("tick", {"index": index})
         status, frames = _read_sse(
             host, port, "/events?limit=2",
-            headers={"Last-Event-ID": "4"},
+            headers={"Last-Event-ID": str(base + 4)},
         )
         assert status == 200
         assert [data["payload"]["index"] for _, _, data in frames] == [4, 5]
@@ -767,10 +774,11 @@ class TestJobStreams:
     def test_query_since_wins_over_last_event_id(self, server):
         host, port = server.address
         bus = obs.event_bus()
+        base = bus.last_seq()
         for index in range(6):
             bus.emit("tick", {"index": index})
         status, frames = _read_sse(
-            host, port, "/events?since=5&limit=1",
+            host, port, f"/events?since={base + 5}&limit=1",
             headers={"Last-Event-ID": "0"},
         )
         assert status == 200
@@ -788,13 +796,18 @@ class TestJobStreams:
 
     def test_negative_last_event_id_clamps_to_zero(self, server):
         host, port = server.address
+        base = obs.event_bus().last_seq()
         obs.event_bus().emit("tick", {"index": 0})
         status, frames = _read_sse(
-            host, port, "/events?limit=1",
+            host, port, f"/events?limit={base + 1}",
             headers={"Last-Event-ID": "-10"},
         )
         assert status == 200
-        assert frames[0][2]["payload"]["index"] == 0
+        # Replayed from the start of the ring, as since=0 would.
+        assert [frame_id for frame_id, _, _ in frames] == list(
+            range(1, base + 2)
+        )
+        assert frames[-1][2]["payload"]["index"] == 0
 
 
 class TestSLOBreachEndToEnd:

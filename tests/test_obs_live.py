@@ -263,7 +263,7 @@ class TestLiveServer:
         health = json.loads(body)
         assert health["status"] == "ok"
         assert health["observability"] == {
-            "tracing": True, "events": True, "logs": False,
+            "tracing": True, "events": True,
         }
         assert "pool" not in health
         assert health["solver_backend"]["default"]
@@ -460,6 +460,11 @@ class TestCli:
         assert {"obs-events", "obs-profile"} <= kinds
         # planes are torn down after the verb
         assert not obs.events_enabled()
+
+    def test_logs_flag_rejected_by_parser(self):
+        """``--logs`` is gone: ``--events`` is the one JSONL sink."""
+        with pytest.raises(SystemExit):
+            main(["demo", "--logs", "run.jsonl"])
 
     def test_serve_flag_rejects_garbage(self):
         with pytest.raises(SystemExit):

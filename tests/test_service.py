@@ -37,12 +37,10 @@ JOB_TIMEOUT = 120.0
 def clean_obs():
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
     yield
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
 
 

@@ -31,12 +31,10 @@ JOB_TIMEOUT = 120.0
 def clean_obs():
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
     yield
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
 
 
@@ -144,7 +142,7 @@ def _entry(service, job):
 @pytest.mark.parametrize("case", ["psu", "sys_a", "sys_b"])
 def test_fmeda_and_search_reuse_the_recorded_fmea(tmp_path, spies, case):
     fmea_body = _fmea_body(case)
-    obs.enable_logs()
+    obs.enable_events()
     with AnalysisService(tmp_path / "warm.jsonl", workers=1) as warm:
         fmea = _run(warm, fmea_body)
         assert spies == {"run": 1, "from_dict": 1}
@@ -156,11 +154,11 @@ def test_fmeda_and_search_reuse_the_recorded_fmea(tmp_path, spies, case):
         assert spies == {"run": 1, "from_dict": 1}
         assert int(obs.counter("service_fmea_reuses").value) == 2
         for job in reused:
-            (record,) = [
-                r for r in obs.log_plane().records(cid=job.correlation_id)
-                if r.message == "fmea reused"
+            (event,) = [
+                e for e in obs.event_bus().events(cid=job.correlation_id)
+                if e.type == "fmea_reused"
             ]
-            assert record.fields["entry"] == fmea.result["entry"]
+            assert event.payload["entry"] == fmea.result["entry"]
         reused_entries = [_entry(warm, job) for job in reused]
 
     with AnalysisService(tmp_path / "fresh.jsonl", workers=1) as fresh:
