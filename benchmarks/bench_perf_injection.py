@@ -1,5 +1,6 @@
 """BENCH injection — batched fault-injection engine: naive vs incremental
-vs parallel campaigns, plus the sparse-vs-dense solver backend tier.
+vs parallel campaigns, plus the gate that each MNA solve rule wins where
+the system's size picks it.
 
 Times the three execution strategies of
 :class:`repro.safety.campaign.FaultInjectionCampaign` on the paper's
@@ -8,11 +9,19 @@ networks (Section VI scale), checks the strategies produce row-for-row
 identical FMEA tables while timing them, and writes the measurements to
 ``BENCH_injection.json`` at the repo root.
 
-A fourth tier times the parameterized distribution-grid case study
+The system's size picks the solve rule of an incremental campaign
+(:func:`repro.circuit.backends.resolve_backend`): below
+``SPARSE_AUTO_MIN_SIZE`` unknowns a ``dense`` system solves every fault
+directly on a delta-stamped copy of its matrix; at or above it a
+``sparse`` system applies Woodbury updates to one SuperLU factorization.
+The bench pins each rule by moving that threshold, so each retained rule
+has a benchmarked case where it wins: on the power supply and System A
+the incremental run (dense, direct) is also timed with ``sparse`` pinned,
+and a fourth tier times the parameterized distribution-grid case study
 (:func:`~repro.casestudies.build_power_grid_simulink`, ~5k blocks /
-~2.5k MNA unknowns) with the solver backend pinned to ``dense`` vs
-``sparse``, over a seeded injection sample, and checks both backends —
-and a naive re-assembly run — agree row for row.
+~2.5k MNA unknowns) pinned ``dense`` vs ``sparse`` over a seeded
+injection sample.  Every pinned run must agree row for row with naive
+re-assembly.
 
 The ``parallel`` row asks for ``workers`` and lets the campaign's fan-out
 rule (:data:`~repro.safety.campaign.PARALLEL_MIN_WORK`) decide: the power
@@ -29,7 +38,9 @@ Acceptance (full mode):
   (System B, ~230 injection jobs over ~107 MNA unknowns);
 - incremental and the parallel row each run at least as fast as naive on
   *every* classic case (speedup >= 1.0 per case, not just the largest);
-- the sparse backend beats the dense backend by >= 3x on the grid tier;
+- the sparse backend beats the dense (direct) one by >= 3x on the grid
+  tier, and the dense (direct) one beats pinned sparse on the power
+  supply and System A;
 - the pool beats the serial campaign on the fan-out grid sample.
 
 Smoke mode (``BENCH_INJECTION_SMOKE=1``): shrinks System B and the grid,
@@ -52,6 +63,7 @@ strategy inversions against the previous night's entries.
 measurement, so the performance story is a curve, not a point.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -71,6 +83,7 @@ from repro.casestudies import (
     power_supply_reliability,
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
+from repro.circuit import backends
 from repro.safety.campaign import FaultInjectionCampaign
 
 SMOKE = os.environ.get("BENCH_INJECTION_SMOKE") == "1"
@@ -105,11 +118,30 @@ STRATEGIES = (
     ("parallel", {"workers": max(2, os.cpu_count() or 1)}),
 )
 
+#: Grid tier runs: (label, pinned backend or None for the size pick,
+#: campaign kwargs).
 GRID_BACKENDS = (
-    ("dense", {"solver_backend": "dense"}),
-    ("sparse", {"solver_backend": "sparse"}),
-    ("naive", {"incremental": False}),
+    ("dense", "dense", {}),
+    ("sparse", "sparse", {}),
+    ("naive", None, {"incremental": False}),
 )
+
+#: Classic cases whose size picks the dense rule, also timed with the
+#: sparse rule pinned: the direct solve must win there.
+DIRECT_CASES = ("power_supply", "system_a")
+
+
+@contextlib.contextmanager
+def pinned_backend(backend):
+    """Make every system resolve to ``backend`` (``None``: leave the size
+    rule alone) by moving the dense/sparse threshold."""
+    saved = backends.SPARSE_AUTO_MIN_SIZE
+    if backend is not None:
+        backends.SPARSE_AUTO_MIN_SIZE = 0 if backend == "sparse" else 10**9
+    try:
+        yield
+    finally:
+        backends.SPARSE_AUTO_MIN_SIZE = saved
 
 
 def build_cases():
@@ -135,16 +167,19 @@ def build_cases():
     ]
 
 
-def time_campaign(model, reliability, stable, kwargs, repeats=None):
+def time_campaign(
+    model, reliability, stable, kwargs, repeats=None, backend=None
+):
     """Best-of-N wall time; returns (seconds, FmeaResult)."""
     best, result = math.inf, None
     for _ in range(REPEATS if repeats is None else repeats):
         campaign = FaultInjectionCampaign(
             model, reliability, assume_stable=stable, **kwargs
         )
-        start = time.perf_counter()
-        outcome = campaign.run()
-        elapsed = time.perf_counter() - start
+        with pinned_backend(backend):
+            start = time.perf_counter()
+            outcome = campaign.run()
+            elapsed = time.perf_counter() - start
         if elapsed < best:
             best, result = elapsed, outcome
     return best, result
@@ -194,6 +229,7 @@ _TRAJECTORY_KEYS = (
     "incremental_speedup",
     "parallel_speedup",
     "sparse_speedup",
+    "direct_speedup",
 )
 
 
@@ -243,26 +279,35 @@ def _ledger_record(case, model, reliability, result, timings=None):
 
 
 #: Extra measurement rounds folded in (per case) when a batched strategy
-#: measures slower than naive — the small cases run in ~1.5 ms, where a
-#: single descheduling blip flips the ratio; more minima de-noise it.
+#: measures slower than naive, or the direct rule slower than pinned
+#: sparse — the small cases run in ~1.5 ms, where a single descheduling
+#: blip flips the ratio; more minima de-noise it.
 REMEASURE_ROUNDS = 0 if SMOKE else 2
 
 
+def _classic_gates_hold(runs):
+    """Whether a classic case's timings already pass its gates: each
+    batched strategy at least as fast as naive, and the direct dense rule
+    faster than pinned sparse (when timed)."""
+    batched_s = max(runs["incremental"][0], runs["parallel"][0])
+    sparse_s = runs.get("sparse", (math.inf,))[0]
+    return batched_s <= runs["naive"][0] and runs["incremental"][0] < sparse_s
+
+
 def _classic_cases(payload, table):
-    """Time the three classic cases over all execution strategies."""
+    """Time the three classic cases over all execution strategies, plus
+    pinned sparse on the cases whose size picks the direct dense rule."""
     for case, model, reliability, stable in build_cases():
-        runs = {}
-        for label, kwargs in STRATEGIES:
-            seconds, result = time_campaign(model, reliability, stable, kwargs)
-            runs[label] = (seconds, result)
-        for _ in range(REMEASURE_ROUNDS):
-            if max(runs["incremental"][0], runs["parallel"][0]) <= (
-                runs["naive"][0]
-            ):
+        arms = [(label, None, kwargs) for label, kwargs in STRATEGIES]
+        if case in DIRECT_CASES:
+            arms.append(("sparse", "sparse", {}))
+        runs = {label: (math.inf, None) for label, _, _ in arms}
+        for round_ in range(1 + REMEASURE_ROUNDS):
+            if round_ and _classic_gates_hold(runs):
                 break
-            for label, kwargs in STRATEGIES:
+            for label, backend, kwargs in arms:
                 seconds, result = time_campaign(
-                    model, reliability, stable, kwargs
+                    model, reliability, stable, kwargs, backend=backend
                 )
                 if seconds < runs[label][0]:
                     runs[label] = (seconds, result)
@@ -270,7 +315,8 @@ def _classic_cases(payload, table):
         batched_s = min(runs["incremental"][0], runs["parallel"][0])
         identical = all(
             rows_identical(runs["naive"][1], runs[label][1])
-            for label in ("incremental", "parallel")
+            for label in runs
+            if label != "naive"
         )
         assert identical, f"{case}: strategies disagree on FMEA rows"
         stats = runs["incremental"][1].stats
@@ -287,6 +333,11 @@ def _classic_cases(payload, table):
             "rows_identical": identical,
             "incremental_stats": stats.as_dict(),
         }
+        if "sparse" in runs:
+            entry["sparse_s"] = round(runs["sparse"][0], 6)
+            entry["direct_speedup"] = round(
+                runs["sparse"][0] / runs["incremental"][0], 3
+            )
         payload["cases"][case] = entry
         if LEDGER_PATH:
             _ledger_record(
@@ -306,6 +357,10 @@ def _classic_cases(payload, table):
                 "Incr(s)": f"{runs['incremental'][0]:.3f}",
                 "Par(s)": f"{runs['parallel'][0]:.3f}",
                 "Speedup": f"{naive_s / batched_s:.2f}x",
+                "Sparse(s)": (
+                    f"{runs['sparse'][0]:.3f}" if "sparse" in runs else "-"
+                ),
+                "Direct": stats.direct_solves,
                 "SMW": stats.smw_solves,
                 "Rebuilds": stats.full_rebuilds,
             }
@@ -313,18 +368,19 @@ def _classic_cases(payload, table):
 
 
 def _grid_case(payload):
-    """Time the distribution grid with the backend pinned dense vs sparse
-    (incremental, serial) plus a naive reference, over a seeded injection
-    sample; all three must agree row for row."""
+    """Time the distribution grid with the backend pinned dense (direct)
+    vs sparse (incremental, serial) plus a naive reference, over a seeded
+    injection sample; all three must agree row for row."""
     model = build_power_grid_simulink(
         feeders=GRID_FEEDERS, sections_per_feeder=GRID_SECTIONS
     )
     reliability = power_network_reliability()
     stable = power_grid_injection_sample(model, k=GRID_SAMPLE_K, seed=0)
     runs = {}
-    for label, kwargs in GRID_BACKENDS:
+    for label, backend, kwargs in GRID_BACKENDS:
         seconds, result = time_campaign(
-            model, reliability, stable, kwargs, repeats=GRID_REPEATS
+            model, reliability, stable, kwargs,
+            repeats=GRID_REPEATS, backend=backend,
         )
         runs[label] = (seconds, result)
     identical = all(
@@ -356,7 +412,7 @@ def _grid_case(payload):
         )
     report_table(
         "BENCH injection grid",
-        "dense vs sparse solver backend on the distribution grid",
+        "dense (direct) vs sparse (SMW) solve rule on the distribution grid",
         format_rows(
             [
                 {
@@ -478,6 +534,10 @@ def test_bench_injection():
             and fanout["workers"] > 1
             and fanout["parallel_speedup"] > 1.0
             and all(
+                payload["cases"][case]["direct_speedup"] > 1.0
+                for case in DIRECT_CASES
+            )
+            and all(
                 entry["incremental_speedup"] >= 1.0
                 and entry["parallel_speedup"] >= 1.0
                 for entry in classic.values()
@@ -513,6 +573,12 @@ def test_bench_injection():
             f">= {SPARSE_SPEEDUP_TARGET}x on the grid, "
             f"got {grid['sparse_speedup']}x"
         )
+        for case in DIRECT_CASES:
+            direct = payload["cases"][case]["direct_speedup"]
+            assert direct > 1.0, (
+                f"{case}: the direct dense solve must beat pinned sparse, "
+                f"got {direct}x"
+            )
         assert fanout["workers"] > 1, (
             "the grid fan-out sample must clear the fan-out crossover"
         )

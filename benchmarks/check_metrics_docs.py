@@ -64,11 +64,7 @@ def _expand_dynamic(template: str) -> set:
         return {f"campaign_{name}" for name in fields}
     if template == "mna_{backend}_factorizations":
         backends = _tuple_literal(SRC / "circuit" / "backends.py", "BACKENDS")
-        return {
-            f"mna_{backend}_factorizations"
-            for backend in backends
-            if backend != "auto"
-        }
+        return {f"mna_{backend}_factorizations" for backend in backends}
     raise SystemExit(
         f"check_metrics_docs: unknown dynamic metric name {template!r} — "
         f"add an expansion rule to benchmarks/check_metrics_docs.py"

@@ -32,9 +32,7 @@ from repro.circuit.backends import (
     SPARSE_AUTO_MIN_SIZE,
     FactorizationCache,
     FactorizationError,
-    default_backend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.circuit.mna import (
     CompiledSystem,
@@ -68,9 +66,7 @@ __all__ = [
     "SPARSE_AUTO_MIN_SIZE",
     "FactorizationCache",
     "FactorizationError",
-    "default_backend",
     "resolve_backend",
-    "set_default_backend",
     "TransientResult",
     "transient",
     "ACSolution",

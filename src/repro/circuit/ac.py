@@ -74,7 +74,6 @@ def ac_analysis(
     ac_sources: Optional[Dict[str, float]] = None,
     operating_point: Optional[DCSolution] = None,
     gmin: float = 1e-12,
-    backend: Optional[str] = None,
     _cache: Optional[_backends.FactorizationCache] = None,
 ) -> ACSolution:
     """Small-signal solution at ``frequency`` (Hz).
@@ -83,9 +82,10 @@ def ac_analysis(
     first voltage source at 1 V, everything else 0 — i.e. a standard
     single-input transfer-function setup).
 
-    ``backend`` picks the linear-solver engine (``None``: process default);
-    ``_cache`` is a :class:`~repro.circuit.backends.FactorizationCache`
-    keyed by frequency — :func:`frequency_response` shares one across a
+    The system's size picks the linear-solver backend
+    (:func:`~repro.circuit.backends.resolve_backend`).  ``_cache`` is a
+    :class:`~repro.circuit.backends.FactorizationCache` keyed by
+    frequency — :func:`frequency_response` shares one across a
     sweep so revisited frequencies skip the factorization entirely.
     """
     if frequency < 0:
@@ -195,7 +195,7 @@ def ac_analysis(
                 f"unsupported element type {type(element).__name__}"
             )
 
-    resolved = _backends.resolve_backend(backend, size)
+    resolved = _backends.resolve_backend(size)
     try:
         if _cache is not None:
             solution = _cache.solve(frequency, lambda: matrix, rhs, resolved)
@@ -221,7 +221,6 @@ def frequency_response(
     node: str,
     frequencies: List[float],
     ac_sources: Optional[Dict[str, float]] = None,
-    backend: Optional[str] = None,
 ) -> List[complex]:
     """The transfer ``V(node)`` over a frequency list (shared DC solve +
     shared factorization cache: repeated frequencies solve without
@@ -232,8 +231,7 @@ def frequency_response(
     cache = _backends.FactorizationCache(maxsize=8)
     return [
         ac_analysis(
-            netlist, f, ac_sources, operating_point,
-            backend=backend, _cache=cache,
+            netlist, f, ac_sources, operating_point, _cache=cache
         ).voltage(node)
         for f in frequencies
     ]

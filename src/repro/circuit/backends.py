@@ -16,12 +16,11 @@ vector or a column block), so :class:`repro.circuit.mna.CompiledSystem`,
 :func:`repro.circuit.transient.transient` and
 :func:`repro.circuit.ac.ac_analysis` can share one code path.
 
-Selection is explicit (``backend="dense"`` / ``"sparse"``) or automatic
-(``"auto"``: sparse at or above :data:`SPARSE_AUTO_MIN_SIZE` unknowns,
-dense below — the measured crossover where SuperLU's setup cost is repaid
-by O(nnz) solves).  The process-wide default is ``"auto"``, overridable via
-:func:`set_default_backend` or the ``REPRO_SOLVER_BACKEND`` environment
-variable (the ``--solver-backend`` CLI flag sets the former).
+The system's size alone picks the backend (:func:`resolve_backend`):
+sparse at or above :data:`SPARSE_AUTO_MIN_SIZE` unknowns, dense below —
+the measured crossover where SuperLU's setup cost is repaid by O(nnz)
+solves.  There is no option to override it; tests pin a backend by
+patching the threshold.
 
 Observability: every factorization increments ``mna_dense_factorizations``
 or ``mna_sparse_factorizations``; batched multi-RHS solves add their column
@@ -32,9 +31,8 @@ All counters are no-ops while ``repro.obs`` is disabled.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs as _get_lapack_funcs
@@ -57,64 +55,26 @@ __all__ = [
     "triplets_to_dense",
     "triplets_to_csc",
     "resolve_backend",
-    "default_backend",
-    "set_default_backend",
 ]
 
-#: Recognised backend names (``auto`` resolves to one of the others).
-BACKENDS = ("auto", "dense", "sparse")
+#: The concrete backends :func:`resolve_backend` picks between.
+BACKENDS = ("dense", "sparse")
 
-#: ``auto`` switches from dense LAPACK to sparse SuperLU at this many MNA
+#: Systems switch from dense LAPACK to sparse SuperLU at this many MNA
 #: unknowns.  Calibration (see docs/performance.md): below ~200 unknowns a
 #: dense ``getrf`` beats SuperLU's symbolic analysis + permutation setup;
 #: above it the O(nnz) triangular solves win by a growing margin (≈19x
 #: factorization / ≈8x campaign wall on a 2.4k-unknown generated grid).
 SPARSE_AUTO_MIN_SIZE = 192
 
-#: Environment override for the process-wide default backend.
-_ENV_VAR = "REPRO_SOLVER_BACKEND"
-
-_DEFAULT_BACKEND: Optional[str] = None  # None: env var, else "auto"
-
 
 class FactorizationError(CircuitError):
     """The matrix could not be factorized (singular or non-finite)."""
 
 
-def _check_backend(name: str) -> str:
-    if name not in BACKENDS:
-        raise CircuitError(
-            f"unknown solver backend {name!r} (choose from {BACKENDS})"
-        )
-    return name
-
-
-def default_backend() -> str:
-    """The process-wide default backend spec (``auto`` unless overridden)."""
-    if _DEFAULT_BACKEND is not None:
-        return _DEFAULT_BACKEND
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env:
-        return _check_backend(env)
-    return "auto"
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Override the process-wide default backend (``None``: back to env/auto)."""
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = None if name is None else _check_backend(name)
-
-
-def resolve_backend(spec: Optional[str], size: int) -> str:
-    """Concrete backend (``dense``/``sparse``) for a system of ``size``.
-
-    ``spec`` may be ``None`` (use the process default), ``"auto"``, or an
-    explicit backend name.
-    """
-    name = default_backend() if spec is None else _check_backend(spec)
-    if name == "auto":
-        return "sparse" if size >= SPARSE_AUTO_MIN_SIZE else "dense"
-    return name
+def resolve_backend(size: int) -> str:
+    """The backend (``dense``/``sparse``) for a system of ``size`` unknowns."""
+    return "sparse" if size >= SPARSE_AUTO_MIN_SIZE else "dense"
 
 
 # -- factorizations ----------------------------------------------------------

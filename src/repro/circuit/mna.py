@@ -13,22 +13,24 @@ Two performance layers sit on top of the plain solver:
 - :class:`_System` caches the *constant* part of the assembly (all linear
   stamps plus the independent-source RHS), so Newton iteration only
   re-stamps the diode companion models on a copy of the cached matrix;
-- :class:`CompiledSystem` additionally caches the LU factorization of the
-  constant matrix and solves single-element replacements (the fault
-  injection workload) through low-rank Sherman–Morrison–Woodbury updates of
-  that factorization, with an exact fallback to full re-assembly whenever a
-  replacement changes the system topology (new or removed branch unknowns,
-  orphaned nodes) or the update turns out numerically unstable.
+- :class:`CompiledSystem` solves single-element replacements (the fault
+  injection workload) without rebuilding the netlist.  The system's size
+  picks one rule (:func:`repro.circuit.backends.resolve_backend`): a dense
+  system delta-stamps a copy of the cached constant matrix and solves it
+  directly; a sparse system applies low-rank Sherman–Morrison–Woodbury
+  updates to the cached SuperLU factorization.  Both fall back to exact
+  full re-assembly whenever a replacement changes the system topology (new
+  or removed branch unknowns, orphaned nodes) or the solve turns out
+  numerically unstable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor as _lu_factor
 
 from repro import obs
 from repro.circuit import backends as _backends
@@ -64,21 +66,13 @@ _SMW_RESIDUAL_TOL = 1e-8
 
 #: Iterative-refinement passes after a Woodbury solve.  Large companion
 #: conductances mid-Newton cancel digits in the low-rank correction; each
-#: pass costs O(n²) and recovers them.
+#: pass costs one triangular solve and recovers them.
 _MAX_SMW_REFINEMENTS = 3
 
 #: The dual of gmin: an *open* branch element (inductor) keeps its row but
 #: its series resistance grows to this, forcing the branch current to the
 #: same ~1e-12-conductance floor gmin imposes on floating nodes.
 _OPEN_RESISTANCE = 1e12
-
-#: At or below this many unknowns a dense-backend fault solve skips the
-#: Woodbury machinery entirely: delta-stamping a copy of the cached constant
-#: matrix and calling LAPACK directly beats the Python-side low-rank
-#: bookkeeping (capacitance system, residual checks, refinement passes),
-#: which is why BENCH_injection.json used to show incremental at 0.4x of
-#: naive on the small case studies.
-_DIRECT_MAX_SIZE = 48
 
 
 def _is_ground(node: str) -> bool:
@@ -377,16 +371,14 @@ def _assemble_sparse(
 def dc_operating_point(
     netlist: Netlist,
     gmin: float = _DEFAULT_GMIN,
-    backend: Optional[str] = None,
     _retries_left: int = _MAX_GMIN_RETRIES,
 ) -> DCSolution:
     """Solve the DC operating point of ``netlist``.
 
-    ``backend`` picks the linear-solver engine (see
-    :mod:`repro.circuit.backends`): ``None`` uses the process default
-    (``auto``: dense LAPACK below
+    The system's size picks the linear-solver engine (see
+    :mod:`repro.circuit.backends`): dense LAPACK below
     :data:`~repro.circuit.backends.SPARSE_AUTO_MIN_SIZE` unknowns, sparse
-    SuperLU at or above it).
+    SuperLU at or above it.
 
     Raises :class:`CircuitError` if Newton iteration fails to converge or the
     system matrix is singular even after retrying with a stronger ``gmin``
@@ -399,7 +391,7 @@ def dc_operating_point(
     system = _System(netlist, gmin)
     if system.size == 0:
         raise CircuitError("netlist has no unknowns (everything grounded?)")
-    resolved = _backends.resolve_backend(backend, system.size)
+    resolved = _backends.resolve_backend(system.size)
 
     diode_voltages: Dict[str, float] = {d.name: 0.6 for d in system.diodes}
     solution = np.zeros(system.size)
@@ -425,7 +417,7 @@ def dc_operating_point(
                 stronger = max(gmin * 1e3, 1e-9)
                 if _retries_left > 0 and stronger > gmin:
                     return dc_operating_point(
-                        netlist, gmin=stronger, backend=backend,
+                        netlist, gmin=stronger,
                         _retries_left=_retries_left - 1,
                     )
                 raise CircuitError(
@@ -458,7 +450,7 @@ def dc_operating_point(
 
 
 # ---------------------------------------------------------------------------
-# Compiled systems: factorization reuse + low-rank fault updates
+# Compiled systems: direct delta-stamp and low-rank fault solves
 # ---------------------------------------------------------------------------
 
 
@@ -472,7 +464,7 @@ class SolveStats:
     smw_solves: int = 0  # solutions via Sherman–Morrison–Woodbury updates
     full_rebuilds: int = 0  # fault solves that fell back to full assembly
     baseline_reuses: int = 0  # faults electrically identical to the baseline
-    direct_solves: int = 0  # small-system faults solved by direct delta-stamp
+    direct_solves: int = 0  # dense-system solves by direct delta-stamp
     batched_columns: int = 0  # RHS columns solved through multi-RHS blocks
 
     def merge(self, other: "SolveStats") -> None:
@@ -578,13 +570,20 @@ def _static_conductance(element: Element) -> Optional[float]:
 class CompiledSystem:
     """A netlist compiled for repeated solves under single-element faults.
 
-    The constant MNA matrix is assembled and LU-factored once.  The healthy
-    operating point and any fault expressible as a same-node element
-    replacement (shorts, resistive degradations, parameter drifts, opens
-    that leave no node orphaned) are then solved through low-rank
-    Sherman–Morrison–Woodbury updates of that factorization — O(n²) per
-    solve instead of O(n³) — with diode companion models folded into the
-    update as additional rank-one terms per Newton iteration.
+    The constant MNA matrix is assembled once.  The healthy operating point
+    and any fault expressible as a same-node element replacement (shorts,
+    resistive degradations, parameter drifts, opens that leave no node
+    orphaned) are then solved without rebuilding the netlist, by the one
+    rule the system's size picks (``backend``):
+
+    - ``dense`` (below :data:`~repro.circuit.backends.SPARSE_AUTO_MIN_SIZE`
+      unknowns): the fault's deltas are stamped onto a copy of the cached
+      matrix and LAPACK solves it directly, Newton warm-started from the
+      baseline diode biases;
+    - ``sparse``: the constant matrix is factored once with SuperLU and
+      each fault is a low-rank Sherman–Morrison–Woodbury update of that
+      factorization, with diode companion models folded into the update as
+      additional rank-one terms per Newton iteration.
 
     Whenever a fault changes the system topology (removing or retyping a
     branch element, orphaning a node) or an updated solve fails its residual
@@ -597,7 +596,6 @@ class CompiledSystem:
         self,
         netlist: Netlist,
         gmin: float = _DEFAULT_GMIN,
-        backend: Optional[str] = None,
     ) -> None:
         if len(netlist) == 0:
             raise CircuitError("cannot solve an empty netlist")
@@ -607,10 +605,8 @@ class CompiledSystem:
         if self._system.size == 0:
             raise CircuitError("netlist has no unknowns (everything grounded?)")
         #: Concrete solver backend ('dense' | 'sparse') for this system.
-        self.backend = _backends.resolve_backend(backend, self._system.size)
+        self.backend = _backends.resolve_backend(self._system.size)
         self.stats = SolveStats()
-        self._lu = None
-        self._dense_solve = None
         self._sparse_factor: Optional[_backends.Factorization] = None
         self._lu_failed = False
         self._baseline: Optional[DCSolution] = None
@@ -643,21 +639,13 @@ class CompiledSystem:
         if self._baseline is None:
             plan = _UpdatePlan(diodes=tuple(self._system.diodes))
             try:
-                if (
-                    self.backend == "dense"
-                    and self._system.size <= _DIRECT_MAX_SIZE
-                ):
-                    # Small systems: Newton on the delta-stamped constant
-                    # matrix directly — the SMW bookkeeping (and even the
-                    # LU factorization) is pure overhead at this size.
+                if self.backend == "dense":
                     self._baseline = self._solve_direct(plan)
                 else:
                     self._baseline = self._solve_incremental(plan)
             except _SmwFallback:
                 self.stats.full_rebuilds += 1
-                self._baseline = dc_operating_point(
-                    self.netlist, self.gmin, backend=self.backend
-                )
+                self._baseline = dc_operating_point(self.netlist, self.gmin)
                 self.stats.solves += 1
         return self._baseline
 
@@ -666,7 +654,7 @@ class CompiledSystem:
     ) -> DCSolution:
         """Operating point with element ``name`` replaced (``None``: removed).
 
-        Solves through the cached factorization when the replacement only
+        Solves against the cached assembly when the replacement only
         re-weights existing stamps; falls back to exact full re-assembly for
         topology-changing faults.
         """
@@ -677,10 +665,7 @@ class CompiledSystem:
                 self.stats.baseline_reuses += 1
                 return solution
             try:
-                if (
-                    self.backend == "dense"
-                    and self._system.size <= _DIRECT_MAX_SIZE
-                ):
+                if self.backend == "dense":
                     return self._solve_direct(plan)
                 return self._solve_incremental(plan)
             except _SmwFallback:
@@ -691,7 +676,7 @@ class CompiledSystem:
                 fault = self.netlist.without(name)
             else:
                 fault = self.netlist.with_replacement(name, replacement)
-            solution = dc_operating_point(fault, self.gmin, backend=self.backend)
+            solution = dc_operating_point(fault, self.gmin)
         self.stats.solves += 1
         return solution
 
@@ -839,32 +824,7 @@ class CompiledSystem:
             removed=name if replacement is None else None,
         )
 
-    # -- the incremental solver -------------------------------------------
-
-    def _ensure_lu(self):
-        if self._lu_failed:
-            raise _SmwFallback
-        if self._lu is None:
-            matrix, _ = self._system.assemble_constant()
-            with obs.span(
-                "mna.factorize",
-                size=self._system.size,
-                **{"solver.backend": "dense"},
-            ):
-                try:
-                    with np.errstate(all="ignore"):
-                        self._lu = _lu_factor(matrix, check_finite=False)
-                except (np.linalg.LinAlgError, ValueError) as exc:
-                    # LinAlgError: singular constant matrix; ValueError:
-                    # non-finite entries rejected by the factorizer.  Both
-                    # mean "this system has no reusable LU" — latch and let
-                    # every solve take the dense path.  Anything else is a
-                    # programming error and must propagate.
-                    self._factorization_failed(exc)
-                    raise _SmwFallback from None
-                if obs.enabled():
-                    obs.counter("mna_dense_factorizations").inc()
-        return self._lu
+    # -- the sparse Woodbury solver ---------------------------------------
 
     def _factorization_failed(self, exc: BaseException) -> None:
         """Latch the no-reusable-factorization state and count it."""
@@ -879,7 +839,11 @@ class CompiledSystem:
                 pass
 
     def _ensure_sparse(self) -> _backends.Factorization:
-        """The cached SuperLU factorization of the constant CSC matrix."""
+        """The cached SuperLU factorization of the constant CSC matrix.
+
+        A singular or non-finite constant matrix latches: every later solve
+        falls back to full assembly without re-trying the factorization.
+        """
         if self._lu_failed:
             raise _SmwFallback
         if self._sparse_factor is None:
@@ -896,28 +860,14 @@ class CompiledSystem:
                     raise _SmwFallback from None
         return self._sparse_factor
 
-    def _ensure_factorized(self) -> None:
-        """Factorize the constant matrix with this system's backend."""
-        if self.backend == "sparse":
-            self._ensure_sparse()
-        else:
-            self._ensure_lu()
-
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A0⁻¹ rhs`` through the cached factorization.
 
         ``rhs`` may be a vector or a 2-D column block — the multi-RHS form:
         one factorization, all columns solved in a single backend call.
         """
-        if self.backend == "sparse":
-            try:
-                return self._ensure_sparse().solve(rhs)
-            except _backends.FactorizationError:
-                raise _SmwFallback from None
-        if self._dense_solve is None:
-            self._dense_solve = _backends.getrs_solver(*self._ensure_lu())
         try:
-            return self._dense_solve(rhs)
+            return self._ensure_sparse().solve(rhs)
         except _backends.FactorizationError:
             raise _SmwFallback from None
 
@@ -926,21 +876,6 @@ class CompiledSystem:
         i = self._system._idx(n_pos)
         j = self._system._idx(n_neg)
         return (-1 if i is None else i, -1 if j is None else j)
-
-    def _unit_vector(self, pair: Tuple[int, int]) -> np.ndarray:
-        u = np.zeros(self._system.size)
-        if pair[0] >= 0:
-            u[pair[0]] += 1.0
-        if pair[1] >= 0:
-            u[pair[1]] -= 1.0
-        return u
-
-    def _solved_column(self, pair: Tuple[int, int]) -> np.ndarray:
-        """Cached A0^{-1} u for an update direction."""
-        column = self._column_cache.get(pair)
-        if column is None:
-            column = self._solved_columns([pair])[0]
-        return column
 
     def _solved_columns(
         self, pairs: List[Tuple[int, int]]
@@ -983,7 +918,7 @@ class CompiledSystem:
         rhs: np.ndarray,
         y: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Solve (A0 + sum g_k u_k u_k^T) x = rhs against the cached LU.
+        """Solve (A0 + sum g_k u_k u_k^T) x = rhs against the cached factors.
 
         ``y`` short-circuits the base solve when the caller already knows
         ``A0^{-1} rhs`` (the Newton loop derives it from cached columns).
@@ -1067,7 +1002,7 @@ class CompiledSystem:
             sp.set(iterations=solution.iterations)
             return solution
 
-    # -- the direct small-system solver -----------------------------------
+    # -- the direct dense-system solver -----------------------------------
 
     def _solve_direct(self, plan: _UpdatePlan) -> DCSolution:
         if not obs.enabled():
@@ -1085,11 +1020,10 @@ class CompiledSystem:
     def _solve_direct_impl(self, plan: _UpdatePlan) -> DCSolution:
         """Delta-stamp the cached constant matrix and solve densely.
 
-        For systems of at most :data:`_DIRECT_MAX_SIZE` unknowns the
-        Woodbury bookkeeping (capacitance system, residual check,
-        refinement passes) costs more Python time than one tiny LAPACK
-        solve per Newton iteration.  The plan's deltas are applied to a
-        copy of the cached assembly — so the per-fault cost is a small
+        Below the sparse threshold the Woodbury bookkeeping (capacitance
+        system, residual check, refinement passes) costs more than one
+        LAPACK solve per Newton iteration.  The plan's deltas are applied
+        to a copy of the cached assembly — so the per-fault cost is a small
         matrix copy plus ``np.linalg.solve``, with no netlist rebuild and
         a warm-started Newton iteration — while exactness still comes from
         solving the fully-assembled faulty system.
@@ -1166,14 +1100,11 @@ class CompiledSystem:
 
     def _solve_incremental_impl(self, plan: _UpdatePlan) -> DCSolution:
         system = self._system
-        self._ensure_factorized()
+        self._ensure_sparse()
         base_rhs = system.constant_rhs()
-        if self.backend == "sparse":
-            # Residual checks only need `A0 @ v`; the CSC form keeps large
-            # systems from ever materialising the dense constant matrix.
-            base_matrix = system.assemble_constant_csc()
-        else:
-            base_matrix, _ = system.assemble_constant()
+        # Residual checks only need `A0 @ v`; the CSC form keeps large
+        # systems from ever materialising the dense constant matrix.
+        base_matrix = system.assemble_constant_csc()
 
         rhs_static = base_rhs.copy()
         for n_from, n_to, delta_i in plan.rhs_current:
@@ -1279,13 +1210,13 @@ class CompiledSystem:
 
     def _residual(
         self,
-        base_matrix: np.ndarray,
+        base_matrix,
         pairs: List[Tuple[int, int]],
         gains: List[float],
         vector: np.ndarray,
         rhs: np.ndarray,
     ) -> np.ndarray:
-        """rhs - (A0 + sum g_k u_k u_k^T) @ vector, in O(n²)."""
+        """rhs - (A0 + sum g_k u_k u_k^T) @ vector (``A0`` in CSC form)."""
         residual = rhs - base_matrix @ vector
         for pair, gain in zip(pairs, gains):
             projected = 0.0
@@ -1302,7 +1233,7 @@ class CompiledSystem:
 
     def _refined_solve(
         self,
-        base_matrix: np.ndarray,
+        base_matrix,
         pairs: List[Tuple[int, int]],
         gains: List[float],
         rhs: np.ndarray,
@@ -1313,9 +1244,9 @@ class CompiledSystem:
         Large update gains (a diode companion mid-Newton can reach ~1e8)
         make the raw low-rank correction cancel up to ~11 digits.  Each
         refinement pass re-solves for the residual through the same cached
-        factorization — O(n²) — and shrinks the error by the same
-        cancellation factor, so a couple of passes restore near-machine
-        accuracy without ever re-factorizing.  If the error still exceeds
+        factorization and shrinks the error by the same cancellation
+        factor, so a couple of passes restore near-machine accuracy
+        without ever re-factorizing.  If the error still exceeds
         ``_SMW_RESIDUAL_TOL`` after refinement, the update direction is
         numerically hostile and the solve falls back to full assembly.
         """

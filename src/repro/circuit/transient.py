@@ -75,7 +75,6 @@ def transient(
     dt: float,
     sources: Optional[Dict[str, Callable[[float], float]]] = None,
     gmin: float = 1e-12,
-    backend: Optional[str] = None,
 ) -> TransientResult:
     """Integrate the netlist from 0 to ``t_stop`` with fixed step ``dt``.
 
@@ -83,12 +82,13 @@ def transient(
     unlisted sources keep their DC value.  Initial conditions are zero state
     (capacitors discharged, inductors currentless).
 
-    ``backend`` picks the linear-solver engine (``None``: the process
-    default, ``auto``).  The step matrix depends only on the diode bias
-    vector — the C/L companion conductances are fixed for a fixed ``dt`` —
-    so factorizations are cached per bias vector and a circuit without
-    diodes (or one that has settled) factorizes **once** for the whole run
-    instead of re-solving an identical matrix from scratch every step.
+    The system's size picks the linear-solver backend
+    (:func:`~repro.circuit.backends.resolve_backend`).  The step matrix
+    depends only on the diode bias vector — the C/L companion conductances
+    are fixed for a fixed ``dt`` — so factorizations are cached per bias
+    vector and a circuit without diodes (or one that has settled)
+    factorizes **once** for the whole run instead of re-solving an
+    identical matrix from scratch every step.
     """
     if dt <= 0 or t_stop <= 0:
         raise CircuitError("t_stop and dt must be positive")
@@ -98,7 +98,7 @@ def transient(
     system = _System(netlist, gmin)
     capacitors = [e for e in netlist.elements() if isinstance(e, Capacitor)]
     inductors = [e for e in netlist.elements() if isinstance(e, Inductor)]
-    resolved = _backends.resolve_backend(backend, system.size)
+    resolved = _backends.resolve_backend(system.size)
 
     cap_voltage = {c.name: 0.0 for c in capacitors}
     ind_current = {l.name: 0.0 for l in inductors}

@@ -713,14 +713,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         "unknowns clear the measured crossover",
     )
     parser.add_argument(
-        "--solver-backend",
-        choices=["auto", "dense", "sparse"],
-        default=None,
-        help="MNA linear-solver backend for the campaign: 'dense' LAPACK "
-        "LU, 'sparse' CSC/SuperLU, or 'auto' to pick by system size "
-        "(default: the process-wide default backend)",
-    )
-    parser.add_argument(
         "--checkpoint",
         metavar="PATH",
         help="persist completed job outcomes to this JSONL file",
@@ -749,7 +741,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
 def _campaign_kwargs(args: argparse.Namespace) -> dict:
     return {
         "workers": getattr(args, "workers", 1),
-        "solver_backend": getattr(args, "solver_backend", None),
         "max_retries": getattr(args, "max_retries", 2),
         "job_timeout": getattr(args, "job_timeout", None),
         "checkpoint": getattr(args, "checkpoint", None),

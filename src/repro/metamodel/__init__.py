@@ -11,9 +11,6 @@ federation machinery described in the paper:
 - :class:`ModelResource` — whole-model persistence (JSON) that *eagerly* loads
   every element, reproducing EMF's load-everything behaviour that the paper's
   scalability experiment (Table VI) hinges on;
-- :class:`LazyModelResource` — the scalable counterpart: same format, but
-  elements are resolved on reference with loaded-element accounting, so a
-  long-lived service can hold models far past the eager budget;
 - :mod:`repro.metamodel.validation` — machine-executable constraints.
 """
 
@@ -32,7 +29,6 @@ from repro.metamodel.serialization import (
     ModelResource,
     estimate_element_bytes,
 )
-from repro.metamodel.lazy import LazyElement, LazyModelResource
 from repro.metamodel.validation import (
     Constraint,
     Diagnostic,
@@ -57,8 +53,6 @@ __all__ = [
     "PackageRegistry",
     "global_registry",
     "ModelResource",
-    "LazyElement",
-    "LazyModelResource",
     "MemoryOverflowError",
     "estimate_element_bytes",
     "Constraint",

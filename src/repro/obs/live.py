@@ -8,9 +8,8 @@ service (ROADMAP item 1).  Three endpoints:
   rendered live as Prometheus text exposition (the same bytes
   ``obs.prometheus_text()`` produces post-run; histogram reads are atomic,
   so a mid-campaign scrape still satisfies ``parse_prometheus_text``);
-- ``GET /healthz`` — JSON liveness: process uptime, observability flags,
-  solver backend, and the event bus's campaign summary
-  (jobs done/total + ETA);
+- ``GET /healthz`` — JSON liveness: process uptime, observability flags
+  and the event bus's campaign summary (jobs done/total + ETA);
 - ``GET /events`` — Server-Sent Events stream of the
   :class:`~repro.obs.events.EventBus`.  ``?since=SEQ`` (or the standard
   ``Last-Event-ID`` request header an ``EventSource`` sends on reconnect;
@@ -39,14 +38,6 @@ __all__ = ["LiveTelemetryServer"]
 
 #: Seconds between SSE keepalive comments while no events arrive.
 _KEEPALIVE_SECONDS = 5.0
-
-
-def _backend_status() -> Dict[str, object]:
-    try:
-        from repro.circuit.backends import BACKENDS, default_backend
-        return {"default": default_backend(), "available": list(BACKENDS)}
-    except Exception:  # noqa: BLE001
-        return {}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -102,7 +93,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "tracing": obs.enabled(),
                 "events": obs.events_enabled(),
             },
-            "solver_backend": _backend_status(),
             "events": obs.event_bus().status(),
         }
         payload.update(telemetry.healthz_extra())

@@ -7,10 +7,11 @@ This module turns that loop into a campaign:
 1. the model is flattened and the healthy baseline solved **once**;
 2. every injection is enumerated up front as an :class:`InjectionJob`;
 3. jobs execute against a single :class:`~repro.circuit.CompiledSystem`
-   (cached LU factorization + Sherman–Morrison–Woodbury low-rank updates,
-   with exact full-assembly fallback), serially or — past a measured
-   crossover — fanned out over a process pool, with deterministic row
-   ordering;
+   (delta-stamped direct solves for dense systems,
+   Sherman–Morrison–Woodbury updates of one cached SuperLU factorization
+   for sparse ones, with exact full-assembly fallback), serially or — past
+   a measured crossover — fanned out over a process pool, with
+   deterministic row ordering;
 4. rows are classified in enumeration order, so the resulting
    :class:`~repro.safety.fmea.FmeaResult` is row-for-row identical to the
    historical per-mode re-solve, whatever the execution path.
@@ -36,12 +37,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
 from repro.circuit import (
-    BACKENDS,
     CircuitError,
     CompiledSystem,
     SolveStats,
-    default_backend,
-    set_default_backend,
+    resolve_backend,
     system_size,
 )
 from repro.circuit.netlist import Netlist
@@ -109,7 +108,7 @@ class CampaignStats:
     requested_workers: int = 1  # the caller's worker cap
     mode: str = "incremental"  # 'incremental' | 'naive'
     analysis: str = "dc"
-    solver_backend: str = "auto"  # requested backend spec ('auto' if unset)
+    solver_backend: str = "dense"  # 'dense' | 'sparse', from the system size
     wall_time: float = 0.0  # whole campaign, seconds
     baseline_time: float = 0.0  # healthy solve, seconds
     solves: int = 0
@@ -118,7 +117,7 @@ class CampaignStats:
     smw_solves: int = 0
     full_rebuilds: int = 0
     baseline_reuses: int = 0
-    direct_solves: int = 0  # small-system dense-direct fault solves
+    direct_solves: int = 0  # dense-system direct delta-stamp solves
     batched_columns: int = 0  # SMW columns solved as multi-RHS blocks
     parallel_fallback: bool = False  # pool unavailable; ran serially
     retries: int = 0  # transient-failure retries (job- and chunk-level)
@@ -360,16 +359,14 @@ def _attempt_job(
             return ("failed", failure.to_dict()), attempt, 0
 
 
-def _primed_system(
-    netlist: Netlist, backend: Optional[str] = None
-) -> CompiledSystem:
+def _primed_system(netlist: Netlist) -> CompiledSystem:
     """A compiled system with its baseline already solved.
 
     Priming up front lets every fault solve warm-start its Newton iteration
     from the healthy diode biases and reuse the baseline for no-op faults
     (e.g. a capacitor failing open at DC).
     """
-    compiled = CompiledSystem(netlist, backend=backend)
+    compiled = CompiledSystem(netlist)
     try:
         compiled.solve()
     except CircuitError:
@@ -379,8 +376,9 @@ def _primed_system(
 
 # -- process-pool plumbing ---------------------------------------------------
 # Workers receive the conversion once (initializer) and then process chunks
-# of jobs, each against its own CompiledSystem, so factorization reuse
-# happens inside every worker too.
+# of jobs, each against its own primed CompiledSystem, so the cached
+# assembly (and, for sparse systems, factorization) is reused inside every
+# worker too.
 
 _WORKER_STATE: Dict[str, object] = {}
 
@@ -394,7 +392,6 @@ def _campaign_worker_init(
     trace_enabled: bool = False,
     policy: RetryPolicy = RetryPolicy(),
     job_timeout: Optional[float] = None,
-    solver_backend: Optional[str] = None,
     events_enabled: bool = False,
     correlation_id: Optional[str] = None,
 ) -> None:
@@ -413,11 +410,6 @@ def _campaign_worker_init(
     # process-global default — every worker-side event and span carries it
     # home through the drain/ingest delta path.
     obs.set_correlation_id(correlation_id)
-    if solver_backend is not None:
-        # Campaign-wide backend: the naive/transient paths solve through
-        # module-level functions that read the process default, and this
-        # worker process exists only to serve this campaign.
-        set_default_backend(solver_backend)
     _WORKER_STATE["conversion"] = conversion
     _WORKER_STATE["analysis"] = analysis
     _WORKER_STATE["t_stop"] = t_stop
@@ -426,7 +418,7 @@ def _campaign_worker_init(
     _WORKER_STATE["job_timeout"] = job_timeout
     compiled = None
     if incremental and analysis == "dc":
-        compiled = _primed_system(conversion.netlist, backend=solver_backend)
+        compiled = _primed_system(conversion.netlist)
     _WORKER_STATE["compiled"] = compiled
 
 
@@ -499,10 +491,11 @@ class FaultInjectionCampaign:
     Parameters match :func:`~repro.safety.fmea.run_simulink_fmea` plus:
 
     incremental:
-        solve DC injections through a shared compiled system (cached LU +
-        low-rank updates) instead of per-mode full re-assembly.  Results
-        are identical either way — topology-changing faults transparently
-        fall back to full assembly;
+        solve DC injections through a shared compiled system
+        (delta-stamped direct solves, or low-rank updates of a cached
+        sparse factorization, picked by the system's size) instead of
+        per-mode full re-assembly.  Results are identical either way —
+        topology-changing faults transparently fall back to full assembly;
     workers:
         cap on worker processes (default 1: serial).  With ``N > 1`` a
         run fans its pending jobs out over a fresh process pool of up to
@@ -513,11 +506,6 @@ class FaultInjectionCampaign:
         order) regardless of completion order.  When a pool cannot be
         created (restricted environments) the campaign degrades to
         serial execution and flags ``stats.parallel_fallback``;
-    solver_backend:
-        linear-solver engine for every MNA solve in the campaign
-        (baseline, incremental fault solves, workers): ``"dense"``
-        (LAPACK LU), ``"sparse"`` (CSC + SuperLU) or ``"auto"``
-        (size-based pick).  ``None`` defers to the process default;
     max_retries:
         bounded retry budget for transient failures — both job-level
         (numerical rejections) and chunk-level (a pool worker dying takes
@@ -561,7 +549,6 @@ class FaultInjectionCampaign:
         job_timeout: Optional[float] = None,
         checkpoint: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        solver_backend: Optional[str] = None,
         correlation_id: Optional[str] = None,
     ) -> None:
         if analysis not in ("dc", "transient"):
@@ -571,11 +558,6 @@ class FaultInjectionCampaign:
         if job_timeout is not None and job_timeout <= 0:
             raise FmeaError(
                 f"job_timeout must be positive, got {job_timeout!r}"
-            )
-        if solver_backend is not None and solver_backend not in BACKENDS:
-            raise FmeaError(
-                f"solver_backend must be one of {BACKENDS}, "
-                f"got {solver_backend!r}"
             )
         if resume and checkpoint is None:
             raise FmeaError("resume=True requires a checkpoint path")
@@ -597,7 +579,6 @@ class FaultInjectionCampaign:
         self.job_timeout = job_timeout
         self.checkpoint = checkpoint
         self.resume = resume
-        self.solver_backend = solver_backend
         #: Correlation id scoped over the whole run (events, spans, logs,
         #: pool workers).  ``None`` inherits whatever ambient id the caller
         #: installed (the service wraps ``run()`` in its job's id anyway).
@@ -728,7 +709,7 @@ class FaultInjectionCampaign:
         compiled = None
         if self.incremental and self.analysis == "dc":
             compiled = self._shared_compiled or _primed_system(
-                conversion.netlist, backend=self.solver_backend
+                conversion.netlist
             )
         outcomes: Dict[int, _Outcome] = {}
         emitted_at = 0
@@ -799,7 +780,6 @@ class FaultInjectionCampaign:
                 obs.enabled(),
                 self.retry_policy,
                 self.job_timeout,
-                self.solver_backend,
                 obs.events_enabled(),
                 obs.correlation_id(),
             ),
@@ -1109,18 +1089,7 @@ class FaultInjectionCampaign:
         delta it produces carries the id.
         """
         with obs.correlation(self.correlation_id):
-            if self.solver_backend is None:
-                return self._run_campaign(fingerprint)
-            # Campaign-wide backend: the naive/transient/baseline paths
-            # solve through module-level functions that read the process
-            # default, so pin it for the duration of the run (workers pin
-            # their own copy in the pool initializer).
-            previous = default_backend()
-            set_default_backend(self.solver_backend)
-            try:
-                return self._run_campaign(fingerprint)
-            finally:
-                set_default_backend(previous)
+            return self._run_campaign(fingerprint)
 
     def _run_campaign(self, fingerprint: Optional[str]) -> FmeaResult:
         started = time.perf_counter()
@@ -1133,7 +1102,6 @@ class FaultInjectionCampaign:
             requested_workers=self.workers,
             mode="incremental" if self.incremental else "naive",
             analysis=self.analysis,
-            solver_backend=self.solver_backend or "auto",
         )
 
         with obs.span(
@@ -1144,6 +1112,8 @@ class FaultInjectionCampaign:
             analysis=self.analysis,
         ) as campaign_span:
             conversion = to_netlist(self.model)
+            size = system_size(conversion.netlist)
+            stats.solver_backend = resolve_backend(size)
             self._shared_compiled = None
             baseline_started = time.perf_counter()
             with obs.span("campaign.baseline", analysis=self.analysis):
@@ -1159,7 +1129,7 @@ class FaultInjectionCampaign:
                     # used to put tiny incremental campaigns behind
                     # naive ones).
                     self._shared_compiled = _primed_system(
-                        conversion.netlist, backend=self.solver_backend
+                        conversion.netlist
                     )
                     try:
                         baseline = _readings_from_solution(
@@ -1191,9 +1161,7 @@ class FaultInjectionCampaign:
             # known — resumed jobs cost nothing, so a mostly checkpointed
             # campaign rightly stays serial.  ``self.workers`` stays the
             # caller's cap for the next run.
-            stats.workers = self._effective_workers(
-                len(pending), system_size(conversion.netlist)
-            )
+            stats.workers = self._effective_workers(len(pending), size)
             campaign_span.set(workers=stats.workers)
             self._job_wall_times = []
             self._progress_total = stats.jobs

@@ -235,7 +235,6 @@ def run_simulink_fmea(
     job_timeout: Optional[float] = None,
     checkpoint: Optional[object] = None,
     resume: bool = False,
-    solver_backend: Optional[str] = None,
 ) -> FmeaResult:
     """Automated FMEA by fault injection on a Simulink model.
 
@@ -263,9 +262,10 @@ def run_simulink_fmea(
         sensor values — the right mode when reactive elements shape the
         healthy reading);
     incremental:
-        solve DC injections through a shared compiled MNA system (cached LU
-        factorization + low-rank updates) instead of per-mode full
-        re-assembly; rows are identical either way;
+        solve DC injections through a shared compiled MNA system (direct
+        delta-stamped solves for dense systems, low-rank updates of a
+        cached sparse factorization for large ones) instead of per-mode
+        full re-assembly; rows are identical either way;
     workers:
         cap on worker processes for the injection campaign (``1``:
         serial); the campaign fans out only past the measured crossover
@@ -273,10 +273,7 @@ def run_simulink_fmea(
     max_retries / retry_backoff / job_timeout / checkpoint / resume:
         fault-tolerance controls — bounded retry with exponential backoff,
         per-job wall-clock budgets, and checkpoint–resume of completed job
-        outcomes; see :class:`repro.safety.campaign.FaultInjectionCampaign`;
-    solver_backend:
-        linear-solver engine for every MNA solve — ``"dense"``,
-        ``"sparse"`` or ``"auto"`` (``None``: process default).
+        outcomes; see :class:`repro.safety.campaign.FaultInjectionCampaign`.
 
     The function delegates to
     :class:`repro.safety.campaign.FaultInjectionCampaign`; campaign timing
@@ -303,7 +300,6 @@ def run_simulink_fmea(
         job_timeout=job_timeout,
         checkpoint=checkpoint,
         resume=resume,
-        solver_backend=solver_backend,
     ).run()
 
 

@@ -151,15 +151,14 @@ class SAME:
         job_timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        solver_backend: Optional[str] = None,
     ) -> FmeaResult:
         """Injection-based FMEA of the Simulink model.
 
         ``workers``/``max_retries``/``job_timeout``/``checkpoint``/
-        ``resume``/``solver_backend`` are forwarded to
+        ``resume`` are forwarded to
         :class:`~repro.safety.campaign.FaultInjectionCampaign` so iterative
-        SAME workflows get the same worker cap, fault tolerance,
-        checkpoint–resume behaviour and solver backend as the CLI.
+        SAME workflows get the same worker cap, fault tolerance and
+        checkpoint–resume behaviour as the CLI.
         """
         self._require("simulink_model")
         self._require("reliability")
@@ -177,7 +176,6 @@ class SAME:
                 job_timeout=job_timeout,
                 checkpoint=checkpoint,
                 resume=resume,
-                solver_backend=solver_backend,
             )
             self._ledger_fmea(
                 self.last_fmea,

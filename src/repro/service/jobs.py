@@ -36,8 +36,7 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 Requests carry models as *payloads* (the ``repro-simulink/1`` dict format)
 rather than live objects: fingerprinting hashes the raw payload without
 materialising a :class:`SimulinkModel`, so a cache hit costs one
-fingerprint, one index lookup and one line seek — the model-access analogue
-of :class:`LazyModelResource`'s load-on-reference semantics.  Materialised
+fingerprint, one index lookup and one line seek.  Materialised
 models are kept in a small digest-keyed LRU so concurrent tenants
 re-computing over the same model parse it once.
 
@@ -142,8 +141,9 @@ def reliability_from_payload(payload: Sequence[Mapping[str, object]]):
 def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
     """``config`` with ``analysis``, ``t_stop`` and ``dt`` filled in and
     checked, so the fingerprint and the campaign read the same values, and
-    the campaign options ``workers``, ``max_retries``, ``job_timeout`` and
-    ``solver_backend`` checked.
+    the campaign options ``workers``, ``max_retries`` and ``job_timeout``
+    checked.  Unknown keys pass through untouched and reach neither the
+    campaign nor the cache key.
 
     A missing or ``null`` value takes the campaign default; a malformed one
     raises :class:`ServiceError`, which ``POST /jobs`` answers with 400.
@@ -169,8 +169,6 @@ def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
                 f"got {value!r}"
             )
         out[key] = float(value)  # type: ignore[arg-type]
-    from repro.circuit import BACKENDS
-
     cpus = os.cpu_count() or 1
     for key, valid, expected in (
         ("workers", lambda v: _integer(v) and 1 <= v <= cpus,
@@ -179,7 +177,6 @@ def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
          "a non-negative integer"),
         ("job_timeout", lambda v: _finite(v) and v > 0,
          "a finite positive number"),
-        ("solver_backend", lambda v: v in BACKENDS, f"one of {BACKENDS}"),
     ):
         value = out.get(key)
         if value is not None and not valid(value):
@@ -247,9 +244,9 @@ class AnalysisRequest:
     :func:`reliability_payload` list form.  ``config`` carries campaign
     and classification parameters (``threshold``, ``sensors``,
     ``assume_stable``, ``min_absolute_delta``, ``analysis``, ``t_stop``,
-    ``dt``, ``workers``, ``solver_backend``,
-    ``job_timeout``, ``max_retries``); ``analysis``, ``t_stop`` and ``dt``
-    are normalised at construction (see :func:`_normalised_config`).
+    ``dt``, ``workers``, ``job_timeout``, ``max_retries``); ``analysis``,
+    ``t_stop`` and ``dt`` are normalised at construction (see
+    :func:`_normalised_config`).
     ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
     extend the base FMEA; ``config.search_strategy`` (``"dp"``,
     ``"exhaustive"`` or ``"greedy"``, default ``"dp"``) picks the search
@@ -883,7 +880,6 @@ class AnalysisService:
         for key in (
             "threshold", "min_absolute_delta", "analysis", "t_stop", "dt",
             "workers", "max_retries", "job_timeout",
-            "solver_backend",
         ):
             if key in config and config[key] is not None:
                 kwargs[key] = config[key]

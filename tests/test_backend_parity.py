@@ -1,16 +1,18 @@
 """Dense-vs-sparse solver backend parity: the differential acceptance
-gate for the pluggable MNA backend.
+gate for the two MNA solve rules.
 
-Whatever linear solver the campaign runs on — dense LAPACK LU, sparse
-CSC/SuperLU, or the size-based ``auto`` pick — the FMEA rows must be
-identical (discrete fields exactly, sensor deltas to numerical noise) on
-all three case studies and on a seeded generated distribution grid.  A
-``CAMPAIGN_CHAOS=1``-gated variant re-checks parity while the worker pool
-is being randomly killed.
+The system's size picks the rule (dense direct solves below
+``SPARSE_AUTO_MIN_SIZE`` unknowns, sparse SuperLU + Woodbury updates at or
+above it).  Each test pins one rule by moving that threshold, and the FMEA
+rows must then be identical to naive re-assembly (discrete fields
+exactly, sensor deltas to numerical noise) on all three case studies and
+on a seeded generated distribution grid.  A ``CAMPAIGN_CHAOS=1``-gated
+variant re-checks parity while the worker pool is being randomly killed.
 """
 
 import math
 import os
+import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -29,10 +31,9 @@ from repro.casestudies import (
     power_supply_reliability,
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
-from repro.circuit import default_backend
+from repro.circuit import backends
 from repro.safety import campaign as campaign_mod
 from repro.safety.campaign import FaultInjectionCampaign
-from repro.safety.fmea import FmeaError
 
 _DELTA_TOL = 1e-9
 
@@ -45,6 +46,13 @@ _GRID_SEED = 1
 
 CASE_NAMES = ["power_supply", "system_a", "system_b", "grid"]
 BACKENDS = ["dense", "sparse"]
+
+
+def _pin(monkeypatch, backend):
+    """Make every system, whatever its size, resolve to ``backend``."""
+    monkeypatch.setattr(
+        backends, "SPARSE_AUTO_MIN_SIZE", 0 if backend == "sparse" else 10**9
+    )
 
 
 def _build_case(name):
@@ -83,8 +91,8 @@ def cases():
 
 @pytest.fixture(scope="module")
 def naive_reference(cases):
-    """Naive full re-assembly on the process default backend — the ground
-    truth every (backend, strategy) combination must reproduce."""
+    """Naive full re-assembly on the size-picked backend — the ground
+    truth every pinned backend must reproduce."""
     results = {}
     for name, (model, reliability, stable) in cases.items():
         results[name] = FaultInjectionCampaign(
@@ -124,50 +132,77 @@ def assert_rows_identical(reference, other):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", CASE_NAMES)
 def test_incremental_backend_matches_naive(
-    cases, naive_reference, case, backend
+    cases, naive_reference, monkeypatch, case, backend
 ):
     model, reliability, stable = cases[case]
+    _pin(monkeypatch, backend)
     result = FaultInjectionCampaign(
-        model,
-        reliability,
-        assume_stable=stable,
-        solver_backend=backend,
+        model, reliability, assume_stable=stable
     ).run()
     assert result.stats.solver_backend == backend
     assert_rows_identical(naive_reference[case], result)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_naive_backend_matches_default_naive(cases, naive_reference, backend):
+def test_naive_backend_matches_default_naive(
+    cases, naive_reference, monkeypatch, backend
+):
     """Pinning the backend must not change the naive path's rows either."""
     model, reliability, stable = cases["grid"]
+    _pin(monkeypatch, backend)
     result = FaultInjectionCampaign(
-        model,
-        reliability,
-        assume_stable=stable,
-        incremental=False,
-        solver_backend=backend,
+        model, reliability, assume_stable=stable, incremental=False
     ).run()
+    assert result.stats.solver_backend == backend
     assert_rows_identical(naive_reference["grid"], result)
 
 
-def test_backend_restored_after_campaign(cases):
-    """Pinning the campaign backend must not leak into the process-wide
-    default."""
-    before = default_backend()
-    model, reliability, stable = cases["power_supply"]
-    FaultInjectionCampaign(
-        model, reliability, assume_stable=stable, solver_backend="sparse"
-    ).run()
-    assert default_backend() == before
+def test_concurrent_campaigns_each_keep_their_own_backend(cases):
+    """Two campaigns of different sizes running at the same time on two
+    threads (as the analysis service runs jobs) each solve on the backend
+    their own system size picks, and each matches its naive reference."""
+    small = cases["power_supply"]
+    big_model = build_power_grid_simulink(feeders=4, sections_per_feeder=60)
+    big = (
+        big_model,
+        power_network_reliability(),
+        power_grid_injection_sample(big_model, k=8, seed=_GRID_SEED),
+    )
+    runs = {"dense": (small, 20), "sparse": (big, 2)}
+    naive = {
+        backend: FaultInjectionCampaign(
+            model, reliability, assume_stable=stable, incremental=False
+        ).run()
+        for backend, ((model, reliability, stable), _) in runs.items()
+    }
+    assert {b: r.stats.solver_backend for b, r in naive.items()} == {
+        "dense": "dense", "sparse": "sparse",
+    }
+    start = threading.Barrier(len(runs))
+    results = {backend: [] for backend in runs}
 
+    def worker(backend):
+        (model, reliability, stable), repeats = runs[backend]
+        start.wait()
+        for _ in range(repeats):
+            results[backend].append(
+                FaultInjectionCampaign(
+                    model, reliability, assume_stable=stable
+                ).run()
+            )
 
-def test_unknown_backend_rejected(cases):
-    model, reliability, stable = cases["power_supply"]
-    with pytest.raises(FmeaError):
-        FaultInjectionCampaign(
-            model, reliability, assume_stable=stable, solver_backend="cuda"
-        )
+    threads = [
+        threading.Thread(target=worker, args=(backend,)) for backend in runs
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for backend, (_, repeats) in runs.items():
+        assert len(results[backend]) == repeats
+        for result in results[backend]:
+            assert result.stats.solver_backend == backend
+            assert_rows_identical(naive[backend], result)
 
 
 def test_grid_sample_is_deterministic():
@@ -235,7 +270,6 @@ def test_backend_parity_survives_worker_kills(
             False,
             self.retry_policy,
             self.job_timeout,
-            self.solver_backend,
         )
         pools.append(_ChaoticPool(rng))
         return pools[-1]
@@ -243,12 +277,10 @@ def test_backend_parity_survives_worker_kills(
     monkeypatch.setattr(
         FaultInjectionCampaign, "_new_pool", chaotic_new_pool
     )
+    _pin(monkeypatch, backend)
     result = FaultInjectionCampaign(
-        model,
-        reliability,
-        assume_stable=stable,
-        workers=2,
-        solver_backend=backend,
+        model, reliability, assume_stable=stable, workers=2
     ).run()
+    assert result.stats.solver_backend == backend
     assert pools, "the campaign never fanned out"
     assert_rows_identical(naive_reference["grid"], result)

@@ -654,24 +654,27 @@ def test_failures_sheet_in_workbook(case, tmp_path, monkeypatch):
 
 
 def test_mna_lu_failure_counter(case, monkeypatch):
+    from repro.circuit import backends
     from repro.circuit import mna as mna_mod
     from repro.simulink import to_netlist
 
     model, _ = case
     conversion = to_netlist(model)
+    # Only sparse systems factor their constant matrix; pin this one sparse.
+    monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", 0)
     compiled = mna_mod.CompiledSystem(conversion.netlist)
 
-    def broken_factor(matrix, check_finite=True):
-        raise np.linalg.LinAlgError("singular")
+    def broken_factor(matrix, backend):
+        raise backends.FactorizationError("singular")
 
-    monkeypatch.setattr(mna_mod, "_lu_factor", broken_factor)
+    monkeypatch.setattr(backends, "factorize", broken_factor)
     obs.enable()
     with pytest.raises(mna_mod._SmwFallback):
-        compiled._ensure_lu()
+        compiled._ensure_sparse()
     assert obs.counter("mna_lu_failures").value == 1
     # Latched: subsequent calls fall back without re-counting.
     with pytest.raises(mna_mod._SmwFallback):
-        compiled._ensure_lu()
+        compiled._ensure_sparse()
     assert obs.counter("mna_lu_failures").value == 1
 
 

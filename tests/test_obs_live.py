@@ -266,7 +266,7 @@ class TestLiveServer:
             "tracing": True, "events": True,
         }
         assert "pool" not in health
-        assert health["solver_backend"]["default"]
+        assert "solver_backend" not in health
         campaign = health["events"]["campaign"]
         assert campaign["active"] is False
         assert campaign["jobs_done"] == campaign["jobs_total"]

@@ -169,7 +169,6 @@ MALFORMED_CAMPAIGN_CONFIG = [
     ("job_timeout", -1),
     ("job_timeout", 0),
     ("job_timeout", float("nan")),
-    ("solver_backend", "cuda"),
 ]
 
 
@@ -270,12 +269,10 @@ class TestRequestValidation:
         payload = json.loads(json.dumps(fmea_payload))
         payload["config"].update(
             workers=os.cpu_count() or 1, max_retries=0, job_timeout=0.5,
-            solver_backend="sparse",
         )
         AnalysisRequest.from_payload(payload)
         payload["config"].update(
             workers=None, max_retries=None, job_timeout=None,
-            solver_backend=None,
         )
         AnalysisRequest.from_payload(payload)
 
@@ -433,6 +430,24 @@ class TestComputeAndCache:
         assert len(entries) == 1
         assert entries[0].meta["service"] is True
         assert entries[0].meta["service_cache_key"] == first.cache_key
+
+    def test_solver_backend_config_is_an_ignored_unknown_key(
+        self, service, fmea_payload
+    ):
+        """The system's size picks the MNA solver; a ``solver_backend``
+        key is ignored like any other unknown config key: same cache key,
+        same answer, served from the ledger."""
+        first = _finish(service, service.submit(fmea_payload))
+        for value in ("sparse", "cuda"):
+            pinned = _with_config(fmea_payload, solver_backend=value)
+            assert (
+                AnalysisRequest.from_payload(pinned).cache_key()
+                == first.cache_key
+            )
+            job = _finish(service, service.submit(pinned))
+            assert job.state == "done", job.error
+            assert job.cached is True
+            assert job.result["rows"] == first.result["rows"]
 
     def test_threshold_change_recomputes(self, service, fmea_payload):
         _finish(service, service.submit(fmea_payload))
