@@ -7,8 +7,11 @@ handle with no sidecar building its index from the file — grows with
 history.
 Then hammers one service with N identical concurrent submissions and
 checks single-flight coalescing collapses them onto one campaign
-computation with bit-identical rows for every client.  Measurements go to
-``BENCH_service.json`` at the repo root.
+computation with bit-identical rows for every client.  Last, it times a
+grid-size revisit both ways, alternating: a byte-identical body keyed by
+its sha256 alone (request-memo hit) against a new body of the same
+question that is parsed and keyed (parse path); both are ledger hits.
+Measurements go to ``BENCH_service.json`` at the repo root.
 
 Acceptance (full mode):
 
@@ -17,16 +20,21 @@ Acceptance (full mode):
   full service round-trip;
 - ``CLIENTS`` identical concurrent submissions trigger exactly 1
   campaign computation (1 cache miss, 1 ledger entry) and all clients
-  receive bit-identical rows.
+  receive bit-identical rows;
+- the memo-hit revisit is faster than the parse-path one in every pair
+  (smoke mode too), with the same rows.
 
-Smoke mode (``BENCH_SERVICE_SMOKE=1``): shrinks the ledgers and repeat
-counts and skips the scaling assertion, so CI exercises the whole path in
-seconds.
+Smoke mode (``BENCH_SERVICE_SMOKE=1``): shrinks the ledgers, repeat
+counts and the revisit grid (4 feeders x 60 sections instead of the
+5.2k-block grid) and skips the scaling assertion, so CI exercises the
+whole path in seconds.
 
 Provenance (``BENCH_SERVICE_LEDGER=/path/to/ledger.jsonl``): records a
 ``service-bench`` entry whose ``meta.scaling`` carries the measured
 ratio/budget pairs, so the nightly ``same watch-regressions`` gate flags
-cache-hit-latency scaling regressions (the ``scaling`` rule).
+cache-hit-latency scaling regressions (the ``scaling`` rule), and a
+memo-hit revisit no faster than a parse-path one (``revisit_memo``, memo
+p50 over parse p50, budget 1); ``meta.revisit`` carries both walls.
 
 ``BENCH_service.json`` keeps a bounded ``trajectory`` of past runs.
 """
@@ -40,6 +48,11 @@ from pathlib import Path
 
 from _harness import format_rows, report_table
 from repro import obs
+from repro.casestudies import (
+    build_power_grid_simulink,
+    power_grid_injection_sample,
+    power_network_reliability,
+)
 from repro.casestudies.power_supply import (
     ASSUMED_STABLE,
     build_power_supply_simulink,
@@ -67,6 +80,11 @@ REPEATS = 1 if SMOKE else 3
 CLIENTS = 8
 #: Tolerated cache-hit p99 growth from the smallest to the largest ledger.
 SCALING_BUDGET = 1.5
+#: Revisit probe: the grid asked about (builder arguments; the full grid's
+#: body is ~1.1 MB), its injection sample size, and alternating pairs.
+REVISIT_GRID = {"feeders": 4, "sections_per_feeder": 60} if SMOKE else {}
+REVISIT_SAMPLE_K = 4
+REVISIT_PAIRS = 5 if SMOKE else 10
 JOB_TIMEOUT = 300.0
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -249,6 +267,60 @@ def probe_coalescing(tmp, payload):
     }
 
 
+def _grid_body():
+    model = build_power_grid_simulink(**REVISIT_GRID)
+    stable = power_grid_injection_sample(model, k=REVISIT_SAMPLE_K, seed=1)
+    body = {
+        "kind": "fmea",
+        "model": model.to_dict(),
+        "reliability": reliability_payload(power_network_reliability()),
+        "config": {"assume_stable": list(stable)},
+    }
+    return json.dumps(body).encode("utf-8")
+
+
+def _revisit_wall(svc, body):
+    """Submit-to-done wall (ms) of one revisit, which must be a ledger hit."""
+    start = time.perf_counter()
+    job = _finish(svc.submit(body))
+    wall = (time.perf_counter() - start) * 1e3
+    assert job.state == "done", job.error
+    assert job.cached, "a revisit must be served from the ledger"
+    return wall, job
+
+
+def probe_revisit(tmp):
+    """Memo-hit against parse-path revisits of one grid question.
+
+    Each pair submits the original bytes (keyed by their sha256 alone) and
+    the same body with ``i + 1`` trailing spaces — new bytes, so a memo
+    miss that parses and keys, but the same question, so a ledger hit.
+    The order within a pair alternates.
+    """
+    obs.reset()
+    body = _grid_body()
+    memo, parse = [], []
+    with AnalysisService(Path(tmp) / "revisit.jsonl", workers=1) as svc:
+        first = _finish(svc.submit(body))
+        assert first.state == "done", first.error
+        for i in range(REVISIT_PAIRS):
+            fresh = body + b" " * (i + 1)
+            for which in ((fresh, body) if i % 2 == 0 else (body, fresh)):
+                wall, job = _revisit_wall(svc, which)
+                (memo if which is body else parse).append(wall)
+                assert job.result["rows"] == first.result["rows"]
+    hits = int(obs.counter("service_request_memo_hits").value)
+    assert hits == REVISIT_PAIRS, f"{hits} memo hits in {REVISIT_PAIRS} pairs"
+    wins = sum(m < p for m, p in zip(memo, parse))
+    return {
+        "body_bytes": len(body),
+        "pairs": REVISIT_PAIRS,
+        "memo_p50_ms": round(sorted(memo)[len(memo) // 2], 3),
+        "parse_p50_ms": round(sorted(parse)[len(parse) // 2], 3),
+        "memo_wins": wins,
+    }
+
+
 def _extended_trajectory(payload):
     """Prior trajectory plus a point for this run, bounded."""
     trajectory = []
@@ -272,6 +344,8 @@ def _extended_trajectory(payload):
         }
     point["hit_scaling"] = payload["scaling"]["cache_hit_p99"]["ratio"]
     point["coalesced"] = payload["coalescing"]["coalesced"]
+    point["revisit_memo_ms"] = payload["revisit"]["memo_p50_ms"]
+    point["revisit_parse_ms"] = payload["revisit"]["parse_p50_ms"]
     trajectory.append(point)
     return trajectory[-TRAJECTORY_KEEP:]
 
@@ -295,6 +369,7 @@ def _ledger_record(payload):
                 "mode": payload["mode"],
                 "scaling": payload["scaling"],
                 "coalescing": payload["coalescing"],
+                "revisit": payload["revisit"],
             },
         )
     )
@@ -316,6 +391,7 @@ def test_bench_service():
                 probe_size(tmp, size, request_payload, key)
             )
         payload["coalescing"] = probe_coalescing(tmp, request_payload)
+        payload["revisit"] = probe_revisit(tmp)
 
     smallest, largest = payload["sizes"][0], payload["sizes"][-1]
     hit_ratio = (
@@ -345,6 +421,15 @@ def test_bench_service():
         # Building the index from the file is *expected* to grow ~linearly
         # with history; reported for contrast, never gated.
         "rebuild_baseline": {"ratio": round(rebuild_ratio, 3)},
+        # A memo-hit revisit must beat a parsed one.
+        "revisit_memo": {
+            "ratio": round(
+                payload["revisit"]["memo_p50_ms"]
+                / payload["revisit"]["parse_p50_ms"],
+                3,
+            ),
+            "budget": 1.0,
+        },
     }
     payload["accepted"] = bool(SMOKE or hit_ratio <= SCALING_BUDGET)
     payload["trajectory"] = _extended_trajectory(payload)
@@ -361,6 +446,18 @@ def test_bench_service():
         }
         for size in payload["sizes"]
     ]
+    revisit = payload["revisit"]
+    table.append(
+        {
+            "Entries": f"revisit {revisit['body_bytes'] // 1024} KiB",
+            "Seek p99(us)": "-",
+            "Rebuild p99(us)": "-",
+            "Hit p99(ms)": (
+                f"memo p50 {revisit['memo_p50_ms']:.2f} / "
+                f"parse p50 {revisit['parse_p50_ms']:.2f}"
+            ),
+        }
+    )
     table.append(
         {
             "Entries": f"coalesce x{CLIENTS}",
@@ -380,6 +477,11 @@ def test_bench_service():
 
     if LEDGER_PATH:
         _ledger_record(payload)
+
+    assert revisit["memo_wins"] == revisit["pairs"], (
+        f"memo-hit revisit won {revisit['memo_wins']} of {revisit['pairs']} "
+        f"pairs against the parse path"
+    )
 
     if not SMOKE:
         assert hit_ratio <= SCALING_BUDGET, (

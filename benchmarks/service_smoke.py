@@ -8,9 +8,11 @@ over plain HTTP:
 2. checks the computed job's ``service-log`` artifact on its ledger
    entry holds exactly the records ``GET /jobs/<id>/events`` replays
    (same ``seq``s, all with the job's correlation id);
-3. resubmits the *identical* payload and asserts it is served from the
-   ledger — ``cached`` is true, the rows are bit-identical to the
-   computed ones, and ``service_cache_hits`` is 1 on ``/metrics``;
+3. resubmits the first body byte-for-byte and asserts it is served from
+   the ledger — ``cached`` is true, the answer is identical to the
+   computed one, ``service_cache_hits`` is 1 on ``/metrics``, and
+   ``service_request_memo_hits`` rose by exactly 1 (the bytes were keyed
+   by their hash, not parsed);
 4. checks ``/healthz`` carries the service summary;
 5. writes the final ``/metrics`` scrape to ``SERVICE_metrics.txt`` (the
    CI artifact).
@@ -39,10 +41,10 @@ def _get(url: str) -> bytes:
         return response.read()
 
 
-def _post(url: str, payload: dict) -> dict:
+def _post(url: str, body: bytes) -> dict:
     request = urllib.request.Request(
         url,
-        data=json.dumps(payload).encode("utf-8"),
+        data=body,
         headers={"Content-Type": "application/json"},
         method="POST",
     )
@@ -81,6 +83,14 @@ def _service_log(ledger: Path, entry_id: str) -> Path:
     raise AssertionError(f"entry {entry_id} has no service-log artifact")
 
 
+def _counter(url: str, name: str) -> float:
+    """A counter's value on ``/metrics`` (0 before its first increment)."""
+    for line in _get(f"{url}/metrics").decode("utf-8").splitlines():
+        if line.startswith(f"{name} "):
+            return float(line.split()[1])
+    return 0.0
+
+
 def _sse_frames(url: str) -> list:
     """``(id, event, data)`` per frame of a bounded (``limit=``) stream."""
     frames = []
@@ -103,7 +113,7 @@ def main() -> int:
     )
     from repro.service import reliability_payload
 
-    payload = {
+    body = json.dumps({
         "kind": "fmea",
         "model": build_power_supply_simulink().to_dict(),
         "reliability": reliability_payload(power_supply_reliability()),
@@ -112,7 +122,7 @@ def main() -> int:
             "assume_stable": list(ASSUMED_STABLE),
         },
         "tenant": "ci-smoke",
-    }
+    }).encode("utf-8")
 
     with tempfile.TemporaryDirectory() as tmp:
         ledger = Path(tmp) / "ledger.jsonl"
@@ -141,7 +151,7 @@ def main() -> int:
                     break
             assert url, "serve-analysis never printed its URL"
 
-            first = _wait_done(url, _post(f"{url}/jobs", payload)["id"])
+            first = _wait_done(url, _post(f"{url}/jobs", body)["id"])
             assert first["cached"] is False, "first submission must compute"
             assert first["result"]["rows"], "computed FMEA has no rows"
 
@@ -164,18 +174,25 @@ def main() -> int:
             assert records[-1]["level"] == "info", records[-1]
             print(f"service-log OK: {len(records)} records match the replay")
 
-            second = _wait_done(url, _post(f"{url}/jobs", payload)["id"])
+            memo_hits = _counter(url, "service_request_memo_hits")
+            second = _wait_done(url, _post(f"{url}/jobs", body)["id"])
             assert second["cached"] is True, (
                 "identical resubmission was recomputed instead of being "
                 "served from the ledger"
             )
-            assert second["result"]["rows"] == first["result"]["rows"], (
-                "cached rows are not bit-identical to the computed rows"
+            assert second["result"] == dict(first["result"], from_cache=True), (
+                "the cached answer differs from the computed one"
             )
             assert second["fingerprint"] == first["fingerprint"]
+            memo_delta = _counter(url, "service_request_memo_hits") - memo_hits
+            assert memo_delta == 1, (
+                f"byte-identical resubmission: service_request_memo_hits "
+                f"rose by {memo_delta:g}, expected 1"
+            )
             print(
                 f"cache hit OK: {len(first['result']['rows'])} rows, "
-                f"fingerprint {first['fingerprint'][:16]}…"
+                f"fingerprint {first['fingerprint'][:16]}…, keyed by the "
+                "request memo"
             )
 
             health = json.loads(_get(f"{url}/healthz"))

@@ -1067,7 +1067,11 @@ class FaultInjectionCampaign:
 
     # -- the campaign -----------------------------------------------------
 
-    def run(self, fingerprint: Optional[str] = None) -> FmeaResult:
+    def run(
+        self,
+        fingerprint: Optional[str] = None,
+        conversion: Optional[ElectricalConversion] = None,
+    ) -> FmeaResult:
         """Execute the campaign and return the component safety analysis
         model, with :class:`CampaignStats` attached as ``result.stats``.
 
@@ -1076,6 +1080,12 @@ class FaultInjectionCampaign:
         request once and hands the value down).  It keys the checkpoint
         and the progress events for this run only; the next run without
         one hashes the model afresh.
+
+        ``conversion`` is likewise this run's ``to_netlist(model)`` when the
+        caller holds one (the analysis service keeps one per cached model).
+        The campaign only reads it — every fault works on a copy of the
+        netlist — so concurrent campaigns may share it.  The next run
+        without one converts the (possibly mutated) model afresh.
 
         With observability enabled the campaign is one ``campaign`` span
         over ``campaign.baseline`` / ``campaign.enumerate`` /
@@ -1089,9 +1099,13 @@ class FaultInjectionCampaign:
         delta it produces carries the id.
         """
         with obs.correlation(self.correlation_id):
-            return self._run_campaign(fingerprint)
+            return self._run_campaign(fingerprint, conversion)
 
-    def _run_campaign(self, fingerprint: Optional[str]) -> FmeaResult:
+    def _run_campaign(
+        self,
+        fingerprint: Optional[str],
+        conversion: Optional[ElectricalConversion],
+    ) -> FmeaResult:
         started = time.perf_counter()
         # The model/config may have been mutated since the previous run of
         # this campaign object; take the fingerprint afresh per run (the
@@ -1111,7 +1125,8 @@ class FaultInjectionCampaign:
             workers=self.workers,
             analysis=self.analysis,
         ) as campaign_span:
-            conversion = to_netlist(self.model)
+            if conversion is None:
+                conversion = to_netlist(self.model)
             size = system_size(conversion.netlist)
             stats.solver_backend = resolve_backend(size)
             self._shared_compiled = None

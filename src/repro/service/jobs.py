@@ -17,6 +17,15 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
   one dict hit plus one line seek, O(1) in history size, under a lock
   held only for the seek.  A computed answer and a cached one are both
   built from the recorded ledger entry, so they have the same keys;
+- a **byte-identical revisit costs one hash of its body**: ``POST /jobs``
+  hands the raw body to :meth:`AnalysisService.submit`, which looks its
+  sha256 up in the request memo — body digest to the keys that body
+  computed (kind, system, tenant, fingerprint, cache key), never the
+  parsed request.  A memo hit skips the JSON parse, the canonical walk and
+  the cache-key hash and goes straight to the ledger lookup; it parses its
+  kept bytes only if it has to compute.  A memo miss is parsed and
+  validated at submit as before (a malformed body is a 400), and its keys
+  are memoised only once the worker has computed them without error;
 - an FMEDA or search job whose **base FMEA** is on record — the same
   question asked as a plain FMEA (:meth:`AnalysisRequest.fmea_cache_key`)
   — derives from that entry's rows: like a cache hit it neither
@@ -36,9 +45,11 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 Requests carry models as *payloads* (the ``repro-simulink/1`` dict format)
 rather than live objects: fingerprinting hashes the raw payload without
 materialising a :class:`SimulinkModel`, so a cache hit costs one
-fingerprint, one index lookup and one line seek.  Materialised
-models are kept in a small digest-keyed LRU so concurrent tenants
-re-computing over the same model parse it once.
+fingerprint, one index lookup and one line seek (a memo hit not even the
+fingerprint).  Materialised models are kept in a small digest-keyed LRU
+with their netlist conversion, so concurrent tenants computing new fault
+samples of the same model parse and convert it once; each campaign only
+reads the shared conversion (every fault works on a copy of the netlist).
 
 Each content key is computed once per job and handed down: the fingerprint
 keys the cache, the campaign's checkpoint, and the ledger
@@ -59,7 +70,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro import obs
 
@@ -76,6 +87,11 @@ _KINDS = ("fmea", "fmeda", "search")
 
 #: Materialised models kept warm, by model-payload digest.
 _MODEL_CACHE_SIZE = 16
+
+#: Request bodies remembered, by sha256 of the body: ~200 B of keys each.
+#: The memo keeps keys, not requests — one parsed grid payload holds
+#: ~5.5 MB of Python objects.
+_REQUEST_MEMO_SIZE = 4096
 
 #: Solver settings a request may leave out (or send as ``null``), with the
 #: campaign's own defaults.
@@ -307,7 +323,16 @@ class AnalysisRequest:
             )
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "AnalysisRequest":
+    def from_payload(
+        cls, payload: Union[Mapping[str, object], bytes]
+    ) -> "AnalysisRequest":
+        """A request from its JSON object, or from the raw request body
+        (UTF-8 JSON bytes) that holds one."""
+        if isinstance(payload, bytes):
+            try:
+                payload = json.loads(payload.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                raise ServiceError("request body is not valid JSON") from None
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
         try:
@@ -440,6 +465,11 @@ class AnalysisJob:
     #: The request travels with the job internally; never serialised out
     #: (model payloads can be megabytes).
     request: Optional[AnalysisRequest] = None
+    #: A memo-hit job's raw body, parsed only if the job has to compute.
+    body: Optional[bytes] = None
+    #: sha256 of a parsed body: its keys are memoised under it once the
+    #: worker has computed them.
+    body_digest: str = ""
     done_event: threading.Event = field(default_factory=threading.Event)
 
     @property
@@ -537,6 +567,9 @@ class AnalysisService:
         self._inflight_lock = threading.Lock()
         self._model_cache: "OrderedDict[str, _CachedModel]" = OrderedDict()
         self._model_cache_lock = threading.Lock()
+        #: Request memo: body sha256 -> the keys that body computed.
+        self._request_memo: "OrderedDict[str, _RequestKeys]" = OrderedDict()
+        self._request_memo_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._stopping = False
 
@@ -579,20 +612,44 @@ class AnalysisService:
     # -- submission -------------------------------------------------------
 
     def submit(
-        self, request: Union[AnalysisRequest, Mapping[str, object]]
+        self, request: Union[AnalysisRequest, Mapping[str, object], bytes]
     ) -> AnalysisJob:
-        """Enqueue one analysis; returns the job record immediately."""
-        if not isinstance(request, AnalysisRequest):
+        """Enqueue one analysis; returns the job record immediately.
+
+        ``request`` may be the raw JSON body (what ``POST /jobs`` hands
+        over).  A body whose sha256 is in the request memo becomes a job
+        whose keys are already known: no parse, no fingerprint, no cache
+        key.  Any other body, like a mapping, is parsed and validated here,
+        so a malformed one raises :class:`ServiceError`.
+        """
+        keys = body = None
+        digest = ""
+        if isinstance(request, bytes):
+            body = request
+            digest = hashlib.sha256(body).hexdigest()
+            keys = self._memo_lookup(digest)
+            if keys is None:
+                request = AnalysisRequest.from_payload(body)
+        elif not isinstance(request, AnalysisRequest):
             request = AnalysisRequest.from_payload(request)
         if self._stopping or not self._threads:
             raise ServiceError("service is not running; call start()")
+        memo_hit = keys is not None
+        if memo_hit:
+            obs.counter("service_request_memo_hits").inc()
+        else:
+            assert isinstance(request, AnalysisRequest)
+            keys = _RequestKeys(
+                request.kind, str(request.model.get("name", "model")),
+                request.tenant, "", "",
+            )
         job = AnalysisJob(
             id=uuid.uuid4().hex[:12],
-            kind=request.kind,
-            system=str(request.model.get("name", "model")),
-            tenant=request.tenant,
+            **keys._asdict(),  # type: ignore[union-attr]
             submitted_at=time.time(),
-            request=request,
+            request=None if memo_hit else request,  # type: ignore[arg-type]
+            body=body if memo_hit else None,
+            body_digest="" if memo_hit else digest,
             correlation_id=obs.mint_correlation_id(),
         )
         with self._lock:
@@ -606,6 +663,24 @@ class AnalysisService:
                 "job_submitted", job=job.id, kind=job.kind, system=job.system
             )
         return job
+
+    def _memo_lookup(self, digest: str) -> Optional["_RequestKeys"]:
+        with self._request_memo_lock:
+            keys = self._request_memo.get(digest)
+            if keys is not None:
+                self._request_memo.move_to_end(digest)
+            return keys
+
+    def _memoise(self, job: AnalysisJob) -> None:
+        """Remember the keys a parsed body computed, under its sha256."""
+        keys = _RequestKeys(
+            job.kind, job.system, job.tenant, job.fingerprint, job.cache_key
+        )
+        with self._request_memo_lock:
+            self._request_memo[job.body_digest] = keys
+            self._request_memo.move_to_end(job.body_digest)
+            while len(self._request_memo) > _REQUEST_MEMO_SIZE:
+                self._request_memo.popitem(last=False)
 
     def _trim_history(self) -> None:
         """Drop the oldest *finished* jobs past the history bound
@@ -651,6 +726,7 @@ class AnalysisService:
             "jobs": states,
             "cache_hits": int(obs.counter("service_cache_hits").value),
             "cache_misses": int(obs.counter("service_cache_misses").value),
+            "request_memo_entries": len(self._request_memo),
             "inflight": len(self._inflight),
             "coalesced_jobs": int(
                 obs.counter("service_coalesced_jobs").value
@@ -688,11 +764,14 @@ class AnalysisService:
         )
         obs.emit_event("job_started", job=job.id, kind=job.kind)
         try:
-            request = job.request
-            assert request is not None
-            job.fingerprint = request.fingerprint()
-            job.cache_key = request.cache_key(job.fingerprint)
-            self._resolve(job, request)
+            if not job.cache_key:  # a memo-hit job arrives keyed
+                request = job.request
+                assert request is not None
+                job.fingerprint = request.fingerprint()
+                job.cache_key = request.cache_key(job.fingerprint)
+                if job.body_digest:
+                    self._memoise(job)
+            self._resolve(job)
             job.state = "done"
             obs.counter("service_jobs_completed").inc()
         except Exception as exc:  # noqa: BLE001 — a bad job must not kill a worker
@@ -701,7 +780,7 @@ class AnalysisService:
             obs.counter("service_jobs_failed").inc()
         finally:
             job.finished_at = time.time()
-            job.request = None  # free the (possibly large) payload
+            job.request = job.body = None  # free the (possibly large) payload
             wall = job.finished_at - job.submitted_at
             obs.histogram("service_job_wall_seconds").observe(wall)
             if job.cached:
@@ -790,7 +869,7 @@ class AnalysisService:
                 del self._inflight[job.cache_key]
             obs.gauge("service_inflight_jobs").set(len(self._inflight))
 
-    def _resolve(self, job: AnalysisJob, request: AnalysisRequest) -> None:
+    def _resolve(self, job: AnalysisJob) -> None:
         """Produce ``job.result`` — from cache, coalesced, or computed.
 
         Order matters: the ledger cache is consulted first (a landed
@@ -822,7 +901,7 @@ class AnalysisService:
                         obs.counter("service_cache_hits").inc()
                         return
                     obs.counter("service_cache_misses").inc()
-                    job.result = self._compute(request, job)
+                    job.result = self._compute(self._request_of(job), job)
                     return
                 finally:
                     self._release_flight(job)
@@ -843,22 +922,39 @@ class AnalysisService:
 
     # -- computation ------------------------------------------------------
 
-    def _materialize_model(self, request: AnalysisRequest) -> "_CachedModel":
-        """The payload as a :class:`SimulinkModel`, via the digest LRU."""
-        from repro.simulink import SimulinkModel
+    @staticmethod
+    def _request_of(job: AnalysisJob) -> AnalysisRequest:
+        """The job's request; a memo-hit job that has to compute parses
+        its kept body here (it parsed and validated once already)."""
+        if job.request is None:
+            assert job.body is not None
+            job.request = AnalysisRequest.from_payload(job.body)
+            job.body = None
+        return job.request
 
+    def _materialize_model(self, request: AnalysisRequest) -> "_CachedModel":
+        """The payload as a :class:`SimulinkModel` with its netlist
+        conversion, via the digest LRU.  Jobs racing on a new model share
+        one entry, so the model is parsed and converted once."""
         digest = request.model_digest()
         with self._model_cache_lock:
             cached = self._model_cache.get(digest)
             if cached is not None:
                 self._model_cache.move_to_end(digest)
                 obs.counter("service_model_cache_hits").inc()
-                return cached
-        cached = _CachedModel(SimulinkModel.from_dict(dict(request.model)))
-        with self._model_cache_lock:
-            self._model_cache[digest] = cached
-            while len(self._model_cache) > _MODEL_CACHE_SIZE:
-                self._model_cache.popitem(last=False)
+            else:
+                cached = self._model_cache[digest] = _CachedModel(
+                    request.model
+                )
+                while len(self._model_cache) > _MODEL_CACHE_SIZE:
+                    self._model_cache.popitem(last=False)
+        try:
+            cached.build()
+        except Exception:
+            with self._model_cache_lock:
+                if self._model_cache.get(digest) is cached:
+                    del self._model_cache[digest]
+            raise
         return cached
 
     def _campaign(
@@ -941,7 +1037,7 @@ class AnalysisService:
             fmea = self._campaign(
                 request, model, job.fingerprint,
                 correlation_id=job.correlation_id,
-            ).run(fingerprint=job.fingerprint)
+            ).run(fingerprint=job.fingerprint, conversion=cached.conversion)
             digest = cached.ledger_digest()
         # SLO state at record time: a run recorded while the service was
         # burning its error budget carries the breach in its provenance,
@@ -1025,17 +1121,47 @@ class AnalysisService:
         return _answer(entry, from_cache=False)
 
 
+class _RequestKeys(NamedTuple):
+    """What a request memo entry keeps of a body: its job record's fields
+    and content keys, not the (megabytes of) parsed request."""
+
+    kind: str
+    system: str
+    tenant: str
+    fingerprint: str
+    cache_key: str
+
+
 class _CachedModel:
-    """A materialised model in the service's LRU, plus its ledger
-    :func:`~repro.obs.ledger.model_digest`, computed the first time a job
-    records against the model.  Two workers racing on a fresh entry may
-    both compute it; they get the same value."""
+    """A model in the service's LRU: the materialised model and its
+    ``to_netlist`` conversion, built once under the entry's lock by
+    :meth:`build`, plus its ledger :func:`~repro.obs.ledger.model_digest`,
+    computed the first time a job records against the model.  Two workers
+    racing on the digest may both compute it; they get the same value.
 
-    __slots__ = ("model", "_ledger_digest")
+    Campaigns share the conversion read-only: every fault is applied to a
+    copy of the netlist (``Netlist.without`` / ``with_replacement``).
+    """
 
-    def __init__(self, model) -> None:
-        self.model = model
+    __slots__ = ("model", "conversion", "_payload", "_lock", "_ledger_digest")
+
+    def __init__(self, payload: Mapping[str, object]) -> None:
+        self.model = None
+        self.conversion = None
+        self._payload: Optional[Mapping[str, object]] = payload
+        self._lock = threading.Lock()
         self._ledger_digest: Optional[str] = None
+
+    def build(self) -> None:
+        with self._lock:
+            if self.conversion is not None:
+                return
+            from repro.simulink import SimulinkModel, to_netlist
+
+            assert self._payload is not None
+            model = SimulinkModel.from_dict(dict(self._payload))
+            self.conversion = to_netlist(model)
+            self.model, self._payload = model, None
 
     def ledger_digest(self) -> str:
         if self._ledger_digest is None:

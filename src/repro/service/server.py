@@ -8,7 +8,9 @@ with the job endpoints:
 
 - ``POST /jobs`` — submit an analysis request (JSON body; see
   :class:`~repro.service.jobs.AnalysisRequest`); replies ``202`` with the
-  job id and its polling URL;
+  job id and its polling URL, or ``400`` for a malformed body.  The raw
+  body goes to :meth:`~repro.service.jobs.AnalysisService.submit`, so a
+  byte-identical revisit is keyed by one sha256 of it, with no parse;
 - ``GET /jobs`` — queue state: the service summary plus every job the
   bounded history holds (without result bodies);
 - ``GET /jobs/<id>`` — one job's full record, result included once done;
@@ -24,8 +26,8 @@ with the job endpoints:
   like ``/events``.
 
 ``/healthz`` gains a ``service`` section (queue depth, per-state job
-counts, cache hit/miss totals, in-flight registry size and coalesced-job
-total) and an ``slo`` section (the
+counts, cache hit/miss totals, request-memo size, in-flight registry size
+and coalesced-job total) and an ``slo`` section (the
 :class:`~repro.obs.slo.SLOEngine` report: overall ``ok|warning|breached``
 plus per-objective burn rates) via the :meth:`healthz_extra` hook, and the
 ``service_*`` metrics land on the existing ``/metrics`` scrape, so one
@@ -144,12 +146,7 @@ class _ServiceHandler(_Handler):
 
     def _submit_job(self) -> None:
         try:
-            body = self._read_body()
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                raise ServiceError("request body is not valid JSON") from None
-            job = self.service.submit(payload)
+            job = self.service.submit(self._read_body())
         except ServiceError as exc:
             self._json(400, {"error": str(exc)})
             return

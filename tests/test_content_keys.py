@@ -11,12 +11,20 @@ on:
   cache keys keep matching;
 - a service job hashes each payload once: one campaign fingerprint per job,
   one ledger model digest per model across FMEA, FMEDA and search, and each
-  recorded digest equals a from-scratch recomputation.
+  recorded digest equals a from-scratch recomputation;
+- a byte-identical resubmission hashes its body and nothing else: it
+  parses nothing and computes no fingerprint, yet gets the same keys and
+  answer, and only a body that keyed without error is memoised;
+- a cached model is converted to its netlist once, and concurrent
+  campaigns sharing that conversion match naive injection row for row.
 """
 
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
 from types import MappingProxyType
 
 import pytest
@@ -24,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro import simulink
 from repro.casestudies import (
     SYSTEM_A_ASSUMED_STABLE,
     SYSTEM_B_ASSUMED_STABLE,
@@ -31,6 +40,7 @@ from repro.casestudies import (
     build_power_supply_simulink,
     build_system_a_simulink,
     build_system_b_simulink,
+    power_grid_injection_sample,
     power_network_reliability,
     power_supply_reliability,
 )
@@ -39,8 +49,15 @@ from repro.obs import ledger as ledger_mod
 from repro.safety import campaign as campaign_mod
 from repro.safety import resilience
 from repro.safety.campaign import FaultInjectionCampaign
+from repro.safety.metrics import asil_from_spfm, spfm
 from repro.safety.resilience import _canonical, canonical_json
-from repro.service import AnalysisRequest, AnalysisService, reliability_payload
+from repro.service import (
+    AnalysisRequest,
+    AnalysisService,
+    ServiceError,
+    reliability_payload,
+)
+from repro.service import jobs as jobs_mod
 
 JOB_TIMEOUT = 120.0
 
@@ -364,3 +381,295 @@ def test_passed_fingerprint_keys_one_run_only(tmp_path):
     assert {json.loads(line)["fp"] for line in path.read_text().splitlines()} == {
         GOLDEN_FINGERPRINT
     }
+
+
+def test_passed_conversion_serves_one_run_only():
+    """``run(conversion=...)`` uses the caller's netlist for that run; the
+    next run without one converts the (possibly mutated) model afresh."""
+    model, reliability = build_power_supply_simulink(), power_supply_reliability()
+    campaign = FaultInjectionCampaign(
+        model, reliability, assume_stable=ASSUMED_STABLE,
+    )
+    conversion = simulink.to_netlist(model)
+    fresh = campaign.run()
+    conversions = []
+    original = campaign_mod.to_netlist
+
+    def counted(*args, **kwargs):
+        conversions.append(args)
+        return original(*args, **kwargs)
+
+    campaign_mod.to_netlist = counted
+    try:
+        shared = campaign.run(conversion=conversion)
+        assert conversions == []
+        again = campaign.run()
+        assert len(conversions) == 1
+    finally:
+        campaign_mod.to_netlist = original
+    rows = ledger_mod.fmea_rows_payload
+    assert rows(shared) == rows(fresh) == rows(again)
+
+
+# -- the request memo ------------------------------------------------------------
+
+
+def _psu_body(**extra):
+    model, reliability = build_power_supply_simulink(), power_supply_reliability()
+    body = {
+        "kind": "fmea",
+        "model": model.to_dict(),
+        "reliability": reliability_payload(reliability),
+        "config": {"sensors": ["CS1"], "assume_stable": list(ASSUMED_STABLE)},
+    }
+    body.update(extra)
+    return body
+
+
+def _encoded(body, **dumps):
+    return json.dumps(body, **dumps).encode("utf-8")
+
+
+def _done(service, job):
+    service.wait(job.id, JOB_TIMEOUT)
+    assert job.state == "done", job.error
+    return job
+
+
+def _answer(job):
+    """A job's answer without the flag that tells a hit from a compute."""
+    return {k: v for k, v in job.result.items() if k != "from_cache"}
+
+
+def _memo_hits():
+    return int(obs.counter("service_request_memo_hits").value)
+
+
+def _body_parses(calls, body):
+    """The ``json.loads`` calls that parsed ``body`` (the ledger reads its
+    own lines with ``json.loads`` too)."""
+    return [c for c in calls if c and c[0] in (body, body.decode("utf-8"))]
+
+
+def test_identical_body_is_keyed_by_its_hash(tmp_path, monkeypatch, clean_obs):
+    body = _encoded(_psu_body())
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        first = _done(service, service.submit(body))
+        assert service.status()["request_memo_entries"] == 1
+        assert _memo_hits() == 0
+        parses = _count_calls(monkeypatch, [(json, "loads")])
+        fingerprints = _count_calls(
+            monkeypatch,
+            [
+                (resilience, "campaign_fingerprint"),
+                (campaign_mod, "campaign_fingerprint"),
+            ],
+        )
+        second = _done(service, service.submit(body))
+        monkeypatch.undo()
+    assert _memo_hits() == 1
+    assert _body_parses(parses, body) == []
+    assert fingerprints == []
+    assert second.cached and not first.cached
+    assert (second.fingerprint, second.cache_key) == (
+        first.fingerprint, first.cache_key,
+    )
+    assert first.cache_key == GOLDEN_CACHE_KEY
+    assert _answer(second) == _answer(first)
+
+
+def test_reordered_body_misses_the_memo_and_hits_the_ledger(
+    tmp_path, clean_obs
+):
+    body = _psu_body()
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        first = _done(service, service.submit(_encoded(body)))
+        reordered = _encoded(dict(reversed(list(body.items()))), indent=1)
+        second = _done(service, service.submit(reordered))
+        assert service.status()["request_memo_entries"] == 2
+    assert _memo_hits() == 0
+    assert second.cached
+    assert (second.fingerprint, second.cache_key) == (
+        first.fingerprint, first.cache_key,
+    )
+    assert _answer(second) == _answer(first)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"{not json", "not valid JSON"),
+        (_encoded(_psu_body(config={"workers": 0})), "config.workers"),
+    ],
+    ids=["not-json", "workers-0"],
+)
+def test_malformed_body_is_refused_every_time_and_never_memoised(
+    tmp_path, clean_obs, body, message
+):
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        for _ in range(2):
+            with pytest.raises(ServiceError, match=message):
+                service.submit(body)
+        assert service.status()["request_memo_entries"] == 0
+        assert service.jobs() == []
+    assert _memo_hits() == 0
+
+
+def test_memo_hit_with_no_reachable_plan_parses_and_recomputes(
+    tmp_path, monkeypatch, clean_obs, psu_mechanisms
+):
+    """An unreachable target records nothing, so its revisit misses the
+    ledger: the memo-hit job parses its kept bytes and computes."""
+    spec = next(iter(psu_mechanisms.specs()))
+    body = _encoded(_psu_body(
+        kind="search",
+        target_asil="ASIL-D",
+        mechanisms=[{
+            "component_class": spec.component_class,
+            "failure_mode": spec.failure_mode,
+            "name": spec.name,
+            "coverage": 0.0,
+            "cost": 1.0,
+        }],
+    ))
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        first = _done(service, service.submit(body))
+        assert first.result["plan"] is None
+        parses = _count_calls(monkeypatch, [(json, "loads")])
+        second = _done(service, service.submit(body))
+        monkeypatch.undo()
+    assert _memo_hits() == 1
+    assert len(_body_parses(parses, body)) == 1
+    assert not second.cached
+    assert second.result == first.result == {
+        "plan": None, "target_asil": "ASIL-D", "from_cache": False,
+    }
+
+
+def test_memo_is_bounded(tmp_path, monkeypatch, clean_obs):
+    monkeypatch.setattr(jobs_mod, "_REQUEST_MEMO_SIZE", 2)
+    bodies = [_encoded(_psu_body(tenant=f"t{i}")) for i in range(3)]
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        for body in bodies:
+            _done(service, service.submit(body))
+            assert service.status()["request_memo_entries"] <= 2
+        # The newest two are remembered; the oldest was evicted.
+        _done(service, service.submit(bodies[2]))
+        assert _memo_hits() == 1
+        _done(service, service.submit(bodies[0]))
+        assert _memo_hits() == 1
+        assert service.status()["request_memo_entries"] == 2
+
+
+# -- one netlist per cached model ------------------------------------------------
+
+
+def _slow_conversions(monkeypatch):
+    """Count ``to_netlist`` calls, each held open for 0.2 s so that a
+    second job reaching an unbuilt model entry meanwhile would convert
+    it again."""
+    calls = []
+    original = simulink.to_netlist
+
+    def slow(model):
+        calls.append(model)
+        time.sleep(0.2)
+        return original(model)
+
+    monkeypatch.setattr(simulink, "to_netlist", slow)
+    monkeypatch.setattr(campaign_mod, "to_netlist", slow)
+    return calls
+
+
+def test_concurrent_cold_jobs_share_one_netlist_and_match_naive(
+    tmp_path, monkeypatch, clean_obs
+):
+    """Two workers, released together, run cold FMEAs of two injection
+    samples of one grid over the cached model's one conversion; each
+    answer equals naive injection row for row."""
+    model = build_power_grid_simulink(feeders=2, sections_per_feeder=10)
+    reliability = power_network_reliability()
+    samples = [power_grid_injection_sample(model, k=8, seed=s) for s in (1, 2)]
+    bodies = [
+        {
+            "kind": "fmea",
+            "model": model.to_dict(),
+            "reliability": reliability_payload(reliability),
+            "config": {"assume_stable": list(sample)},
+        }
+        for sample in samples
+    ]
+    conversions = _slow_conversions(monkeypatch)
+    # Both workers leave the barrier as they look the model up in the LRU.
+    barrier = threading.Barrier(2, timeout=JOB_TIMEOUT)
+    digest = AnalysisRequest.model_digest
+
+    def gated(request):
+        barrier.wait()
+        return digest(request)
+
+    monkeypatch.setattr(AnalysisRequest, "model_digest", gated)
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=2) as service:
+        jobs = [service.submit(_encoded(body)) for body in bodies]
+        for job in jobs:
+            _done(service, job)
+    monkeypatch.undo()
+    assert len(conversions) == 1
+    for job, sample in zip(jobs, samples):
+        naive = FaultInjectionCampaign(
+            model, reliability, assume_stable=sample, incremental=False,
+        ).run()
+        value = spfm(naive, [])
+        assert job.result["rows"] == ledger_mod.fmea_rows_payload(naive)
+        assert (job.result["spfm"], job.result["asil"]) == (
+            value, asil_from_spfm(value),
+        )
+
+
+def test_memo_and_model_entry_hold_under_contention(
+    tmp_path, monkeypatch, clean_obs
+):
+    """Eight clients, four workers, a 1 µs switch interval: four questions
+    about one model, each body sent twice at once.  The model is converted
+    once, the memo keeps one entry per body, and every answer equals a
+    plain campaign's."""
+    thresholds = (0.1, 0.2, 0.3, 0.4)
+    config = {"sensors": ["CS1"], "assume_stable": list(ASSUMED_STABLE)}
+    bodies = [
+        _encoded(_psu_body(config=dict(config, threshold=t)))
+        for t in thresholds
+    ]
+    conversions = _slow_conversions(monkeypatch)
+    finished = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with AnalysisService(tmp_path / "ledger.jsonl", workers=4) as service:
+
+            def client(index):
+                job = service.submit(bodies[index % len(bodies)])
+                service.wait(job.id, JOB_TIMEOUT)
+                finished.append((index % len(bodies), job))
+
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(JOB_TIMEOUT)
+                assert not thread.is_alive()
+            assert service.status()["request_memo_entries"] == len(bodies)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.undo()
+    assert len(conversions) == 1
+    assert len(finished) == 8
+    model, reliability = build_power_supply_simulink(), power_supply_reliability()
+    for index, job in finished:
+        assert job.state == "done", job.error
+        expected = FaultInjectionCampaign(
+            model, reliability, sensors=["CS1"],
+            assume_stable=ASSUMED_STABLE, threshold=thresholds[index],
+        ).run()
+        assert job.result["rows"] == ledger_mod.fmea_rows_payload(expected)

@@ -895,11 +895,14 @@ class TestHTTPEndpoints:
         assert status == 200
         assert health["service"]["cache_hits"] == 1
         assert health["service"]["jobs"]["done"] == 2
+        # The resubmission's bytes were identical: keyed by their hash.
+        assert health["service"]["request_memo_entries"] == 1
 
         status, metrics = _http_request(host, port, "GET", "/metrics")
         assert status == 200
         text = metrics.decode("utf-8")
         assert "service_cache_hits 1" in text
+        assert "service_request_memo_hits 1" in text
         assert "service_jobs_submitted 2" in text
         assert "service_job_wall_seconds_count 2" in text
 
@@ -916,6 +919,25 @@ class TestHTTPEndpoints:
             conn.close()
         assert response.status == 400
         assert "error" in payload
+
+    def test_malformed_body_is_400_twice_and_never_memoised(
+        self, server, fmea_payload
+    ):
+        bad_config = json.loads(json.dumps(fmea_payload))
+        bad_config["config"]["workers"] = 0
+        for body in (b"{not json", json.dumps(bad_config).encode("utf-8")):
+            for _ in range(2):
+                conn = http.client.HTTPConnection(*server.address, timeout=10)
+                try:
+                    conn.request("POST", "/jobs", body=body)
+                    response = conn.getresponse()
+                    payload = json.loads(response.read())
+                finally:
+                    conn.close()
+                assert response.status == 400, payload
+        _, health = _http_request(*server.address, "GET", "/healthz")
+        assert health["service"]["request_memo_entries"] == 0
+        assert server.service.jobs() == []
 
     def test_bad_request_is_400(self, server, fmea_payload):
         status, payload = _http_request(
