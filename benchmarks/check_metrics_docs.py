@@ -74,11 +74,10 @@ def _expand_dynamic(template: str) -> set:
 def code_metrics() -> set:
     names = set()
     for path in sorted(SRC.rglob("*.py")):
-        # The registry/facade implementation registers by parameter, and
-        # the SLO engine reads objective-configured names — skip both;
-        # the metrics objectives reference are registered at their real
-        # call sites, which this scan covers.
-        if path.name in ("metrics.py", "slo.py") and path.parent.name == "obs":
+        # The registry/facade implementation registers by parameter: skip
+        # it; the metrics it serves are registered at their real call
+        # sites, which this scan covers.
+        if path.name == "metrics.py" and path.parent.name == "obs":
             continue
         text = path.read_text(encoding="utf-8")
         for is_fstring, name in _CALL.findall(text):
@@ -86,12 +85,6 @@ def code_metrics() -> set:
                 names |= _expand_dynamic(name)
             elif "{" not in name:
                 names.add(name)
-    # The SLO engine's own published metrics are static: keep its
-    # literals without scanning its objective-driven reads.
-    slo_text = (SRC / "obs" / "slo.py").read_text(encoding="utf-8")
-    for is_fstring, name in _CALL.findall(slo_text):
-        if not is_fstring and name.startswith("service_slo_"):
-            names.add(name)
     return names
 
 

@@ -16,7 +16,6 @@ any analysis command records provenance entries)::
     same history           --ledger ledger.jsonl [--kind fmeda] [--model m]
     same diff              --ledger ledger.jsonl @0 @-1 [--json]
     same watch-regressions --ledger ledger.jsonl [--baseline REF] [--json]
-    same slo               --url http://HOST:PORT [--ledger ledger.jsonl]
 """
 
 from __future__ import annotations
@@ -553,53 +552,6 @@ def _cmd_ledger_index(args: argparse.Namespace) -> int:
     return 0 if status["persisted"] else 1
 
 
-def _cmd_slo(args: argparse.Namespace) -> int:
-    """``same slo`` — the SLO gate: live burn rates from a running
-    service and/or the SLO verdict stamped on a recorded ledger entry.
-    Exits non-zero when anything is breached."""
-    import json as _json
-
-    from repro.obs.slo import render_report
-
-    if not args.url and not args.ledger:
-        raise SystemExit("same slo needs --url and/or --ledger")
-    rank = {"ok": 0, "warning": 1, "breached": 2}
-    worst = "ok"
-    if args.url:
-        from urllib.request import urlopen
-
-        url = args.url.rstrip("/") + "/healthz"
-        with urlopen(url, timeout=10.0) as response:
-            health = _json.loads(response.read().decode("utf-8"))
-        report = health.get("slo")
-        if not isinstance(report, dict):
-            raise SystemExit(f"{url} exposes no slo section")
-        if args.json:
-            print(_json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(render_report(report))
-        status = str(report.get("status", "ok"))
-        worst = max(worst, status, key=lambda s: rank.get(s, 0))
-    if args.ledger:
-        ledger = _open_ledger(args)
-        entry = ledger.resolve(args.entry)
-        slo = entry.meta.get("slo")
-        if not isinstance(slo, dict):
-            print(f"{entry.entry_id}: no SLO verdict recorded")
-        else:
-            status = str(slo.get("status", "ok"))
-            line = f"{entry.entry_id}: slo {status}"
-            breached = [str(name) for name in slo.get("breached", [])]
-            warning = [str(name) for name in slo.get("warning", [])]
-            if breached:
-                line += f" (breached: {', '.join(breached)})"
-            if warning:
-                line += f" (warning: {', '.join(warning)})"
-            print(line)
-            worst = max(worst, status, key=lambda s: rank.get(s, 0))
-    return 1 if worst == "breached" else 0
-
-
 def _cmd_serve_analysis(args: argparse.Namespace) -> int:
     import time
 
@@ -615,23 +567,12 @@ def _cmd_serve_analysis(args: argparse.Namespace) -> int:
     if not obs.events_enabled():
         obs.enable_events()
 
-    slo_objectives = None
-    if args.slo:
-        import json as _json
-
-        from repro.obs.slo import objectives_from_config
-
-        slo_objectives = objectives_from_config(
-            _json.loads(Path(args.slo).read_text(encoding="utf-8"))
-        )
-
     host, port = _parse_serve(args.bind)
     ledger = AnalysisLedger(args.ledger)
     service = AnalysisService(
         ledger,
         workers=args.service_workers,
         checkpoint_dir=args.checkpoint_dir,
-        slo_objectives=slo_objectives,
     )
     server = AnalysisServiceServer(service, host, port).start()
     print(
@@ -938,28 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_index.add_argument("--json", action="store_true")
     ledger_index.set_defaults(func=_cmd_ledger_index)
 
-    slo = sub.add_parser(
-        "slo",
-        help="inspect service-level objectives: live burn rates from a "
-        "running analysis service and/or the SLO verdict recorded on a "
-        "ledger entry; exits non-zero when breached",
-    )
-    slo.add_argument(
-        "--url",
-        help="base URL of a running analysis service (reads /healthz)",
-    )
-    slo.add_argument(
-        "--ledger",
-        help="analysis ledger JSONL to check a recorded entry's verdict",
-    )
-    slo.add_argument(
-        "--entry",
-        default="latest",
-        help="ledger entry reference (default: latest)",
-    )
-    slo.add_argument("--json", action="store_true")
-    slo.set_defaults(func=_cmd_slo)
-
     render = sub.add_parser("render", help="render SSAM model views")
     render.add_argument("--ssam", required=True)
     render.add_argument(
@@ -999,13 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         help="directory for per-fingerprint campaign checkpoints",
-    )
-    serve.add_argument(
-        "--slo",
-        metavar="CONFIG.json",
-        default=None,
-        help="JSON list of SLO objective dicts replacing the default "
-        "objectives (fields as in repro.obs.slo.Objective)",
     )
     serve.add_argument(
         "--max-seconds",

@@ -285,7 +285,7 @@ def diff_entries(before: LedgerEntry, after: LedgerEntry) -> LedgerDiff:
 class Regression:
     """One detected regression between a baseline and a candidate entry."""
 
-    kind: str  # 'spfm'|'single-point'|'wall-time'|'asil'|'strategy'|'slo'|'scaling'
+    kind: str  # 'spfm'|'single-point'|'wall-time'|'asil'|'strategy'|'scaling'
     message: str
 
 
@@ -319,10 +319,7 @@ def watch_regressions(
     latency-scaling bust: the candidate's recorded scaling probes
     (``meta.scaling``, written by the service benchmark as
     ``{name: {"ratio": ..., "budget": ...}}``) showing a ratio above its
-    budget — and an SLO breach: the candidate was recorded by the
-    analysis service while its error budget was burning (``meta.slo``,
-    stamped at record time by
-    :class:`~repro.service.jobs.AnalysisService`).
+    budget.
     """
     regressions: List[Regression] = []
     delta = diff.spfm_delta
@@ -400,16 +397,6 @@ def watch_regressions(
                         f"budget {budget:g}x",
                     )
                 )
-    slo = diff.after.meta.get("slo")
-    if isinstance(slo, dict) and slo.get("status") == "breached":
-        breached = [str(name) for name in slo.get("breached", [])]
-        regressions.append(
-            Regression(
-                "slo",
-                "candidate recorded while service SLOs were breached"
-                + (f" ({', '.join(breached)})" if breached else ""),
-            )
-        )
     return regressions
 
 

@@ -524,13 +524,7 @@ class AnalysisService:
         after a crash (or a near-identical tenant model) skips completed
         injections;
     history:
-        completed jobs kept in memory for ``GET /jobs`` (bounded);
-    slo_objectives:
-        service-level objectives evaluated by the built-in
-        :class:`~repro.obs.slo.SLOEngine` — a sequence of
-        :class:`~repro.obs.slo.Objective` objects or declarative dicts
-        (see ``docs/observability.md``); ``None`` uses the stock
-        job-success-rate / cache-hit-latency / queue-wait objectives.
+        completed jobs kept in memory for ``GET /jobs`` (bounded).
     """
 
     def __init__(
@@ -539,18 +533,13 @@ class AnalysisService:
         workers: int = 2,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         history: int = 256,
-        slo_objectives=None,
     ) -> None:
         from repro.obs.ledger import AnalysisLedger
-        from repro.obs.slo import SLOEngine, objectives_from_config
 
         self.ledger = (
             ledger if isinstance(ledger, AnalysisLedger)
             else AnalysisLedger(ledger)
         )
-        if slo_objectives and not hasattr(slo_objectives[0], "budget"):
-            slo_objectives = objectives_from_config(slo_objectives)
-        self.slo = SLOEngine(objectives=slo_objectives)
         self.worker_count = max(1, int(workers))
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -580,9 +569,6 @@ class AnalysisService:
             return self
         self._stopping = False
         obs.gauge("service_workers").set(self.worker_count)
-        # Baseline SLO snapshot: burn-rate windows need a "before" to diff
-        # against, and a young service's windows span its whole life.
-        self.slo.observe()
         obs.emit_event("service_started", workers=self.worker_count)
         for index in range(self.worker_count):
             thread = threading.Thread(
@@ -733,7 +719,6 @@ class AnalysisService:
             ),
             "job_wall_p50": round(wall.quantile(0.50), 6),
             "job_wall_p99": round(wall.quantile(0.99), 6),
-            "slo": self.slo.evaluate(),
         }
 
     # -- execution --------------------------------------------------------
@@ -784,8 +769,8 @@ class AnalysisService:
             wall = job.finished_at - job.submitted_at
             obs.histogram("service_job_wall_seconds").observe(wall)
             if job.cached:
-                # The cache-hit latency SLO watches this one: a hit that
-                # took as long as a compute means the ledger lookup degraded.
+                # Cache-hit latency on its own: a hit that took as long as
+                # a compute means the ledger lookup degraded.
                 obs.histogram("service_cache_hit_wall_seconds").observe(wall)
             failed = {"error": job.error} if job.state == "failed" else {}
             obs.emit_event(
@@ -798,9 +783,6 @@ class AnalysisService:
                 wall_seconds=round(wall, 6),
                 **failed,
             )
-            # Post-job SLO snapshot: gives the burn-rate windows their
-            # cadence (failure bursts become visible on the next evaluate).
-            self.slo.observe()
             self._export_job_log(job)
             job.done_event.set()
 
@@ -1002,8 +984,6 @@ class AnalysisService:
         )
         from repro.safety.metrics import asil_from_spfm, spfm
 
-        from repro.obs.slo import summarize
-
         meta = {
             "service": True,
             "service_cache_key": job.cache_key,
@@ -1039,10 +1019,6 @@ class AnalysisService:
                 correlation_id=job.correlation_id,
             ).run(fingerprint=job.fingerprint, conversion=cached.conversion)
             digest = cached.ledger_digest()
-        # SLO state at record time: a run recorded while the service was
-        # burning its error budget carries the breach in its provenance,
-        # which is what the `watch-regressions` slo rule checks.
-        meta["slo"] = summarize(self.slo.evaluate())
         config = {
             "analysis": request.config["analysis"],
             "t_stop": request.config["t_stop"],

@@ -27,9 +27,7 @@ with the job endpoints:
 
 ``/healthz`` gains a ``service`` section (queue depth, per-state job
 counts, cache hit/miss totals, request-memo size, in-flight registry size
-and coalesced-job total) and an ``slo`` section (the
-:class:`~repro.obs.slo.SLOEngine` report: overall ``ok|warning|breached``
-plus per-objective burn rates) via the :meth:`healthz_extra` hook, and the
+and coalesced-job total) via the :meth:`healthz_extra` hook, and the
 ``service_*`` metrics land on the existing ``/metrics`` scrape, so one
 server answers both "is it alive" and "what is it doing".
 """
@@ -186,10 +184,7 @@ class AnalysisServiceServer(LiveTelemetryServer):
         self.service = service
 
     def healthz_extra(self) -> Dict[str, object]:
-        status = self.service.status()
-        # The SLO report is surfaced top-level too: health probes check
-        # `healthz["slo"]["status"]` without knowing the service schema.
-        return {"service": status, "slo": status.get("slo")}
+        return {"service": self.service.status()}
 
     def start(self) -> "AnalysisServiceServer":
         self.service.start()
@@ -207,11 +202,9 @@ def serve_analysis(
     port: int = 0,
     workers: int = 2,
     checkpoint_dir: Optional[str] = None,
-    slo_objectives=None,
 ) -> AnalysisServiceServer:
     """One-call start: build the service over ``ledger`` and serve it."""
     service = AnalysisService(
         ledger, workers=workers, checkpoint_dir=checkpoint_dir,
-        slo_objectives=slo_objectives,
     )
     return AnalysisServiceServer(service, host, port).start()

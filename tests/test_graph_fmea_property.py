@@ -1,9 +1,11 @@
-"""Property-based test: Algorithm 1 against a brute-force oracle.
+"""Property-based tests: Algorithm 1 against independent oracles.
 
 Random small DAG architectures are generated; the oracle recomputes
 single-point failures directly from the definition ("the component appears
 in every input→output path", enumerated exhaustively with networkx) and
-must agree with :func:`run_ssam_fmea` on every component.
+must agree with :func:`run_ssam_fmea` on every component.  A second oracle
+is the FMEA/cut-set duality: Algorithm 1's single points must equal the
+singleton minimal cut sets of the synthesised fault tree.
 """
 
 import networkx as nx
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fta import federate_fta_fmea
 from repro.safety import run_ssam_fmea
 from repro.ssam import ArchitectureBuilder
 from repro.ssam.base import text_of
@@ -83,6 +86,17 @@ def test_property_algorithm1_matches_oracle(data):
     algorithm = set(result.safety_related_components())
     oracle = oracle_single_points(n, edges, entries, exits)
     assert algorithm == oracle
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=random_architectures())
+def test_property_single_points_equal_singleton_cut_sets(data):
+    """Algorithm-1 single points equal the singleton minimal cut sets of
+    :func:`synthesize_fault_tree` (the FMEA/cut-set duality)."""
+    system = data[0]
+    fmea = run_ssam_fmea(system, mark_model=False)
+    federated = federate_fta_fmea(system, fmea)
+    assert federated.consistent, federated.disagreements()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,16 @@
-"""Job-scoped observability: correlation ids, per-job event streams,
-leveled (log) events and the SLO/burn-rate plane.
+"""Job-scoped observability: correlation ids, per-job event streams and
+leveled (log) events.
 
-Acceptance surface from the correlation PR:
+Acceptance surface:
 
 - two concurrent analysis-service jobs stream disjoint, correctly-ordered
   event sequences on their own ``/jobs/<id>/events`` endpoints;
 - every event and ledger entry a job produces carries the job's
   correlation id, pool-worker events included;
-- a forced failure burst flips the ``/healthz`` SLO section to
-  ``breached``, and ``watch-regressions`` fails on a run recorded while
-  the budget was burning.
+- a forced failure burst shows as failed jobs on ``/healthz`` and leaves
+  the next computed job's ledger entry untouched;
+- ledger entries recorded with the former ``meta.slo`` verdict still
+  pass ``watch-regressions`` and keep their content digest.
 """
 
 import http.client
@@ -22,14 +23,6 @@ import pytest
 from repro import obs
 from repro.casestudies.power_supply import ASSUMED_STABLE
 from repro.obs.events import ConsoleProgress, Event, EventBus
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import (
-    DEFAULT_OBJECTIVES,
-    Objective,
-    SLOEngine,
-    objectives_from_config,
-    summarize,
-)
 from repro.service import (
     AnalysisService,
     AnalysisServiceServer,
@@ -276,120 +269,6 @@ class TestStructuredLog:
         assert Event.from_dict(data).level == "info"
 
 
-# -- SLO engine --------------------------------------------------------------
-
-
-def _ratio_engine(target=0.95, **kwargs):
-    registry = MetricsRegistry()
-    objective = Objective(
-        name="success", kind="ratio", target=target,
-        good="jobs_ok", bad="jobs_bad",
-    )
-    return registry, SLOEngine(objectives=[objective], registry=registry,
-                               **kwargs)
-
-
-class TestSLOEngine:
-    def test_no_traffic_is_ok(self):
-        registry, engine = _ratio_engine()
-        engine.observe(now=0.0)
-        report = engine.evaluate(now=10.0)
-        assert report["status"] == "ok"
-        (item,) = report["objectives"]
-        assert item["status"] == "ok"
-        assert item["window_events"] == 0
-
-    def test_failure_burst_breaches_both_windows(self):
-        registry, engine = _ratio_engine()
-        engine.observe(now=0.0)
-        registry.counter("jobs_bad").inc(5)
-        report = engine.evaluate(now=10.0)
-        assert report["status"] == "breached"
-        (item,) = report["objectives"]
-        # error ratio 1.0 against a 5% budget: burn 20x > 14.4x
-        assert item["burn_short"] == pytest.approx(20.0)
-        assert item["status"] == "breached"
-
-    def test_moderate_burn_is_warning_not_breach(self):
-        registry, engine = _ratio_engine(target=0.9)
-        engine.observe(now=0.0)
-        registry.counter("jobs_ok").inc(9)
-        registry.counter("jobs_bad").inc(1)
-        # error ratio 0.1 against a 10% budget: burn 1.0 — healthy.
-        assert engine.evaluate(now=10.0)["status"] == "ok"
-        registry.counter("jobs_bad").inc(9)
-        # now 10 bad / 19 total: burn ~5.3 < 6 — still ok...
-        assert engine.evaluate(now=20.0)["status"] == "ok"
-        registry.counter("jobs_bad").inc(8)
-        # 18 bad / 27 total: burn 6.7 — warning, not breached (< 14.4).
-        report = engine.evaluate(now=30.0)
-        assert report["status"] == "warning"
-        assert report["objectives"][0]["status"] == "warning"
-
-    def test_latency_objective_counts_over_threshold_mass(self):
-        registry = MetricsRegistry()
-        objective = Objective(
-            name="p99", kind="latency", target=0.99,
-            histogram="wall_seconds", threshold=0.25,
-        )
-        engine = SLOEngine(objectives=[objective], registry=registry)
-        engine.observe(now=0.0)
-        histogram = registry.histogram(
-            "wall_seconds", (0.1, 0.25, 1.0, 5.0)
-        )
-        for _ in range(10):
-            histogram.observe(2.0)  # every observation blows the budget
-        report = engine.evaluate(now=10.0)
-        assert report["status"] == "breached"
-        histogram2 = registry.histogram("wall_seconds", (0.1, 0.25, 1.0, 5.0))
-        assert histogram2 is histogram
-
-    def test_recovery_returns_to_ok(self):
-        registry, engine = _ratio_engine()
-        engine.observe(now=0.0)
-        registry.counter("jobs_bad").inc(5)
-        assert engine.evaluate(now=10.0)["status"] == "breached"
-        # The burst scrolls out of both windows; later traffic is clean.
-        registry.counter("jobs_ok").inc(100)
-        engine.observe(now=20.0)
-        report = engine.evaluate(now=10_000.0)
-        assert report["status"] == "ok"
-
-    def test_publishes_service_slo_metrics(self):
-        registry, engine = _ratio_engine()
-        engine.observe(now=0.0)
-        registry.counter("jobs_bad").inc(5)
-        engine.evaluate(now=10.0)
-        assert registry.gauge("service_slo_breached").value == 1.0
-        assert registry.gauge("service_slo_objectives").value == 1.0
-        assert registry.counter("service_slo_evaluations").value >= 1
-
-    def test_objective_validation(self):
-        with pytest.raises(ValueError):
-            Objective(name="x", kind="nope", good="a", bad="b")
-        with pytest.raises(ValueError):
-            Objective(name="x", kind="ratio", target=1.0, good="a", bad="b")
-        with pytest.raises(ValueError):
-            Objective(name="x", kind="ratio")  # ratio needs good+bad
-        with pytest.raises(ValueError):
-            Objective(name="x", kind="latency")  # latency needs histogram
-
-    def test_config_round_trip(self):
-        config = [o.to_dict() for o in DEFAULT_OBJECTIVES]
-        assert tuple(objectives_from_config(config)) == tuple(
-            DEFAULT_OBJECTIVES
-        )
-
-    def test_summarize_compacts_the_report(self):
-        registry, engine = _ratio_engine()
-        engine.observe(now=0.0)
-        registry.counter("jobs_bad").inc(5)
-        compact = summarize(engine.evaluate(now=10.0))
-        assert compact == {
-            "status": "breached", "breached": ["success"], "warning": [],
-        }
-
-
 # -- console progress ETA ----------------------------------------------------
 
 
@@ -488,45 +367,30 @@ class TestPerCampaignStatus:
         assert not fingerprints & {"fp-0", "fp-1", "fp-2", "fp-3"}
 
 
-# -- watch-regressions slo rule ----------------------------------------------
+# -- ledgers recorded with meta.slo -----------------------------------------
 
 
-class TestWatchRegressionsSlo:
-    def _entries(self, tmp_path, psu_fmea, psu_simulink, candidate_slo):
-        from repro.obs.history import diff_entries
-        from repro.obs.ledger import AnalysisLedger, record_fmea
+@pytest.mark.parametrize("recorded", [
+    {"status": "ok", "breached": [], "warning": []},
+    {"status": "warning", "breached": [], "warning": ["queue_wait_p95"]},
+    {"status": "breached", "breached": ["job_success_rate"], "warning": []},
+], ids=["ok", "warning", "breached"])
+def test_recorded_slo_meta_passes_the_gate(
+    tmp_path, psu_fmea, psu_simulink, recorded
+):
+    """Entries recorded while the service stamped an SLO verdict into
+    ``meta.slo`` pass ``watch-regressions`` whatever the verdict, and
+    ``meta`` stays out of their content digest."""
+    from repro.obs.history import diff_entries, watch_regressions
+    from repro.obs.ledger import AnalysisLedger, record_fmea
 
-        ledger = AnalysisLedger(tmp_path / "ledger.jsonl")
-        before = record_fmea(ledger, psu_fmea, model=psu_simulink)
-        after = record_fmea(ledger, psu_fmea, model=psu_simulink,
-                            meta={"slo": candidate_slo})
-        return diff_entries(before, after)
-
-    def test_breached_candidate_fails_the_gate(
-        self, tmp_path, psu_fmea, psu_simulink
-    ):
-        from repro.obs.history import watch_regressions
-
-        diff = self._entries(
-            tmp_path, psu_fmea, psu_simulink,
-            {"status": "breached", "breached": ["job_success_rate"],
-             "warning": []},
-        )
-        regressions = watch_regressions(diff)
-        assert [r.kind for r in regressions] == ["slo"]
-        assert "job_success_rate" in regressions[0].message
-
-    def test_ok_and_warning_candidates_pass(
-        self, tmp_path, psu_fmea, psu_simulink
-    ):
-        from repro.obs.history import watch_regressions
-
-        for slo in (
-            {"status": "ok", "breached": [], "warning": []},
-            {"status": "warning", "breached": [], "warning": ["queue"]},
-        ):
-            diff = self._entries(tmp_path, psu_fmea, psu_simulink, slo)
-            assert watch_regressions(diff) == []
+    ledger = AnalysisLedger(tmp_path / "ledger.jsonl")
+    before = record_fmea(ledger, psu_fmea, model=psu_simulink)
+    after = record_fmea(ledger, psu_fmea, model=psu_simulink,
+                        meta={"slo": recorded})
+    assert after.meta["slo"] == recorded
+    assert watch_regressions(diff_entries(before, after)) == []
+    assert after.content_digest == before.content_digest
 
 
 # -- campaign + pool-worker correlation --------------------------------------
@@ -810,22 +674,17 @@ class TestJobStreams:
         assert frames[-1][2]["payload"]["index"] == 0
 
 
-class TestSLOBreachEndToEnd:
+class TestFailureBurstEndToEnd:
     FAILURES = 6
 
-    def test_failure_burst_flips_healthz_and_fails_the_gate(
+    def test_failure_burst_counts_failed_jobs(
         self, server, psu_simulink, psu_reliability
     ):
-        from repro.obs.history import diff_entries, watch_regressions
-
         host, port = server.address
         good = _payload(psu_simulink, psu_reliability)
         _, accepted = _http_request(host, port, "POST", "/jobs", good)
         baseline_job = _poll_done(host, port, accepted["id"])
         assert baseline_job["state"] == "done"
-
-        status, health = _http_request(host, port, "GET", "/healthz")
-        assert health["slo"]["status"] == "ok"
 
         bad = dict(good, model={"format": "repro-simulink/1",
                                 "name": "broken",
@@ -837,14 +696,10 @@ class TestSLOBreachEndToEnd:
 
         status, health = _http_request(host, port, "GET", "/healthz")
         assert status == 200
-        assert health["slo"]["status"] == "breached"
-        success = next(
-            o for o in health["slo"]["objectives"]
-            if o["name"] == "job_success_rate"
-        )
-        assert success["status"] == "breached"
+        assert health["service"]["jobs"]["failed"] == self.FAILURES
+        assert "slo" not in health
 
-        # A job recorded while the budget burns carries the verdict...
+        # A recompute after the burst computes and records as usual.
         recompute = dict(good)
         recompute["config"] = dict(good["config"], threshold=0.35)
         _, accepted = _http_request(host, port, "POST", "/jobs", recompute)
@@ -853,25 +708,6 @@ class TestSLOBreachEndToEnd:
         assert candidate_job["cached"] is False
 
         ledger = server.service.ledger
-        baseline = ledger.resolve(baseline_job["result"]["entry"])
-        candidate = ledger.resolve(candidate_job["result"]["entry"])
-        assert baseline.meta["slo"]["status"] == "ok"
-        assert candidate.meta["slo"]["status"] == "breached"
-        assert "job_success_rate" in candidate.meta["slo"]["breached"]
-
-        # ...and watch-regressions fails on it.
-        regressions = watch_regressions(diff_entries(baseline, candidate))
-        assert "slo" in {r.kind for r in regressions}
-
-        # The CLI gate agrees: `same slo --ledger ...` exits non-zero.
-        from repro.cli import main as cli_main
-
-        assert cli_main([
-            "slo", "--ledger", str(ledger.path), "--entry",
-            candidate.entry_id,
-        ]) == 1
-        assert cli_main([
-            "slo", "--ledger", str(ledger.path), "--entry",
-            baseline.entry_id,
-        ]) == 0
-        assert cli_main(["slo", "--url", f"http://{host}:{port}"]) == 1
+        for job in (baseline_job, candidate_job):
+            entry = ledger.resolve(job["result"]["entry"])
+            assert "slo" not in entry.meta

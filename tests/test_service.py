@@ -380,10 +380,8 @@ class TestLifecycle:
         assert status["workers"] == 2
         assert status["cache_hits"] == 0
         assert "job_wall_p99" in status
-        # The SLO report rides along: quiet service, everything ok.
-        assert status["slo"]["status"] == "ok"
-        names = {o["name"] for o in status["slo"]["objectives"]}
-        assert "job_success_rate" in names
+        # No burn-rate engine: the summary carries no SLO report.
+        assert "slo" not in status
 
     def test_jobs_are_minted_distinct_correlation_ids(
         self, service, fmea_payload
@@ -897,6 +895,8 @@ class TestHTTPEndpoints:
         assert health["service"]["jobs"]["done"] == 2
         # The resubmission's bytes were identical: keyed by their hash.
         assert health["service"]["request_memo_entries"] == 1
+        assert "slo" not in health
+        assert "slo" not in health["service"]
 
         status, metrics = _http_request(host, port, "GET", "/metrics")
         assert status == 200
@@ -904,7 +904,10 @@ class TestHTTPEndpoints:
         assert "service_cache_hits 1" in text
         assert "service_request_memo_hits 1" in text
         assert "service_jobs_submitted 2" in text
+        # The three latency histograms: job wall, queue wait, cache hit.
         assert "service_job_wall_seconds_count 2" in text
+        assert "service_queue_wait_seconds_count 2" in text
+        assert "service_cache_hit_wall_seconds_count 1" in text
 
     def test_invalid_json_is_400(self, server):
         conn = http.client.HTTPConnection(*server.address, timeout=10)
@@ -1044,3 +1047,32 @@ class TestSameFacade:
 
         with pytest.raises(Exception, match="ledger"):
             SAME().serve_analysis()
+
+
+# -- removed surfaces --------------------------------------------------------
+
+
+class TestNoSloSurface:
+    """The SLO plane is gone: its CLI verb and flag are parser errors."""
+
+    def test_slo_verb_rejected_by_parser(self, tmp_path):
+        from repro.cli import main
+
+        for argv in (
+            ["slo", "--url", "http://127.0.0.1:9"],
+            ["slo", "--ledger", str(tmp_path / "ledger.jsonl")],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+
+    def test_serve_analysis_slo_flag_rejected_by_parser(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve-analysis", "--ledger", str(tmp_path / "ledger.jsonl"),
+                "--max-seconds", "0.1", "--slo", "x.json",
+            ])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "ledger.jsonl").exists()
