@@ -31,6 +31,14 @@ a fifth tier times a grid sample well above it (``k=96``, ~240 jobs):
 serial against the per-campaign pool the rule picks there, so the
 retained fan-out has benchmarked cases on each side of its rule.
 
+A primed-reuse probe times what the analysis service saves by keeping one
+:class:`~repro.circuit.PrimedSystem` per cached model: cold grid samples
+run on a freshly primed system against the same samples on one shared
+primed system, alternating which runs first, with rows asserted equal.
+Both walls go to ``BENCH_injection.json``, and ``meta.scaling.primed_reuse``
+(shared over fresh, budget 1) lets ``watch-regressions`` flag a reuse path
+that stops winning.
+
 Acceptance (full mode):
 
 - the batched engine (best of incremental / parallel) beats naive
@@ -41,7 +49,8 @@ Acceptance (full mode):
 - the sparse backend beats the dense (direct) one by >= 3x on the grid
   tier, and the dense (direct) one beats pinned sparse on the power
   supply and System A;
-- the pool beats the serial campaign on the fan-out grid sample.
+- the pool beats the serial campaign on the fan-out grid sample;
+- a grid sample on the shared primed system beats one that primes its own.
 
 Smoke mode (``BENCH_INJECTION_SMOKE=1``): shrinks System B and the grid,
 runs one repeat per strategy and skips the speedup assertions, so CI
@@ -67,6 +76,7 @@ import contextlib
 import json
 import math
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -83,8 +93,10 @@ from repro.casestudies import (
     power_supply_reliability,
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
-from repro.circuit import backends
+from repro.circuit import PrimedSystem, backends
+from repro.obs.ledger import fmea_rows_payload
 from repro.safety.campaign import FaultInjectionCampaign
+from repro.simulink import to_netlist
 
 SMOKE = os.environ.get("BENCH_INJECTION_SMOKE") == "1"
 TRACE_PATH = os.environ.get("BENCH_INJECTION_TRACE") or None
@@ -106,6 +118,11 @@ GRID_SAMPLE_K = 8 if SMOKE else 24
 #: alternating serial/pool rounds timed on it (best of each arm).
 GRID_FANOUT_K = 96
 GRID_FANOUT_ROUNDS = 3
+#: Alternating fresh/shared rounds of the primed-reuse probe, one new
+#: grid sample each; each arm reports its median.
+REUSE_ROUNDS = 2 if SMOKE else 9
+#: The reuse probe's scaling budget: shared wall over fresh wall.
+REUSE_BUDGET = 1.0
 SPEEDUP_TARGET = 3.0
 #: Sparse vs dense backend on the grid tier (full mode).
 SPARSE_SPEEDUP_TARGET = 3.0
@@ -230,6 +247,9 @@ _TRAJECTORY_KEYS = (
     "parallel_speedup",
     "sparse_speedup",
     "direct_speedup",
+    "fresh_s",
+    "shared_s",
+    "reuse_speedup",
 )
 
 
@@ -257,7 +277,9 @@ def _extended_trajectory(payload):
     return trajectory[-TRAJECTORY_KEEP:]
 
 
-def _ledger_record(case, model, reliability, result, timings=None):
+def _ledger_record(
+    case, model, reliability, result, timings=None, scaling=None
+):
     """Record one case's campaign in the provenance ledger."""
     from repro.obs.ledger import AnalysisLedger, record_fmea
     from repro.safety.metrics import asil_from_spfm, spfm
@@ -266,6 +288,8 @@ def _ledger_record(case, model, reliability, result, timings=None):
     meta = {"bench": "injection", "mode": "smoke" if SMOKE else "full"}
     if timings:
         meta["timings"] = timings
+    if scaling:
+        meta["scaling"] = scaling
     record_fmea(
         AnalysisLedger(LEDGER_PATH),
         result,
@@ -495,6 +519,93 @@ def _grid_fanout_case(payload):
     return entry
 
 
+def _primed_reuse_case(payload):
+    """Time cold grid samples on a freshly primed system against the same
+    samples on one shared primed system, alternating which arm runs
+    first; rows must be identical.
+
+    Both arms get the model's one conversion, so they differ only in
+    priming: index maps, constant matrix, factorization and baseline.  The
+    model is named apart from the grid tier's, so the ledger pairs each
+    night's reuse entry with the previous night's."""
+    model = build_power_grid_simulink(
+        name="power_grid_reuse",
+        feeders=GRID_FEEDERS,
+        sections_per_feeder=GRID_SECTIONS,
+    )
+    reliability = power_network_reliability()
+    conversion = to_netlist(model)
+    primed = PrimedSystem(conversion.netlist)
+    walls = {"fresh": [], "shared": []}
+    for round_ in range(REUSE_ROUNDS):
+        stable = power_grid_injection_sample(
+            model, k=GRID_SAMPLE_K, seed=100 + round_
+        )
+        arms = (("fresh", None), ("shared", primed))
+        rows = {}
+        for label, shared in arms if round_ % 2 == 0 else arms[::-1]:
+            campaign = FaultInjectionCampaign(
+                model, reliability, assume_stable=stable
+            )
+            start = time.perf_counter()
+            run = campaign.run(conversion=conversion, primed=shared)
+            walls[label].append(time.perf_counter() - start)
+            rows[label] = fmea_rows_payload(run)
+            if shared is not None:
+                result = run  # the ledger records the shared arm
+        assert rows["fresh"] == rows["shared"], (
+            f"power_grid_reuse: sample {round_} rows differ on the shared "
+            "primed system"
+        )
+    fresh_s = statistics.median(walls["fresh"])
+    shared_s = statistics.median(walls["shared"])
+    scaling = {
+        "primed_reuse": {
+            "ratio": round(shared_s / fresh_s, 3),
+            "budget": REUSE_BUDGET,
+        }
+    }
+    entry = {
+        "jobs": result.stats.jobs,
+        "sample_k": GRID_SAMPLE_K,
+        "rounds": REUSE_ROUNDS,
+        "solver_backend": primed.backend,
+        "fresh_s": round(fresh_s, 6),
+        "shared_s": round(shared_s, 6),
+        "reuse_speedup": round(fresh_s / shared_s, 3),
+        "rows_identical": True,
+    }
+    payload["cases"]["power_grid_reuse"] = entry
+    payload["meta"] = {"scaling": scaling}
+    if LEDGER_PATH:
+        _ledger_record(
+            "power_grid_reuse",
+            model,
+            reliability,
+            result,
+            timings={"fresh": entry["fresh_s"], "shared": entry["shared_s"]},
+            scaling=scaling,
+        )
+    report_table(
+        "BENCH injection reuse",
+        "cold grid samples: fresh priming vs the shared primed system",
+        format_rows(
+            [
+                {
+                    "Case": "power_grid_reuse",
+                    "Jobs": result.stats.jobs,
+                    "Backend": primed.backend,
+                    "Rounds": REUSE_ROUNDS,
+                    "Fresh(s)": f"{fresh_s:.3f}",
+                    "Shared(s)": f"{shared_s:.3f}",
+                    "Fresh/Shared": f"{entry['reuse_speedup']:.2f}x",
+                }
+            ]
+        ),
+    )
+    return entry
+
+
 def test_bench_injection():
     if TRACE_PATH:
         from repro import obs
@@ -520,6 +631,7 @@ def test_bench_injection():
     _classic_cases(payload, table)
     grid = _grid_case(payload)
     fanout = None if SMOKE else _grid_fanout_case(payload)
+    reuse = _primed_reuse_case(payload)
 
     largest = payload["cases"]["system_b"]
     classic = {
@@ -533,6 +645,7 @@ def test_bench_injection():
             and grid["sparse_speedup"] >= SPARSE_SPEEDUP_TARGET
             and fanout["workers"] > 1
             and fanout["parallel_speedup"] > 1.0
+            and reuse["shared_s"] < reuse["fresh_s"]
             and all(
                 payload["cases"][case]["direct_speedup"] > 1.0
                 for case in DIRECT_CASES
@@ -585,6 +698,10 @@ def test_bench_injection():
         assert fanout["parallel_speedup"] > 1.0, (
             "the pool must beat the serial campaign above the crossover, "
             f"got {fanout['parallel_speedup']}x"
+        )
+        assert reuse["shared_s"] < reuse["fresh_s"], (
+            "a grid sample on the shared primed system must beat one that "
+            f"primes its own, got {reuse['reuse_speedup']}x"
         )
         for case, entry in classic.items():
             assert entry["incremental_speedup"] >= 1.0, (

@@ -37,6 +37,7 @@ from repro.circuit.backends import (
 from repro.circuit.mna import (
     CompiledSystem,
     DCSolution,
+    PrimedSystem,
     SolveStats,
     dc_operating_point,
     system_size,
@@ -61,6 +62,7 @@ __all__ = [
     "dc_operating_point",
     "system_size",
     "CompiledSystem",
+    "PrimedSystem",
     "SolveStats",
     "BACKENDS",
     "SPARSE_AUTO_MIN_SIZE",

@@ -8,17 +8,28 @@ voltage limiting.  A small ``gmin`` conductance from every node to ground
 keeps matrices regular when fault injection leaves nodes floating (an *open*
 failure must still produce a solution: the sensors simply read ~0).
 
-Two performance layers sit on top of the plain solver:
+Performance layers on top of the plain solver:
 
 - :class:`_System` caches the *constant* part of the assembly (all linear
   stamps plus the independent-source RHS), so Newton iteration only
   re-stamps the diode companion models on a copy of the cached matrix;
-- :class:`CompiledSystem` solves single-element replacements (the fault
-  injection workload) without rebuilding the netlist.  The system's size
-  picks one rule (:func:`repro.circuit.backends.resolve_backend`): a dense
-  system delta-stamps a copy of the cached constant matrix and solves it
+- :class:`DCSolution` keeps the solution vector and the system's index
+  maps: a reading indexes the vector, and the per-node and per-branch
+  dicts are built only when read;
+- :class:`PrimedSystem` is the per-netlist part of the fault-injection
+  solver, immutable once primed: index maps, the constant matrix (dense,
+  or CSC with its SuperLU factorization), the baseline operating point
+  and its diode biases, and the ``A0⁻¹u`` columns priming solved.  Runs
+  over one netlist share it — the analysis service keeps one per cached
+  model;
+- :class:`CompiledSystem` is the per-run solver over a primed system: it
+  solves single-element replacements (the fault injection workload)
+  without rebuilding the netlist, and keeps its own :class:`SolveStats`
+  and the columns of its own faults.  The system's size picks one rule
+  (:func:`repro.circuit.backends.resolve_backend`): a dense system
+  delta-stamps a copy of the cached constant matrix and solves it
   directly; a sparse system applies low-rank Sherman–Morrison–Woodbury
-  updates to the cached SuperLU factorization.  Both fall back to exact
+  updates to the primed SuperLU factorization.  Both fall back to exact
   full re-assembly whenever a replacement changes the system topology (new
   or removed branch unknowns, orphaned nodes) or the solve turns out
   numerically unstable.
@@ -27,8 +38,8 @@ Two performance layers sit on top of the plain solver:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,42 +90,135 @@ def _is_ground(node: str) -> bool:
     return node in GROUND_NAMES
 
 
-@dataclass
 class DCSolution:
-    """DC operating point: node voltages and branch currents."""
+    """DC operating point: node voltages and branch currents.
 
-    node_voltages: Dict[str, float]
-    branch_currents: Dict[str, float]
-    iterations: int = 1
+    A solution is the solution vector read through the system's index
+    maps: :meth:`voltage`, :meth:`current` and :meth:`voltage_across`
+    index the vector directly, and the :attr:`node_voltages` and
+    :attr:`branch_currents` dicts are built only when read.  A fault
+    campaign reads a handful of sensors off each solution of a system with
+    thousands of unknowns.  The solvers build one with :meth:`from_vector`;
+    the constructor takes the two dicts.
+    """
+
+    __slots__ = (
+        "iterations", "_vector", "_node_index", "_branch_index",
+        "_node_voltages", "_branch_currents",
+    )
+
+    def __init__(
+        self,
+        node_voltages: Dict[str, float],
+        branch_currents: Dict[str, float],
+        iterations: int = 1,
+    ) -> None:
+        offset = len(node_voltages)
+        self._bind(
+            np.array(
+                [*node_voltages.values(), *branch_currents.values()],
+                dtype=float,
+            ),
+            {node: i for i, node in enumerate(node_voltages)},
+            {name: offset + i for i, name in enumerate(branch_currents)},
+            iterations,
+        )
+
+    @classmethod
+    def from_vector(
+        cls,
+        vector: np.ndarray,
+        node_index: Dict[str, int],
+        branch_index: Dict[str, int],
+        iterations: int,
+    ) -> "DCSolution":
+        """A solution that reads ``vector`` through the system's index
+        maps (callers must not mutate any of them afterwards)."""
+        solution = cls.__new__(cls)
+        solution._bind(vector, node_index, branch_index, iterations)
+        return solution
+
+    def _bind(
+        self,
+        vector: np.ndarray,
+        node_index: Dict[str, int],
+        branch_index: Dict[str, int],
+        iterations: int,
+    ) -> None:
+        self.iterations = iterations
+        self._vector = vector
+        self._node_index = node_index
+        self._branch_index = branch_index
+        self._node_voltages: Optional[Dict[str, float]] = None
+        self._branch_currents: Optional[Dict[str, float]] = None
+
+    @property
+    def node_voltages(self) -> Dict[str, float]:
+        if self._node_voltages is None:
+            vector = self._vector
+            self._node_voltages = {
+                node: float(vector[idx])
+                for node, idx in self._node_index.items()
+            }
+        return self._node_voltages
+
+    @property
+    def branch_currents(self) -> Dict[str, float]:
+        if self._branch_currents is None:
+            vector = self._vector
+            self._branch_currents = {
+                name: float(vector[idx])
+                for name, idx in self._branch_index.items()
+            }
+        return self._branch_currents
 
     def voltage(self, node: str) -> float:
         if _is_ground(node):
             return 0.0
-        try:
-            return self.node_voltages[node]
-        except KeyError:
-            raise CircuitError(f"no node named {node!r}") from None
+        idx = self._node_index.get(node)
+        if idx is None:
+            raise CircuitError(f"no node named {node!r}")
+        return float(self._vector[idx])
 
     def voltage_across(self, node_pos: str, node_neg: str) -> float:
         return self.voltage(node_pos) - self.voltage(node_neg)
 
     def current(self, element_name: str) -> float:
         """Branch current of a voltage source, ammeter or inductor."""
-        try:
-            return self.branch_currents[element_name]
-        except KeyError:
+        idx = self._branch_index.get(element_name)
+        if idx is None:
             raise CircuitError(
                 f"element {element_name!r} has no tracked branch current "
-                f"(tracked: {sorted(self.branch_currents)})"
-            ) from None
+                f"(tracked: {sorted(self._branch_index)})"
+            )
+        return float(self._vector[idx])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DCSolution):
+            return NotImplemented
+        return (
+            self.node_voltages == other.node_voltages
+            and self.branch_currents == other.branch_currents
+            and self.iterations == other.iterations
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"DCSolution(node_voltages={self.node_voltages!r}, "
+            f"branch_currents={self.branch_currents!r}, "
+            f"iterations={self.iterations!r})"
+        )
 
 
 class _System:
     """Index assignment and matrix assembly for one netlist.
 
     The linear stamps (everything except the diode companion models) are
-    assembled once and cached; :meth:`assemble` applies the per-iteration
-    diode deltas to a copy.
+    assembled once and cached as the backend's matrix, dense or CSC, next
+    to the constant RHS; :meth:`assemble` applies the per-iteration diode
+    deltas to a copy.  The triplet stream both are built from is not kept.
     """
 
     def __init__(self, netlist: Netlist, gmin: float) -> None:
@@ -137,7 +241,7 @@ class _System:
         self.diodes: List[Diode] = [
             e for e in netlist.elements() if isinstance(e, Diode)
         ]
-        self._parts: Optional[Tuple[_backends.Triplets, np.ndarray]] = None
+        self._rhs: Optional[np.ndarray] = None
         self._constant: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._constant_csc = None
 
@@ -176,9 +280,10 @@ class _System:
         ``np.add.at``) reproduces the old in-place assembly bit for bit,
         while the sparse backend builds its CSC matrix from the very same
         stream — both backends factorize the numerically identical system.
+
+        Only the RHS is cached: the Python triplet lists are garbage once
+        the backend's matrix exists (0.6 MB on a 2.5k-unknown grid).
         """
-        if self._parts is not None:
-            return self._parts
         rows: List[int] = []
         cols: List[int] = []
         vals: List[float] = []
@@ -241,12 +346,15 @@ class _System:
                 raise CircuitError(
                     f"unsupported element type {type(element).__name__}"
                 )
-        self._parts = ((rows, cols, vals), rhs)
-        return self._parts
+        if self._rhs is None:
+            self._rhs = rhs
+        return (rows, cols, vals), self._rhs
 
     def constant_rhs(self) -> np.ndarray:
         """The cached constant RHS (callers must not mutate it)."""
-        return self._constant_parts()[1]
+        if self._rhs is None:
+            self._constant_parts()
+        return self._rhs
 
     def assemble_constant(self) -> Tuple[np.ndarray, np.ndarray]:
         """The linear stamps and RHS — everything except the diodes.
@@ -306,21 +414,18 @@ class _System:
         return node_voltage(diode.node_pos) - node_voltage(diode.node_neg)
 
     def to_solution(self, vector: np.ndarray, iterations: int) -> DCSolution:
-        node_voltages = {
-            node: float(vector[idx]) for node, idx in self.node_index.items()
-        }
-        branch_currents = {
-            element.name: float(vector[self.branch_index[element.name]])
-            for element in self.branch_elements
-        }
-        return DCSolution(node_voltages, branch_currents, iterations)
+        return DCSolution.from_vector(
+            vector, self.node_index, self.branch_index, iterations
+        )
 
 
 def system_size(netlist: Netlist) -> int:
     """Number of MNA unknowns ``netlist`` solves for (0 for an empty one).
 
-    Cheap (index assignment only, no assembly) — callers use it to pick
-    solver backends and execution strategies before committing to a solve.
+    Cheap (index assignment only, no assembly), but it builds the index
+    maps just to count them: a caller holding a :class:`PrimedSystem`
+    reads its ``size`` instead.  Naive and transient campaigns, which
+    prime nothing, use this to size their fan-out.
     """
     if len(netlist) == 0:
         return 0
@@ -567,29 +672,24 @@ def _static_conductance(element: Element) -> Optional[float]:
     return None
 
 
-class CompiledSystem:
-    """A netlist compiled for repeated solves under single-element faults.
+class PrimedSystem:
+    """The per-netlist part of a compiled system: everything no fault changes.
 
-    The constant MNA matrix is assembled once.  The healthy operating point
-    and any fault expressible as a same-node element replacement (shorts,
-    resistive degradations, parameter drifts, opens that leave no node
-    orphaned) are then solved without rebuilding the netlist, by the one
-    rule the system's size picks (``backend``):
+    Priming (the constructor) does the fault-independent work once:
 
-    - ``dense`` (below :data:`~repro.circuit.backends.SPARSE_AUTO_MIN_SIZE`
-      unknowns): the fault's deltas are stamped onto a copy of the cached
-      matrix and LAPACK solves it directly, Newton warm-started from the
-      baseline diode biases;
-    - ``sparse``: the constant matrix is factored once with SuperLU and
-      each fault is a low-rank Sherman–Morrison–Woodbury update of that
-      factorization, with diode companion models folded into the update as
-      additional rank-one terms per Newton iteration.
+    - the MNA index maps (:class:`_System`) and the node reference counts
+      the update planner checks;
+    - the constant matrix for the rule the system's size picks — dense, or
+      CSC factored once with SuperLU (a failed factorization is latched:
+      every solve then falls back to full assembly);
+    - the healthy baseline operating point (or the error that stopped it),
+      its diode biases for Newton warm starts, and the ``A0⁻¹u`` columns
+      its solve needed (the diode directions).
 
-    Whenever a fault changes the system topology (removing or retyping a
-    branch element, orphaning a node) or an updated solve fails its residual
-    check, :meth:`solve_replacement` falls back to exact full assembly via
-    :func:`dc_operating_point`, so results never depend on the fast path
-    being applicable.
+    After that a primed system never changes, so every run over the same
+    netlist — concurrent service jobs included — can share one, each
+    through its own :class:`CompiledSystem`.  ``stats`` counts what
+    priming cost.
     """
 
     def __init__(
@@ -601,18 +701,13 @@ class CompiledSystem:
             raise CircuitError("cannot solve an empty netlist")
         self.netlist = netlist
         self.gmin = gmin
-        self._system = _System(netlist, gmin)
-        if self._system.size == 0:
+        self.system = _System(netlist, gmin)
+        #: Number of MNA unknowns.
+        self.size = self.system.size
+        if self.size == 0:
             raise CircuitError("netlist has no unknowns (everything grounded?)")
         #: Concrete solver backend ('dense' | 'sparse') for this system.
-        self.backend = _backends.resolve_backend(self._system.size)
-        self.stats = SolveStats()
-        self._sparse_factor: Optional[_backends.Factorization] = None
-        self._lu_failed = False
-        self._baseline: Optional[DCSolution] = None
-        self._warm_vd: Optional[Dict[str, float]] = None
-        #: A0^{-1} u for update directions, keyed by (pos index, neg index).
-        self._column_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        self.backend = _backends.resolve_backend(self.size)
         self._node_refs: Dict[str, int] = {}
         #: Per node, how many connections hold it at a definite potential:
         #: branch elements (extra KVL row) or static conductances > 0.
@@ -631,54 +726,86 @@ class CompiledSystem:
                         self._stiff_refs[node] = (
                             self._stiff_refs.get(node, 0) + 1
                         )
-
-    # -- public API -------------------------------------------------------
-
-    def solve(self) -> DCSolution:
-        """The healthy (baseline) operating point, computed once and cached."""
-        if self._baseline is None:
-            plan = _UpdatePlan(diodes=tuple(self._system.diodes))
-            try:
-                if self.backend == "dense":
-                    self._baseline = self._solve_direct(plan)
-                else:
-                    self._baseline = self._solve_incremental(plan)
-            except _SmwFallback:
-                self.stats.full_rebuilds += 1
-                self._baseline = dc_operating_point(self.netlist, self.gmin)
-                self.stats.solves += 1
-        return self._baseline
-
-    def solve_replacement(
-        self, name: str, replacement: Optional[Element]
-    ) -> DCSolution:
-        """Operating point with element ``name`` replaced (``None``: removed).
-
-        Solves against the cached assembly when the replacement only
-        re-weights existing stamps; falls back to exact full re-assembly for
-        topology-changing faults.
-        """
-        plan = self._plan_update(name, replacement)
-        if plan is not None:
-            if self._is_baseline_plan(plan):
-                solution = self.solve()
-                self.stats.baseline_reuses += 1
-                return solution
-            try:
-                if self.backend == "dense":
-                    return self._solve_direct(plan)
-                return self._solve_incremental(plan)
-            except _SmwFallback:
-                pass
-        self.stats.full_rebuilds += 1
-        with obs.span("mna.full_rebuild", element=name):
-            if replacement is None:
-                fault = self.netlist.without(name)
+        self._factor: Optional[_backends.Factorization] = None
+        self.baseline: Optional[DCSolution] = None
+        self.baseline_error = ""
+        #: Converged baseline diode biases, for Newton warm starts.
+        self.warm_vd: Dict[str, float] = {}
+        #: A0^{-1} u for the priming directions, keyed by (pos, neg) index.
+        self.columns: Dict[Tuple[int, int], np.ndarray] = {}
+        with obs.span(
+            "mna.prime",
+            netlist=netlist.name,
+            size=self.size,
+            **{"solver.backend": self.backend},
+        ):
+            if self.backend == "sparse":
+                self._factor = self._factorize()
             else:
-                fault = self.netlist.with_replacement(name, replacement)
-            solution = dc_operating_point(fault, self.gmin)
-        self.stats.solves += 1
-        return solution
+                self.system.assemble_constant()
+            # The baseline is solved like any fault, by a solver over this
+            # system; what that solve counts and caches becomes the priming.
+            priming = CompiledSystem(self)
+            try:
+                self.baseline = priming._solve_baseline()
+            except CircuitError as exc:
+                self.baseline_error = str(exc)
+            else:
+                self.warm_vd = self._diode_biases(self.baseline)
+            self.columns = priming._columns
+            self.stats = priming.stats
+
+    def _factorize(self) -> Optional[_backends.Factorization]:
+        """SuperLU factors of the constant CSC matrix, or ``None`` (counted
+        and latched) when the matrix is singular or non-finite."""
+        matrix = self.system.assemble_constant_csc()
+        with obs.span(
+            "mna.factorize",
+            size=self.size,
+            **{"solver.backend": "sparse"},
+        ):
+            try:
+                return _backends.factorize(matrix, "sparse")
+            except _backends.FactorizationError as exc:
+                if obs.enabled():
+                    obs.counter("mna_lu_failures").inc()
+                    with obs.span(
+                        "mna.lu_failure",
+                        size=self.size,
+                        error=type(exc).__name__,
+                    ):
+                        pass
+                return None
+
+    def _ensure_sparse(self) -> _backends.Factorization:
+        """The cached SuperLU factorization of the constant CSC matrix.
+
+        A singular or non-finite constant matrix was latched at priming:
+        every solve falls back to full assembly without re-trying the
+        factorization.
+        """
+        if self._factor is None:
+            raise _SmwFallback
+        return self._factor
+
+    def _diode_biases(self, baseline: DCSolution) -> Dict[str, float]:
+        """Converged diode biases of the baseline, for Newton warm starts.
+
+        Diode operating points barely move under most single faults; since
+        Newton converges quadratically to the circuit's unique operating
+        point, starting at the baseline bias instead of the generic 0.6 V
+        reaches the same answer (to well under the convergence tolerance) in
+        a fraction of the iterations.
+        """
+        warm: Dict[str, float] = {}
+        for diode in self.system.diodes:
+            try:
+                warm[diode.name] = baseline.voltage_across(
+                    diode.node_pos, diode.node_neg
+                )
+            except CircuitError:
+                warm[diode.name] = 0.6
+        return warm
 
     # -- update planning --------------------------------------------------
 
@@ -688,7 +815,7 @@ class CompiledSystem:
             and not plan.rhs_current
             and not plan.rhs_branch
             and not plan.branch_diag
-            and list(plan.diodes) == list(self._system.diodes)
+            and list(plan.diodes) == list(self.system.diodes)
         )
 
     def _plan_update(
@@ -697,7 +824,7 @@ class CompiledSystem:
         """Express the fault as a low-rank update, or ``None`` if it changes
         the topology (the caller then re-assembles from scratch)."""
         original = self.netlist.element(name)
-        system = self._system
+        system = self.system
 
         # Branch elements own an extra unknown: only value tweaks that keep
         # the exact same stamps stay low-rank — a source voltage change, or
@@ -824,41 +951,137 @@ class CompiledSystem:
             removed=name if replacement is None else None,
         )
 
-    # -- the sparse Woodbury solver ---------------------------------------
+    def _direction(self, n_pos: str, n_neg: str) -> Tuple[int, int]:
+        """Index pair of an update direction u = e_i - e_j (-1: ground)."""
+        i = self.system._idx(n_pos)
+        j = self.system._idx(n_neg)
+        return (-1 if i is None else i, -1 if j is None else j)
 
-    def _factorization_failed(self, exc: BaseException) -> None:
-        """Latch the no-reusable-factorization state and count it."""
-        self._lu_failed = True
-        if obs.enabled():
-            obs.counter("mna_lu_failures").inc()
-            with obs.span(
-                "mna.lu_failure",
-                size=self._system.size,
-                error=type(exc).__name__,
-            ):
-                pass
 
-    def _ensure_sparse(self) -> _backends.Factorization:
-        """The cached SuperLU factorization of the constant CSC matrix.
+class CompiledSystem:
+    """A netlist's solver for repeated solves under single-element faults.
 
-        A singular or non-finite constant matrix latches: every later solve
-        falls back to full assembly without re-trying the factorization.
+    The per-netlist work lives in a :class:`PrimedSystem`: built here from
+    a netlist (and counted in this solver's ``stats``), or shared when one
+    is passed in (its ``gmin`` applies).  The healthy operating point and
+    any fault expressible as a same-node element replacement (shorts,
+    resistive degradations, parameter drifts, opens that leave no node
+    orphaned) are then solved without rebuilding the netlist, by the one
+    rule the system's size picks (``backend``):
+
+    - ``dense`` (below :data:`~repro.circuit.backends.SPARSE_AUTO_MIN_SIZE`
+      unknowns): the fault's deltas are stamped onto a copy of the cached
+      matrix and LAPACK solves it directly, Newton warm-started from the
+      baseline diode biases;
+    - ``sparse``: each fault is a low-rank Sherman–Morrison–Woodbury
+      update of the primed SuperLU factorization, with diode companion
+      models folded into the update as additional rank-one terms per
+      Newton iteration.
+
+    The solver owns only what one run adds: its ``stats`` and the
+    ``A0⁻¹u`` columns of its faults' update directions, which never enter
+    the shared primed system.
+
+    Whenever a fault changes the system topology (removing or retyping a
+    branch element, orphaning a node) or an updated solve fails its residual
+    check, :meth:`solve_replacement` falls back to exact full assembly via
+    :func:`dc_operating_point`, so results never depend on the fast path
+    being applicable.
+    """
+
+    def __init__(
+        self,
+        netlist: Union[Netlist, PrimedSystem],
+        gmin: float = _DEFAULT_GMIN,
+    ) -> None:
+        if isinstance(netlist, PrimedSystem):
+            self.primed = netlist
+            self.stats = SolveStats()
+        else:
+            self.primed = PrimedSystem(netlist, gmin)
+            # This run paid for the priming: count it as its own work.
+            self.stats = replace(self.primed.stats)
+        #: A0^{-1} u for this run's update directions beyond the primed ones.
+        self._columns: Dict[Tuple[int, int], np.ndarray] = {}
+
+    @property
+    def netlist(self) -> Netlist:
+        return self.primed.netlist
+
+    @property
+    def gmin(self) -> float:
+        return self.primed.gmin
+
+    @property
+    def backend(self) -> str:
+        """Concrete solver backend ('dense' | 'sparse') for this system."""
+        return self.primed.backend
+
+    @property
+    def size(self) -> int:
+        """Number of MNA unknowns."""
+        return self.primed.size
+
+    # -- public API -------------------------------------------------------
+
+    def solve(self) -> DCSolution:
+        """The healthy (baseline) operating point, solved at priming.
+
+        Raises the :class:`CircuitError` that stopped the baseline solve,
+        if one did.
         """
-        if self._lu_failed:
-            raise _SmwFallback
-        if self._sparse_factor is None:
-            matrix = self._system.assemble_constant_csc()
-            with obs.span(
-                "mna.factorize",
-                size=self._system.size,
-                **{"solver.backend": "sparse"},
-            ):
-                try:
-                    self._sparse_factor = _backends.factorize(matrix, "sparse")
-                except _backends.FactorizationError as exc:
-                    self._factorization_failed(exc)
-                    raise _SmwFallback from None
-        return self._sparse_factor
+        primed = self.primed
+        if primed.baseline is None:
+            raise CircuitError(primed.baseline_error)
+        return primed.baseline
+
+    def solve_replacement(
+        self, name: str, replacement: Optional[Element]
+    ) -> DCSolution:
+        """Operating point with element ``name`` replaced (``None``: removed).
+
+        Solves against the cached assembly when the replacement only
+        re-weights existing stamps; falls back to exact full re-assembly for
+        topology-changing faults.
+        """
+        primed = self.primed
+        plan = primed._plan_update(name, replacement)
+        if plan is not None:
+            if primed._is_baseline_plan(plan):
+                solution = self.solve()
+                self.stats.baseline_reuses += 1
+                return solution
+            try:
+                return self._solve_plan(plan)
+            except _SmwFallback:
+                pass
+        self.stats.full_rebuilds += 1
+        with obs.span("mna.full_rebuild", element=name):
+            if replacement is None:
+                fault = primed.netlist.without(name)
+            else:
+                fault = primed.netlist.with_replacement(name, replacement)
+            solution = dc_operating_point(fault, primed.gmin)
+        self.stats.solves += 1
+        return solution
+
+    def _solve_plan(self, plan: _UpdatePlan) -> DCSolution:
+        if self.primed.backend == "dense":
+            return self._solve_direct(plan)
+        return self._solve_incremental(plan)
+
+    def _solve_baseline(self) -> DCSolution:
+        """Priming's healthy solve, by full assembly if the rule declines."""
+        plan = _UpdatePlan(diodes=tuple(self.primed.system.diodes))
+        try:
+            return self._solve_plan(plan)
+        except _SmwFallback:
+            self.stats.full_rebuilds += 1
+            baseline = dc_operating_point(self.primed.netlist, self.primed.gmin)
+            self.stats.solves += 1
+            return baseline
+
+    # -- the sparse Woodbury solver ---------------------------------------
 
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A0⁻¹ rhs`` through the cached factorization.
@@ -867,34 +1090,33 @@ class CompiledSystem:
         one factorization, all columns solved in a single backend call.
         """
         try:
-            return self._ensure_sparse().solve(rhs)
+            return self.primed._ensure_sparse().solve(rhs)
         except _backends.FactorizationError:
             raise _SmwFallback from None
-
-    def _direction(self, n_pos: str, n_neg: str) -> Tuple[int, int]:
-        """Index pair of an update direction u = e_i - e_j (-1: ground)."""
-        i = self._system._idx(n_pos)
-        j = self._system._idx(n_neg)
-        return (-1 if i is None else i, -1 if j is None else j)
 
     def _solved_columns(
         self, pairs: List[Tuple[int, int]]
     ) -> List[np.ndarray]:
-        """Cached ``A0⁻¹ u`` columns for update directions, batched.
+        """``A0⁻¹ u`` columns for update directions, batched.
+
+        The primed system's columns are read, never extended: a column
+        this run solves stays in the run's own cache.
 
         All uncached directions are solved as ONE multi-RHS block — a
         matrix whose columns are the unit-difference vectors, handed to the
         backend in a single solve call — instead of one factorized solve
         per direction.
         """
+        primed = self.primed.columns
+        own = self._columns
         missing: List[Tuple[int, int]] = []
         seen = set()
         for pair in pairs:
-            if pair not in self._column_cache and pair not in seen:
+            if pair not in primed and pair not in own and pair not in seen:
                 seen.add(pair)
                 missing.append(pair)
         if missing:
-            block = np.zeros((self._system.size, len(missing)))
+            block = np.zeros((self.primed.size, len(missing)))
             for col, pair in enumerate(missing):
                 if pair[0] >= 0:
                     block[pair[0], col] += 1.0
@@ -902,14 +1124,14 @@ class CompiledSystem:
                     block[pair[1], col] -= 1.0
             solved = self._base_solve(block)
             for col, pair in enumerate(missing):
-                self._column_cache[pair] = np.ascontiguousarray(
-                    solved[:, col]
-                )
+                own[pair] = np.ascontiguousarray(solved[:, col])
             self.stats.factorization_reuses += len(missing)
             self.stats.batched_columns += len(missing)
             if obs.enabled():
                 obs.counter("mna_batched_rhs_columns").inc(len(missing))
-        return [self._column_cache[pair] for pair in pairs]
+        return [
+            primed[pair] if pair in primed else own[pair] for pair in pairs
+        ]
 
     def _woodbury(
         self,
@@ -966,36 +1188,13 @@ class CompiledSystem:
             x -= weight * column
         return x
 
-    def _warm_diode_voltages(self) -> Dict[str, float]:
-        """Converged diode biases of the baseline, for Newton warm starts.
-
-        Diode operating points barely move under most single faults; since
-        Newton converges quadratically to the circuit's unique operating
-        point, starting at the baseline bias instead of the generic 0.6 V
-        reaches the same answer (to well under the convergence tolerance) in
-        a fraction of the iterations.
-        """
-        if self._warm_vd is None:
-            if self._baseline is None:
-                return {}
-            warm: Dict[str, float] = {}
-            for diode in self._system.diodes:
-                try:
-                    warm[diode.name] = self._baseline.voltage_across(
-                        diode.node_pos, diode.node_neg
-                    )
-                except CircuitError:
-                    warm[diode.name] = 0.6
-            self._warm_vd = warm
-        return self._warm_vd
-
     def _solve_incremental(self, plan: _UpdatePlan) -> DCSolution:
         if not obs.enabled():
             return self._solve_incremental_impl(plan)
         with obs.span(
             "mna.smw_solve",
             removed=plan.removed,
-            size=self._system.size,
+            size=self.primed.size,
             **{"solver.backend": self.backend},
         ) as sp:
             solution = self._solve_incremental_impl(plan)
@@ -1010,7 +1209,7 @@ class CompiledSystem:
         with obs.span(
             "mna.direct_solve",
             removed=plan.removed,
-            size=self._system.size,
+            size=self.primed.size,
             **{"solver.backend": self.backend},
         ) as sp:
             solution = self._solve_direct_impl(plan)
@@ -1028,7 +1227,7 @@ class CompiledSystem:
         a warm-started Newton iteration — while exactness still comes from
         solving the fully-assembled faulty system.
         """
-        system = self._system
+        system = self.primed.system
         base_matrix, base_rhs = system.assemble_constant()
         matrix_static = base_matrix.copy()
         rhs_static = base_rhs.copy()
@@ -1042,7 +1241,7 @@ class CompiledSystem:
             matrix_static[row, row] += delta
 
         diodes = list(plan.diodes)
-        warm = self._warm_diode_voltages()
+        warm = self.primed.warm_vd
         diode_voltages = {d.name: warm.get(d.name, 0.6) for d in diodes}
 
         solution_vector: Optional[np.ndarray] = None
@@ -1099,8 +1298,8 @@ class CompiledSystem:
         return system.to_solution(solution_vector, iterations)
 
     def _solve_incremental_impl(self, plan: _UpdatePlan) -> DCSolution:
-        system = self._system
-        self._ensure_sparse()
+        system = self.primed.system
+        self.primed._ensure_sparse()
         base_rhs = system.constant_rhs()
         # Residual checks only need `A0 @ v`; the CSC form keeps large
         # systems from ever materialising the dense constant matrix.
@@ -1131,18 +1330,18 @@ class CompiledSystem:
             return index
 
         for n_pos, n_neg, delta_g in plan.conductance:
-            static_net[slot(self._direction(n_pos, n_neg))] += delta_g
+            static_net[slot(self.primed._direction(n_pos, n_neg))] += delta_g
         for row, delta in plan.branch_diag:
             static_net[slot((row, -1))] += delta
 
         diodes = list(plan.diodes)
         diode_slots = [
-            slot(self._direction(d.node_pos, d.node_neg)) for d in diodes
+            slot(self.primed._direction(d.node_pos, d.node_neg)) for d in diodes
         ]
         diode_columns = self._solved_columns(
             [directions[i] for i in diode_slots]
         )
-        warm = self._warm_diode_voltages()
+        warm = self.primed.warm_vd
         diode_voltages = {d.name: warm.get(d.name, 0.6) for d in diodes}
 
         # One factorized solve of the static RHS serves every Newton

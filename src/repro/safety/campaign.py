@@ -4,14 +4,20 @@
 the full MNA system from scratch for every (component, failure mode) pair.
 This module turns that loop into a campaign:
 
-1. the model is flattened and the healthy baseline solved **once**;
+1. the model is flattened and its netlist primed **once**
+   (:class:`~repro.circuit.PrimedSystem`: index maps, constant matrix,
+   factorization and healthy baseline).  A caller that keeps the
+   conversion and the primed system of a model (the analysis service)
+   hands both to :meth:`FaultInjectionCampaign.run`, and the run then
+   pays only for its own faults;
 2. every injection is enumerated up front as an :class:`InjectionJob`;
 3. jobs execute against a single :class:`~repro.circuit.CompiledSystem`
-   (delta-stamped direct solves for dense systems,
-   Sherman–Morrison–Woodbury updates of one cached SuperLU factorization
-   for sparse ones, with exact full-assembly fallback), serially or — past
-   a measured crossover — fanned out over a process pool, with
-   deterministic row ordering;
+   over that primed system (delta-stamped direct solves for dense
+   systems, Sherman–Morrison–Woodbury updates of the one SuperLU
+   factorization for sparse ones, with exact full-assembly fallback),
+   serially or — past a measured crossover — fanned out over a process
+   pool whose workers prime their own copy, with deterministic row
+   ordering;
 4. rows are classified in enumeration order, so the resulting
    :class:`~repro.safety.fmea.FmeaResult` is row-for-row identical to the
    historical per-mode re-solve, whatever the execution path.
@@ -39,11 +45,11 @@ from repro import obs
 from repro.circuit import (
     CircuitError,
     CompiledSystem,
+    PrimedSystem,
     SolveStats,
     resolve_backend,
     system_size,
 )
-from repro.circuit.netlist import Netlist
 from repro.reliability import ReliabilityModel
 from repro.safety.fmea import (
     DEFAULT_MIN_ABSOLUTE_DELTA,
@@ -72,6 +78,15 @@ from repro.simulink.electrical import ElectricalConversion
 
 #: Serial campaigns flush the checkpoint every this many completed jobs.
 _CHECKPOINT_EVERY = 25
+
+#: Sensors whose relative deltas lie within this of the worst one are tied,
+#: and the tie goes to the first in sensor order, so the sensor an effect
+#: names cannot depend on which solver path produced the solution.  The
+#: paths (naive, direct, SMW) differ by ~1e-10 in a delta, and sensors in
+#: series on one current path differ by gmin leakage, ~1e-9; rounding the
+#: deltas to 9 decimals split such a pair whenever the two paths' values
+#: straddled a rounding boundary.
+_SENSOR_TIE_TOLERANCE = 1e-6
 
 #: A campaign with ``workers > 1`` fans out only when its estimated work,
 #: ``pending_jobs × system_size`` (MNA unknowns), reaches this.  Below it a
@@ -359,26 +374,12 @@ def _attempt_job(
             return ("failed", failure.to_dict()), attempt, 0
 
 
-def _primed_system(netlist: Netlist) -> CompiledSystem:
-    """A compiled system with its baseline already solved.
-
-    Priming up front lets every fault solve warm-start its Newton iteration
-    from the healthy diode biases and reuse the baseline for no-op faults
-    (e.g. a capacitor failing open at DC).
-    """
-    compiled = CompiledSystem(netlist)
-    try:
-        compiled.solve()
-    except CircuitError:
-        pass  # per-fault solves fall back and report their own errors
-    return compiled
-
-
 # -- process-pool plumbing ---------------------------------------------------
 # Workers receive the conversion once (initializer) and then process chunks
 # of jobs, each against its own primed CompiledSystem, so the cached
 # assembly (and, for sparse systems, factorization) is reused inside every
-# worker too.
+# worker too.  A worker primes its own copy: the parent's primed system is
+# not sent over.
 
 _WORKER_STATE: Dict[str, object] = {}
 
@@ -418,7 +419,7 @@ def _campaign_worker_init(
     _WORKER_STATE["job_timeout"] = job_timeout
     compiled = None
     if incremental and analysis == "dc":
-        compiled = _primed_system(conversion.netlist)
+        compiled = CompiledSystem(conversion.netlist)
     _WORKER_STATE["compiled"] = compiled
 
 
@@ -584,7 +585,6 @@ class FaultInjectionCampaign:
         #: installed (the service wraps ``run()`` in its job's id anyway).
         self.correlation_id = correlation_id
         self._fingerprint: Optional[str] = None
-        self._shared_compiled: Optional[CompiledSystem] = None
         self._job_wall_times: List[float] = []
         self._progress_total = 0
         self._progress_done = 0
@@ -704,13 +704,9 @@ class FaultInjectionCampaign:
         conversion: ElectricalConversion,
         jobs: Sequence[InjectionJob],
         stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint] = None,
+        checkpoint: Optional[CampaignCheckpoint],
+        compiled: Optional[CompiledSystem],
     ) -> Dict[int, _Outcome]:
-        compiled = None
-        if self.incremental and self.analysis == "dc":
-            compiled = self._shared_compiled or _primed_system(
-                conversion.netlist
-            )
         outcomes: Dict[int, _Outcome] = {}
         emitted_at = 0
         for position, job in enumerate(jobs, start=1):
@@ -977,7 +973,8 @@ class FaultInjectionCampaign:
         conversion: ElectricalConversion,
         jobs: Sequence[InjectionJob],
         stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint] = None,
+        checkpoint: Optional[CampaignCheckpoint],
+        compiled: Optional[CompiledSystem],
     ) -> Dict[int, _Outcome]:
         if not jobs:
             return {}
@@ -1001,7 +998,9 @@ class FaultInjectionCampaign:
                 ]
         if remaining:
             outcomes.update(
-                self._execute_serial(conversion, remaining, stats, checkpoint)
+                self._execute_serial(
+                    conversion, remaining, stats, checkpoint, compiled
+                )
             )
         return outcomes
 
@@ -1051,10 +1050,10 @@ class FaultInjectionCampaign:
         if worst > self.threshold:
             row.safety_related = True
             row.impact = "DVF"
-            # Quantize the ranking key: two sensors whose deltas agree to
-            # nine decimals are tied (broken by sensor order), so the pick
-            # cannot depend on which solver path produced the solution.
-            worst_sensor = max(deltas, key=lambda name: round(deltas[name], 9))
+            worst_sensor = next(
+                name for name in monitored
+                if deltas[name] >= worst - _SENSOR_TIE_TOLERANCE
+            )
             row.effect = (
                 f"reading at {worst_sensor.rsplit('/', 1)[-1]} deviates "
                 f"by {worst * 100:.1f}%"
@@ -1071,6 +1070,7 @@ class FaultInjectionCampaign:
         self,
         fingerprint: Optional[str] = None,
         conversion: Optional[ElectricalConversion] = None,
+        primed: Optional[PrimedSystem] = None,
     ) -> FmeaResult:
         """Execute the campaign and return the component safety analysis
         model, with :class:`CampaignStats` attached as ``result.stats``.
@@ -1087,6 +1087,15 @@ class FaultInjectionCampaign:
         netlist — so concurrent campaigns may share it.  The next run
         without one converts the (possibly mutated) model afresh.
 
+        ``primed`` is likewise this run's :class:`~repro.circuit.PrimedSystem`
+        of ``conversion.netlist`` when the caller holds one (the analysis
+        service keeps one per cached model): a DC incremental run then
+        solves its faults against that factorization and baseline instead of
+        priming its own, and its stats count only its own solves.  Every
+        other run ignores it.  The primed system is never changed, so
+        concurrent campaigns may share it; the columns a run solves for its
+        own faults stay with the run.
+
         With observability enabled the campaign is one ``campaign`` span
         over ``campaign.baseline`` / ``campaign.enumerate`` /
         ``campaign.execute`` (parenting one ``campaign.job`` span per
@@ -1098,13 +1107,20 @@ class FaultInjectionCampaign:
         one was given): every event, span, log record and pool-worker
         delta it produces carries the id.
         """
+        if primed is not None and (
+            conversion is None or primed.netlist is not conversion.netlist
+        ):
+            raise FmeaError(
+                "primed must be the primed system of conversion.netlist"
+            )
         with obs.correlation(self.correlation_id):
-            return self._run_campaign(fingerprint, conversion)
+            return self._run_campaign(fingerprint, conversion, primed)
 
     def _run_campaign(
         self,
         fingerprint: Optional[str],
         conversion: Optional[ElectricalConversion],
+        primed: Optional[PrimedSystem],
     ) -> FmeaResult:
         started = time.perf_counter()
         # The model/config may have been mutated since the previous run of
@@ -1127,9 +1143,7 @@ class FaultInjectionCampaign:
         ) as campaign_span:
             if conversion is None:
                 conversion = to_netlist(self.model)
-            size = system_size(conversion.netlist)
-            stats.solver_backend = resolve_backend(size)
-            self._shared_compiled = None
+            compiled: Optional[CompiledSystem] = None
             baseline_started = time.perf_counter()
             with obs.span("campaign.baseline", analysis=self.analysis):
                 if self.analysis == "transient":
@@ -1137,18 +1151,17 @@ class FaultInjectionCampaign:
                         conversion, conversion.netlist, self.t_stop, self.dt
                     )
                 elif self.incremental:
-                    # Read the healthy baseline off the shared compiled
-                    # system: one Newton solve serves both the baseline
-                    # readings and the warm start of every serial fault
-                    # solve, instead of paying it twice (which is what
-                    # used to put tiny incremental campaigns behind
-                    # naive ones).
-                    self._shared_compiled = _primed_system(
-                        conversion.netlist
+                    # Read the healthy baseline off the primed system: one
+                    # Newton solve serves both the baseline readings and
+                    # the warm start of every serial fault solve, instead
+                    # of paying it twice (which is what used to put tiny
+                    # incremental campaigns behind naive ones).
+                    compiled = CompiledSystem(
+                        conversion.netlist if primed is None else primed
                     )
                     try:
                         baseline = _readings_from_solution(
-                            conversion, self._shared_compiled.solve(), None
+                            conversion, compiled.solve(), None
                         )
                     except CircuitError:
                         baseline = _solve_readings(
@@ -1157,6 +1170,11 @@ class FaultInjectionCampaign:
                 else:
                     baseline = _solve_readings(conversion, conversion.netlist)
             stats.baseline_time = time.perf_counter() - baseline_started
+            if compiled is not None:
+                size, stats.solver_backend = compiled.size, compiled.backend
+            else:
+                size = system_size(conversion.netlist)
+                stats.solver_backend = resolve_backend(size)
             monitored = _select_sensors(conversion, self.sensors, baseline)
 
             result = FmeaResult(
@@ -1198,7 +1216,9 @@ class FaultInjectionCampaign:
             with obs.span(
                 "campaign.execute", jobs=len(pending), resumed=len(preloaded)
             ):
-                outcomes = self._execute(conversion, pending, stats, checkpoint)
+                outcomes = self._execute(
+                    conversion, pending, stats, checkpoint, compiled
+                )
             outcomes.update(preloaded)
             if self._progress_done < self._progress_total:
                 # Jobs that never produced a chunk_completed tick (e.g.

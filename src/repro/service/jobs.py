@@ -47,9 +47,11 @@ rather than live objects: fingerprinting hashes the raw payload without
 materialising a :class:`SimulinkModel`, so a cache hit costs one
 fingerprint, one index lookup and one line seek (a memo hit not even the
 fingerprint).  Materialised models are kept in a small digest-keyed LRU
-with their netlist conversion, so concurrent tenants computing new fault
-samples of the same model parse and convert it once; each campaign only
-reads the shared conversion (every fault works on a copy of the netlist).
+with their netlist conversion and the netlist's primed solver (index maps,
+constant matrix, factorization, baseline), so concurrent tenants computing
+new fault samples of the same model parse, convert and factor it once; each
+campaign only reads what is shared (every fault works on a copy of the
+netlist, and a campaign keeps the columns of its own faults to itself).
 
 Each content key is computed once per job and handed down: the fingerprint
 keys the cache, the campaign's checkpoint, and the ledger
@@ -1014,10 +1016,20 @@ class AnalysisService:
         else:
             cached = self._materialize_model(request)
             model = cached.model
-            fmea = self._campaign(
+            campaign = self._campaign(
                 request, model, job.fingerprint,
                 correlation_id=job.correlation_id,
-            ).run(fingerprint=job.fingerprint, conversion=cached.conversion)
+            )
+            primed = (
+                cached.primed()
+                if campaign.incremental and campaign.analysis == "dc"
+                else None
+            )
+            fmea = campaign.run(
+                fingerprint=job.fingerprint,
+                conversion=cached.conversion,
+                primed=primed,
+            )
             digest = cached.ledger_digest()
         config = {
             "analysis": request.config["analysis"],
@@ -1111,15 +1123,23 @@ class _RequestKeys(NamedTuple):
 class _CachedModel:
     """A model in the service's LRU: the materialised model and its
     ``to_netlist`` conversion, built once under the entry's lock by
-    :meth:`build`, plus its ledger :func:`~repro.obs.ledger.model_digest`,
-    computed the first time a job records against the model.  Two workers
-    racing on the digest may both compute it; they get the same value.
+    :meth:`build`; the netlist's primed solver, built once under the same
+    lock the first time a DC incremental campaign needs it
+    (:meth:`primed`); and its ledger
+    :func:`~repro.obs.ledger.model_digest`, computed the first time a job
+    records against the model.  Two workers racing on the digest may both
+    compute it; they get the same value.
 
-    Campaigns share the conversion read-only: every fault is applied to a
-    copy of the netlist (``Netlist.without`` / ``with_replacement``).
+    Campaigns share the conversion and the primed system read-only: every
+    fault is applied to a copy of the netlist (``Netlist.without`` /
+    ``with_replacement``), and the columns a campaign solves for its own
+    faults stay with that campaign.
     """
 
-    __slots__ = ("model", "conversion", "_payload", "_lock", "_ledger_digest")
+    __slots__ = (
+        "model", "conversion", "_payload", "_lock", "_ledger_digest",
+        "_primed",
+    )
 
     def __init__(self, payload: Mapping[str, object]) -> None:
         self.model = None
@@ -1127,6 +1147,7 @@ class _CachedModel:
         self._payload: Optional[Mapping[str, object]] = payload
         self._lock = threading.Lock()
         self._ledger_digest: Optional[str] = None
+        self._primed = None
 
     def build(self) -> None:
         with self._lock:
@@ -1138,6 +1159,19 @@ class _CachedModel:
             model = SimulinkModel.from_dict(dict(self._payload))
             self.conversion = to_netlist(model)
             self.model, self._payload = model, None
+
+    def primed(self):
+        """The conversion's :class:`~repro.circuit.PrimedSystem`: index
+        maps, constant matrix, factorization and baseline, shared by every
+        DC incremental campaign of this model.  Call after :meth:`build`.
+        A priming that raises is not kept; the next job tries again."""
+        with self._lock:
+            if self._primed is None:
+                from repro.circuit import PrimedSystem
+
+                assert self.conversion is not None
+                self._primed = PrimedSystem(self.conversion.netlist)
+            return self._primed
 
     def ledger_digest(self) -> str:
         if self._ledger_digest is None:

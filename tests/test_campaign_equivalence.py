@@ -167,3 +167,30 @@ def test_campaign_stats_round_trip(campaign_results):
     assert as_dict["jobs"] == stats.jobs
     assert as_dict["mode"] == "incremental"
     assert as_dict["wall_time"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [
+        # The same fault's deltas at two feeder-head sensors in series, off
+        # the SMW path and off naive re-assembly: they straddle the 9th
+        # decimal's rounding boundary, which used to name CS0 on one path
+        # and CS1 on the other.
+        (0.3242668595413473, 0.3242668604822768),
+        (0.32426685949689493, 0.3242668604863099),
+    ],
+)
+def test_worst_sensor_tie_ignores_solver_noise(deltas):
+    from repro.safety.fmea import FmeaRow
+
+    model, reliability, stable = _build_case("power_supply")
+    campaign = FaultInjectionCampaign(model, reliability, assume_stable=stable)
+    monitored = ["grid/CS0", "grid/CS1"]
+    baseline = {name: 1.0 for name in monitored}
+    readings = {name: 1.0 - d for name, d in zip(monitored, deltas)}
+    row = FmeaRow(
+        component="LD1_2", component_class="Load", fit=12.0,
+        failure_mode="Open", nature="", distribution=0.4,
+    )
+    row = campaign._classify(row, ("ok", readings), baseline, monitored)
+    assert row.effect == "reading at CS0 deviates by 32.4%"

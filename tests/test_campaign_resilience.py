@@ -662,19 +662,21 @@ def test_mna_lu_failure_counter(case, monkeypatch):
     conversion = to_netlist(model)
     # Only sparse systems factor their constant matrix; pin this one sparse.
     monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", 0)
-    compiled = mna_mod.CompiledSystem(conversion.netlist)
 
     def broken_factor(matrix, backend):
         raise backends.FactorizationError("singular")
 
     monkeypatch.setattr(backends, "factorize", broken_factor)
     obs.enable()
+    # Priming factors the constant matrix once; the failure is latched on
+    # the primed system, which owns the factorization.
+    primed = mna_mod.PrimedSystem(conversion.netlist)
     with pytest.raises(mna_mod._SmwFallback):
-        compiled._ensure_sparse()
+        primed._ensure_sparse()
     assert obs.counter("mna_lu_failures").value == 1
     # Latched: subsequent calls fall back without re-counting.
     with pytest.raises(mna_mod._SmwFallback):
-        compiled._ensure_sparse()
+        primed._ensure_sparse()
     assert obs.counter("mna_lu_failures").value == 1
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from repro.circuit import (
     Ammeter,
     CircuitError,
+    DCSolution,
     Netlist,
     Resistor,
     dc_operating_point,
     transient,
 )
+from repro.circuit.mna import GROUND_NAMES, _System
 
 
 class TestNetlistRules:
@@ -292,3 +295,124 @@ def test_property_series_chain_obeys_ohms_law(resistances, voltage):
     # KVL: node voltages decrease monotonically along the chain.
     voltages = [solution.voltage(f"n{i}") for i in range(len(resistances))]
     assert all(a >= b - 1e-9 for a, b in zip(voltages, voltages[1:]))
+
+
+# -- lazy operating points ------------------------------------------------------
+
+
+def _contract_netlist() -> Netlist:
+    """Every element kind the solution tracks, with ground under each alias."""
+    netlist = Netlist("contract")
+    netlist.voltage_source("V1", "in", "GND", 12.0)
+    netlist.resistor("R1", "in", "mid", 10.0)
+    netlist.inductor("L1", "mid", "rail", 1e-3, series_resistance=0.2)
+    netlist.ammeter("A1", "rail", "load")
+    netlist.resistor("R2", "load", "gnd", 50.0)
+    netlist.diode("D1", "rail", "led")
+    netlist.resistor("R3", "led", "ground", 220.0)
+    netlist.capacitor("C1", "mid", "0", 1e-6)
+    return netlist
+
+
+def _reference(system: _System, vector):
+    """Both dicts built up front, as every solution once held them."""
+    nodes = {node: float(vector[idx]) for node, idx in system.node_index.items()}
+    branches = {
+        element.name: float(vector[system.branch_index[element.name]])
+        for element in system.branch_elements
+    }
+    return nodes, branches
+
+
+def _outcome(read, *args):
+    try:
+        return ("value", read(*args))
+    except CircuitError as exc:
+        return ("error", str(exc))
+
+
+def _expected_voltage(nodes, node):
+    if node in GROUND_NAMES:
+        return ("value", 0.0)
+    if node not in nodes:
+        return ("error", f"no node named {node!r}")
+    return ("value", nodes[node])
+
+
+def _expected_current(branches, name):
+    if name not in branches:
+        return (
+            "error",
+            f"element {name!r} has no tracked branch current "
+            f"(tracked: {sorted(branches)})",
+        )
+    return ("value", branches[name])
+
+
+_CONTRACT = _contract_netlist()
+_CONTRACT_SYSTEM = _System(_CONTRACT, 1e-12)
+_KNOWN = sorted(_CONTRACT_SYSTEM.node_index) + list(GROUND_NAMES)
+_ELEMENTS = [element.name for element in _CONTRACT.elements()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=_CONTRACT_SYSTEM.size,
+        max_size=_CONTRACT_SYSTEM.size,
+    ),
+    nodes=st.lists(st.sampled_from(_KNOWN) | st.text(max_size=4), max_size=6),
+    elements=st.lists(
+        st.sampled_from(_ELEMENTS) | st.text(max_size=4), max_size=4
+    ),
+)
+def test_property_lazy_solution_equals_eager(values, nodes, elements):
+    """A solution read off the vector through the index maps answers every
+    query as the two dicts built up front would: the same floats, ground
+    aliases at 0 V, and the same :class:`CircuitError` for an unknown node
+    or an element without a tracked branch current.  A solution built
+    from those dicts is equal to it and answers the same."""
+    vector = np.array(values)
+    lazy = _CONTRACT_SYSTEM.to_solution(vector, 3)
+    expected_nodes, expected_branches = _reference(_CONTRACT_SYSTEM, vector)
+    eager = DCSolution(dict(expected_nodes), dict(expected_branches), 3)
+    for solution in (lazy, eager):
+        for node in nodes:
+            assert _outcome(solution.voltage, node) == _expected_voltage(
+                expected_nodes, node
+            )
+        for pos, neg in zip(nodes, reversed(nodes)):
+            across = _outcome(solution.voltage_across, pos, neg)
+            first = _expected_voltage(expected_nodes, pos)
+            second = _expected_voltage(expected_nodes, neg)
+            if first[0] == "error":
+                assert across == first
+            elif second[0] == "error":
+                assert across == second
+            else:
+                assert across == ("value", first[1] - second[1])
+        for name in elements:
+            assert _outcome(solution.current, name) == _expected_current(
+                expected_branches, name
+            )
+        assert list(solution.node_voltages.items()) == list(
+            expected_nodes.items()
+        )
+        assert list(solution.branch_currents.items()) == list(
+            expected_branches.items()
+        )
+    assert lazy == eager and lazy.iterations == eager.iterations == 3
+
+
+def test_solver_solutions_are_lazy_and_agree():
+    solution = dc_operating_point(_CONTRACT)
+    assert solution._node_voltages is None  # nothing built yet
+    for alias in GROUND_NAMES:
+        assert solution.voltage(alias) == 0.0
+    assert solution.current("A1") == solution.branch_currents["A1"]
+    assert solution.voltage("rail") == solution.node_voltages["rail"]
+    with pytest.raises(CircuitError, match="no node named 'nowhere'"):
+        solution.voltage("nowhere")
+    with pytest.raises(CircuitError, match="no tracked branch current"):
+        solution.current("R1")

@@ -11,7 +11,13 @@ import math
 
 import pytest
 
-from repro.circuit import CircuitError, CompiledSystem, dc_operating_point
+from repro.circuit import (
+    CircuitError,
+    CompiledSystem,
+    PrimedSystem,
+    backends,
+    dc_operating_point,
+)
 from repro.circuit.mna import _MAX_GMIN_RETRIES
 from repro.circuit.netlist import Netlist, Resistor, VoltageSource
 
@@ -179,6 +185,100 @@ class TestFallbacks:
                     rel_tol=1e-6,
                     abs_tol=1e-6,
                 ), (element.name, node)
+
+
+class TestPrimedSystem:
+    """The per-netlist part is primed once and then only read: solvers
+    sharing it count their own solves and keep their own columns."""
+
+    @pytest.fixture
+    def sparse(self, monkeypatch):
+        monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", 0)
+
+    def test_primed_sparse_system_keeps_no_triplet_lists(self, sparse):
+        netlist = ladder()
+        netlist.resistor("R5", "rail", "end", 50.0)
+        primed = PrimedSystem(netlist)
+        assert primed.backend == "sparse"
+        # Only the backend's matrix and the constant RHS outlive priming:
+        # no Python list of stamp rows, columns or values, however nested.
+        def number_lists(value):
+            if isinstance(value, list):
+                numbers = all(isinstance(x, (int, float)) for x in value)
+                return [value] if value and numbers else []
+            if isinstance(value, tuple):
+                return [found for item in value for found in number_lists(item)]
+            return []
+
+        kept = {
+            name: value
+            for name, value in vars(primed.system).items()
+            if number_lists(value)
+        }
+        assert kept == {}
+        assert primed.system.constant_rhs() is primed.system.constant_rhs()
+        compiled = CompiledSystem(primed)
+        # Removing R5 orphans its node: a full rebuild of the fault.
+        fast = compiled.solve_replacement("R5", None)
+        assert compiled.stats.full_rebuilds == 1
+        assert_solutions_close(fast, dc_operating_point(netlist.without("R5")))
+        drift = Resistor("R2", "rail", "0", 150.0)
+        fast = compiled.solve_replacement("R2", drift)
+        assert compiled.stats.smw_solves == 1
+        assert_solutions_close(
+            fast, dc_operating_point(netlist.with_replacement("R2", drift))
+        )
+
+    @pytest.mark.parametrize("rule", ["dense", "sparse"])
+    def test_shared_primed_system_counts_only_own_solves(
+        self, rule, monkeypatch
+    ):
+        monkeypatch.setattr(
+            backends, "SPARSE_AUTO_MIN_SIZE", 0 if rule == "sparse" else 10**9
+        )
+        netlist = ladder()
+        primed = PrimedSystem(netlist)
+        assert primed.backend == rule
+        assert primed.stats.solves == 1
+        priming_columns = dict(primed.columns)
+        first, second = CompiledSystem(primed), CompiledSystem(primed)
+        assert first.solve() is second.solve() is primed.baseline
+        assert first.stats.solves == 0  # the baseline was primed
+        short = Resistor("R2", "rail", "0", 1e-3)
+        for compiled in (first, second):
+            fast = compiled.solve_replacement("R2", short)
+            assert_solutions_close(
+                fast, dc_operating_point(netlist.with_replacement("R2", short))
+            )
+        assert first.stats == second.stats
+        assert first.stats.solves == 1
+        # A run's fault columns stay with the run.
+        assert primed.columns.keys() == priming_columns.keys()
+        assert all(
+            primed.columns[pair] is column
+            for pair, column in priming_columns.items()
+        )
+        # A solver that primes its own system counts the priming.
+        own = CompiledSystem(netlist)
+        own.solve_replacement("R2", short)
+        assert own.stats.solves == primed.stats.solves + first.stats.solves
+
+    def test_failed_baseline_is_kept_and_raised(self):
+        # Two sources forcing one node to different voltages: singular
+        # whatever the gmin.
+        netlist = Netlist("clash")
+        netlist.voltage_source("V1", "a", "0", 5.0)
+        netlist.voltage_source("V2", "a", "0", 3.0)
+        netlist.resistor("R1", "a", "0", 10.0)
+        with pytest.raises(CircuitError) as plain:
+            dc_operating_point(netlist)
+        primed = PrimedSystem(netlist)
+        assert primed.baseline is None
+        assert primed.warm_vd == {}
+        for _ in range(2):
+            with pytest.raises(CircuitError, match="singular"):
+                CompiledSystem(primed).solve()
+        assert primed.baseline_error == str(plain.value)
 
 
 class TestGminRetry:

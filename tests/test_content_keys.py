@@ -16,7 +16,10 @@ on:
   parses nothing and computes no fingerprint, yet gets the same keys and
   answer, and only a body that keyed without error is memoised;
 - a cached model is converted to its netlist once, and concurrent
-  campaigns sharing that conversion match naive injection row for row.
+  campaigns sharing that conversion match naive injection row for row;
+- a cached model's netlist is factored once: concurrent campaigns share
+  its primed solver, match naive injection, and each counts only its own
+  solves.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro import simulink
+from repro.circuit import PrimedSystem, SolveStats, backends
 from repro.casestudies import (
     SYSTEM_A_ASSUMED_STABLE,
     SYSTEM_B_ASSUMED_STABLE,
@@ -673,3 +677,107 @@ def test_memo_and_model_entry_hold_under_contention(
             assume_stable=ASSUMED_STABLE, threshold=thresholds[index],
         ).run()
         assert job.result["rows"] == ledger_mod.fmea_rows_payload(expected)
+
+
+# -- one factorization per cached model ------------------------------------------
+
+
+def _solve_counts(stats):
+    """The solver counters of a campaign's stats."""
+    return {name: getattr(stats, name) for name in SolveStats().to_dict()}
+
+
+def test_concurrent_cold_jobs_share_one_factorization_and_match_naive(
+    tmp_path, monkeypatch, clean_obs
+):
+    """Two workers, released together, run cold FMEAs of two injection
+    samples of one sparse grid.  The cached model's netlist is factored
+    once for both, each answer equals naive injection row for row, and
+    each campaign counts only its own solves: no factorization, no
+    baseline Newton, and none of the other campaign's columns."""
+    # Pin the sparse rule so that even this small grid factors its matrix.
+    monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", 0)
+    model = build_power_grid_simulink(feeders=2, sections_per_feeder=10)
+    reliability = power_network_reliability()
+    samples = [power_grid_injection_sample(model, k=8, seed=s) for s in (3, 4)]
+    bodies = [
+        {
+            "kind": "fmea",
+            "model": model.to_dict(),
+            "reliability": reliability_payload(reliability),
+            "config": {"assume_stable": list(sample)},
+        }
+        for sample in samples
+    ]
+    # Both workers leave the barrier as they look the model up in the LRU.
+    barrier = threading.Barrier(2, timeout=JOB_TIMEOUT)
+    digest = AnalysisRequest.model_digest
+
+    def gated(request):
+        barrier.wait()
+        return digest(request)
+
+    def constant_factorizations():
+        # ``mna_sparse_factorizations`` also counts the Newton iterations
+        # of full rebuilds (sample 4 has one); the constant matrix is
+        # factored under its own ``mna.factorize`` span.
+        return sum(
+            record.name == "mna.factorize"
+            for record in obs.tracer().records()
+        )
+
+    obs.enable()
+    try:
+        with pytest.MonkeyPatch.context() as gate:
+            gate.setattr(AnalysisRequest, "model_digest", gated)
+            with AnalysisService(tmp_path / "ledger.jsonl", workers=2) as service:
+                jobs = [service.submit(_encoded(body)) for body in bodies]
+                for job in jobs:
+                    _done(service, job)
+            assert constant_factorizations() == 1
+
+        # The same two campaigns in turn on one primed system, in either
+        # order: neither factors, and each counts what it counts alone.
+        conversion = simulink.to_netlist(model)
+        primed = PrimedSystem(conversion.netlist)
+        assert primed.backend == "sparse"
+
+        def shared(sample):
+            return FaultInjectionCampaign(
+                model, reliability, assume_stable=sample,
+            ).run(conversion=conversion, primed=primed)
+
+        assert constant_factorizations() == 2
+        forward = [shared(sample) for sample in samples]
+        backward = [shared(sample) for sample in reversed(samples)][::-1]
+        assert constant_factorizations() == 2
+        fresh = FaultInjectionCampaign(
+            model, reliability, assume_stable=samples[0],
+        ).run(conversion=conversion)
+    finally:
+        obs.disable()
+    for first, second in zip(forward, backward):
+        assert _solve_counts(first.stats) == _solve_counts(second.stats)
+    # A run that primes its own system counts the priming on top.
+    own = _solve_counts(forward[0].stats)
+    priming = _solve_counts(primed.stats)
+    assert priming["solves"] == 1
+    assert priming["newton_iterations"] > 0
+    assert _solve_counts(fresh.stats) == {
+        name: own[name] + priming[name] for name in own
+    }
+    for job, sample, run in zip(jobs, samples, forward):
+        naive = FaultInjectionCampaign(
+            model, reliability, assume_stable=sample, incremental=False,
+        ).run()
+        value = spfm(naive, [])
+        assert job.result["rows"] == ledger_mod.fmea_rows_payload(naive)
+        assert ledger_mod.fmea_rows_payload(run) == job.result["rows"]
+        assert (job.result["spfm"], job.result["asil"]) == (
+            value, asil_from_spfm(value),
+        )
+        # The service's campaigns shared the model's primed system too.
+        metrics = job.result["metrics"]
+        assert metrics["solver_backend"] == "sparse"
+        assert metrics["solves"] == run.stats.solves
+        assert metrics["batched_columns"] == run.stats.batched_columns
