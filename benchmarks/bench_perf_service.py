@@ -11,6 +11,9 @@ computation with bit-identical rows for every client.  Last, it times a
 grid-size revisit both ways, alternating: a byte-identical body keyed by
 its sha256 alone (request-memo hit) against a new body of the same
 question that is parsed and keyed (parse path); both are ledger hits.
+Then it times cold keying: parse plus fingerprint, cache key and model-LRU
+key of new-sample grid bodies whose model the service has already seen,
+against one ``canonical_json`` of that model.
 Measurements go to ``BENCH_service.json`` at the repo root.
 
 Acceptance (full mode):
@@ -22,7 +25,11 @@ Acceptance (full mode):
   campaign computation (1 cache miss, 1 ledger entry) and all clients
   receive bit-identical rows;
 - the memo-hit revisit is faster than the parse-path one in every pair
-  (smoke mode too), with the same rows.
+  (smoke mode too), with the same rows;
+- cold keying of a body with a seen model costs less than one
+  serialisation of that model (smoke mode too): the model's canonical
+  text is memoised by its raw text, so the body is parsed once and the
+  model is not serialised again.
 
 Smoke mode (``BENCH_SERVICE_SMOKE=1``): shrinks the ledgers, repeat
 counts and the revisit grid (4 feeders x 60 sections instead of the
@@ -34,13 +41,17 @@ Provenance (``BENCH_SERVICE_LEDGER=/path/to/ledger.jsonl``): records a
 ratio/budget pairs, so the nightly ``same watch-regressions`` gate flags
 cache-hit-latency scaling regressions (the ``scaling`` rule), and a
 memo-hit revisit no faster than a parse-path one (``revisit_memo``, memo
-p50 over parse p50, budget 1); ``meta.revisit`` carries both walls.
+p50 over parse p50, budget 1), and cold keying that costs a serialisation
+of the model again (``cold_keying``, keying p50 over ``canonical_json``
+p50, budget 1); ``meta.revisit`` and ``meta.cold_keying`` carry the
+walls.
 
 ``BENCH_service.json`` keeps a bounded ``trajectory`` of past runs.
 """
 
 import json
 import os
+import statistics
 import tempfile
 import threading
 import time
@@ -59,6 +70,7 @@ from repro.casestudies.power_supply import (
     power_supply_reliability,
 )
 from repro.obs.ledger import AnalysisLedger, LedgerEntry
+from repro.safety.resilience import canonical_json
 from repro.service import AnalysisRequest, AnalysisService, reliability_payload
 
 SMOKE = os.environ.get("BENCH_SERVICE_SMOKE") == "1"
@@ -85,6 +97,9 @@ SCALING_BUDGET = 1.5
 REVISIT_GRID = {"feeders": 4, "sections_per_feeder": 60} if SMOKE else {}
 REVISIT_SAMPLE_K = 4
 REVISIT_PAIRS = 5 if SMOKE else 10
+#: Cold-keying probe: new-sample bodies of the revisit grid, each keyed
+#: once and paired with one serialisation of the model.
+COLD_KEYING_BODIES = 5 if SMOKE else 10
 JOB_TIMEOUT = 300.0
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -267,9 +282,9 @@ def probe_coalescing(tmp, payload):
     }
 
 
-def _grid_body():
-    model = build_power_grid_simulink(**REVISIT_GRID)
-    stable = power_grid_injection_sample(model, k=REVISIT_SAMPLE_K, seed=1)
+def _grid_body(model=None, seed=1):
+    model = model or build_power_grid_simulink(**REVISIT_GRID)
+    stable = power_grid_injection_sample(model, k=REVISIT_SAMPLE_K, seed=seed)
     body = {
         "kind": "fmea",
         "model": model.to_dict(),
@@ -321,6 +336,45 @@ def probe_revisit(tmp):
     }
 
 
+def probe_cold_keying(tmp):
+    """Parse plus keying of new-sample grid bodies, over one serialisation
+    of their model.
+
+    The service first keys one body, so it has seen the model's text.
+    Each later body (a new injection sample, so new bytes) is parsed and
+    given its fingerprint, cache key and model-LRU key the way a worker
+    keys a cold job; each is paired with one ``canonical_json`` of the
+    model payload, the serialisation the keys used to repeat per job.
+    """
+    model = build_power_grid_simulink(**REVISIT_GRID)
+    payload = model.to_dict()
+    bodies = [
+        _grid_body(model, seed) for seed in range(1, COLD_KEYING_BODIES + 2)
+    ]
+    svc = AnalysisService(Path(tmp) / "cold-keying.jsonl")  # keys only
+
+    def key(body):
+        request = AnalysisRequest.from_payload(body)
+        svc._content_keys(request)
+        return request.model_digest()
+
+    digest = key(bodies[0])
+    keying, serialising = [], []
+    for body in bodies[1:]:
+        start = time.perf_counter()
+        assert key(body) == digest
+        keying.append((time.perf_counter() - start) * 1e3)
+        start = time.perf_counter()
+        canonical_json(payload)
+        serialising.append((time.perf_counter() - start) * 1e3)
+    return {
+        "body_bytes": len(bodies[0]),
+        "bodies": COLD_KEYING_BODIES,
+        "keying_p50_ms": round(statistics.median(keying), 3),
+        "canonical_json_p50_ms": round(statistics.median(serialising), 3),
+    }
+
+
 def _extended_trajectory(payload):
     """Prior trajectory plus a point for this run, bounded."""
     trajectory = []
@@ -346,6 +400,7 @@ def _extended_trajectory(payload):
     point["coalesced"] = payload["coalescing"]["coalesced"]
     point["revisit_memo_ms"] = payload["revisit"]["memo_p50_ms"]
     point["revisit_parse_ms"] = payload["revisit"]["parse_p50_ms"]
+    point["cold_keying"] = payload["scaling"]["cold_keying"]["ratio"]
     trajectory.append(point)
     return trajectory[-TRAJECTORY_KEEP:]
 
@@ -370,6 +425,7 @@ def _ledger_record(payload):
                 "scaling": payload["scaling"],
                 "coalescing": payload["coalescing"],
                 "revisit": payload["revisit"],
+                "cold_keying": payload["cold_keying"],
             },
         )
     )
@@ -392,6 +448,7 @@ def test_bench_service():
             )
         payload["coalescing"] = probe_coalescing(tmp, request_payload)
         payload["revisit"] = probe_revisit(tmp)
+        payload["cold_keying"] = probe_cold_keying(tmp)
 
     smallest, largest = payload["sizes"][0], payload["sizes"][-1]
     hit_ratio = (
@@ -430,6 +487,16 @@ def test_bench_service():
             ),
             "budget": 1.0,
         },
+        # Keying a body whose model was seen must cost less than one
+        # serialisation of the model.
+        "cold_keying": {
+            "ratio": round(
+                payload["cold_keying"]["keying_p50_ms"]
+                / payload["cold_keying"]["canonical_json_p50_ms"],
+                3,
+            ),
+            "budget": 1.0,
+        },
     }
     payload["accepted"] = bool(SMOKE or hit_ratio <= SCALING_BUDGET)
     payload["trajectory"] = _extended_trajectory(payload)
@@ -458,6 +525,18 @@ def test_bench_service():
             ),
         }
     )
+    cold = payload["cold_keying"]
+    table.append(
+        {
+            "Entries": f"cold keying {cold['body_bytes'] // 1024} KiB",
+            "Seek p99(us)": "-",
+            "Rebuild p99(us)": "-",
+            "Hit p99(ms)": (
+                f"keying p50 {cold['keying_p50_ms']:.2f} / "
+                f"canonical_json p50 {cold['canonical_json_p50_ms']:.2f}"
+            ),
+        }
+    )
     table.append(
         {
             "Entries": f"coalesce x{CLIENTS}",
@@ -481,6 +560,10 @@ def test_bench_service():
     assert revisit["memo_wins"] == revisit["pairs"], (
         f"memo-hit revisit won {revisit['memo_wins']} of {revisit['pairs']} "
         f"pairs against the parse path"
+    )
+    cold_ratio = payload["scaling"]["cold_keying"]["ratio"]
+    assert cold_ratio <= 1.0, (
+        f"cold keying took {cold_ratio:.2f}x one serialisation of the model"
     )
 
     if not SMOKE:

@@ -48,7 +48,7 @@ import os
 import subprocess
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (
     Callable,
@@ -66,9 +66,11 @@ from repro import obs
 #: Ledger line schema version.
 _VERSION = 1
 
-#: Float fields are digested after rounding to this many significant
-#: decimals, so a verdict re-derived through a different (but numerically
-#: equivalent) code path cannot flip the content digest on noise.
+#: Float fields of entries and rows are digested after rounding to this
+#: many decimal places (``round(x, 9)``), so a verdict re-derived through a
+#: different (but numerically equivalent) code path cannot flip the content
+#: digest on noise.  Places, not significant digits: any magnitude below
+#: 5e-10 digests as 0.0, which is why :func:`model_digest` does not round.
 _DIGEST_DECIMALS = 9
 
 
@@ -107,6 +109,12 @@ def model_digest(model: object) -> str:
     :class:`SSAMModel`) and falls back to the metamodel serializer for raw
     SSAM elements — the same notion of identity the DECISIVE loop uses for
     its FMEA cache.
+
+    The hash is the sha256 of the payload's unrounded canonical text
+    (``canonical_json``, which the campaign fingerprint hashes too): a
+    model parameter such as a diode's 1e-12 A saturation current is
+    part of the model, and rounding it to 9 decimal places would digest
+    it as 0.
     """
     if model is None:
         return ""
@@ -124,10 +132,13 @@ def model_digest(model: object) -> str:
             payload = ModelResource().to_dict(model)
         except Exception:  # noqa: BLE001
             return ""
+    from repro.safety.resilience import canonical_json
+
     try:
-        return content_digest_of(payload)
+        blob = canonical_json(payload)
     except (TypeError, ValueError):
         return ""
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def reliability_digest(reliability: object) -> str:
@@ -202,10 +213,21 @@ class LedgerEntry:
     meta: Dict[str, object] = field(default_factory=dict)
     #: Position in the ledger file; assigned on append/read, not digested.
     seq: int = -1
+    #: The content digest as recorded: fixed by the ledger when it appends
+    #: or reads the entry, ``None`` before (then derived on every use).
+    _digest: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def content_digest(self) -> str:
-        """Digest over everything the analysis *determined* (not timing)."""
+        """Digest over everything the analysis *determined* (not timing).
+
+        An entry the ledger appended or read returns the digest it was
+        recorded under, so one entry is digested once however many keys
+        and ids are read off it."""
+        if self._digest is not None:
+            return self._digest
         return content_digest_of(
             {
                 "kind": self.kind,
@@ -225,8 +247,13 @@ class LedgerEntry:
         return f"{self.kind}-{self.content_digest[:12]}"
 
     def to_dict(self) -> Dict[str, object]:
-        payload = asdict(self)
-        payload.pop("seq")
+        """The ledger line's payload.  It shares the entry's lists and
+        dicts (a line is dumped, not edited)."""
+        payload: Dict[str, object] = {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name not in ("seq", "_digest")
+        }
         payload["v"] = _VERSION
         payload["type"] = "entry"
         payload["id"] = self.entry_id
@@ -429,6 +456,7 @@ class LedgerIndex:
         raw: bytes,
         offset: int,
         payload: Optional[Mapping[str, object]] = None,
+        entry: Optional["LedgerEntry"] = None,
     ) -> Dict[str, object]:
         """The index record for one raw ledger line.
 
@@ -438,6 +466,8 @@ class LedgerIndex:
         else is junk (``x``) and only its offsets are kept.  The content
         digest is *recomputed* from the payload (never trusted from the
         line), so a hand-written line cannot claim another entry's id.
+        Only a line this process just wrote comes with its ``entry``,
+        whose digest the line was written from.
         """
         record: Dict[str, object] = {
             "o": offset,
@@ -457,10 +487,11 @@ class LedgerIndex:
         if payload is None:
             return record
         if payload.get("type") == "entry" and "kind" in payload:
-            try:
-                entry = LedgerEntry.from_dict(payload)
-            except (TypeError, ValueError, KeyError):
-                return record
+            if entry is None:
+                try:
+                    entry = LedgerEntry.from_dict(payload)
+                except (TypeError, ValueError, KeyError):
+                    return record
             record.update(
                 t="e",
                 id=entry.entry_id,
@@ -646,10 +677,15 @@ class LedgerIndex:
         return self
 
     def note_line(
-        self, raw: bytes, offset: int, payload: Mapping[str, object]
+        self,
+        raw: bytes,
+        offset: int,
+        payload: Mapping[str, object],
+        entry: Optional["LedgerEntry"] = None,
     ) -> None:
-        """Index one line this process just appended (no re-parse)."""
-        record = self._index_line(raw, offset, payload=payload)
+        """Index one line this process just appended (no re-parse); an
+        entry line comes with the entry it was written from."""
+        record = self._index_line(raw, offset, payload=payload, entry=entry)
         self._register(record)
         self._persist_append([record])
         self.size = offset + len(raw)
@@ -729,6 +765,8 @@ class AnalysisLedger:
             )
         except (ValueError, TypeError, KeyError) as exc:
             raise _StaleLine(f"entry @{seq}: {exc}") from exc
+        # The index derived the digest from these very bytes.
+        entry._digest = str(record["g"])
         for path in index.artifacts_by_seq.get(seq, ()):
             if path not in entry.artifacts:
                 entry.artifacts.append(path)
@@ -820,10 +858,15 @@ class AnalysisLedger:
             entry.meta.setdefault("correlation_id", cid)
         with self._lock:
             entry.seq = self._next_seq()
+            # Derived once, from the entry as it is now, and kept: the
+            # span, the line, its index record and every later read of
+            # this entry's id use it.
+            entry._digest = None
+            entry._digest = entry.content_digest
             with obs.span(
                 "ledger.record", entry=entry.entry_id, kind=entry.kind
             ):
-                self._append_line(entry.to_dict())
+                self._append_line(entry.to_dict(), entry)
         return entry
 
     def attach_artifact(
@@ -848,8 +891,13 @@ class AnalysisLedger:
         if isinstance(entry, LedgerEntry):
             entry.artifacts.append(str(path))
 
-    def _append_line(self, payload: Mapping[str, object]) -> None:
-        """Write one line and index it; the caller holds the lock.
+    def _append_line(
+        self,
+        payload: Mapping[str, object],
+        entry: Optional[LedgerEntry] = None,
+    ) -> None:
+        """Write one line (``entry``'s, when it is an entry line) and index
+        it; the caller holds the lock.
 
         The index is synced *before* the write (catching any external
         append so offsets stay truthful) and told about the new line
@@ -871,7 +919,7 @@ class AnalysisLedger:
             raise LedgerError(
                 f"cannot write analysis ledger {self.path}: {exc}"
             ) from exc
-        index.note_line(raw, offset, payload)
+        index.note_line(raw, offset, payload, entry)
 
     def _next_seq(self) -> int:
         with self._lock:

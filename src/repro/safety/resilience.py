@@ -206,6 +206,7 @@ def campaign_fingerprint(
     t_stop: float,
     dt: float,
     behavior_overrides: Optional[Mapping] = None,
+    model_text: Optional[bytes] = None,
 ) -> str:
     """Content hash of everything that determines job *outcomes*.
 
@@ -216,16 +217,30 @@ def campaign_fingerprint(
 
     ``model`` is a design model (anything with ``to_dict()``) or that
     payload dict itself, which is how the analysis service hashes a request
-    without materialising the model.
+    without materialising the model.  ``model_text`` is
+    ``canonical_json`` of that payload, UTF-8 encoded, when the caller
+    already has it (the service keeps one per model); the model is then
+    not serialised again.
+
+    The hashed text is ``canonical_json`` of the whole input object.  Its
+    keys sort as ``analysis``, ``dt``, ``model``, ``overrides``,
+    ``reliability``, ``t_stop``, and the canonical text of an object is
+    its members' canonical texts in that order, so the hash runs over the
+    head object's text, then the model's, then the tail object's — the
+    same bytes, without building them as one string.
     """
-    payload = {
-        "model": model if isinstance(model, Mapping) else model.to_dict(),
+    if model_text is None:
+        payload = model if isinstance(model, Mapping) else model.to_dict()
+        model_text = canonical_json(payload).encode("utf-8")
+    head = canonical_json({"analysis": analysis, "dt": dt})
+    tail = canonical_json({
+        "overrides": _canonical(behavior_overrides or {}),
         "reliability": [
             {
                 "class": entry.component_class,
                 "fit": entry.fit,
-                # Lists, not tuples: the same JSON, and it keeps the whole
-                # payload on canonical_json's fast path.
+                # Lists, not tuples: the same JSON, and it keeps the tail
+                # on canonical_json's fast path.
                 "modes": [
                     [m.name, m.distribution, m.nature]
                     for m in entry.failure_modes
@@ -235,13 +250,12 @@ def campaign_fingerprint(
                 reliability.entries(), key=lambda e: e.component_class
             )
         ],
-        "analysis": analysis,
         "t_stop": t_stop,
-        "dt": dt,
-        "overrides": _canonical(behavior_overrides or {}),
-    }
-    blob = canonical_json(payload)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    })
+    digest = hashlib.sha256(head[:-1].encode("utf-8") + b',"model":')
+    digest.update(model_text)
+    digest.update(b"," + tail[1:].encode("utf-8"))
+    return digest.hexdigest()
 
 
 #: Checkpointed job outcome: ('ok', readings) or ('error', message).

@@ -56,7 +56,11 @@ netlist, and a campaign keeps the columns of its own faults to itself).
 Each content key is computed once per job and handed down: the fingerprint
 keys the cache, the campaign's checkpoint, and the ledger
 entry; the model digest keys the LRU; and the LRU entry keeps the model's
-ledger digest, so FMEA, FMEDA and search of one model pay it once.
+ledger digest, so FMEA, FMEDA and search of one model pay it once.  A body
+is parsed once, keeping the sha256 of its model's raw text, and the service
+memoises the model's canonical text under it: both the fingerprint and the
+model digest derive from that text, so a cold job whose model text was
+seen before serialises no model.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro import obs
 
@@ -253,6 +259,45 @@ def _entries(
     return list(payload)
 
 
+#: The stdlib's decoder; its ``scan_once`` is the C scanner ``json.loads``
+#: uses for every value.
+_DECODER = json.JSONDecoder()
+
+
+def _parse_body(text: str) -> Tuple[object, Optional[str]]:
+    """``json.loads(text)``, plus the raw text of the top-level object's
+    ``model`` member (the last one when the key repeats, as the parsed
+    value keeps the last), or ``None`` when there is none.
+
+    An object body is walked by the stdlib's pure-Python
+    ``json.decoder.JSONObject`` at the top level only: its scan hook parses
+    each member's value with the C scanner and records where the value's
+    text starts and ends.  Any other body goes to ``json.loads`` itself.
+    Both raise ``ValueError`` on malformed JSON, as ``json.loads`` does.
+    """
+    start = json.decoder.WHITESPACE.match(text, 0).end()
+    if not text.startswith("{", start):
+        return json.loads(text), None
+    spans = []
+
+    def scan(string: str, index: int):
+        value, end = _DECODER.scan_once(string, index)
+        spans.append((index, end))
+        return value, end
+
+    pairs, end = json.decoder.JSONObject(
+        (text, start + 1), True, scan, None, list
+    )
+    end = json.decoder.WHITESPACE.match(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    model_text = None
+    for (key, _), (first, last) in zip(pairs, spans):
+        if key == "model":
+            model_text = text[first:last]
+    return dict(pairs), model_text
+
+
 @dataclass
 class AnalysisRequest:
     """One analysis submission.
@@ -282,6 +327,18 @@ class AnalysisRequest:
     tenant: str = ""
     #: The parsed reliability payload, built on first use.
     _reliability: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: sha256 of the raw JSON text of the body's ``model`` member, when
+    #: the request was parsed from a body; the service's canonical-text
+    #: memo is keyed by it.
+    model_text_sha256: str = field(
+        default="", init=False, repr=False, compare=False
+    )
+    #: The model's canonical text, given by the service's memo
+    #: (:meth:`AnalysisService._attach_model_text`); both content keys of
+    #: the model derive from it when set.
+    _model_text: Optional["_ModelText"] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -329,16 +386,19 @@ class AnalysisRequest:
         cls, payload: Union[Mapping[str, object], bytes]
     ) -> "AnalysisRequest":
         """A request from its JSON object, or from the raw request body
-        (UTF-8 JSON bytes) that holds one."""
+        (UTF-8 JSON bytes) that holds one.  A body is parsed once
+        (:func:`_parse_body`), and the request keeps the sha256 of its
+        model's raw text."""
+        model_text = None
         if isinstance(payload, bytes):
             try:
-                payload = json.loads(payload.decode("utf-8"))
+                payload, model_text = _parse_body(payload.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
                 raise ServiceError("request body is not valid JSON") from None
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
         try:
-            return cls(
+            request = cls(
                 kind=str(payload.get("kind", "fmea")),
                 model=payload["model"],  # type: ignore[arg-type]
                 reliability=list(payload.get("reliability", [])),  # type: ignore[arg-type]
@@ -352,6 +412,11 @@ class AnalysisRequest:
             raise ServiceError(f"request missing field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ServiceError(f"malformed request: {exc}") from None
+        if model_text is not None:
+            request.model_text_sha256 = hashlib.sha256(
+                model_text.encode("utf-8")
+            ).hexdigest()
+        return request
 
     # -- keys -------------------------------------------------------------
 
@@ -368,7 +433,8 @@ class AnalysisRequest:
 
         It equals :func:`campaign_fingerprint` of the materialised model
         whenever the payload is a model's ``to_dict()``, since
-        ``SimulinkModel.from_dict`` round-trips it.
+        ``SimulinkModel.from_dict`` round-trips it.  With the model's
+        canonical text attached, the model is not serialised again.
         """
         from repro.safety.resilience import campaign_fingerprint
 
@@ -379,6 +445,7 @@ class AnalysisRequest:
             self.config["t_stop"],  # type: ignore[arg-type]
             self.config["dt"],  # type: ignore[arg-type]
             None,
+            model_text=self._model_text.text if self._model_text else None,
         )
 
     def search_strategy(self) -> str:
@@ -429,7 +496,13 @@ class AnalysisRequest:
 
     def model_digest(self) -> str:
         """Digest of the model payload: the key of the service's LRU of
-        materialised models."""
+        materialised models.
+
+        It is the sha256 of the payload's sorted compact dump.  For a
+        parsed body that dump is the model's canonical text, so with that
+        text attached its memoised digest is returned."""
+        if self._model_text is not None:
+            return self._model_text.digest
         blob = json.dumps(self.model, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -558,6 +631,10 @@ class AnalysisService:
         self._inflight_lock = threading.Lock()
         self._model_cache: "OrderedDict[str, _CachedModel]" = OrderedDict()
         self._model_cache_lock = threading.Lock()
+        #: Canonical-text memo: sha256 of a body's raw model text -> the
+        #: model's canonical text and its digest (the LRU key).
+        self._model_texts: "OrderedDict[str, _ModelText]" = OrderedDict()
+        self._model_texts_lock = threading.Lock()
         #: Request memo: body sha256 -> the keys that body computed.
         self._request_memo: "OrderedDict[str, _RequestKeys]" = OrderedDict()
         self._request_memo_lock = threading.Lock()
@@ -752,10 +829,10 @@ class AnalysisService:
         obs.emit_event("job_started", job=job.id, kind=job.kind)
         try:
             if not job.cache_key:  # a memo-hit job arrives keyed
-                request = job.request
-                assert request is not None
-                job.fingerprint = request.fingerprint()
-                job.cache_key = request.cache_key(job.fingerprint)
+                assert job.request is not None
+                job.fingerprint, job.cache_key = self._content_keys(
+                    job.request
+                )
                 if job.body_digest:
                     self._memoise(job)
             self._resolve(job)
@@ -916,10 +993,46 @@ class AnalysisService:
             job.body = None
         return job.request
 
+    def _content_keys(self, request: AnalysisRequest) -> Tuple[str, str]:
+        """The request's fingerprint and cache key.  A parsed body's
+        fingerprint hashes its model's memoised canonical text."""
+        self._attach_model_text(request)
+        fingerprint = request.fingerprint()
+        return fingerprint, request.cache_key(fingerprint)
+
+    def _attach_model_text(self, request: AnalysisRequest) -> None:
+        """Give a request parsed from a body its model's canonical text.
+
+        The text is looked up by the sha256 of the body's raw model text,
+        so a model is serialised (``canonical_json``, round-trip check
+        included) once per distinct text, however many bodies carry it.
+        Two workers racing on a new text may both serialise it; they get
+        the same text.  The memo holds as many texts as the model LRU
+        holds models.  A request built from a mapping has no raw text and
+        keeps computing its keys from the payload."""
+        raw = request.model_text_sha256
+        if not raw or request._model_text is not None:
+            return
+        with self._model_texts_lock:
+            text = self._model_texts.get(raw)
+            if text is not None:
+                self._model_texts.move_to_end(raw)
+        if text is None:
+            from repro.safety.resilience import canonical_json
+
+            blob = canonical_json(request.model).encode("utf-8")
+            text = _ModelText(blob, hashlib.sha256(blob).hexdigest())
+            with self._model_texts_lock:
+                self._model_texts[raw] = text
+                while len(self._model_texts) > _MODEL_CACHE_SIZE:
+                    self._model_texts.popitem(last=False)
+        request._model_text = text
+
     def _materialize_model(self, request: AnalysisRequest) -> "_CachedModel":
         """The payload as a :class:`SimulinkModel` with its netlist
         conversion, via the digest LRU.  Jobs racing on a new model share
         one entry, so the model is parsed and converted once."""
+        self._attach_model_text(request)
         digest = request.model_digest()
         with self._model_cache_lock:
             cached = self._model_cache.get(digest)
@@ -1118,6 +1231,14 @@ class _RequestKeys(NamedTuple):
     tenant: str
     fingerprint: str
     cache_key: str
+
+
+class _ModelText(NamedTuple):
+    """A model's canonical text (``canonical_json`` of its payload, UTF-8)
+    and that text's sha256, which is the request's :meth:`model_digest`."""
+
+    text: bytes
+    digest: str
 
 
 class _CachedModel:

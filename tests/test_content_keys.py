@@ -28,7 +28,8 @@ import math
 import sys
 import threading
 import time
-from types import MappingProxyType
+from pathlib import Path
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,7 @@ from repro.casestudies import (
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
 from repro.obs import ledger as ledger_mod
+from repro.obs.ledger import AnalysisLedger, LedgerEntry
 from repro.safety import campaign as campaign_mod
 from repro.safety import resilience
 from repro.safety.campaign import FaultInjectionCampaign
@@ -77,8 +79,12 @@ GOLDEN_CACHE_KEY = (
 GOLDEN_SERVICE_MODEL_DIGEST = (
     "9ef86ff5d4d7a4adff7600c43ef322d1315fba429e40b8113380a4bdb6a4bdc7"
 )
+#: The ledger digests a model's unrounded canonical text, so for a model
+#: payload it equals the service's model digest.  (It used to round floats
+#: to 9 decimal places, which digested every 1e-12 A saturation current
+#: as 0.)
 GOLDEN_LEDGER_MODEL_DIGEST = (
-    "9afb5e22af8ac5eeb1d3a3544903676aad47227bed5f4aafefae30c7dbd3baaf"
+    "9ef86ff5d4d7a4adff7600c43ef322d1315fba429e40b8113380a4bdb6a4bdc7"
 )
 GOLDEN_RELIABILITY_DIGEST = (
     "9f09c7f6568bb2140d6d08b645b28f94f1cdefc68085e0fe6a901d2d558bc0d9"
@@ -225,6 +231,62 @@ def test_canonical_json_exact_on_case_studies(case_payloads, case):
     assert request.fingerprint() == _reference_fingerprint(
         model, reliability, "dc", 5e-3, 5e-5
     )
+
+
+# -- the spliced fingerprint -----------------------------------------------------
+
+
+class _Model:
+    """A design model whose ``to_dict`` is any value."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def to_dict(self):
+        return self.payload
+
+
+class _Reliability:
+    """A reliability model with one entry per FIT value."""
+
+    def __init__(self, fits):
+        self.fits = fits
+
+    def entries(self):
+        mode = SimpleNamespace(name="Open", distribution=0.5, nature="")
+        return [
+            SimpleNamespace(component_class=f"C{index}", fit=fit,
+                            failure_modes=[mode])
+            for index, fit in enumerate(self.fits)
+        ]
+
+
+_numbers = st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _mixed,
+    st.lists(_scalars | st.lists(_scalars, max_size=3).map(tuple), max_size=3),
+    st.sampled_from(["dc", "transient"]),
+    _numbers,
+    _numbers,
+)
+def test_spliced_fingerprint_equals_its_definition(
+    payload, fits, analysis, t_stop, dt
+):
+    """The fingerprint hashes head, model text and tail in turn; that is
+    the hash of the whole canonical text, whether each part takes the
+    fast path or the walk (tuples, non-str keys, NaN)."""
+    model, reliability = _Model(payload), _Reliability(fits)
+    expected = _reference_fingerprint(model, reliability, analysis, t_stop, dt)
+    assert resilience.campaign_fingerprint(
+        model, reliability, analysis, t_stop, dt
+    ) == expected
+    text = canonical_json(payload).encode("utf-8")
+    assert resilience.campaign_fingerprint(
+        model, reliability, analysis, t_stop, dt, model_text=text
+    ) == expected
 
 
 # -- golden keys ---------------------------------------------------------------
@@ -450,8 +512,7 @@ def _memo_hits():
 
 
 def _body_parses(calls, body):
-    """The ``json.loads`` calls that parsed ``body`` (the ledger reads its
-    own lines with ``json.loads`` too)."""
+    """The ``_parse_body`` calls that parsed ``body``."""
     return [c for c in calls if c and c[0] in (body, body.decode("utf-8"))]
 
 
@@ -461,7 +522,7 @@ def test_identical_body_is_keyed_by_its_hash(tmp_path, monkeypatch, clean_obs):
         first = _done(service, service.submit(body))
         assert service.status()["request_memo_entries"] == 1
         assert _memo_hits() == 0
-        parses = _count_calls(monkeypatch, [(json, "loads")])
+        parses = _count_calls(monkeypatch, [(jobs_mod, "_parse_body")])
         fingerprints = _count_calls(
             monkeypatch,
             [
@@ -539,7 +600,7 @@ def test_memo_hit_with_no_reachable_plan_parses_and_recomputes(
     with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
         first = _done(service, service.submit(body))
         assert first.result["plan"] is None
-        parses = _count_calls(monkeypatch, [(json, "loads")])
+        parses = _count_calls(monkeypatch, [(jobs_mod, "_parse_body")])
         second = _done(service, service.submit(body))
         monkeypatch.undo()
     assert _memo_hits() == 1
@@ -563,6 +624,199 @@ def test_memo_is_bounded(tmp_path, monkeypatch, clean_obs):
         _done(service, service.submit(bodies[0]))
         assert _memo_hits() == 1
         assert service.status()["request_memo_entries"] == 2
+
+
+# -- one parse, one canonical text per model --------------------------------------
+
+_spaces = st.sampled_from(["", " ", "\n", "\t", "\r\n  "])
+_member_keys = st.sampled_from(["model", "kind", "config"]) | st.text(max_size=4)
+
+
+@st.composite
+def _object_texts(draw):
+    """A JSON object text with repeated keys (``model`` among them), any
+    whitespace, escaped and raw unicode, NaN and infinities, and the text
+    of its last ``model`` member's value (``None`` without one)."""
+    pieces, model_text = [], None
+    for key, value in draw(
+        st.lists(st.tuples(_member_keys, _json_native), max_size=6)
+    ):
+        if key == "model" and draw(st.booleans()):
+            key_text = '"' + "".join(f"\\u{ord(c):04x}" for c in key) + '"'
+        else:
+            key_text = json.dumps(key, ensure_ascii=draw(st.booleans()))
+        value_text = json.dumps(
+            value,
+            ensure_ascii=draw(st.booleans()),
+            indent=draw(st.sampled_from([None, 1])),
+        )
+        if key == "model":
+            model_text = value_text
+        pieces.append(
+            draw(_spaces) + key_text + draw(_spaces) + ":" + draw(_spaces)
+            + value_text + draw(_spaces)
+        )
+    inner = ",".join(pieces) if pieces else draw(_spaces)
+    return draw(_spaces) + "{" + inner + "}" + draw(_spaces), model_text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_object_texts())
+def test_body_parse_equals_json_loads(case):
+    text, model_text = case
+    value, raw = jobs_mod._parse_body(text)
+    # repr: equal values in the same key order, NaN included.
+    assert repr(value) == repr(json.loads(text))
+    assert raw == model_text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _object_texts(),
+    st.data(),
+    st.sampled_from(["", "x", "}", ",", "{", "]", " 1", '"', "\ufeff"]),
+)
+def test_malformed_body_gets_the_same_refusal(case, data, junk):
+    text = case[0]
+    cut = data.draw(st.integers(0, len(text)))
+    broken = text[:cut] + junk
+    try:
+        expected = repr(json.loads(broken))
+    except ValueError:
+        expected = None
+    try:
+        value = repr(jobs_mod._parse_body(broken)[0])
+    except ValueError:
+        value = None
+    assert value == expected
+    if expected is None:
+        with pytest.raises(ServiceError, match="not valid JSON"):
+            AnalysisRequest.from_payload(broken.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"[1, 2]", "must be a JSON object"),
+        (b"  7 ", "must be a JSON object"),
+        (b"\xef\xbb\xbf{}", "not valid JSON"),
+        (b"{} {}", "not valid JSON"),
+        (b"\xff{}", "not valid JSON"),
+        (b'{"kind": "fmea"}', "missing field 'model'"),
+    ],
+)
+def test_body_that_is_no_request_object_is_refused(body, message):
+    with pytest.raises(ServiceError, match=message):
+        AnalysisRequest.from_payload(body)
+
+
+def _keys(request):
+    fingerprint = request.fingerprint()
+    return fingerprint, request.cache_key(fingerprint), request.model_digest()
+
+
+@pytest.mark.parametrize("case", ["psu", "sys_a", "sys_b", "grid", "nan"])
+def test_body_keys_from_the_memoised_text_are_bit_identical(
+    case_payloads, tmp_path, case
+):
+    """Fingerprint, cache key and LRU key of a parsed body, derived from
+    the memoised canonical text, equal those computed from the payload."""
+    model, reliability, config = case_payloads["psu" if case == "nan" else case]
+    body = {
+        "kind": "fmea",
+        "model": model.to_dict(),
+        "reliability": reliability_payload(reliability),
+        "config": config,
+    }
+    if case == "nan":  # the canonical text falls back to the walk
+        body["model"]["limits"] = [math.nan, -math.inf]
+    expected = _keys(AnalysisRequest.from_payload(body))
+    service = AnalysisService(tmp_path / "ledger.jsonl")
+    for text in (
+        json.dumps(body), json.dumps(body, indent=1, ensure_ascii=False),
+    ):
+        request = AnalysisRequest.from_payload(text.encode("utf-8"))
+        service._attach_model_text(request)
+        assert request._model_text is not None
+        assert _keys(request) == expected
+
+
+def _model_serialisations(monkeypatch):
+    """``canonical_json`` calls on a model payload (the ``diagram`` key)."""
+    calls = _count_calls(monkeypatch, [(resilience, "canonical_json")])
+    return lambda: [
+        args for args in calls
+        if isinstance(args[0], dict) and "diagram" in args[0]
+    ]
+
+
+def test_model_is_serialised_once_per_distinct_model_text(
+    tmp_path, monkeypatch, clean_obs
+):
+    config = {"sensors": ["CS1"], "assume_stable": list(ASSUMED_STABLE)}
+    serialised = _model_serialisations(monkeypatch)
+    digests = _count_calls(monkeypatch, [(ledger_mod, "model_digest")])
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        # A mapping submission serialises its model once per job, for its
+        # fingerprint; the first job of a model also digests it for the
+        # ledger.
+        mapped = _done(service, service.submit(_psu_body()))
+        assert (len(serialised()), len(digests)) == (2, 1)
+        _done(service, service.submit(_psu_body(config=dict(config, threshold=0.3))))
+        assert (len(serialised()), len(digests)) == (3, 1)
+        # A body with a new model text: one serialisation (a ledger hit).
+        body = _done(service, service.submit(_encoded(_psu_body())))
+        assert body.cached and len(serialised()) == 4
+        # New bodies with a seen model text: none, whether they hit the
+        # ledger (0.3) or compute (0.4).
+        for threshold in (0.3, 0.4):
+            job = _done(service, service.submit(_encoded(
+                _psu_body(config=dict(config, threshold=threshold))
+            )))
+            assert job.cached == (threshold == 0.3)
+        assert len(serialised()) == 4
+        # The same model in other whitespace is another text: one more.
+        _done(service, service.submit(_encoded(_psu_body(), indent=1)))
+        assert len(serialised()) == 5
+        assert len(digests) == 1
+        # Body and mapping keys agree, so both paths share one LRU entry.
+        assert (body.fingerprint, body.cache_key) == (
+            mapped.fingerprint, mapped.cache_key,
+        )
+        assert len(service._model_cache) == 1
+
+
+def test_model_text_memo_is_bounded(tmp_path, monkeypatch, clean_obs):
+    monkeypatch.setattr(jobs_mod, "_MODEL_CACHE_SIZE", 2)
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        for indent in (None, 1, 2):
+            _done(service, service.submit(_encoded(_psu_body(), indent=indent)))
+            assert len(service._model_texts) <= 2
+        assert len(service._model_texts) == 2
+
+
+def test_computed_job_digests_its_entry_once(tmp_path, monkeypatch, clean_obs):
+    """One content digest per computed job (span, line, index record and
+    answer share it) and none for a ledger hit; it equals the digest a
+    fresh handle derives from the line on disk."""
+    calls = _count_calls(monkeypatch, [(ledger_mod, "content_digest_of")])
+
+    def entry_digests():
+        return [args for args in calls if "row_digests" in args[0]]
+
+    path = tmp_path / "ledger.jsonl"
+    with AnalysisService(path, workers=1) as service:
+        computed = _done(service, service.submit(_psu_body()))
+        assert len(entry_digests()) == 1
+        hit = _done(service, service.submit(_psu_body(tenant="again")))
+        assert hit.cached and len(entry_digests()) == 1
+    monkeypatch.undo()
+    Path(str(path) + ".idx").unlink()
+    (entry,) = AnalysisLedger(path).entries()
+    line = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    fresh = LedgerEntry.from_dict(line)
+    assert computed.result["entry"] == hit.result["entry"] == fresh.entry_id
+    assert entry.content_digest == fresh.content_digest == line["digest"]
 
 
 # -- one netlist per cached model ------------------------------------------------

@@ -61,6 +61,39 @@ class TestDigests:
         assert model_digest(None) == ""
         assert model_digest(object()) == ""  # unserialisable -> ''
 
+    def test_model_digest_sees_parameters_below_rounding(
+        self, ledger, psu_reliability
+    ):
+        """A diode's saturation current of 1e-12 A rounds to 0.0 at 9
+        decimal places, yet moving it to 1e-14 A moves the circuit's node
+        voltages: the model digest, the staleness check and the diff must
+        all see the change."""
+        from repro.casestudies.power_supply import build_power_supply_simulink
+        from repro.obs.history import diff_entries, stale_entries
+
+        before = build_power_supply_simulink()
+        after = build_power_supply_simulink()
+        diode = after.find_block("D1")
+        assert diode.param("saturation_current") == 1e-12
+        diode.set_param("saturation_current", 1e-14)
+        assert model_digest(before) != model_digest(after)
+        recorded = [
+            _record(
+                ledger,
+                run_simulink_fmea(
+                    model, psu_reliability, sensors=["CS1"],
+                    assume_stable=ASSUMED_STABLE,
+                ),
+                model,
+                psu_reliability,
+            )
+            for model in (before, after)
+        ]
+        assert [entry.seq for entry in stale_entries(
+            ledger, model_digest(after)
+        )] == [recorded[0].seq]
+        assert diff_entries(*ledger.entries()).model_changed
+
     def test_reliability_digest(self, psu_reliability):
         assert reliability_digest(psu_reliability) != ""
         assert reliability_digest(psu_reliability) == reliability_digest(
