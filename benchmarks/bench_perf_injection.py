@@ -37,7 +37,13 @@ run on a freshly primed system against the same samples on one shared
 primed system, alternating which runs first, with rows asserted equal.
 Both walls go to ``BENCH_injection.json``, and ``meta.scaling.primed_reuse``
 (shared over fresh, budget 1) lets ``watch-regressions`` flag a reuse path
-that stops winning.
+that stops winning.  Beside it, ``meta.scaling.smw_base_solves`` counts
+the base solves (``factorization_reuses``) one SMW fault solve costs on a
+grid sample over a shared primed system, with the sparse rule pinned
+(budget 3): Newton runs in each fault's Woodbury basis and solves full
+length only to verify, so a fault pays its own column and the refinement
+passes of its verifying step.  A solver that went back to full-length
+solves every iteration would read ~5.
 
 Acceptance (full mode):
 
@@ -50,7 +56,8 @@ Acceptance (full mode):
   tier, and the dense (direct) one beats pinned sparse on the power
   supply and System A;
 - the pool beats the serial campaign on the fan-out grid sample;
-- a grid sample on the shared primed system beats one that primes its own.
+- a grid sample on the shared primed system beats one that primes its own;
+- an SMW fault solve costs at most 3 base solves (smoke mode too).
 
 Smoke mode (``BENCH_INJECTION_SMOKE=1``): shrinks System B and the grid,
 runs one repeat per strategy and skips the speedup assertions, so CI
@@ -123,6 +130,11 @@ GRID_FANOUT_ROUNDS = 3
 REUSE_ROUNDS = 2 if SMOKE else 9
 #: The reuse probe's scaling budget: shared wall over fresh wall.
 REUSE_BUDGET = 1.0
+#: Budget of base solves (``factorization_reuses``) per SMW fault solve
+#: on one grid sample over a shared primed system: a fault's own column
+#: plus the refinement passes of its full-length steps.  A fault that
+#: again solved full-length every Newton iteration reads ~5.
+SMW_BASE_SOLVES_BUDGET = 3.0
 SPEEDUP_TARGET = 3.0
 #: Sparse vs dense backend on the grid tier (full mode).
 SPARSE_SPEEDUP_TARGET = 3.0
@@ -250,6 +262,7 @@ _TRAJECTORY_KEYS = (
     "fresh_s",
     "shared_s",
     "reuse_speedup",
+    "smw_base_solves",
 )
 
 
@@ -519,6 +532,21 @@ def _grid_fanout_case(payload):
     return entry
 
 
+def _smw_base_solves(model, reliability, conversion):
+    """Base solves per SMW fault solve (``factorization_reuses`` over
+    ``smw_solves``) of one grid sample on a shared primed system, with the
+    sparse rule pinned: the smoke grid is small enough to run dense."""
+    stable = power_grid_injection_sample(model, k=GRID_SAMPLE_K, seed=0)
+    with pinned_backend("sparse"):
+        primed = PrimedSystem(conversion.netlist)
+        run = FaultInjectionCampaign(
+            model, reliability, assume_stable=stable
+        ).run(conversion=conversion, primed=primed)
+    stats = run.stats
+    assert stats.solver_backend == "sparse" and stats.smw_solves > 0
+    return stats.factorization_reuses / stats.smw_solves
+
+
 def _primed_reuse_case(payload):
     """Time cold grid samples on a freshly primed system against the same
     samples on one shared primed system, alternating which arm runs
@@ -559,11 +587,16 @@ def _primed_reuse_case(payload):
         )
     fresh_s = statistics.median(walls["fresh"])
     shared_s = statistics.median(walls["shared"])
+    base_solves = _smw_base_solves(model, reliability, conversion)
     scaling = {
         "primed_reuse": {
             "ratio": round(shared_s / fresh_s, 3),
             "budget": REUSE_BUDGET,
-        }
+        },
+        "smw_base_solves": {
+            "ratio": round(base_solves, 3),
+            "budget": SMW_BASE_SOLVES_BUDGET,
+        },
     }
     entry = {
         "jobs": result.stats.jobs,
@@ -573,6 +606,7 @@ def _primed_reuse_case(payload):
         "fresh_s": round(fresh_s, 6),
         "shared_s": round(shared_s, 6),
         "reuse_speedup": round(fresh_s / shared_s, 3),
+        "smw_base_solves": scaling["smw_base_solves"]["ratio"],
         "rows_identical": True,
     }
     payload["cases"]["power_grid_reuse"] = entry
@@ -599,6 +633,7 @@ def _primed_reuse_case(payload):
                     "Fresh(s)": f"{fresh_s:.3f}",
                     "Shared(s)": f"{shared_s:.3f}",
                     "Fresh/Shared": f"{entry['reuse_speedup']:.2f}x",
+                    "Base solves/SMW": f"{base_solves:.2f}",
                 }
             ]
         ),
@@ -632,13 +667,15 @@ def test_bench_injection():
     grid = _grid_case(payload)
     fanout = None if SMOKE else _grid_fanout_case(payload)
     reuse = _primed_reuse_case(payload)
+    base_solves = payload["meta"]["scaling"]["smw_base_solves"]
 
     largest = payload["cases"]["system_b"]
     classic = {
         case: payload["cases"][case]
         for case in ("power_supply", "system_a", "system_b")
     }
-    payload["accepted"] = bool(
+    within_budget = base_solves["ratio"] <= base_solves["budget"]
+    payload["accepted"] = within_budget and bool(
         SMOKE
         or (
             largest["speedup"] >= SPEEDUP_TARGET
@@ -676,6 +713,10 @@ def test_bench_injection():
             trace_file = obs.export_jsonl(TRACE_PATH)
         print(f"\nobservability trace written to {trace_file}")
 
+    assert within_budget, (
+        "an SMW fault solve must cost at most "
+        f"{base_solves['budget']} base solves, got {base_solves['ratio']}"
+    )
     if not SMOKE:
         assert largest["speedup"] >= SPEEDUP_TARGET, (
             "batched engine must beat naive re-assembly by "

@@ -19,7 +19,8 @@ Performance layers on top of the plain solver:
 - :class:`PrimedSystem` is the per-netlist part of the fault-injection
   solver, immutable once primed: index maps, the constant matrix (dense,
   or CSC with its SuperLU factorization), the baseline operating point
-  and its diode biases, and the ``A0⁻¹u`` columns priming solved.  Runs
+  and its diode biases, and on the sparse rule ``A0⁻¹b0`` and the diode
+  directions' ``A0⁻¹u`` columns with their Woodbury ``S`` block.  Runs
   over one netlist share it — the analysis service keeps one per cached
   model;
 - :class:`CompiledSystem` is the per-run solver over a primed system: it
@@ -599,42 +600,98 @@ class _SmwFallback(Exception):
     """Internal: the low-rank path declined; use full assembly instead."""
 
 
-def _solve_small(matrix: List[List[float]], rhs: List[float]) -> List[float]:
-    """Gaussian elimination with partial pivoting, destructive, for the
-    tiny Woodbury capacitance systems.  Pivoting matters: the diagonal
-    mixes ``1/g`` terms spanning many orders of magnitude, so closed-form
-    (Cramer) solutions lose enough digits to trip the residual check.
-    Raises :class:`_SmwFallback` on a zero or non-finite pivot."""
-    k = len(rhs)
-    for col in range(k):
-        piv = col
-        best = abs(matrix[col][col])
-        for row in range(col + 1, k):
-            magnitude = abs(matrix[row][col])
-            if magnitude > best:
-                best = magnitude
-                piv = row
-        pivot = matrix[piv][col]
-        if pivot == 0.0 or not math.isfinite(pivot):
-            raise _SmwFallback
-        if piv != col:
-            matrix[col], matrix[piv] = matrix[piv], matrix[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        top = matrix[col]
-        for row in range(col + 1, k):
-            factor = matrix[row][col] / pivot
-            if factor != 0.0:
-                line = matrix[row]
-                for c in range(col + 1, k):
-                    line[c] -= factor * top[c]
-                rhs[row] -= factor * rhs[col]
-    for col in range(k - 1, -1, -1):
-        accumulated = rhs[col]
-        line = matrix[col]
-        for c in range(col + 1, k):
-            accumulated -= line[c] * rhs[c]
-        rhs[col] = accumulated / line[col]
-    return rhs
+#: Update gains below this magnitude drop out of a Woodbury solve.
+_MIN_GAIN = 1e-18
+
+
+def _capacitance_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a small Woodbury capacitance system: LAPACK ``gesv``, an LU
+    with partial pivoting.  Pivoting matters: the diagonal mixes ``1/g``
+    terms spanning many orders of magnitude, so closed-form (Cramer)
+    solutions lose enough digits to trip the residual check.  At the rank
+    counts seen here (K = 9 on the grid) one call costs ~6 µs, a quarter
+    of a pure-Python elimination.  Raises :class:`_SmwFallback` when the
+    matrix is singular."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        raise _SmwFallback from None
+
+
+class _UpdateBasis:
+    """The update directions ``U`` of a sparse fault solve, with their
+    solved columns ``W = A0⁻¹U`` (n × K) and ``S = UᵀW`` (K × K).
+
+    A direction ``u = e_i - e_j`` is an index pair (-1: ground).  Built
+    once per fault, a basis makes each Woodbury solve K × K work on
+    ``Uᵀy`` plus, for a full-length solution, one ``W @ w``.
+    """
+
+    __slots__ = (
+        "pairs", "columns", "gram", "_pos", "_pos_at", "_neg", "_neg_at",
+    )
+
+    def __init__(
+        self,
+        pairs: List[Tuple[int, int]],
+        columns: np.ndarray,
+        gram: Optional[np.ndarray] = None,
+    ) -> None:
+        self.pairs = pairs
+        self.columns = columns
+        pos = np.array([p[0] for p in pairs], dtype=np.intp)
+        neg = np.array([p[1] for p in pairs], dtype=np.intp)
+        self._pos_at = np.flatnonzero(pos >= 0)
+        self._pos = pos[self._pos_at]
+        self._neg_at = np.flatnonzero(neg >= 0)
+        self._neg = neg[self._neg_at]
+        self.gram = self.project(columns) if gram is None else gram
+
+    def project(self, block: np.ndarray) -> np.ndarray:
+        """``Uᵀ block`` for a vector or an n × m block."""
+        out = np.zeros((len(self.pairs),) + block.shape[1:])
+        out[self._pos_at] = block[self._pos]
+        out[self._neg_at] -= block[self._neg]
+        return out
+
+    def spread(self, values: np.ndarray, target: np.ndarray) -> None:
+        """``target -= U values``, in place."""
+        np.subtract.at(target, self._pos, values[self._pos_at])
+        np.add.at(target, self._neg, values[self._neg_at])
+
+    def extend(
+        self, pairs: List[Tuple[int, int]], columns: np.ndarray
+    ) -> "_UpdateBasis":
+        """This basis followed by ``pairs``, whose columns are ``columns``;
+        only the new rows and columns of ``S`` are computed."""
+        tail = _UpdateBasis(pairs, columns)
+        if not self.pairs:
+            return tail
+        gram = np.block([
+            [self.gram, self.project(columns)],
+            [tail.project(self.columns), tail.gram],
+        ])
+        return _UpdateBasis(
+            self.pairs + pairs, np.hstack([self.columns, columns]), gram
+        )
+
+    def weights(self, gains: np.ndarray, projected: np.ndarray) -> np.ndarray:
+        """Woodbury weights ``w`` with ``x = y - W w`` solving
+        ``(A0 + U diag(gains) Uᵀ) x = A0 y``, given ``projected = Uᵀy``.
+        Directions whose gain is 0 drop out (their weight is 0)."""
+        k = len(self.pairs)
+        kept = np.flatnonzero(gains)
+        weights = np.zeros(k)
+        if not len(kept):
+            return weights
+        if len(kept) == k:
+            capacitance = self.gram.copy()
+        else:
+            capacitance = self.gram[np.ix_(kept, kept)]
+        capacitance.flat[:: len(kept) + 1] += 1.0 / gains[kept]
+        weights[kept] = _capacitance_solve(capacitance, projected[kept])
+        return weights
 
 
 @dataclass(frozen=True)
@@ -682,9 +739,11 @@ class PrimedSystem:
     - the constant matrix for the rule the system's size picks — dense, or
       CSC factored once with SuperLU (a failed factorization is latched:
       every solve then falls back to full assembly);
-    - the healthy baseline operating point (or the error that stopped it),
-      its diode biases for Newton warm starts, and the ``A0⁻¹u`` columns
-      its solve needed (the diode directions).
+    - the healthy baseline operating point (or the error that stopped it)
+      and its diode biases for Newton warm starts;
+    - on the sparse rule, ``A0⁻¹b0`` and the diode directions' ``A0⁻¹u``
+      columns (one multi-RHS solve) with their block of the Woodbury
+      ``S = UᵀA0⁻¹U``.
 
     After that a primed system never changes, so every run over the same
     netlist — concurrent service jobs included — can share one, each
@@ -731,6 +790,12 @@ class PrimedSystem:
         self.baseline_error = ""
         #: Converged baseline diode biases, for Newton warm starts.
         self.warm_vd: Dict[str, float] = {}
+        #: Sparse rule: ``A0⁻¹b0``, the constant system's solution, which
+        #: every fault that leaves the RHS alone starts from.
+        self.static_solution: Optional[np.ndarray] = None
+        #: Sparse rule: the diode directions with their columns and ``S``
+        #: block, the head of every fault's update basis.
+        self.diode_basis: Optional[_UpdateBasis] = None
         #: A0^{-1} u for the priming directions, keyed by (pos, neg) index.
         self.columns: Dict[Tuple[int, int], np.ndarray] = {}
         with obs.span(
@@ -752,7 +817,13 @@ class PrimedSystem:
                 self.baseline_error = str(exc)
             else:
                 self.warm_vd = self._diode_biases(self.baseline)
-            self.columns = priming._columns
+            if priming._priming is not None:
+                self.static_solution, self.diode_basis = priming._priming
+                basis = self.diode_basis
+                self.columns = {
+                    pair: basis.columns[:, a]
+                    for a, pair in enumerate(basis.pairs)
+                }
             self.stats = priming.stats
 
     def _factorize(self) -> Optional[_backends.Factorization]:
@@ -975,8 +1046,10 @@ class CompiledSystem:
       baseline diode biases;
     - ``sparse``: each fault is a low-rank Sherman–Morrison–Woodbury
       update of the primed SuperLU factorization, with diode companion
-      models folded into the update as additional rank-one terms per
-      Newton iteration.
+      models folded into the update as rank-one terms.  Newton runs on
+      the K update directions' projections ``Uᵀx`` until it converges,
+      then verifies with full-length refined, residual-checked solves
+      (:class:`_SparseNewton`).
 
     The solver owns only what one run adds: its ``stats`` and the
     ``A0⁻¹u`` columns of its faults' update directions, which never enter
@@ -1003,6 +1076,8 @@ class CompiledSystem:
             self.stats = replace(self.primed.stats)
         #: A0^{-1} u for this run's update directions beyond the primed ones.
         self._columns: Dict[Tuple[int, int], np.ndarray] = {}
+        #: While priming (sparse): ``A0⁻¹b0`` and the diode basis it solved.
+        self._priming: Optional[Tuple[np.ndarray, _UpdateBasis]] = None
 
     @property
     def netlist(self) -> Netlist:
@@ -1094,111 +1169,99 @@ class CompiledSystem:
         except _backends.FactorizationError:
             raise _SmwFallback from None
 
-    def _solved_columns(
-        self, pairs: List[Tuple[int, int]]
-    ) -> List[np.ndarray]:
-        """``A0⁻¹ u`` columns for update directions, batched.
+    def _solve_directions(
+        self, pairs: List[Tuple[int, int]], lead: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``A0⁻¹ [lead | u_1 … u_m]`` for update directions, as ONE
+        multi-RHS block — a matrix whose columns are the unit-difference
+        vectors (after ``lead``, if given), handed to the backend in a
+        single solve call instead of one factorized solve per direction."""
+        first = 0 if lead is None else 1
+        block = np.zeros((self.primed.size, first + len(pairs)))
+        if lead is not None:
+            block[:, 0] = lead
+        for col, pair in enumerate(pairs, first):
+            if pair[0] >= 0:
+                block[pair[0], col] += 1.0
+            if pair[1] >= 0:
+                block[pair[1], col] -= 1.0
+        solved = self._base_solve(block)
+        self.stats.factorization_reuses += block.shape[1]
+        self.stats.batched_columns += len(pairs)
+        if obs.enabled():
+            obs.counter("mna_batched_rhs_columns").inc(len(pairs))
+        return solved
 
-        The primed system's columns are read, never extended: a column
-        this run solves stays in the run's own cache.
+    def _solved_columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
+        """``A0⁻¹ u`` columns (n × len(pairs)) for a fault's own update
+        directions, the uncached ones solved as one block.
 
-        All uncached directions are solved as ONE multi-RHS block — a
-        matrix whose columns are the unit-difference vectors, handed to the
-        backend in a single solve call — instead of one factorized solve
-        per direction.
+        A column this run solves stays in the run's own cache; the primed
+        diode columns live in the primed system's ``diode_basis``.
         """
-        primed = self.primed.columns
         own = self._columns
-        missing: List[Tuple[int, int]] = []
-        seen = set()
-        for pair in pairs:
-            if pair not in primed and pair not in own and pair not in seen:
-                seen.add(pair)
-                missing.append(pair)
+        missing = list(dict.fromkeys(p for p in pairs if p not in own))
         if missing:
-            block = np.zeros((self.primed.size, len(missing)))
-            for col, pair in enumerate(missing):
-                if pair[0] >= 0:
-                    block[pair[0], col] += 1.0
-                if pair[1] >= 0:
-                    block[pair[1], col] -= 1.0
-            solved = self._base_solve(block)
+            solved = self._solve_directions(missing)
             for col, pair in enumerate(missing):
                 own[pair] = np.ascontiguousarray(solved[:, col])
-            self.stats.factorization_reuses += len(missing)
-            self.stats.batched_columns += len(missing)
-            if obs.enabled():
-                obs.counter("mna_batched_rhs_columns").inc(len(missing))
-        return [
-            primed[pair] if pair in primed else own[pair] for pair in pairs
-        ]
+        return np.column_stack([own[pair] for pair in pairs])
+
+    def _sparse_priming(self) -> Tuple[np.ndarray, _UpdateBasis]:
+        """The primed system's ``A0⁻¹b0`` and diode basis, solved here when
+        this solver is the one priming: the constant RHS and the diode
+        directions go through the factorization as one block."""
+        primed = self.primed
+        if primed.diode_basis is not None:
+            return primed.static_solution, primed.diode_basis
+        if self._priming is None:
+            system = primed.system
+            pairs = list(dict.fromkeys(
+                primed._direction(d.node_pos, d.node_neg)
+                for d in system.diodes
+            ))
+            solved = self._solve_directions(pairs, system.constant_rhs())
+            self._priming = (
+                np.ascontiguousarray(solved[:, 0]),
+                _UpdateBasis(pairs, np.ascontiguousarray(solved[:, 1:])),
+            )
+        return self._priming
 
     def _woodbury(
         self,
-        pairs: List[Tuple[int, int]],
-        gains: List[float],
+        basis: _UpdateBasis,
+        gains: np.ndarray,
         rhs: np.ndarray,
         y: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Solve (A0 + sum g_k u_k u_k^T) x = rhs against the cached factors.
+        """Solve ``(A0 + U diag(gains) Uᵀ) x = rhs`` against the cached
+        factors.
 
         ``y`` short-circuits the base solve when the caller already knows
-        ``A0^{-1} rhs`` (the Newton loop derives it from cached columns).
+        ``A0⁻¹ rhs`` (Newton derives it from the basis columns).
         """
         if y is None:
             y = self._base_solve(rhs)
             self.stats.factorization_reuses += 1
-        if not pairs:
+        if not gains.any():
             return y
-        k = len(pairs)
-        columns = self._solved_columns(pairs)
-
-        def dot_u(pair: Tuple[int, int], vector: np.ndarray) -> float:
-            value = 0.0
-            if pair[0] >= 0:
-                value += vector[pair[0]]
-            if pair[1] >= 0:
-                value -= vector[pair[1]]
-            return value
-
-        small_rhs = [dot_u(pair, y) for pair in pairs]
-        # np.linalg.solve carries setup overhead dwarfing the O(k³) work at
-        # the rank counts seen here; solve small systems with a pure-Python
-        # partial-pivoted elimination and keep LAPACK for larger updates.
-        if k <= 6:
-            capacitance_rows = [
-                [dot_u(pair, columns[b]) for b in range(k)] for pair in pairs
-            ]
-            for a in range(k):
-                capacitance_rows[a][a] += 1.0 / gains[a]
-            weights = _solve_small(capacitance_rows, small_rhs)
-        else:
-            capacitance = np.empty((k, k))
-            for a, pair in enumerate(pairs):
-                for b in range(k):
-                    capacitance[a, b] = dot_u(pair, columns[b])
-                capacitance[a, a] += 1.0 / gains[a]
-            try:
-                with np.errstate(all="ignore"):
-                    weights = np.linalg.solve(capacitance, np.array(small_rhs))
-            except np.linalg.LinAlgError:
-                raise _SmwFallback from None
-        x = y.copy()
-        for column, weight in zip(columns, weights):
-            x -= weight * column
-        return x
+        return y - basis.columns @ basis.weights(gains, basis.project(y))
 
     def _solve_incremental(self, plan: _UpdatePlan) -> DCSolution:
         if not obs.enabled():
-            return self._solve_incremental_impl(plan)
+            return self._solve_incremental_impl(plan)[0]
         with obs.span(
             "mna.smw_solve",
             removed=plan.removed,
             size=self.primed.size,
             **{"solver.backend": self.backend},
         ) as sp:
-            solution = self._solve_incremental_impl(plan)
-            sp.set(iterations=solution.iterations)
+            solution, full_steps = self._solve_incremental_impl(plan)
+            sp.set(
+                iterations=solution.iterations,
+                reduced_iterations=solution.iterations - full_steps,
+                full_steps=full_steps,
+            )
             return solution
 
     # -- the direct dense-system solver -----------------------------------
@@ -1297,28 +1360,49 @@ class CompiledSystem:
         self.stats.direct_solves += 1
         return system.to_solution(solution_vector, iterations)
 
-    def _solve_incremental_impl(self, plan: _UpdatePlan) -> DCSolution:
-        system = self.primed.system
-        self.primed._ensure_sparse()
-        base_rhs = system.constant_rhs()
-        # Residual checks only need `A0 @ v`; the CSC form keeps large
-        # systems from ever materialising the dense constant matrix.
-        base_matrix = system.assemble_constant_csc()
+    def _solve_incremental_impl(
+        self, plan: _UpdatePlan
+    ) -> Tuple[DCSolution, int]:
+        """Newton over a Woodbury update of the primed factorization.
 
-        rhs_static = base_rhs.copy()
-        for n_from, n_to, delta_i in plan.rhs_current:
-            system._stamp_current(rhs_static, n_from, n_to, delta_i)
-        for row, delta_v in plan.rhs_branch:
-            rhs_static[row] += delta_v
+        Returns the solution and how many of its iterations were
+        full-length steps.  The fault's update basis (the primed diode
+        directions, then its own) is built once.  Newton runs in that basis
+        while it converges (reduced steps), then takes full-length steps at
+        the converged biases, each the refined, residual-checked solve
+        followed by the diode-step test on its vector, until one moves no
+        diode by more than ``_NEWTON_TOLERANCE``.  A reduced step that
+        fails hands over to full steps early.  So every solution returned
+        is a full-length solve that passed its residual check at biases its
+        own diode voltages confirm.
+        """
+        primed = self.primed
+        system = primed.system
+        primed._ensure_sparse()
+        static_solution, diode_basis = self._sparse_priming()
 
-        # Unique update directions; updates sharing a direction merge (a
-        # switch replaced by an equal-conductance short cancels exactly) so
-        # the capacitance matrix stays small and well-conditioned.  The
-        # static contributions accumulate once; diode companion gains are
-        # added into their slots every Newton iteration.
-        slot_of: Dict[Tuple[int, int], int] = {}
-        directions: List[Tuple[int, int]] = []
-        static_net: List[float] = []
+        if plan.rhs_current or plan.rhs_branch:
+            rhs_static = system.constant_rhs().copy()
+            for n_from, n_to, delta_i in plan.rhs_current:
+                system._stamp_current(rhs_static, n_from, n_to, delta_i)
+            for row, delta_v in plan.rhs_branch:
+                rhs_static[row] += delta_v
+            y_static = self._base_solve(rhs_static)
+            self.stats.factorization_reuses += 1
+        else:
+            rhs_static = system.constant_rhs()
+            y_static = static_solution
+
+        # Unique update directions, the primed diode directions first (an
+        # opened diode's keeps a zero gain and drops out of every solve).
+        # Updates sharing a direction merge (a switch replaced by an
+        # equal-conductance short cancels exactly) so the capacitance
+        # matrix stays small and well-conditioned.  The static
+        # contributions accumulate once; diode companion gains are added
+        # into their slots every Newton iteration.
+        directions = list(diode_basis.pairs)
+        slot_of = {pair: index for index, pair in enumerate(directions)}
+        static_gains = [0.0] * len(directions)
 
         def slot(pair: Tuple[int, int]) -> int:
             index = slot_of.get(pair)
@@ -1326,143 +1410,204 @@ class CompiledSystem:
                 index = len(directions)
                 slot_of[pair] = index
                 directions.append(pair)
-                static_net.append(0.0)
+                static_gains.append(0.0)
             return index
 
         for n_pos, n_neg, delta_g in plan.conductance:
-            static_net[slot(self.primed._direction(n_pos, n_neg))] += delta_g
+            static_gains[slot(primed._direction(n_pos, n_neg))] += delta_g
         for row, delta in plan.branch_diag:
-            static_net[slot((row, -1))] += delta
-
+            static_gains[slot((row, -1))] += delta
         diodes = list(plan.diodes)
         diode_slots = [
-            slot(self.primed._direction(d.node_pos, d.node_neg)) for d in diodes
+            slot(primed._direction(d.node_pos, d.node_neg)) for d in diodes
         ]
-        diode_columns = self._solved_columns(
-            [directions[i] for i in diode_slots]
+        own = directions[len(diode_basis.pairs):]
+        basis = (
+            diode_basis.extend(own, self._solved_columns(own))
+            if own else diode_basis
         )
-        warm = self.primed.warm_vd
-        diode_voltages = {d.name: warm.get(d.name, 0.6) for d in diodes}
 
-        # One factorized solve of the static RHS serves every Newton
-        # iteration: stamping a diode's equivalent current adds -ieq * u to
-        # the RHS, so A0^{-1} rhs is y_static - ieq * (A0^{-1} u), and the
-        # A0^{-1} u columns are already cached per direction.
-        y_static = self._base_solve(rhs_static)
-        self.stats.factorization_reuses += 1
-
-        solution_vector: Optional[np.ndarray] = None
-        iterations = 0
-        smw_used = False
+        newton = _SparseNewton(
+            self, basis, static_gains, diodes, diode_slots,
+            rhs_static, y_static,
+        )
+        reduced = bool(diodes)
+        full_steps = 0
         for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-            all_gains = list(static_net)
-            if diodes:
-                rhs = rhs_static.copy()
-                y = y_static.copy()
-                for diode, index, column in zip(
-                    diodes, diode_slots, diode_columns
-                ):
-                    g, ieq = _System._diode_companion(
-                        diode, diode_voltages[diode.name]
-                    )
-                    all_gains[index] += g
-                    system._stamp_current(
-                        rhs, diode.node_pos, diode.node_neg, ieq
-                    )
-                    y -= ieq * column
-            else:
-                rhs = rhs_static
-                y = y_static
-            pairs = [
-                p for p, g in zip(directions, all_gains) if abs(g) >= 1e-18
-            ]
-            gains = [g for g in all_gains if abs(g) >= 1e-18]
-            vector = self._refined_solve(base_matrix, pairs, gains, rhs, y)
-            smw_used = smw_used or bool(pairs)
-            if not diodes:
-                solution_vector = vector
-                break
-            converged = True
-            for diode in diodes:
-                old_vd = diode_voltages[diode.name]
-                new_vd = system.diode_voltage(vector, diode)
-                step = new_vd - old_vd
-                if abs(step) > _MAX_DIODE_STEP:
-                    new_vd = old_vd + math.copysign(_MAX_DIODE_STEP, step)
-                    converged = False
-                elif abs(step) > _NEWTON_TOLERANCE:
-                    converged = False
-                diode_voltages[diode.name] = new_vd
-            solution_vector = vector
-            if converged:
-                break
+            if reduced:
+                try:
+                    voltages = newton.reduced_step()
+                except _SmwFallback:
+                    reduced = False
+            if not reduced:
+                voltages = newton.full_step()
+                full_steps += 1
+            if newton.advance(voltages):
+                if not reduced:
+                    break
+                reduced = False
         else:
-            # The full path would not converge either, but let it make that
-            # call (and raise its canonical error) itself.
+            # Full assembly makes the call, and raises its canonical error
+            # if it does not converge either.
             raise _SmwFallback
 
         self.stats.solves += 1
         self.stats.newton_iterations += iterations
-        if smw_used:
+        if newton.smw_used:
             self.stats.smw_solves += 1
-        return system.to_solution(solution_vector, iterations)
+        return system.to_solution(newton.vector, iterations), full_steps
 
     def _residual(
         self,
-        base_matrix,
-        pairs: List[Tuple[int, int]],
-        gains: List[float],
+        basis: _UpdateBasis,
+        gains: np.ndarray,
         vector: np.ndarray,
         rhs: np.ndarray,
     ) -> np.ndarray:
-        """rhs - (A0 + sum g_k u_k u_k^T) @ vector (``A0`` in CSC form)."""
-        residual = rhs - base_matrix @ vector
-        for pair, gain in zip(pairs, gains):
-            projected = 0.0
-            if pair[0] >= 0:
-                projected += vector[pair[0]]
-            if pair[1] >= 0:
-                projected -= vector[pair[1]]
-            term = gain * projected
-            if pair[0] >= 0:
-                residual[pair[0]] -= term
-            if pair[1] >= 0:
-                residual[pair[1]] += term
+        """rhs - (A0 + U diag(gains) Uᵀ) @ vector (``A0`` in CSC form, so
+        large systems never materialise the dense constant matrix)."""
+        residual = rhs - self.primed.system.assemble_constant_csc() @ vector
+        basis.spread(gains * basis.project(vector), residual)
         return residual
 
     def _refined_solve(
         self,
-        base_matrix,
-        pairs: List[Tuple[int, int]],
-        gains: List[float],
+        basis: _UpdateBasis,
+        gains: np.ndarray,
         rhs: np.ndarray,
-        y: Optional[np.ndarray] = None,
+        y: np.ndarray,
     ) -> np.ndarray:
         """Woodbury solve, iteratively refined and residual-checked.
 
-        Large update gains (a diode companion mid-Newton can reach ~1e8)
-        make the raw low-rank correction cancel up to ~11 digits.  Each
-        refinement pass re-solves for the residual through the same cached
-        factorization and shrinks the error by the same cancellation
-        factor, so a couple of passes restore near-machine accuracy
-        without ever re-factorizing.  If the error still exceeds
-        ``_SMW_RESIDUAL_TOL`` after refinement, the update direction is
-        numerically hostile and the solve falls back to full assembly.
+        Large update gains (a diode companion can reach ~1e8) make the raw
+        low-rank correction cancel up to ~11 digits.  Each refinement pass
+        re-solves for the residual through the same cached factorization
+        and shrinks the error by the same cancellation factor, so a couple
+        of passes restore near-machine accuracy without ever
+        re-factorizing.  If the error still exceeds ``_SMW_RESIDUAL_TOL``
+        after refinement, the update direction is numerically hostile and
+        the solve falls back to full assembly.
         """
-        vector = self._woodbury(pairs, gains, rhs, y)
+        vector = self._woodbury(basis, gains, rhs, y)
         scale = 1.0 + float(np.max(np.abs(rhs)))
         target = 1e-12 * scale
         error = math.inf
         for attempt in range(_MAX_SMW_REFINEMENTS + 1):
             if not np.all(np.isfinite(vector)):
                 raise _SmwFallback
-            residual = self._residual(base_matrix, pairs, gains, vector, rhs)
+            residual = self._residual(basis, gains, vector, rhs)
             error = float(np.max(np.abs(residual)))
             if not math.isfinite(error):
                 raise _SmwFallback
             if error <= target or attempt == _MAX_SMW_REFINEMENTS:
                 break
-            vector = vector + self._woodbury(pairs, gains, residual)
+            vector = vector + self._woodbury(basis, gains, residual)
         if error > _SMW_RESIDUAL_TOL * scale:
             raise _SmwFallback
         return vector
+
+
+class _SparseNewton:
+    """The Newton state of one sparse fault solve: its diode biases and the
+    two kinds of step that move them.
+
+    A *reduced* step needs only ``Uᵀx``.  A diode's equivalent current
+    adds ``-ieq · u`` to the RHS, so ``Uᵀy = Uᵀy_static - S_D ieq`` for
+    ``y = A0⁻¹ rhs``; the Woodbury weights solve ``(G⁻¹ + S) w = Uᵀy``, and
+    with ``x = y - W w``, ``Uᵀx = Uᵀy - S w = G⁻¹ w``.  That is K × K work
+    per iteration.  The step reads the diode voltages as ``w / g``: the
+    difference ``Uᵀy - S w`` cancels the digits of a large ``Uᵀy`` (a
+    1 mΩ short left Newton oscillating by 2⁻²⁹ V about its fixed point).
+    A *full* step solves the whole vector by the refined, residual-checked
+    Woodbury solve.
+    """
+
+    __slots__ = (
+        "_solver", "_basis", "_static_gains", "_diodes", "_slot_list",
+        "_slots", "_rhs_static", "_y_static", "_projected_static",
+        "_gram_diodes", "biases", "vector", "smw_used",
+    )
+
+    def __init__(
+        self,
+        solver: CompiledSystem,
+        basis: _UpdateBasis,
+        static_gains: List[float],
+        diodes: List[Diode],
+        slots: List[int],
+        rhs_static: np.ndarray,
+        y_static: np.ndarray,
+    ) -> None:
+        self._solver = solver
+        self._basis = basis
+        self._static_gains = static_gains
+        self._diodes = diodes
+        self._slot_list = slots
+        self._slots = np.array(slots, dtype=np.intp)
+        self._rhs_static = rhs_static
+        self._y_static = y_static
+        self._projected_static = basis.project(y_static)
+        self._gram_diodes = basis.gram[:, self._slots]
+        warm = solver.primed.warm_vd
+        #: Diode biases the next step linearises at (Newton warm start).
+        self.biases = [warm.get(d.name, 0.6) for d in diodes]
+        #: The last full step's solution vector.
+        self.vector: Optional[np.ndarray] = None
+        self.smw_used = False
+
+    def _companions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Update gains (static plus diode companions; 0 where negligible)
+        and the diodes' equivalent currents, at the current biases."""
+        gains = list(self._static_gains)
+        currents = []
+        for diode, bias, slot in zip(
+            self._diodes, self.biases, self._slot_list
+        ):
+            g, ieq = _System._diode_companion(diode, bias)
+            gains[slot] += g
+            currents.append(ieq)
+        gains = [g if abs(g) >= _MIN_GAIN else 0.0 for g in gains]
+        self.smw_used = self.smw_used or any(gains)
+        return np.array(gains), np.array(currents)
+
+    def reduced_step(self) -> np.ndarray:
+        """The diode voltages of the next iterate, from ``Uᵀx`` alone."""
+        basis = self._basis
+        gains, currents = self._companions()
+        projected = self._projected_static - self._gram_diodes @ currents
+        held = gains[self._slots]
+        if not held.all():
+            raise _SmwFallback  # a diode's direction dropped out
+        weights = basis.weights(gains, projected)
+        voltages = weights[self._slots] / held
+        if not np.all(np.isfinite(voltages)):
+            raise _SmwFallback
+        return voltages
+
+    def full_step(self) -> np.ndarray:
+        """Solve the whole vector at the current biases (kept as
+        :attr:`vector`); returns its diode voltages."""
+        basis = self._basis
+        gains, currents = self._companions()
+        stamped = np.zeros(len(basis.pairs))
+        np.add.at(stamped, self._slots, currents)
+        rhs = self._rhs_static.copy()
+        basis.spread(stamped, rhs)
+        y = self._y_static - basis.columns @ stamped
+        self.vector = self._solver._refined_solve(basis, gains, rhs, y)
+        return basis.project(self.vector)[self._slots]
+
+    def advance(self, voltages: np.ndarray) -> bool:
+        """Move the biases to ``voltages``, at most ``_MAX_DIODE_STEP`` per
+        diode; True when no diode moved by more than ``_NEWTON_TOLERANCE``."""
+        converged = True
+        biases = self.biases
+        for k, new_vd in enumerate(voltages.tolist()):
+            step = new_vd - biases[k]
+            if abs(step) > _MAX_DIODE_STEP:
+                new_vd = biases[k] + math.copysign(_MAX_DIODE_STEP, step)
+                converged = False
+            elif abs(step) > _NEWTON_TOLERANCE:
+                converged = False
+            biases[k] = new_vd
+        return converged
