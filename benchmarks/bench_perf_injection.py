@@ -1,8 +1,8 @@
 """BENCH injection — batched fault-injection engine: naive vs incremental
-vs parallel campaigns, plus the gate that each MNA solve rule wins where
-the system's size picks it.
+campaigns, plus the gate that each MNA solve rule wins where the system's
+size picks it.
 
-Times the three execution strategies of
+Times the two execution strategies of
 :class:`repro.safety.campaign.FaultInjectionCampaign` on the paper's
 power-supply case study (Section V) and the synthetic System A/B power
 networks (Section VI scale), checks the strategies produce row-for-row
@@ -23,14 +23,6 @@ and a fourth tier times the parameterized distribution-grid case study
 injection sample.  Every pinned run must agree row for row with naive
 re-assembly.
 
-The ``parallel`` row asks for ``workers`` and lets the campaign's fan-out
-rule (:data:`~repro.safety.campaign.PARALLEL_MIN_WORK`) decide: the power
-supply and System A sit below the crossover and run serially, the full
-System B (230 jobs × 107 unknowns) clears it and fans out.  In full mode
-a fifth tier times a grid sample well above it (``k=96``, ~240 jobs):
-serial against the per-campaign pool the rule picks there, so the
-retained fan-out has benchmarked cases on each side of its rule.
-
 A primed-reuse probe times what the analysis service saves by keeping one
 :class:`~repro.circuit.PrimedSystem` per cached model: cold grid samples
 run on a freshly primed system against the same samples on one shared
@@ -47,15 +39,14 @@ solves every iteration would read ~5.
 
 Acceptance (full mode):
 
-- the batched engine (best of incremental / parallel) beats naive
-  per-fault re-assembly by >= 3x wall clock on the largest classic case
-  (System B, ~230 injection jobs over ~107 MNA unknowns);
-- incremental and the parallel row each run at least as fast as naive on
-  *every* classic case (speedup >= 1.0 per case, not just the largest);
+- the incremental engine beats naive per-fault re-assembly by >= 3x wall
+  clock on the largest classic case (System B, ~230 injection jobs over
+  ~107 MNA unknowns);
+- incremental runs at least as fast as naive on *every* classic case
+  (speedup >= 1.0 per case, not just the largest);
 - the sparse backend beats the dense (direct) one by >= 3x on the grid
   tier, and the dense (direct) one beats pinned sparse on the power
   supply and System A;
-- the pool beats the serial campaign on the fan-out grid sample;
 - a grid sample on the shared primed system beats one that primes its own;
 - an SMW fault solve costs at most 3 base solves (smoke mode too).
 
@@ -71,7 +62,7 @@ span/metric log (Chrome trace JSON instead when the path ends in
 Provenance (``BENCH_INJECTION_LEDGER=/path/to/ledger.jsonl``): records
 each case's incremental campaign as an analysis-ledger entry, so the
 nightly CI job can gate on ``same watch-regressions`` — SPFM drops, new
-single-point faults, wall-time regressions and parallel-slower-than-naive
+single-point faults, wall-time regressions and incremental-slower-than-naive
 strategy inversions against the previous night's entries.
 
 ``BENCH_injection.json`` keeps a bounded ``trajectory`` of past runs
@@ -121,10 +112,6 @@ SYSTEM_B_BENCH_RAILS = 4 if SMOKE else 14
 GRID_FEEDERS = 2 if SMOKE else 8
 GRID_SECTIONS = 12 if SMOKE else 300
 GRID_SAMPLE_K = 8 if SMOKE else 24
-#: Grid sample above the fan-out crossover (full mode only), and the
-#: alternating serial/pool rounds timed on it (best of each arm).
-GRID_FANOUT_K = 96
-GRID_FANOUT_ROUNDS = 3
 #: Alternating fresh/shared rounds of the primed-reuse probe, one new
 #: grid sample each; each arm reports its median.
 REUSE_ROUNDS = 2 if SMOKE else 9
@@ -144,7 +131,6 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_injection.json"
 STRATEGIES = (
     ("naive", {"incremental": False}),
     ("incremental", {}),
-    ("parallel", {"workers": max(2, os.cpu_count() or 1)}),
 )
 
 #: Grid tier runs: (label, pinned backend or None for the size pick,
@@ -249,14 +235,11 @@ def rows_identical(reference, other, tol=1e-9):
 _TRAJECTORY_KEYS = (
     "jobs",
     "naive_s",
-    "serial_s",
     "incremental_s",
-    "parallel_s",
     "dense_s",
     "sparse_s",
     "speedup",
     "incremental_speedup",
-    "parallel_speedup",
     "sparse_speedup",
     "direct_speedup",
     "fresh_s",
@@ -315,7 +298,7 @@ def _ledger_record(
     )
 
 
-#: Extra measurement rounds folded in (per case) when a batched strategy
+#: Extra measurement rounds folded in (per case) when incremental
 #: measures slower than naive, or the direct rule slower than pinned
 #: sparse — the small cases run in ~1.5 ms, where a single descheduling
 #: blip flips the ratio; more minima de-noise it.
@@ -323,16 +306,16 @@ REMEASURE_ROUNDS = 0 if SMOKE else 2
 
 
 def _classic_gates_hold(runs):
-    """Whether a classic case's timings already pass its gates: each
-    batched strategy at least as fast as naive, and the direct dense rule
-    faster than pinned sparse (when timed)."""
-    batched_s = max(runs["incremental"][0], runs["parallel"][0])
+    """Whether a classic case's timings already pass its gates: incremental
+    at least as fast as naive, and the direct dense rule faster than
+    pinned sparse (when timed)."""
+    incremental_s = runs["incremental"][0]
     sparse_s = runs.get("sparse", (math.inf,))[0]
-    return batched_s <= runs["naive"][0] and runs["incremental"][0] < sparse_s
+    return incremental_s <= runs["naive"][0] and incremental_s < sparse_s
 
 
 def _classic_cases(payload, table):
-    """Time the three classic cases over all execution strategies, plus
+    """Time the three classic cases over both execution strategies, plus
     pinned sparse on the cases whose size picks the direct dense rule."""
     for case, model, reliability, stable in build_cases():
         arms = [(label, None, kwargs) for label, kwargs in STRATEGIES]
@@ -349,7 +332,7 @@ def _classic_cases(payload, table):
                 if seconds < runs[label][0]:
                     runs[label] = (seconds, result)
         naive_s = runs["naive"][0]
-        batched_s = min(runs["incremental"][0], runs["parallel"][0])
+        incremental_s = runs["incremental"][0]
         identical = all(
             rows_identical(runs["naive"][1], runs[label][1])
             for label in runs
@@ -360,20 +343,16 @@ def _classic_cases(payload, table):
         entry = {
             "jobs": stats.jobs,
             "naive_s": round(naive_s, 6),
-            "incremental_s": round(runs["incremental"][0], 6),
-            "parallel_s": round(runs["parallel"][0], 6),
-            "speedup": round(naive_s / batched_s, 3),
-            "incremental_speedup": round(
-                naive_s / runs["incremental"][0], 3
-            ),
-            "parallel_speedup": round(naive_s / runs["parallel"][0], 3),
+            "incremental_s": round(incremental_s, 6),
+            "speedup": round(naive_s / incremental_s, 3),
+            "incremental_speedup": round(naive_s / incremental_s, 3),
             "rows_identical": identical,
             "incremental_stats": stats.as_dict(),
         }
         if "sparse" in runs:
             entry["sparse_s"] = round(runs["sparse"][0], 6)
             entry["direct_speedup"] = round(
-                runs["sparse"][0] / runs["incremental"][0], 3
+                runs["sparse"][0] / incremental_s, 3
             )
         payload["cases"][case] = entry
         if LEDGER_PATH:
@@ -391,9 +370,8 @@ def _classic_cases(payload, table):
                 "Case": case,
                 "Jobs": stats.jobs,
                 "Naive(s)": f"{naive_s:.3f}",
-                "Incr(s)": f"{runs['incremental'][0]:.3f}",
-                "Par(s)": f"{runs['parallel'][0]:.3f}",
-                "Speedup": f"{naive_s / batched_s:.2f}x",
+                "Incr(s)": f"{incremental_s:.3f}",
+                "Speedup": f"{naive_s / incremental_s:.2f}x",
                 "Sparse(s)": (
                     f"{runs['sparse'][0]:.3f}" if "sparse" in runs else "-"
                 ),
@@ -461,70 +439,6 @@ def _grid_case(payload):
                     "Sparse/Dense": f"{entry['sparse_speedup']:.2f}x",
                     "Batched": stats.batched_columns,
                     "Rebuilds": stats.full_rebuilds,
-                }
-            ]
-        ),
-    )
-    return entry
-
-
-def _grid_fanout_case(payload):
-    """Time a grid sample above the fan-out crossover, serial against the
-    per-campaign pool the rule picks there (alternating, best of each).
-
-    The model is named apart from the grid tier's, so the ledger pairs
-    each night's fan-out entry with the previous night's."""
-    model = build_power_grid_simulink(
-        name="power_grid_fanout",
-        feeders=GRID_FEEDERS,
-        sections_per_feeder=GRID_SECTIONS,
-    )
-    reliability = power_network_reliability()
-    stable = power_grid_injection_sample(model, k=GRID_FANOUT_K, seed=0)
-    arms = (("serial", {}), ("parallel", dict(STRATEGIES)["parallel"]))
-    runs = {label: (math.inf, None) for label, _ in arms}
-    for _ in range(GRID_FANOUT_ROUNDS):
-        for label, kwargs in arms:
-            seconds, result = time_campaign(
-                model, reliability, stable, kwargs, repeats=1
-            )
-            if seconds < runs[label][0]:
-                runs[label] = (seconds, result)
-    identical = rows_identical(runs["serial"][1], runs["parallel"][1])
-    assert identical, "power_grid_fanout: pool and serial rows disagree"
-    stats = runs["parallel"][1].stats
-    entry = {
-        "jobs": stats.jobs,
-        "sample_k": GRID_FANOUT_K,
-        "workers": stats.workers,
-        "serial_s": round(runs["serial"][0], 6),
-        "parallel_s": round(runs["parallel"][0], 6),
-        "parallel_speedup": round(
-            runs["serial"][0] / runs["parallel"][0], 3
-        ),
-        "rows_identical": identical,
-    }
-    payload["cases"]["power_grid_fanout"] = entry
-    if LEDGER_PATH:
-        _ledger_record(
-            "power_grid_fanout",
-            model,
-            reliability,
-            runs["parallel"][1],
-            timings={label: round(runs[label][0], 6) for label in runs},
-        )
-    report_table(
-        "BENCH injection fanout",
-        "serial vs per-campaign pool above the fan-out crossover",
-        format_rows(
-            [
-                {
-                    "Case": "power_grid_fanout",
-                    "Jobs": stats.jobs,
-                    "Workers": stats.workers,
-                    "Serial(s)": f"{runs['serial'][0]:.3f}",
-                    "Pool(s)": f"{runs['parallel'][0]:.3f}",
-                    "Pool/Serial": f"{entry['parallel_speedup']:.2f}x",
                 }
             ]
         ),
@@ -665,7 +579,6 @@ def test_bench_injection():
     table = []
     _classic_cases(payload, table)
     grid = _grid_case(payload)
-    fanout = None if SMOKE else _grid_fanout_case(payload)
     reuse = _primed_reuse_case(payload)
     base_solves = payload["meta"]["scaling"]["smw_base_solves"]
 
@@ -680,8 +593,6 @@ def test_bench_injection():
         or (
             largest["speedup"] >= SPEEDUP_TARGET
             and grid["sparse_speedup"] >= SPARSE_SPEEDUP_TARGET
-            and fanout["workers"] > 1
-            and fanout["parallel_speedup"] > 1.0
             and reuse["shared_s"] < reuse["fresh_s"]
             and all(
                 payload["cases"][case]["direct_speedup"] > 1.0
@@ -689,7 +600,6 @@ def test_bench_injection():
             )
             and all(
                 entry["incremental_speedup"] >= 1.0
-                and entry["parallel_speedup"] >= 1.0
                 for entry in classic.values()
             )
         )
@@ -700,7 +610,7 @@ def test_bench_injection():
     )
     report_table(
         "BENCH injection",
-        "naive vs incremental vs parallel fault-injection campaigns",
+        "naive vs incremental fault-injection campaigns",
         format_rows(table),
     )
 
@@ -733,13 +643,6 @@ def test_bench_injection():
                 f"{case}: the direct dense solve must beat pinned sparse, "
                 f"got {direct}x"
             )
-        assert fanout["workers"] > 1, (
-            "the grid fan-out sample must clear the fan-out crossover"
-        )
-        assert fanout["parallel_speedup"] > 1.0, (
-            "the pool must beat the serial campaign above the crossover, "
-            f"got {fanout['parallel_speedup']}x"
-        )
         assert reuse["shared_s"] < reuse["fresh_s"], (
             "a grid sample on the shared primed system must beat one that "
             f"primes its own, got {reuse['reuse_speedup']}x"
@@ -748,8 +651,4 @@ def test_bench_injection():
             assert entry["incremental_speedup"] >= 1.0, (
                 f"{case}: incremental slower than naive "
                 f"({entry['incremental_speedup']}x)"
-            )
-            assert entry["parallel_speedup"] >= 1.0, (
-                f"{case}: parallel row slower than naive "
-                f"({entry['parallel_speedup']}x)"
             )

@@ -55,7 +55,6 @@ def main() -> int:
                 build_system_b_simulink(rails=SMOKE_RAILS),
                 power_network_reliability(),
                 assume_stable=SYSTEM_B_ASSUMED_STABLE,
-                workers=2,
             )
             .run()
             .stats
@@ -98,8 +97,7 @@ def main() -> int:
     server.stop()
     print(
         f"live telemetry smoke OK: jobs={stats.jobs} "
-        f"scrapes={len(scrapes)} events={len(events)} "
-        f"parallel_fallback={stats.parallel_fallback}"
+        f"scrapes={len(scrapes)} events={len(events)}"
     )
     return 0
 

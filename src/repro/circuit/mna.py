@@ -426,7 +426,7 @@ def system_size(netlist: Netlist) -> int:
     Cheap (index assignment only, no assembly), but it builds the index
     maps just to count them: a caller holding a :class:`PrimedSystem`
     reads its ``size`` instead.  Naive and transient campaigns, which
-    prime nothing, use this to size their fan-out.
+    prime nothing, use this to name their solve rule.
     """
     if len(netlist) == 0:
         return 0

@@ -58,7 +58,7 @@ def _obs_begin(args: argparse.Namespace) -> dict:
 
     Whenever any plane is armed, the invocation also mints a correlation
     id and installs it process-wide, so every span and event the run
-    produces — pool workers included — carries the same id.
+    produces carries the same id.
     """
     session: dict = {}
     serve = getattr(args, "serve", None)
@@ -218,7 +218,10 @@ def _cmd_fmea(args: argparse.Namespace) -> int:
         sensors=args.sensor or None,
         threshold=args.threshold,
         assume_stable=args.assume_stable or (),
-        **_campaign_kwargs(args),
+        max_retries=args.max_retries,
+        job_timeout=args.job_timeout,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
     )
     print(render_text_table(fmea_to_sheet(result)))
     value, asil = same.calculate_spfm()
@@ -245,7 +248,10 @@ def _cmd_fmeda(args: argparse.Namespace) -> int:
         sensors=args.sensor or None,
         threshold=args.threshold,
         assume_stable=args.assume_stable or (),
-        **_campaign_kwargs(args),
+        max_retries=args.max_retries,
+        job_timeout=args.job_timeout,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
     )
     plan = same.search_deployment(args.target, strategy=args.search_strategy)
     if plan is None:
@@ -315,7 +321,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     fmea = same.run_fmea_simulink(
         sensors=["CS1"],
         assume_stable=ASSUMED_STABLE,
-        **_campaign_kwargs(args),
+        max_retries=args.max_retries,
+        job_timeout=args.job_timeout,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
     )
     value, asil = same.calculate_spfm()
     print("== DECISIVE Step 4a: automated FMEA (injection) ==")
@@ -644,15 +653,7 @@ def _add_search_strategy_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    """Fault-tolerance / execution flags shared by the campaign commands."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="cap on process-pool workers for the injection campaign "
-        "(default 1); a campaign fans out only when its jobs x MNA "
-        "unknowns clear the measured crossover",
-    )
+    """Fault-tolerance flags shared by the campaign commands."""
     parser.add_argument(
         "--checkpoint",
         metavar="PATH",
@@ -675,18 +676,8 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-retries",
         type=int,
         default=2,
-        help="retry budget for transient job/worker failures (default 2)",
+        help="retry budget for transient job failures (default 2)",
     )
-
-
-def _campaign_kwargs(args: argparse.Namespace) -> dict:
-    return {
-        "workers": getattr(args, "workers", 1),
-        "max_retries": getattr(args, "max_retries", 2),
-        "job_timeout": getattr(args, "job_timeout", None),
-        "checkpoint": getattr(args, "checkpoint", None),
-        "resume": getattr(args, "resume", False),
-    }
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:

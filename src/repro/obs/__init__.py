@@ -22,11 +22,6 @@ Disabled (the default), :func:`span` returns a shared no-op singleton and
 instrumented code costs a single module-flag check — the layer is designed
 to stay in the hot paths permanently.
 
-Pool workers trace into their own process-local state;
-:func:`drain_worker_data` (worker side) and :func:`ingest_worker_data`
-(parent side) move spans and metrics across the process boundary with
-deterministic id remapping, so merged traces are reproducible.
-
 A second, independently-switched plane is the **event stream**: typed,
 leveled records (:class:`~repro.obs.events.Event`) on one bounded
 :class:`~repro.obs.events.EventBus` (:func:`enable_events` /
@@ -34,8 +29,7 @@ leveled records (:class:`~repro.obs.events.Event`) on one bounded
 ``--events`` JSONL sink, the ``/events`` SSE feed of the live HTTP server
 (:func:`serve_live`, next to ``/metrics`` and ``/healthz``) and the
 service's per-job log artifacts; a log line is an event with a level.
-Worker events ride the same ``drain_worker_data`` / ``ingest_worker_data``
-delta path as spans.  A sampling profiler lives in ``repro.obs.profile``.
+A sampling profiler lives in ``repro.obs.profile``.
 
 Spans stay in their own :class:`~repro.obs.tracing.Tracer` rather than on
 the event ring: a trace export needs every span of a run, and the span
@@ -45,8 +39,7 @@ Cutting across both planes is the **correlation context**: the
 analysis service mints a ``correlation_id`` per job (the CLI per
 invocation), installs it with :func:`correlation` /
 :func:`set_correlation_id`, and every event, span attribute and ledger
-entry emitted underneath carries it — including from pool workers, which
-receive the id through their initargs.  That is what makes
+entry emitted underneath carries it.  That is what makes
 ``/jobs/<id>/events`` per-job streams and per-job log artifacts possible
 on a multi-tenant service.
 """
@@ -57,7 +50,7 @@ import threading
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.obs.export import (
     chrome_trace_events,
@@ -88,7 +81,6 @@ __all__ = [
     "correlation",
     "span", "current_span_id", "current_span_name", "tracer",
     "counter", "gauge", "histogram", "registry",
-    "drain_worker_data", "ingest_worker_data",
     "export_jsonl", "export_prometheus", "export_chrome_trace",
     "prometheus_text", "parse_prometheus_text",
     "read_jsonl", "span_tree", "chrome_trace_events",
@@ -106,8 +98,7 @@ _BUS = EventBus()
 # -- correlation context ----------------------------------------------------
 # Thread-local stack over a process-global default: the service's worker
 # threads each run a different job concurrently (thread-local wins), while
-# pool worker *processes* are single-job at a time and get the id installed
-# once via initargs (the global default).
+# the CLI installs one id per invocation (the global default).
 
 _CID_LOCAL = threading.local()
 _CID_GLOBAL: Optional[str] = None
@@ -120,8 +111,7 @@ def mint_correlation_id() -> str:
 
 def set_correlation_id(cid: Optional[str]) -> None:
     """Install ``cid`` as the process-global default correlation id
-    (``None`` clears it).  Pool workers call this from their initializer;
-    the CLI calls it once per invocation."""
+    (``None`` clears it).  The CLI calls it once per invocation."""
     global _CID_GLOBAL
     _CID_GLOBAL = None if cid is None else str(cid)
 
@@ -274,59 +264,6 @@ def histogram(name: str, buckets: Optional[Sequence[float]] = None) -> Histogram
 
 def registry() -> MetricsRegistry:
     return _REGISTRY
-
-
-# -- process-pool plumbing --------------------------------------------------
-
-
-def drain_worker_data() -> Optional[Dict[str, object]]:
-    """Worker side: pop this process's spans + metrics (+ events) as a
-    picklable blob with ``spans``, ``metrics`` and ``events`` keys.
-
-    Returns ``None`` when observability is entirely disabled, so the parent
-    can skip the merge.  Draining *clears* the stores: a worker serving
-    several chunks must hand each chunk's delta to the parent exactly
-    once, never its cumulative history."""
-    if not _ENABLED and not _EVENTS_ENABLED:
-        return None
-    payload: Dict[str, object] = {}
-    if _ENABLED:
-        snapshot = _REGISTRY.snapshot()
-        _REGISTRY.reset()
-        payload["spans"] = [record.to_dict() for record in _TRACER.drain()]
-        payload["metrics"] = snapshot
-    if _EVENTS_ENABLED:
-        payload["events"] = _BUS.drain_dicts()
-    return payload
-
-
-def ingest_worker_data(
-    payload: Optional[Mapping[str, object]],
-    parent_id: Optional[int] = None,
-) -> List[SpanRecord]:
-    """Parent side: merge one worker blob under ``parent_id``.
-
-    Spans/metrics merge when tracing is enabled; drained worker events are
-    re-sequenced onto the parent bus when the event plane is enabled — each
-    plane honours its own flag, so a parent with only ``--progress`` does
-    not silently accumulate trace state."""
-    if payload is None:
-        return []
-    merged: List[SpanRecord] = []
-    if _ENABLED:
-        records = [
-            SpanRecord.from_dict(item)
-            for item in payload.get("spans", ())  # type: ignore[union-attr]
-        ]
-        merged = _TRACER.ingest(records, parent_id=parent_id)
-        metrics = payload.get("metrics")
-        if metrics:
-            _REGISTRY.merge(metrics)  # type: ignore[arg-type]
-    if _EVENTS_ENABLED:
-        events = payload.get("events")
-        if events:
-            _BUS.ingest(events)  # type: ignore[arg-type]
-    return merged
 
 
 # -- exporters (bound to the module-level tracer/registry) ------------------

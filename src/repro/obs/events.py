@@ -4,9 +4,9 @@ Spans and metrics answer "what happened" after a run; the event stream
 answers "what is happening" *during* one, and is also the operator's log.
 Every record is an :class:`Event`: a type, a level (``debug``, ``info``,
 ``warning`` or ``error``), a payload, the emitting pid and the ambient
-correlation id.  Producers — the campaign engine, its pool workers, the
-recovery ladder, the DECISIVE loop, the analysis service — publish through
-:func:`repro.obs.emit_event`; consumers attach in five ways:
+correlation id.  Producers — the campaign engine, the recovery ladder,
+the DECISIVE loop, the analysis service — publish through
+:func:`repro.obs.emit_event`; consumers attach in four ways:
 
 - a **JSONL sink** (:meth:`EventBus.attach_jsonl`) appends one line per
   event, flushed immediately, so ``tail -f`` works mid-campaign;
@@ -15,11 +15,7 @@ recovery ladder, the DECISIVE loop, the analysis service — publish through
 - **callback subscribers** (:meth:`EventBus.add_callback`) drive the
   ``--progress`` console renderer in-process;
 - **queue subscribers** (:meth:`EventBus.subscribe`) feed the ``/events``
-  SSE endpoint, with bounded-buffer replay via ``?since=SEQ``;
-- **worker draining** (:meth:`EventBus.drain_dicts` /
-  :meth:`EventBus.ingest`) ships events out of pool workers on the same
-  per-chunk delta path as spans and metrics, re-sequenced deterministically
-  on the parent (chunk-submission order), preserving origin pid/timestamp.
+  SSE endpoint, with bounded-buffer replay via ``?since=SEQ``.
 
 The event taxonomy and each type's level are tabled in
 ``docs/observability.md``.
@@ -64,8 +60,7 @@ class Event:
     """One typed, leveled telemetry record.
 
     ``cid`` is the correlation id of the job/invocation the event belongs
-    to (``None`` for uncorrelated emitters); it survives the worker
-    drain/ingest round-trip so per-job streams include pool-worker events.
+    to (``None`` for uncorrelated emitters).
     """
 
     seq: int
@@ -107,8 +102,7 @@ class EventBus:
     """Thread-safe fan-out of :class:`Event` objects with bounded replay.
 
     A single bus instance lives per process (module singleton in
-    ``repro.obs``); pool workers emit into their own process-local bus and
-    the parent re-sequences their drained events with :meth:`ingest`.
+    ``repro.obs``).
     """
 
     def __init__(self, buffer: int = DEFAULT_BUFFER) -> None:
@@ -135,20 +129,8 @@ class EventBus:
         level: str = "info",
     ) -> Event:
         """Publish one event (allocating the next sequence number)."""
-        return self._publish(
-            type_, time.time(), os.getpid(), dict(payload or {}), cid,
-            _coerce_level(level),
-        )
-
-    def _publish(
-        self,
-        type_: str,
-        ts: float,
-        pid: int,
-        payload: Dict[str, object],
-        cid: Optional[str] = None,
-        level: str = "info",
-    ) -> Event:
+        ts, pid = time.time(), os.getpid()
+        payload, level = dict(payload or {}), _coerce_level(level)
         with self._lock:
             self._seq += 1
             event = Event(
@@ -363,41 +345,6 @@ class EventBus:
                 pass
         return path
 
-    # -- worker shipping ---------------------------------------------------
-
-    def drain_dicts(self) -> List[Dict[str, object]]:
-        """Worker side: pop buffered events as picklable dicts.
-
-        Like :func:`repro.obs.drain_worker_data`, draining clears the
-        buffer — a pool worker hands each chunk's events to the parent
-        exactly once, never its cumulative history."""
-        with self._lock:
-            events = [event.to_dict() for event in self._buffer]
-            self._buffer.clear()
-            self._by_cid.clear()
-        return events
-
-    def ingest(self, events: List[Mapping[str, object]]) -> List[Event]:
-        """Parent side: re-publish drained worker events in order.
-
-        Sequence numbers are reallocated on this bus (worker-local seqs are
-        meaningless across processes); origin ``ts``, ``pid`` and ``cid``
-        are kept, so heartbeats still identify which worker they came from
-        and per-job streams include worker-side events."""
-        merged: List[Event] = []
-        for data in events:
-            try:
-                event = Event.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                continue
-            merged.append(
-                self._publish(
-                    event.type, event.ts, event.pid, dict(event.payload),
-                    event.cid, event.level,
-                )
-            )
-        return merged
-
     # -- inspection / lifecycle -------------------------------------------
 
     def events(self, since: int = 0, cid: Optional[str] = None) -> List[Event]:
@@ -442,18 +389,17 @@ class ConsoleProgress:
     """An :class:`EventBus` callback rendering progress lines to a stream.
 
     ``chunk_completed`` lines are throttled (default two per second) except
-    for the final one; heartbeats are skipped entirely.  Attach with
+    for the final one.  Attach with
     ``bus.add_callback(ConsoleProgress())``; the CLI wires this behind
     ``--progress``.
     """
 
-    #: Event types rendered; anything else (heartbeats, pool chatter) is
-    #: visible in the JSONL stream / SSE feed but too noisy for a console.
+    #: Event types rendered; anything else is visible in the JSONL stream /
+    #: SSE feed but too noisy for a console.
     RENDERED = (
         "campaign_started",
         "chunk_completed",
         "job_retried",
-        "pool_worker_lost",
         "checkpoint_written",
         "campaign_finished",
         "iteration_finished",
@@ -495,9 +441,9 @@ class ConsoleProgress:
             self._chunks_seen = 0
             self._write(
                 "campaign started: system={system} analysis={analysis} "
-                "jobs={jobs} workers={workers}".format(
+                "jobs={jobs}".format(
                     system=p.get("system"), analysis=p.get("analysis"),
-                    jobs=p.get("jobs"), workers=p.get("workers"),
+                    jobs=p.get("jobs"),
                 )
             )
         elif event.type == "campaign_finished":
@@ -520,13 +466,6 @@ class ConsoleProgress:
                 "retry job={job} attempt={attempt} error={error}".format(
                     job=p.get("job"), attempt=p.get("attempt"),
                     error=p.get("error"),
-                )
-            )
-        elif event.type == "pool_worker_lost":
-            self._write(
-                "worker lost: chunk={chunk} jobs={jobs} attempt={attempt}".format(
-                    chunk=p.get("chunk"), jobs=p.get("jobs"),
-                    attempt=p.get("attempt"),
                 )
             )
         elif event.type == "checkpoint_written":

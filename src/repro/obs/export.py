@@ -150,15 +150,12 @@ _METRIC_HELP = {
     "campaign_smw_solves": "Sherman-Morrison-Woodbury low-rank fault solves.",
     "campaign_full_rebuilds": "Faults requiring full matrix re-assembly.",
     "campaign_baseline_reuses": "No-op faults served from the healthy baseline.",
-    "campaign_retries": "Transient-failure retries (job- and chunk-level).",
+    "campaign_retries": "Transient-failure job retries.",
     "campaign_timeouts": "Jobs killed by the per-job wall-clock budget.",
     "campaign_job_failures": "Jobs recorded as structured failures.",
     "campaign_resumed_jobs": "Jobs skipped thanks to a checkpoint.",
-    "campaign_parallel_fallbacks": "Campaigns degraded from pool to serial.",
     "campaign_wall_seconds": "Wall time of the last campaign, seconds.",
     "campaign_baseline_seconds": "Healthy baseline solve time, seconds.",
-    "campaign_workers": "Workers actually used by the last campaign.",
-    "campaign_requested_workers": "Worker cap set for the last campaign.",
     "campaign_job_seconds": "Per-injection execution time, seconds.",
     "campaign_job_wall_seconds":
         "Per-job wall time including retries and backoff, seconds.",
@@ -300,8 +297,7 @@ def chrome_trace_events(records: Sequence[SpanRecord]) -> List[Dict[str, object]
     """Complete-duration (``"ph": "X"``) events for ``chrome://tracing``.
 
     Timestamps are microseconds relative to the earliest span's wall-clock
-    epoch, so spans from pool workers land on the same display axis as the
-    parent process; durations stay monotonic-clock exact.
+    epoch; durations stay monotonic-clock exact.
     """
     if not records:
         return []

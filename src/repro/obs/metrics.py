@@ -9,17 +9,14 @@ event log — can see alongside live gauges and histograms.
 
 Histograms are Prometheus-style: a fixed, sorted tuple of upper bounds,
 with cumulative counts materialised at export time.  All mutation is
-lock-protected, and :meth:`MetricsRegistry.merge` folds a snapshot from a
-pool worker into the parent registry (counters add, gauges take the latest
-value, histograms add per-bucket counts).
+lock-protected.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 #: Default histogram buckets for durations in seconds (solver and campaign
 #: job times span ~100 µs to seconds).
@@ -55,54 +52,26 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (last write wins).
+    """A value that can go up and down (last write wins)."""
 
-    Every write stamps a wall-clock ``updated_ns``; :meth:`restore` applies
-    a (value, stamp) pair only when the stamp is not older than the current
-    one.  That makes cross-process merges genuinely *last-write*-wins: a
-    pool worker re-shipping a stale snapshot after the parent already
-    recorded a newer value cannot clobber it (and, unlike summing, re-merge
-    of the same snapshot is idempotent)."""
-
-    __slots__ = ("name", "_lock", "_value", "_updated_ns")
+    __slots__ = ("name", "_lock", "_value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._lock = threading.Lock()
         self._value = 0.0
-        self._updated_ns = 0
 
     @property
     def value(self) -> float:
         return self._value
 
-    @property
-    def updated_ns(self) -> int:
-        """Wall-clock ``time_ns`` of the last write (0: never written)."""
-        return self._updated_ns
-
     def set(self, value: Union[int, float]) -> None:
         with self._lock:
             self._value = float(value)
-            self._updated_ns = time.time_ns()
 
     def inc(self, amount: Union[int, float] = 1) -> None:
         with self._lock:
             self._value += amount
-            self._updated_ns = time.time_ns()
-
-    def restore(self, value: Union[int, float], updated_ns: Optional[int]) -> None:
-        """Merge-side write: apply ``value`` unless our stamp is newer.
-
-        ``updated_ns=None`` (a snapshot predating stamps) applies
-        unconditionally, stamped now — the old merge behaviour."""
-        if updated_ns is None:
-            self.set(value)
-            return
-        with self._lock:
-            if int(updated_ns) >= self._updated_ns:
-                self._value = float(value)
-                self._updated_ns = int(updated_ns)
 
 
 class Histogram:
@@ -260,55 +229,3 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._metrics = {}
-
-    # -- worker snapshot / merge ------------------------------------------
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """A picklable dump, suitable for shipping out of a pool worker."""
-        out: Dict[str, Dict[str, object]] = {}
-        for metric in self.metrics():
-            if isinstance(metric, Counter):
-                out[metric.name] = {"type": "counter", "value": metric.value}
-            elif isinstance(metric, Gauge):
-                out[metric.name] = {
-                    "type": "gauge",
-                    "value": metric.value,
-                    "updated_ns": metric.updated_ns,
-                }
-            else:
-                dump = metric.snapshot()
-                out[metric.name] = {
-                    "type": "histogram",
-                    "bounds": dump["bounds"],
-                    "counts": dump["counts"],
-                    "sum": dump["sum"],
-                }
-        return out
-
-    def merge(self, snapshot: Mapping[str, Mapping[str, object]]) -> None:
-        """Fold a worker :meth:`snapshot` into this registry."""
-        for name, payload in snapshot.items():
-            kind = payload["type"]
-            if kind == "counter":
-                self.counter(name).inc(payload["value"])  # type: ignore[arg-type]
-            elif kind == "gauge":
-                self.gauge(name).restore(
-                    payload["value"],  # type: ignore[arg-type]
-                    payload.get("updated_ns"),  # type: ignore[arg-type]
-                )
-            elif kind == "histogram":
-                histogram = self.histogram(name, payload["bounds"])  # type: ignore[arg-type]
-                if list(histogram.bounds) != [
-                    float(b) for b in payload["bounds"]  # type: ignore[union-attr]
-                ]:
-                    raise MetricError(
-                        f"histogram {name!r} bucket mismatch on merge"
-                    )
-                counts: Sequence[int] = payload["counts"]  # type: ignore[assignment]
-                with histogram._lock:
-                    for index, count in enumerate(counts):
-                        histogram._counts[index] += count
-                    histogram._sum += float(payload["sum"])  # type: ignore[arg-type]
-                    histogram._count += sum(counts)
-            else:
-                raise MetricError(f"unknown metric type {kind!r} for {name!r}")

@@ -5,7 +5,7 @@ spans nest, forming a tree per campaign / analysis run.  Design points:
 
 - **monotonic clocks** — durations come from :func:`time.perf_counter_ns`
   (never wall clock); a wall-clock epoch is recorded once per span only so
-  exporters can align spans from different processes on a display axis;
+  exporters can place spans on a display axis;
 - **thread safety** — the active-span stack is thread-local, so spans
   started on different threads nest independently; finished records are
   appended without a lock (``deque.append`` is atomic under the GIL);
@@ -13,10 +13,6 @@ spans nest, forming a tree per campaign / analysis run.  Design points:
   :data:`SPAN_BUFFER` records, so a long-running service that never
   exports its trace keeps a constant-size tracer; evictions are reported
   through :attr:`Tracer.on_drop`;
-- **process safety** — worker processes trace into their own tracer and
-  ship finished records back as plain dicts; :meth:`Tracer.ingest` remaps
-  span ids and re-parents the worker roots deterministically, so a merged
-  trace is identical run-to-run for a fixed chunking;
 - **zero cost when disabled** — callers go through :func:`repro.obs.span`,
   which returns the module-level :data:`NOOP_SPAN` singleton without
   touching this module's machinery at all.
@@ -30,7 +26,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 #: Finished spans a tracer retains before evicting the oldest (~8 MB at
 #: ~504 B per record).  Sized above the largest traced run in
@@ -49,7 +45,7 @@ class SpanRecord:
     name: str
     start_ns: int = 0  # perf_counter_ns at entry (process-local, monotonic)
     end_ns: int = 0  # perf_counter_ns at exit
-    epoch_ns: int = 0  # time_ns at entry (wall; cross-process alignment only)
+    epoch_ns: int = 0  # time_ns at entry (wall; display alignment only)
     attrs: Dict[str, object] = field(default_factory=dict)
     pid: int = 0
     thread: str = ""
@@ -162,8 +158,8 @@ class Tracer:
         #: Optional zero-arg callable returning the ambient correlation id
         #: (``repro.obs`` wires its correlation context here).  When set and
         #: returning a value, spans carry a ``correlation_id`` attribute —
-        #: stored in ``attrs``, so it survives the worker drain/ingest
-        #: re-sequencing like any other attribute.
+        #: stored in ``attrs``, so every exporter carries it like any
+        #: other attribute.
         self.cid_provider: Optional[Callable[[], Optional[str]]] = None
         #: Optional zero-arg callable run once per record the full ring
         #: evicts (``repro.obs`` counts them in ``obs_spans_dropped``).
@@ -238,61 +234,19 @@ class Tracer:
 
     def _finish(self, record: SpanRecord) -> None:
         # deque.append is atomic under the GIL; the lock is only needed by
-        # operations that swap or iterate the ring (records/drain/clear).
+        # operations that swap or iterate the ring (records/clear).
         records = self._records
         if len(records) == self.depth and self.on_drop is not None:
             self.on_drop()
         records.append(record)
 
-    # -- access / merge ---------------------------------------------------
+    # -- access -----------------------------------------------------------
 
     def records(self) -> List[SpanRecord]:
         """A snapshot of the finished spans (finish order)."""
         with self._lock:
             return list(self._records)
 
-    def drain(self) -> List[SpanRecord]:
-        """Pop and return all finished spans (e.g. from a pool worker)."""
-        with self._lock:
-            records, self._records = self._records, deque(maxlen=self.depth)
-            return list(records)
-
     def clear(self) -> None:
         with self._lock:
             self._records = deque(maxlen=self.depth)
-
-    def ingest(
-        self,
-        records: Sequence[SpanRecord],
-        parent_id: Optional[int] = None,
-    ) -> List[SpanRecord]:
-        """Merge spans recorded elsewhere (a pool worker) into this tracer.
-
-        Ids are remapped onto this tracer's id space (preserving the given
-        order, so the merge is deterministic for a fixed chunk order) and
-        parentless spans are re-parented under ``parent_id``.
-        """
-        with self._lock:
-            mapping: Dict[int, int] = {}
-            for record in records:
-                mapping[record.span_id] = next(self._ids)
-            merged: List[SpanRecord] = []
-            for record in records:
-                clone = SpanRecord(
-                    span_id=mapping[record.span_id],
-                    parent_id=(
-                        mapping.get(record.parent_id, parent_id)
-                        if record.parent_id is not None
-                        else parent_id
-                    ),
-                    name=record.name,
-                    start_ns=record.start_ns,
-                    end_ns=record.end_ns,
-                    epoch_ns=record.epoch_ns,
-                    attrs=dict(record.attrs),
-                    pid=record.pid,
-                    thread=record.thread,
-                )
-                merged.append(clone)
-                self._finish(clone)
-            return merged

@@ -4,8 +4,8 @@
   analyzer for Simulink models (DECISIVE Step 4a, Section IV-D1);
 - :mod:`repro.safety.campaign` — the batched fault-injection campaign
   engine behind :func:`run_simulink_fmea`: baseline solved once, jobs
-  enumerated up front, incremental (factorization-reusing) solves, optional
-  process-pool fan-out, per-campaign timing statistics;
+  enumerated up front, incremental (factorization-reusing) solves run
+  serially, per-campaign timing statistics;
 - :mod:`repro.safety.resilience` — fault-tolerance primitives for the
   campaign engine: structured job failures, bounded retry with backoff,
   per-job deadlines, checkpoint–resume keyed by a campaign fingerprint;

@@ -15,12 +15,10 @@ This module turns that loop into a campaign:
    over that primed system (delta-stamped direct solves for dense
    systems, Sherman–Morrison–Woodbury updates of the one SuperLU
    factorization for sparse ones, with exact full-assembly fallback),
-   serially or — past a measured crossover — fanned out over a process
-   pool whose workers prime their own copy, with deterministic row
-   ordering;
+   serially, in enumeration order;
 4. rows are classified in enumeration order, so the resulting
    :class:`~repro.safety.fmea.FmeaResult` is row-for-row identical to the
-   historical per-mode re-solve, whatever the execution path.
+   historical per-mode re-solve, whatever the solve path.
 
 Per-campaign instrumentation (job counts, solve mix, factorization reuses,
 wall time) is attached to the result as :class:`CampaignStats` — the raw
@@ -29,15 +27,16 @@ material for the paper's Table V/VI efficiency story.
 Execution is fault tolerant (see :mod:`repro.safety.resilience`): a job
 that raises records a structured :class:`~repro.safety.resilience.JobFailure`
 row instead of aborting the campaign, transient failures are retried with
-exponential backoff, a dead pool worker costs only its chunk (resubmitted
-to a fresh pool, with the offending job bisected out after ``max_retries``),
-and a ``checkpoint`` file lets ``resume`` skip already-completed jobs.
+exponential backoff, a runaway job is cut off by ``job_timeout``, and a
+``checkpoint`` file lets ``resume`` skip already-completed jobs — also
+after the process running the campaign was killed.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -88,17 +87,6 @@ _CHECKPOINT_EVERY = 25
 #: straddled a rounding boundary.
 _SENSOR_TIE_TOLERANCE = 1e-6
 
-#: A campaign with ``workers > 1`` fans out only when its estimated work,
-#: ``pending_jobs × system_size`` (MNA unknowns), reaches this.  Below it a
-#: fresh process pool (fork, per-worker priming, teardown) costs more than
-#: it saves.  Measured on a 2-vCPU VM, serial incremental vs a 2-worker
-#: pool in alternating pairs: serial wins every campaign up to System B
-#: with 8 rails (134 jobs × 65 unknowns = 8.7k); System B with 14 rails
-#: (24.6k) and the 62-job grid sample (152k) are near ties that the pool
-#: edges on pair wins; the pool wins the 120- and 240-job grid samples
-#: clearly.  The table is in docs/performance.md ("When a campaign fans
-#: out"); ``benchmarks/fanout_crossover.py`` re-measures it.
-PARALLEL_MIN_WORK = 2e4
 
 
 @dataclass(frozen=True)
@@ -119,8 +107,6 @@ class CampaignStats:
 
     jobs: int = 0  # injection simulations requested
     rows: int = 0  # FMEA rows produced (jobs + uninjectable warnings)
-    workers: int = 1  # workers used (1 when serial or after a fallback)
-    requested_workers: int = 1  # the caller's worker cap
     mode: str = "incremental"  # 'incremental' | 'naive'
     analysis: str = "dc"
     solver_backend: str = "dense"  # 'dense' | 'sparse', from the system size
@@ -134,8 +120,7 @@ class CampaignStats:
     baseline_reuses: int = 0
     direct_solves: int = 0  # dense-system direct delta-stamp solves
     batched_columns: int = 0  # SMW columns solved as multi-RHS blocks
-    parallel_fallback: bool = False  # pool unavailable; ran serially
-    retries: int = 0  # transient-failure retries (job- and chunk-level)
+    retries: int = 0  # transient-failure retries
     timeouts: int = 0  # jobs killed by the per-job wall-clock budget
     job_failures: int = 0  # jobs that ended as structured JobFailure rows
     resumed_jobs: int = 0  # jobs skipped because a checkpoint had them
@@ -184,10 +169,6 @@ class CampaignStats:
             obs.counter(f"campaign_{name}").inc(getattr(self, name))
         obs.gauge("campaign_wall_seconds").set(self.wall_time)
         obs.gauge("campaign_baseline_seconds").set(self.baseline_time)
-        obs.gauge("campaign_workers").set(self.workers)
-        obs.gauge("campaign_requested_workers").set(self.requested_workers)
-        if self.parallel_fallback:
-            obs.counter("campaign_parallel_fallbacks").inc()
 
 
 #: Job outcome: ('ok', readings), ('error', message) — a circuit-level
@@ -240,8 +221,7 @@ def _execute_job(
     """Run one injection; never raises for circuit-level failures.
 
     With observability enabled, each execution is a ``campaign.job`` span
-    (created in whichever process runs the job — the parent merges worker
-    spans afterwards) and feeds the ``campaign_job_seconds`` histogram.
+    and feeds the ``campaign_job_seconds`` histogram.
     """
     if not obs.enabled():
         return _execute_job_impl(conversion, compiled, job, analysis, t_stop, dt)
@@ -314,7 +294,7 @@ def _run_job_isolated(
     counters — and the end-to-end per-job wall time (all attempts plus
     backoff sleeps, feeding ``campaign_job_wall_seconds`` and the
     ``--stats`` percentiles; ``campaign_job_seconds`` stays the
-    per-*attempt* execution time) — across process boundaries.
+    per-*attempt* execution time).
     """
     started = time.perf_counter()
     outcome, retries, timeouts = _attempt_job(
@@ -374,118 +354,6 @@ def _attempt_job(
             return ("failed", failure.to_dict()), attempt, 0
 
 
-# -- process-pool plumbing ---------------------------------------------------
-# Workers receive the conversion once (initializer) and then process chunks
-# of jobs, each against its own primed CompiledSystem, so the cached
-# assembly (and, for sparse systems, factorization) is reused inside every
-# worker too.  A worker primes its own copy: the parent's primed system is
-# not sent over.
-
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _campaign_worker_init(
-    conversion: ElectricalConversion,
-    analysis: str,
-    t_stop: float,
-    dt: float,
-    incremental: bool,
-    trace_enabled: bool = False,
-    policy: RetryPolicy = RetryPolicy(),
-    job_timeout: Optional[float] = None,
-    events_enabled: bool = False,
-    correlation_id: Optional[str] = None,
-) -> None:
-    if trace_enabled:
-        # Trace in the worker too; start from a clean slate (a fork start
-        # method copies the parent's already-recorded spans).
-        obs.enable()
-    if events_enabled:
-        # The event plane switches independently of tracing (a --progress
-        # run without --trace still needs worker heartbeats).
-        obs.enable_events()
-    if trace_enabled or events_enabled:
-        obs.reset()
-    # After reset (which clears the correlation context): a worker process
-    # serves exactly one campaign configuration, so the job's id is its
-    # process-global default — every worker-side event and span carries it
-    # home through the drain/ingest delta path.
-    obs.set_correlation_id(correlation_id)
-    _WORKER_STATE["conversion"] = conversion
-    _WORKER_STATE["analysis"] = analysis
-    _WORKER_STATE["t_stop"] = t_stop
-    _WORKER_STATE["dt"] = dt
-    _WORKER_STATE["policy"] = policy
-    _WORKER_STATE["job_timeout"] = job_timeout
-    compiled = None
-    if incremental and analysis == "dc":
-        compiled = CompiledSystem(conversion.netlist)
-    _WORKER_STATE["compiled"] = compiled
-
-
-def _campaign_worker_chunk(
-    chunk: Sequence[InjectionJob],
-) -> Tuple[
-    List[Tuple[int, _Outcome]],
-    SolveStats,
-    Dict[str, int],
-    Optional[Dict[str, object]],
-]:
-    conversion: ElectricalConversion = _WORKER_STATE["conversion"]
-    compiled: Optional[CompiledSystem] = _WORKER_STATE["compiled"]
-    analysis: str = _WORKER_STATE["analysis"]
-    t_stop: float = _WORKER_STATE["t_stop"]
-    dt: float = _WORKER_STATE["dt"]
-    policy: RetryPolicy = _WORKER_STATE.get("policy", RetryPolicy())
-    job_timeout: Optional[float] = _WORKER_STATE.get("job_timeout")
-    results: List[Tuple[int, _Outcome]] = []
-    job_wall_times: List[float] = []
-    extras: Dict[str, object] = {
-        "retries": 0, "timeouts": 0, "job_wall_times": job_wall_times,
-    }
-    # One heartbeat per chunk: the event's pid identifies this worker, so
-    # the parent (and /events subscribers) can see which pool workers are
-    # actually serving — it rides home in the drained payload below.
-    obs.emit_event("worker_heartbeat", chunk_jobs=len(chunk))
-    for job in chunk:
-        outcome, retries, timeouts, wall = _run_job_isolated(
-            conversion, compiled, job, analysis, t_stop, dt,
-            policy, job_timeout,
-        )
-        extras["retries"] += retries  # type: ignore[operator]
-        extras["timeouts"] += timeouts  # type: ignore[operator]
-        job_wall_times.append(wall)
-        results.append((job.index, outcome))
-    # Report this chunk's *delta*, not the worker's cumulative counters: a
-    # worker serving several chunks would otherwise double-count earlier
-    # chunks in the parent's aggregate.
-    stats = SolveStats()
-    if compiled is not None:
-        stats.merge(compiled.stats)
-        compiled.stats = SolveStats()
-    return results, stats, extras, obs.drain_worker_data()
-
-
-class _ParallelUnavailable(RuntimeError):
-    """Internal: the pool layer gave up; ``completed`` holds the outcomes
-    it did produce (their solver stats and spans are already merged), so
-    the serial fallback only needs to run the remainder."""
-
-    def __init__(self, completed: Dict[int, _Outcome], cause: BaseException):
-        super().__init__(str(cause))
-        self.completed = completed
-
-
-@dataclass(frozen=True)
-class _ChunkTask:
-    """One pool submission: ``order`` keeps trace merging deterministic
-    across retries and bisections ((2,) splits into (2, 0) and (2, 1))."""
-
-    order: Tuple[int, ...]
-    jobs: Tuple[InjectionJob, ...]
-    attempt: int = 0
-
-
 class FaultInjectionCampaign:
     """A batched automated FMEA by fault injection on a Simulink model.
 
@@ -497,22 +365,9 @@ class FaultInjectionCampaign:
         sparse factorization, picked by the system's size) instead of
         per-mode full re-assembly.  Results are identical either way —
         topology-changing faults transparently fall back to full assembly;
-    workers:
-        cap on worker processes (default 1: serial).  With ``N > 1`` a
-        run fans its pending jobs out over a fresh process pool of up to
-        ``N`` workers only when ``pending_jobs × system_size`` reaches
-        :data:`PARALLEL_MIN_WORK`; below that crossover it runs serially.
-        ``stats.requested_workers`` records the cap, ``stats.workers``
-        the count a run used.  Row order is deterministic (enumeration
-        order) regardless of completion order.  When a pool cannot be
-        created (restricted environments) the campaign degrades to
-        serial execution and flags ``stats.parallel_fallback``;
     max_retries:
-        bounded retry budget for transient failures — both job-level
-        (numerical rejections) and chunk-level (a pool worker dying takes
-        only its chunk, which is resubmitted to a fresh pool; after the
-        budget is spent the chunk is bisected until the poisoned job is
-        isolated and recorded as a :class:`JobFailure`);
+        bounded retry budget for transient (numerical) failures; a job
+        that exhausts it is recorded as a :class:`JobFailure`;
     retry_backoff:
         base delay (seconds) of the exponential backoff between retries;
     job_timeout:
@@ -544,7 +399,6 @@ class FaultInjectionCampaign:
         t_stop: float = 5e-3,
         dt: float = 5e-5,
         incremental: bool = True,
-        workers: int = 1,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         job_timeout: Optional[float] = None,
@@ -573,16 +427,15 @@ class FaultInjectionCampaign:
         self.t_stop = t_stop
         self.dt = dt
         self.incremental = incremental
-        self.workers = max(1, int(workers))
         self.retry_policy = RetryPolicy(
             max_retries=max(0, int(max_retries)), backoff=retry_backoff
         )
         self.job_timeout = job_timeout
         self.checkpoint = checkpoint
         self.resume = resume
-        #: Correlation id scoped over the whole run (events, spans, logs,
-        #: pool workers).  ``None`` inherits whatever ambient id the caller
-        #: installed (the service wraps ``run()`` in its job's id anyway).
+        #: Correlation id scoped over the whole run (events, spans, logs).
+        #: ``None`` inherits whatever ambient id the caller installed (the
+        #: service wraps ``run()`` in its job's id anyway).
         self.correlation_id = correlation_id
         self._fingerprint: Optional[str] = None
         self._job_wall_times: List[float] = []
@@ -598,7 +451,7 @@ class FaultInjectionCampaign:
         to key `/healthz` per-campaign progress, cheap to repeat."""
         return self._campaign_token()[:16]
 
-    def _emit_progress(self, newly_done: int, chunk: Optional[str] = None) -> None:
+    def _emit_progress(self, newly_done: int) -> None:
         """One ``chunk_completed`` event advancing the done counter.
 
         The ETA extrapolates the measured per-job wall time of the jobs
@@ -618,15 +471,13 @@ class FaultInjectionCampaign:
             eta = elapsed / executed * remaining
         else:
             eta = None  # nothing executed yet: no rate to extrapolate
-        payload: Dict[str, object] = {
-            "done": self._progress_done,
-            "total": self._progress_total,
-            "eta_seconds": eta,
-            "fingerprint": self._short_fingerprint(),
-        }
-        if chunk is not None:
-            payload["chunk"] = chunk
-        obs.emit_event("chunk_completed", **payload)
+        obs.emit_event(
+            "chunk_completed",
+            done=self._progress_done,
+            total=self._progress_total,
+            eta_seconds=eta,
+            fingerprint=self._short_fingerprint(),
+        )
 
     # -- enumeration ------------------------------------------------------
 
@@ -699,38 +550,6 @@ class FaultInjectionCampaign:
 
     # -- execution --------------------------------------------------------
 
-    def _execute_serial(
-        self,
-        conversion: ElectricalConversion,
-        jobs: Sequence[InjectionJob],
-        stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint],
-        compiled: Optional[CompiledSystem],
-    ) -> Dict[int, _Outcome]:
-        outcomes: Dict[int, _Outcome] = {}
-        emitted_at = 0
-        for position, job in enumerate(jobs, start=1):
-            outcome, retries, timeouts, wall = _run_job_isolated(
-                conversion, compiled, job, self.analysis,
-                self.t_stop, self.dt, self.retry_policy, self.job_timeout,
-            )
-            stats.retries += retries
-            stats.timeouts += timeouts
-            self._job_wall_times.append(wall)
-            outcomes[job.index] = outcome
-            if checkpoint is not None:
-                checkpoint.record(job, outcome)
-                if position % _CHECKPOINT_EVERY == 0:
-                    checkpoint.flush()
-            if position % _CHECKPOINT_EVERY == 0 or position == len(jobs):
-                # Serial progress ticks at checkpoint granularity — cheap
-                # enough to stay in the loop, frequent enough for an ETA.
-                self._emit_progress(position - emitted_at)
-                emitted_at = position
-        if compiled is not None:
-            stats.absorb(compiled.stats)
-        return outcomes
-
     def _campaign_token(self) -> str:
         """Content hash of this campaign's model and analysis parameters.
 
@@ -754,220 +573,6 @@ class FaultInjectionCampaign:
             )
         return self._fingerprint
 
-    def _new_pool(self, conversion: ElectricalConversion, size: int):
-        """A fresh ``size``-worker process pool for this run.
-
-        Every worker runs :func:`_campaign_worker_init` once with this
-        campaign's configuration and the ambient correlation id, so its
-        events, spans and logs carry the job's id home.  The caller shuts
-        the pool down.  Tests replace this method to inject pool doubles.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=size,
-            initializer=_campaign_worker_init,
-            initargs=(
-                conversion,
-                self.analysis,
-                self.t_stop,
-                self.dt,
-                self.incremental,
-                obs.enabled(),
-                self.retry_policy,
-                self.job_timeout,
-                obs.events_enabled(),
-                obs.correlation_id(),
-            ),
-        )
-
-    def _execute_parallel(
-        self,
-        conversion: ElectricalConversion,
-        jobs: Sequence[InjectionJob],
-        stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint],
-        workers: int,
-    ) -> Dict[int, _Outcome]:
-        """Fan jobs out over ``workers`` processes, chunk-granularly
-        recoverable.
-
-        A chunk whose worker dies is resubmitted to a fresh pool up to
-        ``max_retries`` times, then bisected — so one poisoned job cannot
-        take healthy work down with it, and the cost of a crash is one
-        chunk, not the campaign.  Completed chunks are kept (outcomes,
-        solver stats and spans) even when the pool layer later gives up
-        and the campaign degrades to serial for the remainder.
-        """
-        completed: Dict[int, _Outcome] = {}
-        try:
-            self._parallel_rounds(
-                conversion, jobs, stats, completed, checkpoint, workers
-            )
-        except Exception as exc:  # noqa: BLE001 — pool layer must not abort
-            # Restricted environments (no fork/semaphores) or repeated
-            # zero-progress pool deaths: degrade to serial for whatever is
-            # left.  Completed outcomes stay valid — their stats/spans are
-            # already merged and the serial pass will skip them.
-            raise _ParallelUnavailable(completed, exc) from exc
-        return completed
-
-    def _parallel_rounds(
-        self,
-        conversion: ElectricalConversion,
-        jobs: Sequence[InjectionJob],
-        stats: CampaignStats,
-        completed: Dict[int, _Outcome],
-        checkpoint: Optional[CampaignCheckpoint],
-        workers: int,
-    ) -> None:
-        from concurrent.futures.process import BrokenProcessPool
-
-        # Round-robin chunking balances expensive (nonlinear) jobs across
-        # workers; outcomes are re-keyed by job index, so ordering is
-        # deterministic whatever the completion order.
-        chunks = [
-            tuple(jobs[offset :: workers]) for offset in range(workers)
-        ]
-        pending = [
-            _ChunkTask(order=(i,), jobs=chunk)
-            for i, chunk in enumerate(chunks)
-            if chunk
-        ]
-        parent_span = obs.current_span_id()
-        pool = self._new_pool(conversion, len(pending))
-        zero_progress_rounds = 0
-        try:
-            while pending:
-                submitted: List[Tuple[_ChunkTask, object]] = []
-                lost: List[_ChunkTask] = []
-                pool_broken = False
-                for task in pending:
-                    try:
-                        submitted.append(
-                            (task, pool.submit(_campaign_worker_chunk, task.jobs))
-                        )
-                    except BrokenProcessPool:
-                        lost.append(task)
-                        pool_broken = True
-                progressed = 0
-                # Process in submission order so the merged trace is
-                # deterministic for a fixed worker count and loss pattern.
-                for task, future in submitted:
-                    try:
-                        results, solve_stats, extras, payload = future.result()
-                    except BrokenProcessPool:
-                        lost.append(task)
-                        pool_broken = True
-                        continue
-                    except Exception:  # noqa: BLE001 — e.g. pickling errors
-                        lost.append(task)
-                        continue
-                    progressed += 1
-                    for index, outcome in results:
-                        completed[index] = outcome
-                    stats.absorb(solve_stats)
-                    stats.retries += extras.get("retries", 0)
-                    stats.timeouts += extras.get("timeouts", 0)
-                    self._job_wall_times.extend(
-                        extras.get("job_wall_times", ())
-                    )
-                    obs.ingest_worker_data(payload, parent_id=parent_span)
-                    self._emit_progress(
-                        len(results), chunk=".".join(map(str, task.order))
-                    )
-                    if checkpoint is not None:
-                        by_index = {job.index: job for job in task.jobs}
-                        for index, outcome in results:
-                            checkpoint.record(by_index[index], outcome)
-                        checkpoint.flush()
-                if lost and not progressed:
-                    zero_progress_rounds += 1
-                    if zero_progress_rounds >= 2:
-                        # Nothing survives this environment's pools; let
-                        # the serial fallback take the remainder.
-                        raise RuntimeError(
-                            "process pool made no progress in "
-                            f"{zero_progress_rounds} consecutive rounds"
-                        )
-                else:
-                    zero_progress_rounds = 0
-                pending = self._requeue_lost(lost, stats, completed)
-                if pool_broken and pending:
-                    # A broken executor can never serve again.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._new_pool(conversion, len(pending))
-                if pending:
-                    time.sleep(self.retry_policy.delay(1))
-        finally:
-            # Join the workers: a run leaves no processes behind, and the
-            # teardown is charged to the run that forked them.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _requeue_lost(
-        self,
-        lost: Sequence[_ChunkTask],
-        stats: CampaignStats,
-        completed: Dict[int, _Outcome],
-    ) -> List[_ChunkTask]:
-        """Retry, bisect or fail-out the chunks whose workers died."""
-        requeued: List[_ChunkTask] = []
-        for task in lost:
-            attempt = task.attempt + 1
-            obs.emit_event(
-                "pool_worker_lost",
-                level="warning",
-                chunk=".".join(map(str, task.order)),
-                jobs=len(task.jobs),
-                attempt=attempt,
-            )
-            if attempt <= self.retry_policy.max_retries:
-                stats.retries += 1
-                with obs.span(
-                    "campaign.retry",
-                    chunk=".".join(map(str, task.order)),
-                    attempt=attempt,
-                    jobs=len(task.jobs),
-                ):
-                    pass
-                requeued.append(
-                    _ChunkTask(task.order, task.jobs, attempt=attempt)
-                )
-            elif len(task.jobs) > 1:
-                # Retry budget spent on the whole chunk: bisect to corner
-                # the poisoned job while the healthy half still completes.
-                middle = len(task.jobs) // 2
-                requeued.append(
-                    _ChunkTask(task.order + (0,), task.jobs[:middle])
-                )
-                requeued.append(
-                    _ChunkTask(task.order + (1,), task.jobs[middle:])
-                )
-            else:
-                job = task.jobs[0]
-                failure = JobFailure(
-                    index=job.index,
-                    component=job.component,
-                    failure_mode=job.failure_mode,
-                    exception="BrokenProcessPool",
-                    message=(
-                        "worker process died repeatedly while executing "
-                        "this job"
-                    ),
-                    kind="worker_lost",
-                    retries=task.attempt,
-                )
-                completed[job.index] = ("failed", failure.to_dict())
-        return requeued
-
-    def _effective_workers(self, pending_jobs: int, size: int) -> int:
-        """Worker count for one run: up to the ``workers`` cap when the
-        estimated work ``pending_jobs × size`` (``size``: MNA unknowns)
-        reaches :data:`PARALLEL_MIN_WORK`, else one (serial)."""
-        if self.workers > 1 and pending_jobs * size >= PARALLEL_MIN_WORK:
-            return min(self.workers, pending_jobs)
-        return 1
-
     def _execute(
         self,
         conversion: ElectricalConversion,
@@ -979,29 +584,27 @@ class FaultInjectionCampaign:
         if not jobs:
             return {}
         outcomes: Dict[int, _Outcome] = {}
-        remaining: Sequence[InjectionJob] = jobs
-        if stats.workers > 1:
-            try:
-                outcomes = self._execute_parallel(
-                    conversion, jobs, stats, checkpoint, stats.workers
-                )
-                remaining = ()
-            except _ParallelUnavailable as exc:
-                # Degrade to serial — same rows, just without the fan-out.
-                # Chunks that did complete in parallel are kept; only the
-                # remainder re-runs, so nothing is double-counted.
-                stats.parallel_fallback = True
-                stats.workers = 1
-                outcomes = exc.completed
-                remaining = [
-                    job for job in jobs if job.index not in outcomes
-                ]
-        if remaining:
-            outcomes.update(
-                self._execute_serial(
-                    conversion, remaining, stats, checkpoint, compiled
-                )
+        emitted_at = 0
+        for position, job in enumerate(jobs, start=1):
+            outcome, retries, timeouts, wall = _run_job_isolated(
+                conversion, compiled, job, self.analysis,
+                self.t_stop, self.dt, self.retry_policy, self.job_timeout,
             )
+            stats.retries += retries
+            stats.timeouts += timeouts
+            self._job_wall_times.append(wall)
+            outcomes[job.index] = outcome
+            if checkpoint is not None:
+                checkpoint.record(job, outcome)
+                if position % _CHECKPOINT_EVERY == 0:
+                    checkpoint.flush()
+            if position % _CHECKPOINT_EVERY == 0 or position == len(jobs):
+                # Progress ticks at checkpoint granularity — cheap enough
+                # to stay in the loop, frequent enough for an ETA.
+                self._emit_progress(position - emitted_at)
+                emitted_at = position
+        if compiled is not None:
+            stats.absorb(compiled.stats)
         return outcomes
 
     # -- classification ---------------------------------------------------
@@ -1046,6 +649,21 @@ class FaultInjectionCampaign:
             for name in monitored
         }
         row.sensor_deltas = deltas
+        unreadable = next(
+            (name for name in monitored if not math.isfinite(readings[name])),
+            None,
+        )
+        if unreadable is not None:
+            # A NaN delta compares false with everything, so the worst
+            # delta would depend on the sensor order.  A reading the solve
+            # could not produce is an unknown effect: the conservative call.
+            row.safety_related = True
+            row.impact = "DVF"
+            row.effect = (
+                f"reading at {unreadable.rsplit('/', 1)[-1]} is not finite "
+                f"({readings[unreadable]}); effect assumed dangerous"
+            )
+            return row
         worst = max(deltas.values()) if deltas else 0.0
         if worst > self.threshold:
             row.safety_related = True
@@ -1099,13 +717,13 @@ class FaultInjectionCampaign:
         With observability enabled the campaign is one ``campaign`` span
         over ``campaign.baseline`` / ``campaign.enumerate`` /
         ``campaign.execute`` (parenting one ``campaign.job`` span per
-        executed injection, merged back from pool workers) /
+        executed injection) /
         ``campaign.classify`` phases, and the final counters are published
         as ``campaign_*`` metrics.
 
         The whole run executes under this campaign's correlation id (when
-        one was given): every event, span, log record and pool-worker
-        delta it produces carries the id.
+        one was given): every event, span and log record it produces
+        carries the id.
         """
         if primed is not None and (
             conversion is None or primed.netlist is not conversion.netlist
@@ -1129,7 +747,6 @@ class FaultInjectionCampaign:
         # current content.
         self._fingerprint = fingerprint
         stats = CampaignStats(
-            requested_workers=self.workers,
             mode="incremental" if self.incremental else "naive",
             analysis=self.analysis,
         )
@@ -1138,7 +755,6 @@ class FaultInjectionCampaign:
             "campaign",
             system=self.model.name,
             mode=stats.mode,
-            workers=self.workers,
             analysis=self.analysis,
         ) as campaign_span:
             if conversion is None:
@@ -1171,10 +787,11 @@ class FaultInjectionCampaign:
                     baseline = _solve_readings(conversion, conversion.netlist)
             stats.baseline_time = time.perf_counter() - baseline_started
             if compiled is not None:
-                size, stats.solver_backend = compiled.size, compiled.backend
+                stats.solver_backend = compiled.backend
             else:
-                size = system_size(conversion.netlist)
-                stats.solver_backend = resolve_backend(size)
+                stats.solver_backend = resolve_backend(
+                    system_size(conversion.netlist)
+                )
             monitored = _select_sensors(conversion, self.sensors, baseline)
 
             result = FmeaResult(
@@ -1190,12 +807,6 @@ class FaultInjectionCampaign:
 
             checkpoint, preloaded = self._open_checkpoint(jobs, stats)
             pending = [job for job in jobs if job.index not in preloaded]
-            # Fan-out is decided per run, once the *pending* job count is
-            # known — resumed jobs cost nothing, so a mostly checkpointed
-            # campaign rightly stays serial.  ``self.workers`` stays the
-            # caller's cap for the next run.
-            stats.workers = self._effective_workers(len(pending), size)
-            campaign_span.set(workers=stats.workers)
             self._job_wall_times = []
             self._progress_total = stats.jobs
             self._progress_done = len(preloaded)
@@ -1208,7 +819,6 @@ class FaultInjectionCampaign:
                     analysis=self.analysis,
                     jobs=stats.jobs,
                     rows=stats.rows,
-                    workers=stats.workers,
                     mode=stats.mode,
                     resumed=len(preloaded),
                     fingerprint=self._short_fingerprint(),
@@ -1220,41 +830,16 @@ class FaultInjectionCampaign:
                     conversion, pending, stats, checkpoint, compiled
                 )
             outcomes.update(preloaded)
-            if self._progress_done < self._progress_total:
-                # Jobs that never produced a chunk_completed tick (e.g.
-                # bisected-out worker_lost failures written straight into
-                # `completed`): one closing event keeps the sequence's
-                # final done count equal to stats.jobs.
-                self._emit_progress(
-                    self._progress_total - self._progress_done
-                )
             if checkpoint is not None:
-                # Sweep anything the per-chunk/periodic flushes missed
-                # (e.g. outcomes produced by the serial fallback tail).
-                for job in jobs:
-                    if job.index in outcomes:
-                        checkpoint.record(job, outcomes[job.index])
+                # The loop records every outcome; write the tail that the
+                # periodic flushes have not.
                 checkpoint.flush()
             with obs.span("campaign.classify", rows=len(slots)):
                 for row, job in slots:
                     if job is None:
                         result.rows.append(row)
                         continue
-                    outcome = outcomes.get(job.index)
-                    if outcome is None:
-                        # Defensive: execution must cover every job; a gap
-                        # is a harness bug, reported as a failure row
-                        # rather than a crash.
-                        outcome = (
-                            "failed",
-                            JobFailure(
-                                index=job.index,
-                                component=job.component,
-                                failure_mode=job.failure_mode,
-                                exception="LostOutcome",
-                                message="job produced no outcome",
-                            ).to_dict(),
-                        )
+                    outcome = outcomes[job.index]
                     if outcome[0] == "failed":
                         result.failures.append(
                             JobFailure.from_dict(outcome[1])
@@ -1277,7 +862,6 @@ class FaultInjectionCampaign:
             campaign_span.set(
                 jobs=stats.jobs,
                 rows=stats.rows,
-                parallel_fallback=stats.parallel_fallback,
                 retries=stats.retries,
                 job_failures=stats.job_failures,
                 resumed_jobs=stats.resumed_jobs,
@@ -1293,7 +877,6 @@ class FaultInjectionCampaign:
                 wall_seconds=stats.wall_time,
                 retries=stats.retries,
                 job_failures=stats.job_failures,
-                parallel_fallback=stats.parallel_fallback,
                 fingerprint=self._short_fingerprint(),
             )
         return result

@@ -229,7 +229,6 @@ def run_simulink_fmea(
     t_stop: float = 5e-3,
     dt: float = 5e-5,
     incremental: bool = True,
-    workers: int = 1,
     max_retries: int = 2,
     retry_backoff: float = 0.05,
     job_timeout: Optional[float] = None,
@@ -266,10 +265,6 @@ def run_simulink_fmea(
         delta-stamped solves for dense systems, low-rank updates of a
         cached sparse factorization for large ones) instead of per-mode
         full re-assembly; rows are identical either way;
-    workers:
-        cap on worker processes for the injection campaign (``1``:
-        serial); the campaign fans out only past the measured crossover
-        :data:`repro.safety.campaign.PARALLEL_MIN_WORK`;
     max_retries / retry_backoff / job_timeout / checkpoint / resume:
         fault-tolerance controls — bounded retry with exponential backoff,
         per-job wall-clock budgets, and checkpoint–resume of completed job
@@ -294,7 +289,6 @@ def run_simulink_fmea(
         t_stop=t_stop,
         dt=dt,
         incremental=incremental,
-        workers=workers,
         max_retries=max_retries,
         retry_backoff=retry_backoff,
         job_timeout=job_timeout,

@@ -2,13 +2,13 @@
 
 The paper's methodology is *iterative*: FME(D)A campaigns re-run on every
 design change, so a single pathological injection (singular matrix,
-diverging Newton loop, dying pool worker) must not cost the whole run.
+diverging Newton loop, runaway solve) must not cost the whole run.
 This module provides the building blocks the campaign engine composes:
 
 - :class:`JobFailure` — the structured record a job that raises leaves
   behind instead of aborting the campaign;
 - :class:`RetryPolicy` — bounded retry with exponential backoff for
-  transient failures (broken process pools, LU numerical rejections);
+  transient failures (LU numerical rejections, memory pressure);
 - :func:`job_deadline` — a per-job wall-clock timeout for runaway solves
   (SIGALRM-based; degrades to a no-op off the main thread or on platforms
   without ``setitimer``);
@@ -53,9 +53,10 @@ class JobFailure:
     """Structured record of one injection job that could not produce a
     result — the row-level alternative to aborting the campaign.
 
-    ``kind`` is ``exception`` (the job raised), ``timeout`` (it exceeded
-    the per-job wall-clock budget) or ``worker_lost`` (its pool worker
-    died repeatedly and the job was bisected out).
+    ``kind`` is ``exception`` (the job raised) or ``timeout`` (it exceeded
+    the per-job wall-clock budget).  Failures are never checkpointed, so
+    a resumed campaign re-runs the job, whatever kind an older version
+    recorded (such as ``worker_lost`` from the deleted process pool).
     """
 
     index: int
@@ -128,9 +129,9 @@ def job_deadline(seconds: Optional[float]) -> Iterator[None]:
     """Raise :class:`JobTimeoutError` if the block runs past ``seconds``.
 
     Uses ``SIGALRM`` + ``setitimer``, so it is only armed on the main
-    thread of a process (true for serial campaigns and for pool workers,
-    whose chunks execute on the worker's main thread); anywhere else it is
-    a no-op rather than a wrong answer.
+    thread of a process (true for a CLI campaign; a service job runs on a
+    worker thread); anywhere else it is a no-op rather than a wrong
+    answer.
     """
     if (
         not seconds

@@ -146,7 +146,6 @@ class SAME:
         sensors: Optional[Sequence[str]] = None,
         threshold: float = 0.2,
         assume_stable: Iterable[str] = (),
-        workers: int = 1,
         max_retries: int = 2,
         job_timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
@@ -154,10 +153,9 @@ class SAME:
     ) -> FmeaResult:
         """Injection-based FMEA of the Simulink model.
 
-        ``workers``/``max_retries``/``job_timeout``/``checkpoint``/
-        ``resume`` are forwarded to
-        :class:`~repro.safety.campaign.FaultInjectionCampaign` so iterative
-        SAME workflows get the same worker cap, fault tolerance and
+        ``max_retries``/``job_timeout``/``checkpoint``/``resume`` are
+        forwarded to :class:`~repro.safety.campaign.FaultInjectionCampaign`
+        so iterative SAME workflows get the same fault tolerance and
         checkpoint–resume behaviour as the CLI.
         """
         self._require("simulink_model")
@@ -171,7 +169,6 @@ class SAME:
                 sensors=sensors,
                 threshold=threshold,
                 assume_stable=assume_stable,
-                workers=workers,
                 max_retries=max_retries,
                 job_timeout=job_timeout,
                 checkpoint=checkpoint,

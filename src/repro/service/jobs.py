@@ -68,7 +68,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import queue
 import threading
 import time
@@ -165,14 +164,12 @@ def reliability_from_payload(payload: Sequence[Mapping[str, object]]):
 def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
     """``config`` with ``analysis``, ``t_stop`` and ``dt`` filled in and
     checked, so the fingerprint and the campaign read the same values, and
-    the campaign options ``workers``, ``max_retries`` and ``job_timeout``
-    checked.  Unknown keys pass through untouched and reach neither the
-    campaign nor the cache key.
+    the campaign options ``max_retries`` and ``job_timeout`` checked.
+    Unknown keys pass through untouched and reach neither the campaign nor
+    the cache key.
 
     A missing or ``null`` value takes the campaign default; a malformed one
     raises :class:`ServiceError`, which ``POST /jobs`` answers with 400.
-    ``workers`` is capped at the machine's CPU count: every worker is a
-    forked process.
     """
     out = dict(config)
     analysis = out.get("analysis")
@@ -193,10 +190,7 @@ def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
                 f"got {value!r}"
             )
         out[key] = float(value)  # type: ignore[arg-type]
-    cpus = os.cpu_count() or 1
     for key, valid, expected in (
-        ("workers", lambda v: _integer(v) and 1 <= v <= cpus,
-         f"an integer in [1, {cpus}]"),
         ("max_retries", lambda v: _integer(v) and v >= 0,
          "a non-negative integer"),
         ("job_timeout", lambda v: _finite(v) and v > 0,
@@ -307,7 +301,7 @@ class AnalysisRequest:
     :func:`reliability_payload` list form.  ``config`` carries campaign
     and classification parameters (``threshold``, ``sensors``,
     ``assume_stable``, ``min_absolute_delta``, ``analysis``, ``t_stop``,
-    ``dt``, ``workers``, ``job_timeout``, ``max_retries``); ``analysis``,
+    ``dt``, ``job_timeout``, ``max_retries``); ``analysis``,
     ``t_stop`` and ``dt`` are normalised at construction (see
     :func:`_normalised_config`).
     ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
@@ -529,7 +523,7 @@ class AnalysisJob:
     fingerprint: str = ""
     cache_key: str = ""
     #: Minted at submit; stamps every event/span/ledger entry the job
-    #: produces (including inside pool workers) and keys the job's
+    #: produces and keys the job's
     #: ``/jobs/<id>/events`` stream.
     correlation_id: str = ""
     submitted_at: float = 0.0
@@ -590,9 +584,8 @@ class AnalysisService:
         doubles as the result cache and the provenance record — every
         computed job appends an entry, every cache hit is served from one;
     workers:
-        worker *threads* draining the queue.  A campaign fans out over
-        processes only when its request sets ``config.workers`` above 1
-        and the campaign clears the measured crossover;
+        worker *threads* draining the queue; each runs its campaign
+        serially;
     checkpoint_dir:
         when set, every campaign checkpoints to
         ``<dir>/<fingerprint>.jsonl`` with ``resume=True`` — a job retried
@@ -815,7 +808,7 @@ class AnalysisService:
             self._run_job(job)
 
     def _run_job(self, job: AnalysisJob) -> None:
-        # The whole job — campaign, pool workers, ledger append, every
+        # The whole job — campaign, ledger append, every
         # event and span — runs under the job's correlation id.
         with obs.correlation(job.correlation_id or None):
             self._run_job_correlated(job)
@@ -1072,7 +1065,7 @@ class AnalysisService:
         kwargs: Dict[str, object] = {}
         for key in (
             "threshold", "min_absolute_delta", "analysis", "t_stop", "dt",
-            "workers", "max_retries", "job_timeout",
+            "max_retries", "job_timeout",
         ):
             if key in config and config[key] is not None:
                 kwargs[key] = config[key]

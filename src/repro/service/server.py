@@ -20,8 +20,7 @@ with the job endpoints:
   :mod:`repro.service.jobs`);
 - ``GET /jobs/<id>/events`` — the job's own SSE stream: the ``/events``
   machinery filtered to the job's ``correlation_id``, so one tenant
-  watches exactly their campaign's events (pool-worker events included)
-  while another tenant's concurrent job streams elsewhere.  Replay,
+  watches exactly their campaign's events while another tenant's concurrent job streams elsewhere.  Replay,
   ``?since=``/``Last-Event-ID`` resume and ``?limit=`` behave exactly
   like ``/events``.
 

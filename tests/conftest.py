@@ -47,12 +47,3 @@ def psu_fmea(psu_simulink, psu_reliability):
 def psu_graph_fmea(psu_ssam, psu_reliability):
     """Algorithm 1 on the hand-built SSAM power supply."""
     return run_ssam_fmea(psu_ssam.top_components()[0], psu_reliability)
-
-
-@pytest.fixture
-def force_fan_out(monkeypatch):
-    """Drop the campaign fan-out crossover to zero, so every ``workers > 1``
-    campaign runs over a pool whatever its size."""
-    from repro.safety import campaign
-
-    monkeypatch.setattr(campaign, "PARALLEL_MIN_WORK", 0)

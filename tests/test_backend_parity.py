@@ -6,17 +6,12 @@ The system's size picks the rule (dense direct solves below
 above it).  Each test pins one rule by moving that threshold, and the FMEA
 rows must then be identical to naive re-assembly (discrete fields
 exactly, sensor deltas to numerical noise) on all three case studies and
-on a seeded generated distribution grid.  A ``CAMPAIGN_CHAOS=1``-gated
-variant re-checks parity while the worker pool is being randomly killed.
+on a seeded generated distribution grid.
 """
 
 import math
-import os
 import threading
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 
 from repro.casestudies import (
@@ -32,7 +27,6 @@ from repro.casestudies import (
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
 from repro.circuit import backends
-from repro.safety import campaign as campaign_mod
 from repro.safety.campaign import FaultInjectionCampaign
 
 _DELTA_TOL = 1e-9
@@ -219,68 +213,3 @@ def test_grid_sample_is_deterministic():
     assert first != power_grid_injection_sample(
         model, k=_GRID_SAMPLE_K, seed=_GRID_SEED + 1
     )
-
-
-# -- chaos variant (nightly) --------------------------------------------------
-
-
-class _ChaoticPool:
-    """Inline executor that kills each submission with fixed probability."""
-
-    def __init__(self, rng, kill_probability=0.3):
-        self._rng = rng
-        self._kill_probability = kill_probability
-        self.kills = 0
-
-    def submit(self, fn, chunk):
-        future = Future()
-        if self._rng.random() < self._kill_probability:
-            self.kills += 1
-            future.set_exception(BrokenProcessPool("chaos kill"))
-        else:
-            future.set_result(fn(chunk))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-@pytest.mark.skipif(
-    os.environ.get("CAMPAIGN_CHAOS") != "1",
-    reason="chaos drill; set CAMPAIGN_CHAOS=1 to run",
-)
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_backend_parity_survives_worker_kills(
-    cases, naive_reference, monkeypatch, force_fan_out, backend, seed
-):
-    """Row parity must hold per backend even while the pool is being
-    randomly killed and the campaign retries/bisects chunks."""
-    model, reliability, stable = cases["grid"]
-    rng = np.random.default_rng(seed)
-    pools = []
-
-    def chaotic_new_pool(self, conversion, size):
-        campaign_mod._campaign_worker_init(
-            conversion,
-            self.analysis,
-            self.t_stop,
-            self.dt,
-            self.incremental,
-            False,
-            self.retry_policy,
-            self.job_timeout,
-        )
-        pools.append(_ChaoticPool(rng))
-        return pools[-1]
-
-    monkeypatch.setattr(
-        FaultInjectionCampaign, "_new_pool", chaotic_new_pool
-    )
-    _pin(monkeypatch, backend)
-    result = FaultInjectionCampaign(
-        model, reliability, assume_stable=stable, workers=2
-    ).run()
-    assert result.stats.solver_backend == backend
-    assert pools, "the campaign never fanned out"
-    assert_rows_identical(naive_reference["grid"], result)

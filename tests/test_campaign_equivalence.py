@@ -2,9 +2,8 @@
 fault-injection engine.
 
 Whatever the execution strategy — serial naive re-assembly (the historical
-``run_simulink_fmea`` behaviour), incremental solves through a shared
-:class:`~repro.circuit.CompiledSystem`, or a multi-process pool — the
-campaign must produce row-for-row identical FMEA results on the paper's
+``run_simulink_fmea`` behaviour) or incremental solves through a shared
+:class:`~repro.circuit.CompiledSystem` — the campaign must produce row-for-row identical FMEA results on the paper's
 power-supply case study and the synthetic System A/B power networks.
 
 "Identical" here means: every discrete field (classification, impact,
@@ -27,7 +26,6 @@ from repro.casestudies import (
     power_supply_reliability,
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
-from repro.safety import campaign as campaign_mod
 from repro.safety import run_simulink_fmea
 from repro.safety.campaign import FaultInjectionCampaign
 
@@ -60,24 +58,19 @@ def _build_case(name):
 
 @pytest.fixture(scope="module")
 def campaign_results():
-    """Each case study run naive / incremental / parallel, computed once.
-    The parallel run is forced past the fan-out crossover: the case
-    studies sit below it and would otherwise run serially."""
+    """Each case study run naive / incremental, computed once."""
     results = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(campaign_mod, "PARALLEL_MIN_WORK", 0)
-        for name in CASE_NAMES:
-            model, reliability, stable = _build_case(name)
-            runs = {}
-            for label, kwargs in (
-                ("naive", {"incremental": False}),
-                ("incremental", {}),
-                ("parallel", {"workers": 2}),
-            ):
-                runs[label] = FaultInjectionCampaign(
-                    model, reliability, assume_stable=stable, **kwargs
-                ).run()
-            results[name] = runs
+    for name in CASE_NAMES:
+        model, reliability, stable = _build_case(name)
+        runs = {}
+        for label, kwargs in (
+            ("naive", {"incremental": False}),
+            ("incremental", {}),
+        ):
+            runs[label] = FaultInjectionCampaign(
+                model, reliability, assume_stable=stable, **kwargs
+            ).run()
+        results[name] = runs
     return results
 
 
@@ -113,13 +106,6 @@ def assert_rows_identical(reference, other):
 def test_incremental_matches_naive(campaign_results, case):
     runs = campaign_results[case]
     assert_rows_identical(runs["naive"], runs["incremental"])
-
-
-@pytest.mark.parametrize("case", CASE_NAMES)
-def test_parallel_matches_naive(campaign_results, case):
-    runs = campaign_results[case]
-    assert runs["parallel"].stats.workers == 2
-    assert_rows_identical(runs["naive"], runs["parallel"])
 
 
 @pytest.mark.parametrize("case", CASE_NAMES)

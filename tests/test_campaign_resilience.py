@@ -1,17 +1,16 @@
 """Fault-tolerant campaign execution: the acceptance gate for per-job
-isolation, retry/backoff, chunk-granular pool recovery and
-checkpoint–resume.
+isolation, retry/backoff, per-job timeouts and checkpoint–resume.
 
-The contract under test: a campaign with poisoned jobs, killed worker
-chunks or a dead pool still completes, produces row-for-row identical
-rows for every *healthy* job versus a clean serial run, records each
-harness failure as exactly one structured ``JobFailure``, and a resumed
-run re-executes zero completed jobs.
+The contract under test: a campaign with poisoned, flaky or runaway jobs
+still completes, produces row-for-row identical rows for every *healthy*
+job versus a clean run, records each harness failure as exactly one
+structured ``JobFailure``, and a resumed run re-executes zero completed
+jobs.  Killing the campaign's process and resuming is drilled in
+``test_campaign_chaos.py``.
 """
 
 import json
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from repro.casestudies.power_supply import (
 )
 from repro.safety import campaign as campaign_mod
 from repro.safety.campaign import FaultInjectionCampaign
+from repro.safety.fmea import FmeaRow
 from repro.safety.report import campaign_failures_sheet, save_fmea_workbook
 from repro.safety.resilience import (
     CampaignCheckpoint,
@@ -37,8 +37,6 @@ _DELTA_TOL = 1e-9
 
 
 def assert_rows_identical(reference, other):
-    import math
-
     assert len(reference.rows) == len(other.rows)
     for expected, actual in zip(reference.rows, other.rows):
         assert (
@@ -216,156 +214,6 @@ def test_circuit_level_errors_are_not_failures(case, clean_serial):
     assert_rows_identical(clean_serial, result)
 
 
-# -- chunk-granular pool recovery --------------------------------------------
-
-
-class _InlinePool:
-    """Pool double that runs chunks in-process and kills chosen submissions
-    with ``BrokenProcessPool`` — the shape of a dying worker as seen from
-    the parent."""
-
-    def __init__(self, kill_when):
-        self._kill_when = kill_when
-        self.submissions = 0
-
-    def submit(self, fn, chunk):
-        index = self.submissions
-        self.submissions += 1
-        future = Future()
-        if self._kill_when(index, chunk):
-            future.set_exception(BrokenProcessPool("worker died"))
-        else:
-            try:
-                future.set_result(fn(chunk))
-            except BaseException as exc:  # pragma: no cover - defensive
-                future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def _install_inline_pool(monkeypatch, kill_when):
-    """Replace the process pool with an in-process double, and force every
-    ``workers > 1`` campaign to fan out (the power supply sits far below
-    the crossover).  ``state["inits"]`` counts the pools built.
-
-    The worker initializer runs inline (trace disabled: the double shares
-    the parent's obs registry, so a worker-side reset would wipe it).
-    """
-    monkeypatch.setattr(campaign_mod, "PARALLEL_MIN_WORK", 0)
-    state = {"pool": None, "inits": 0, "prime_solves": 0}
-
-    def fake_new_pool(self, conversion, size):
-        campaign_mod._campaign_worker_init(
-            conversion,
-            self.analysis,
-            self.t_stop,
-            self.dt,
-            self.incremental,
-            False,
-            self.retry_policy,
-            self.job_timeout,
-        )
-        state["inits"] += 1
-        compiled = campaign_mod._WORKER_STATE.get("compiled")
-        if compiled is not None:
-            # Each pool (re)creation primes a fresh compiled system; track
-            # those baseline solves so per-job solve counts can be compared
-            # against the serial run exactly.
-            state["prime_solves"] += compiled.stats.solves
-        pool = _InlinePool(kill_when)
-        state["pool"] = pool
-        return pool
-
-    monkeypatch.setattr(FaultInjectionCampaign, "_new_pool", fake_new_pool)
-    return state
-
-
-def test_killed_chunk_is_resubmitted_not_rerun_serially(
-    case, clean_serial, monkeypatch
-):
-    killed = {"done": False}
-
-    def kill_first(index, chunk):
-        if not killed["done"]:
-            killed["done"] = True
-            return True
-        return False
-
-    state = _install_inline_pool(monkeypatch, kill_first)
-    result = _campaign(case, workers=2).run()
-    assert state["inits"] == 2  # the first pool, then one after the kill
-    assert killed["done"]
-    assert result.failures == []
-    assert result.stats.retries > 0
-    assert result.stats.parallel_fallback is False
-    assert_rows_identical(clean_serial, result)
-    # The killed chunk never executed, so aside from the per-pool baseline
-    # priming solves, per-job solver work must equal the clean serial
-    # run's (one priming solve) — nothing double-counted on resubmission.
-    assert (
-        result.stats.solves - state["prime_solves"]
-        == clean_serial.stats.solves - 1
-    )
-    assert result.stats.jobs == clean_serial.stats.jobs
-
-
-def test_repeatedly_dying_worker_bisects_out_poisoned_job(
-    case, clean_serial, monkeypatch
-):
-    # Any chunk containing job 0 kills its worker: retries are spent, the
-    # chunk is bisected, and finally job 0 alone is failed out while every
-    # other job completes in the pool.
-    state = _install_inline_pool(
-        monkeypatch,
-        lambda index, chunk: any(job.index == 0 for job in chunk),
-    )
-    result = _campaign(case, workers=2, max_retries=1).run()
-    assert state["inits"] > 1
-    assert len(result.failures) == 1
-    failure = result.failures[0]
-    assert failure.index == 0
-    assert failure.kind == "worker_lost"
-    assert failure.exception == "BrokenProcessPool"
-    assert result.stats.parallel_fallback is False
-    assert result.stats.retries > 0
-    assert_healthy_rows_match(clean_serial, result)
-
-
-def test_dead_pool_degrades_to_serial_with_requested_workers(
-    case, clean_serial, monkeypatch
-):
-    state = _install_inline_pool(monkeypatch, lambda index, chunk: True)
-    result = _campaign(case, workers=3).run()
-    assert state["inits"] > 0
-    assert result.stats.parallel_fallback is True
-    assert result.stats.workers == 1
-    assert result.stats.requested_workers == 3
-    assert result.failures == []
-    assert_rows_identical(clean_serial, result)
-    assert result.stats.solves == clean_serial.stats.solves
-
-
-def test_unavailable_pool_keeps_requested_workers_field(
-    case, clean_serial, monkeypatch
-):
-    sizes = []
-
-    def no_pool(self, conversion, size):
-        sizes.append(size)
-        raise OSError("no process pools in this environment")
-
-    monkeypatch.setattr(campaign_mod, "PARALLEL_MIN_WORK", 0)
-    monkeypatch.setattr(FaultInjectionCampaign, "_new_pool", no_pool)
-    result = _campaign(case, workers=4).run()
-    assert sizes == [4]
-    assert result.stats.parallel_fallback is True
-    assert result.stats.workers == 1
-    assert result.stats.requested_workers == 4
-    assert_rows_identical(clean_serial, result)
-
-
 # -- checkpoint / resume -----------------------------------------------------
 
 
@@ -513,56 +361,95 @@ def test_resume_without_checkpoint_is_an_error(case):
         FaultInjectionCampaign(model, reliability, resume=True)
 
 
-# -- the ISSUE's combined acceptance scenario --------------------------------
-
-
-def test_acceptance_poisoned_job_plus_killed_chunk_plus_resume(
-    case, clean_serial, tmp_path, monkeypatch
+def test_resume_reruns_a_recorded_worker_lost_failure(
+    case, clean_serial, tmp_path
 ):
+    """A checkpoint holding a ``worker_lost`` failure (a kind the deleted
+    process pool used to produce) still resumes: failures are never
+    taken from a checkpoint, so that job simply runs again."""
     path = tmp_path / "campaign.ckpt.jsonl"
-    killed = {"done": False}
-
-    def kill_one_chunk(index, chunk):
-        # Kill one healthy chunk once (transient worker death) — chosen as
-        # the first chunk not containing the poisoned job.
-        if not killed["done"] and all(job.index != 0 for job in chunk):
-            killed["done"] = True
-            return True
-        return False
-
-    _poison(
-        monkeypatch,
-        lambda job: job.index == 0,
-        lambda job: RuntimeError("forced solver exception"),
-    )
-    state = _install_inline_pool(monkeypatch, kill_one_chunk)
-    result = _campaign(
-        case, workers=2, max_retries=2, checkpoint=path
-    ).run()
-    assert state["inits"] > 0
-    assert killed["done"]
-    # ... the campaign completes with exactly one structured JobFailure,
-    assert len(result.failures) == 1
-    assert result.failures[0].index == 0
-    assert result.stats.retries > 0
-    # ... healthy jobs row-for-row identical to the clean serial run,
-    assert_healthy_rows_match(clean_serial, result)
-    # ... and a --resume invocation re-executes zero completed jobs.
-    monkeypatch.undo()
-    obs.enable()
-    resumed = FaultInjectionCampaign(
-        build_power_supply_simulink(),
-        power_supply_reliability(),
-        assume_stable=ASSUMED_STABLE,
-        checkpoint=path,
-        resume=True,
-    ).run()
+    _campaign(case, checkpoint=path).run()
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["outcome"] = [
+        "failed",
+        JobFailure(
+            index=record["index"],
+            component=record["component"],
+            failure_mode=record["failure_mode"],
+            exception="BrokenProcessPool",
+            message="worker process died repeatedly while executing this job",
+            kind="worker_lost",
+            retries=2,
+        ).to_dict(),
+    ]
+    path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    resumed = _campaign(case, checkpoint=path, resume=True).run()
     assert resumed.stats.resumed_jobs == resumed.stats.jobs - 1
-    assert obs.counter("campaign_resumed_jobs").value == (
-        resumed.stats.jobs - 1
-    )
     assert resumed.failures == []
     assert_rows_identical(clean_serial, resumed)
+
+
+# -- classification of unreadable sensors --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_reading_gets_the_conservative_call(case, bad):
+    """Whichever sensor reads ``bad``, the row gets the call a failed
+    solve gets, and its effect names that sensor.  A NaN used to be
+    classified safe, with a verdict that depended on the sensor order."""
+    campaign = _campaign(case)
+    calls = []
+    for readings, sensor in (
+        ({"top/a": bad, "top/b": 1.0}, "a"),
+        ({"top/a": 1.0, "top/b": bad}, "b"),
+    ):
+        row = FmeaRow(
+            component="R1", component_class="Resistor", fit=1.0,
+            failure_mode="Open", nature="", distribution=1.0,
+        )
+        campaign._classify(
+            row, ("ok", readings), {"top/a": 1.0, "top/b": 1.0},
+            ["top/a", "top/b"],
+        )
+        calls.append((row.safety_related, row.impact))
+        assert row.effect.startswith(f"reading at {sensor} is not finite")
+    assert calls == [(True, "DVF"), (True, "DVF")]
+
+
+# -- options that no longer exist ---------------------------------------------
+
+
+@pytest.mark.parametrize("option", ["workers", "strategy"])
+def test_removed_campaign_options_are_rejected(case, option, capsys):
+    """Campaigns run serially: no layer takes a worker count (or the
+    older ``strategy``), so a caller that still passes one fails loudly
+    instead of being silently ignored."""
+    from repro.cli import main
+    from repro.same import SAME
+    from repro.safety.fmea import run_simulink_fmea
+
+    model, reliability = case
+    with pytest.raises(TypeError, match=option):
+        FaultInjectionCampaign(model, reliability, **{option: 2})
+    with pytest.raises(TypeError, match=option):
+        run_simulink_fmea(model, reliability, **{option: 2})
+    same = SAME()
+    same.open_simulink(model)
+    same.load_reliability(reliability)
+    with pytest.raises(TypeError, match=option):
+        same.run_fmea_simulink(**{option: 2})
+    for command in (
+        ["fmea", "--model", "m.json", "--reliability", "r.json"],
+        ["fmeda", "--model", "m.json", "--reliability", "r.json",
+         "--mechanisms", "s.json"],
+        ["demo"],
+    ):
+        with pytest.raises(SystemExit):
+            main(command + [f"--{option}", "2"])
+        assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
 
 
 # -- satellites: primitives, reporting, counters -----------------------------
@@ -689,7 +576,6 @@ def test_retry_and_failure_metrics_published(case, monkeypatch):
     obs.enable()
     result = _campaign(case).run()
     assert obs.counter("campaign_job_failures").value == 1
-    assert obs.gauge("campaign_requested_workers").value == 1
     names = {record.name for record in obs.tracer().records()}
     assert "campaign.job" in names
     assert result.stats.job_failures == 1

@@ -564,9 +564,9 @@ def test_reordered_body_misses_the_memo_and_hits_the_ledger(
     "body, message",
     [
         (b"{not json", "not valid JSON"),
-        (_encoded(_psu_body(config={"workers": 0})), "config.workers"),
+        (_encoded(_psu_body(config={"max_retries": -1})), "config.max_retries"),
     ],
-    ids=["not-json", "workers-0"],
+    ids=["not-json", "max-retries-negative"],
 )
 def test_malformed_body_is_refused_every_time_and_never_memoised(
     tmp_path, clean_obs, body, message
@@ -578,6 +578,58 @@ def test_malformed_body_is_refused_every_time_and_never_memoised(
         assert service.status()["request_memo_entries"] == 0
         assert service.jobs() == []
     assert _memo_hits() == 0
+
+
+def test_config_workers_reaches_neither_the_campaign_nor_the_keys(
+    tmp_path, clean_obs
+):
+    """Campaigns run serially, so ``config.workers`` is an unknown key: a
+    body that sets it gets the fingerprint, cache key and rows of one that
+    does not, computed and from the cache alike."""
+    def keyed(job):
+        # Wall times differ between two computes; everything else may not.
+        answer = {k: v for k, v in _answer(job).items() if k != "metrics"}
+        return job.fingerprint, job.cache_key, answer
+
+    plain = _psu_body()
+    fanned = _psu_body(config=dict(plain["config"], workers=4))
+    computed = []
+    for name, body in (("plain", plain), ("fanned", fanned)):
+        with AnalysisService(tmp_path / f"{name}.jsonl", workers=1) as service:
+            job = _done(service, service.submit(_encoded(body)))
+        assert not job.cached
+        computed.append(keyed(job))
+    assert computed[0] == computed[1]
+    assert computed[0][1] == GOLDEN_CACHE_KEY
+    with AnalysisService(tmp_path / "plain.jsonl", workers=1) as service:
+        hit = _done(service, service.submit(_encoded(fanned)))
+    assert hit.cached
+    assert keyed(hit) == computed[0]
+
+
+def test_entry_recorded_with_a_worker_count_keeps_its_digest(tmp_path):
+    """Entries recorded while campaigns took a worker count carry
+    ``metrics.workers``.  ``metrics`` is outside the content digest, so
+    such a ledger reads back with every id and digest unchanged."""
+    model = build_power_supply_simulink()
+    result = FaultInjectionCampaign(
+        model, power_supply_reliability(), sensors=["CS1"],
+        assume_stable=ASSUMED_STABLE,
+    ).run()
+    entry = ledger_mod.record_fmea(
+        AnalysisLedger(tmp_path / "fresh.jsonl"), result, model=model
+    )
+    assert "workers" not in entry.metrics
+    line = entry.to_dict()
+    line["metrics"] = dict(line["metrics"], workers=2)
+    old = tmp_path / "old.jsonl"
+    old.write_text(json.dumps(line, sort_keys=True) + "\n")
+    (read,) = AnalysisLedger(old).entries()
+    assert read.metrics["workers"] == 2
+    assert (read.entry_id, read.content_digest) == (
+        entry.entry_id, entry.content_digest,
+    )
+    assert LedgerEntry.from_dict(line).content_digest == entry.content_digest
 
 
 def test_memo_hit_with_no_reachable_plan_parses_and_recomputes(

@@ -1,7 +1,7 @@
 """Unit tests for the ``repro.obs`` observability layer.
 
-Covers the tentpole's core guarantees: span nesting and ordering (including
-thread independence and deterministic worker-trace ingest), exact
+Covers the layer's core guarantees: span nesting and ordering (including
+thread independence), exact
 Prometheus-style histogram bucket semantics, exporter round-trips (a JSONL
 file parses back into the same span tree), and the no-op path being truly
 state-free when the layer is disabled.
@@ -13,8 +13,8 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.metrics import Histogram, MetricError, MetricsRegistry
-from repro.obs.tracing import SpanRecord, Tracer
+from repro.obs.metrics import Histogram, MetricError
+from repro.obs.tracing import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -114,49 +114,6 @@ def test_span_stacks_are_thread_local():
     assert seen["a"] != seen["b"]
 
 
-def test_ingest_remaps_ids_and_reparents_deterministically():
-    obs.enable()
-    # Records exactly as a pool worker would ship them: worker-local ids,
-    # roots parentless, one internal parent edge.
-    shipped = [
-        SpanRecord(span_id=10, parent_id=None, name="job", attrs={"index": 0}),
-        SpanRecord(span_id=11, parent_id=10, name="mna.smw_solve"),
-        SpanRecord(span_id=20, parent_id=None, name="job", attrs={"index": 1}),
-    ]
-    with obs.span("campaign.execute") as execute:
-        merged = obs.tracer().ingest(shipped, parent_id=execute.record.span_id)
-    assert [r.name for r in merged] == ["job", "mna.smw_solve", "job"]
-    by_old = dict(zip([10, 11, 20], merged))
-    # Parentless worker roots hang under the given parent; internal edges
-    # are remapped onto the parent tracer's id space.
-    assert by_old[10].parent_id == execute.record.span_id
-    assert by_old[20].parent_id == execute.record.span_id
-    assert by_old[11].parent_id == by_old[10].span_id
-    assert len({r.span_id for r in merged}) == 3
-
-    # Determinism: ingesting the same payload into a fresh tracer twice
-    # produces identical id assignments.
-    t1, t2 = Tracer(), Tracer()
-    ids1 = [r.span_id for r in t1.ingest(shipped)]
-    ids2 = [r.span_id for r in t2.ingest(shipped)]
-    assert ids1 == ids2
-
-
-def test_drain_and_ingest_worker_payload_round_trip():
-    obs.enable()
-    with obs.span("job", index=7):
-        pass
-    obs.counter("campaign_jobs").inc(1)
-    payload = obs.drain_worker_data()
-    assert payload is not None
-    assert obs.tracer().records() == []  # drained
-    obs.reset()
-    merged = obs.ingest_worker_data(payload, parent_id=None)
-    assert [r.name for r in merged] == ["job"]
-    assert merged[0].attrs == {"index": 7}
-    assert obs.counter("campaign_jobs").value == 1
-
-
 def test_tracer_keeps_the_newest_depth_records_and_counts_the_rest():
     tracer = Tracer(depth=4)
     dropped = []
@@ -166,14 +123,13 @@ def test_tracer_keeps_the_newest_depth_records_and_counts_the_rest():
             pass
     assert [r.attrs["index"] for r in tracer.records()] == [6, 7, 8, 9]
     assert len(dropped) == 6
-    # drain pops the retained window; the ring keeps its depth
-    assert [r.attrs["index"] for r in tracer.drain()] == [6, 7, 8, 9]
+    # clear empties the ring; it keeps its depth
+    tracer.clear()
     assert tracer.records() == []
-    # ingest still returns every merged record; the ring keeps the newest
-    shipped = [SpanRecord(span_id=i, parent_id=None, name="w") for i in range(6)]
-    merged = tracer.ingest(shipped)
-    assert len(merged) == 6
-    assert tracer.records() == merged[-4:]
+    for index in range(6):
+        with tracer.span("step", {"index": index}):
+            pass
+    assert [r.attrs["index"] for r in tracer.records()] == [2, 3, 4, 5]
     assert len(dropped) == 8
 
 
@@ -186,11 +142,6 @@ def test_evicted_spans_are_counted_in_obs_spans_dropped(monkeypatch):
             pass
     assert len(obs.tracer().records()) == 3
     assert obs.counter("obs_spans_dropped").value == 2
-
-
-def test_drain_worker_data_is_none_when_disabled():
-    assert obs.drain_worker_data() is None
-    assert obs.ingest_worker_data(None) == []
 
 
 # -- metrics -----------------------------------------------------------------
@@ -303,68 +254,6 @@ def test_histogram_rejects_unsorted_or_empty_buckets():
         Histogram("bad", (1.0, 1.0, 2.0))
 
 
-def test_registry_snapshot_merge_adds_counters_and_histograms():
-    registry = MetricsRegistry()
-    registry.counter("jobs").inc(3)
-    registry.gauge("workers").set(2)
-    registry.histogram("secs", (0.1, 1.0)).observe(0.05)
-    snap = registry.snapshot()
-
-    parent = MetricsRegistry()
-    parent.counter("jobs").inc(10)
-    parent.histogram("secs", (0.1, 1.0)).observe(0.5)
-    parent.merge(snap)
-    parent.merge(snap)  # merging twice adds twice (counters are cumulative)
-    assert parent.counter("jobs").value == 16
-    assert parent.gauge("workers").value == 2
-    histogram = parent.histogram("secs")
-    assert histogram.count == 3
-    assert histogram.bucket_counts() == [2, 1, 0]
-
-    mismatched = MetricsRegistry()
-    mismatched.histogram("secs", (0.2, 2.0))
-    with pytest.raises(MetricError):
-        mismatched.merge(snap)
-
-
-def test_gauge_merge_is_last_write_wins_not_summing():
-    """Re-merging the same worker snapshot must be idempotent for gauges
-    (they are instantaneous readings, not cumulative counters)."""
-    worker = MetricsRegistry()
-    worker.gauge("campaign_workers").set(4)
-    snap = worker.snapshot()
-
-    parent = MetricsRegistry()
-    parent.merge(snap)
-    parent.merge(snap)
-    assert parent.gauge("campaign_workers").value == 4
-
-
-def test_gauge_merge_keeps_newer_local_write_over_stale_snapshot():
-    """A snapshot drained *before* the parent's own write must not clobber
-    the newer value when it is merged late (out-of-order worker delta)."""
-    worker = MetricsRegistry()
-    worker.gauge("campaign_workers").set(1)
-    stale = worker.snapshot()  # drained first ...
-
-    parent = MetricsRegistry()
-    parent.gauge("campaign_workers").set(2)  # ... written after
-    parent.merge(stale)
-    assert parent.gauge("campaign_workers").value == 2
-
-    # A genuinely newer snapshot still wins over the older local write.
-    worker.gauge("campaign_workers").set(1)
-    parent.merge(worker.snapshot())
-    assert parent.gauge("campaign_workers").value == 1
-
-
-def test_gauge_restore_without_timestamp_applies_unconditionally():
-    gauge = MetricsRegistry().gauge("legacy")
-    gauge.set(7)
-    gauge.restore(3, None)  # pre-timestamp snapshot format
-    assert gauge.value == 3
-
-
 # -- exporters ---------------------------------------------------------------
 
 
@@ -376,7 +265,7 @@ def _sample_trace():
                 with obs.span("campaign.job", job=index):
                     pass
     obs.counter("campaign_jobs").inc(2)
-    obs.gauge("campaign_workers").set(1)
+    obs.gauge("campaign_wall_seconds").set(1)
     obs.histogram("campaign_job_seconds", (0.1, 1.0)).observe(0.01)
 
 
@@ -388,7 +277,7 @@ def test_jsonl_round_trip_reproduces_the_span_tree(tmp_path):
     kinds = {e["name"]: e["kind"] for e in metric_events}
     assert kinds == {
         "campaign_jobs": "counter",
-        "campaign_workers": "gauge",
+        "campaign_wall_seconds": "gauge",
         "campaign_job_seconds": "histogram",
     }
     # Every line is valid standalone JSON (grep-ability contract).
@@ -409,7 +298,7 @@ def test_prometheus_text_format():
     text = obs.prometheus_text()
     assert "# TYPE campaign_jobs counter" in text
     assert "campaign_jobs 2" in text
-    assert "# TYPE campaign_workers gauge" in text
+    assert "# TYPE campaign_wall_seconds gauge" in text
     assert 'campaign_job_seconds_bucket{le="0.1"} 1' in text
     assert 'campaign_job_seconds_bucket{le="+Inf"} 1' in text
     assert "campaign_job_seconds_count 1" in text

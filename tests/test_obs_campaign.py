@@ -3,9 +3,7 @@
 Running the smoke-sized System B campaign with tracing enabled must yield a
 JSONL trace whose per-job span count equals ``CampaignStats.jobs`` and
 whose published solver metrics match the ``CampaignStats`` counters
-exactly — serially, through the process pool (worker spans merged back
-deterministically), and through the serial fallback when no pool can be
-created.  Tracing must cost < 5% wall time on that same campaign.
+exactly.  Tracing must cost < 5% wall time on that same campaign.
 """
 
 import time
@@ -19,6 +17,7 @@ from repro.casestudies import (
     power_network_reliability,
 )
 from repro.cli import main
+from repro.obs.metrics import Histogram
 from repro.safety.campaign import CampaignStats, FaultInjectionCampaign
 
 #: Smoke-sized System B (matches BENCH_INJECTION_SMOKE=1's rail count).
@@ -57,7 +56,6 @@ def _assert_counters_match(stats):
     """Published ``campaign_*`` metrics equal the CampaignStats counters."""
     for name in CampaignStats._COUNTER_FIELDS:
         assert obs.counter(f"campaign_{name}").value == getattr(stats, name), name
-    assert obs.gauge("campaign_workers").value == stats.workers
     assert obs.gauge("campaign_wall_seconds").value == pytest.approx(
         stats.wall_time
     )
@@ -97,94 +95,6 @@ def test_serial_trace_job_spans_and_metrics_match_stats(system_b, tmp_path):
     for name in CampaignStats._COUNTER_FIELDS:
         assert exported[f"campaign_{name}"]["value"] == getattr(stats, name)
     assert exported["campaign_job_seconds"]["count"] == stats.jobs
-
-
-def test_parallel_trace_merges_worker_spans(system_b, force_fan_out):
-    obs.enable()
-    serial = _campaign(system_b).run()
-    serial_stats = serial.stats
-    obs.reset()
-
-    result = _campaign(system_b, workers=2).run()
-    stats = result.stats
-    assert stats.workers == 2 or stats.parallel_fallback
-    records = obs.tracer().records()
-    job_spans = _job_spans(records)
-    assert len(job_spans) == stats.jobs == serial_stats.jobs
-    _assert_counters_match(stats)
-    assert obs.histogram("campaign_job_seconds").count == stats.jobs
-    # Merged ids are unique and every job span hangs off this process's tree
-    # (workers' parentless roots were re-parented under campaign.execute).
-    assert len({r.span_id for r in records}) == len(records)
-    by_id = {r.span_id: r for r in records}
-    execute_span = next(r for r in records if r.name == "campaign.execute")
-    if not stats.parallel_fallback:
-        assert {r.pid for r in job_spans} != {execute_span.pid}
-        for span in job_spans:
-            assert span.parent_id == execute_span.span_id
-    # Rows are strategy-independent (equivalence suite checks this deeply;
-    # here we pin that tracing does not perturb it).
-    assert [
-        (r.component, r.failure_mode, r.safety_related)
-        for r in result.rows
-    ] == [
-        (r.component, r.failure_mode, r.safety_related)
-        for r in serial.rows
-    ]
-    assert all(r.parent_id in by_id or r.parent_id is None for r in records)
-
-
-def test_parallel_determinism_of_merged_trace(system_b, force_fan_out):
-    """Two identical parallel runs merge worker spans in the same order."""
-    obs.enable()
-
-    def run_and_snapshot():
-        obs.reset()
-        result = _campaign(system_b, workers=2).run()
-        if result.stats.parallel_fallback:
-            pytest.skip("no process pool available in this environment")
-        assert result.stats.workers == 2
-        return [
-            (r.name, r.attrs.get("job"), r.attrs.get("component"))
-            for r in obs.tracer().records()
-            if r.name == "campaign.job"
-        ]
-
-    assert run_and_snapshot() == run_and_snapshot()
-
-
-def test_parallel_fallback_stats_and_spans_not_double_counted(
-    system_b, monkeypatch, force_fan_out
-):
-    import concurrent.futures
-
-    class _NoPool:
-        def __init__(self, *args, **kwargs):
-            raise OSError("process pools forbidden in this test")
-
-    obs.enable()
-    reference = _campaign(system_b).run()
-    obs.reset()
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    result = _campaign(system_b, workers=3).run()
-    stats = result.stats
-    assert stats.parallel_fallback is True
-    assert stats.workers == 1
-    assert obs.counter("campaign_parallel_fallbacks").value == 1
-
-    # The serial re-run must not double-count anything: counters and span
-    # counts equal a plain serial campaign's.
-    for name in CampaignStats._COUNTER_FIELDS:
-        assert getattr(stats, name) == getattr(reference.stats, name), name
-    assert len(_job_spans(obs.tracer().records())) == stats.jobs
-    _assert_counters_match(stats)
-    assert [
-        (r.component, r.failure_mode, r.safety_related) for r in result.rows
-    ] == [
-        (r.component, r.failure_mode, r.safety_related)
-        for r in reference.rows
-    ]
 
 
 def _per_call_seconds(call, calls=500):
@@ -229,14 +139,12 @@ def test_tracing_overhead_below_five_percent(system_b):
     obs.reset()
     jobs = campaign.run().stats.jobs
     spans = len(obs.tracer().records())
-    metrics = obs.registry().snapshot()
+    metrics = obs.registry().metrics()
     observations = sum(
-        sum(metric["counts"])
-        for metric in metrics.values()
-        if metric["type"] == "histogram"
+        metric.count for metric in metrics if isinstance(metric, Histogram)
     )
     updates = sum(
-        1 for metric in metrics.values() if metric["type"] != "histogram"
+        1 for metric in metrics if not isinstance(metric, Histogram)
     )
     assert spans > jobs and observations >= jobs
 

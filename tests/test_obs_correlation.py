@@ -6,7 +6,7 @@ Acceptance surface:
 - two concurrent analysis-service jobs stream disjoint, correctly-ordered
   event sequences on their own ``/jobs/<id>/events`` endpoints;
 - every event and ledger entry a job produces carries the job's
-  correlation id, pool-worker events included;
+  correlation id;
 - a forced failure burst shows as failed jobs on ``/healthz`` and leaves
   the next computed job's ledger entry untouched;
 - ledger entries recorded with the former ``meta.slo`` verdict still
@@ -143,18 +143,6 @@ class TestEventCid:
         assert len(view) == 4
         assert [e.payload["index"] for e in view] == [6, 7, 8, 9]
 
-    def test_ingest_preserves_cid(self):
-        worker = EventBus()
-        worker.emit("from-worker", {"x": 1}, cid="c" * 16)
-        shipped = worker.drain_dicts()
-        parent = EventBus()
-        parent.emit("parent-first", {})
-        parent.ingest(shipped)
-        ingested = parent.events(cid="c" * 16)
-        assert [e.type for e in ingested] == ["from-worker"]
-        assert ingested[0].seq == 2  # re-sequenced after the parent event
-
-
 # -- spans -------------------------------------------------------------------
 
 
@@ -178,25 +166,12 @@ class TestSpanCorrelation:
         (record,) = obs.tracer().records()
         assert record.attrs["correlation_id"] == "0" * 16
 
-    def test_cid_attr_survives_worker_drain_ingest(self):
-        obs.enable()
-        with obs.correlation("e" * 16):
-            with obs.span("worker-side"):
-                pass
-        payload = obs.drain_worker_data()
-        assert payload["spans"]
-        obs.ingest_worker_data(payload)
-        (record,) = obs.tracer().records()
-        assert record.attrs["correlation_id"] == "e" * 16
-
-
 # -- structured logs: leveled events on the one stream -------------------------
 
 
 class TestStructuredLog:
     """A log line is an event with a level: the structured-log guarantees
-    (cid filter, JSONL export, re-sequencing, the worker delta path) hold
-    on the one event stream."""
+    (cid filter, JSONL export, levels) hold on the one event stream."""
 
     def test_cid_filter_and_jsonl_export(self, tmp_path):
         bus = EventBus()
@@ -215,23 +190,6 @@ class TestStructuredLog:
         assert line["payload"] == {"job": "j1"}
         assert line["level"] == "warning"
 
-    def test_drain_ingest_resequences_preserving_origin(self):
-        worker = EventBus()
-        worker.emit("pool_trouble", {}, cid="c" * 16, level="warning")
-        shipped = worker.drain_dicts()
-        assert worker.events() == []
-        parent = EventBus()
-        parent.emit("parent_line", {})
-        parent.ingest(shipped)
-        events = parent.events()
-        assert [e.seq for e in events] == [1, 2]
-        assert events[1].type == "pool_trouble"
-        assert events[1].cid == "c" * 16
-        assert events[1].level == "warning"
-        assert (events[1].ts, events[1].pid) == (
-            shipped[0]["ts"], shipped[0]["pid"],
-        )
-
     def test_obs_log_is_gated_and_stamps_cid(self):
         with obs.correlation("d" * 16):
             obs.emit_event("dropped_while_disabled", level="error")
@@ -243,20 +201,6 @@ class TestStructuredLog:
         assert event.cid == "d" * 16
         assert event.level == "error"
         assert event.payload == {"detail": 1}
-
-    def test_logs_ride_the_worker_delta_protocol(self):
-        obs.enable()
-        obs.enable_events()
-        with obs.correlation("b" * 16):
-            obs.emit_event("worker_side_failure", level="error")
-        payload = obs.drain_worker_data()
-        assert set(payload) == {"spans", "metrics", "events"}
-        assert obs.event_bus().events() == []
-        obs.ingest_worker_data(payload)
-        (event,) = obs.event_bus().events()
-        assert event.type == "worker_side_failure"
-        assert event.level == "error"
-        assert event.cid == "b" * 16
 
     def test_record_round_trip(self):
         event = Event(seq=3, type="m", ts=1.5, pid=7, payload={"k": "v"},
@@ -313,8 +257,7 @@ class TestConsoleProgressEta:
         progress(_chunk(1, 2, 5.0))
         progress(_chunk(2, 2, 1.0))
         progress(Event(seq=10, type="campaign_started", ts=0.0, pid=1,
-                       payload={"system": "s", "analysis": "dc", "jobs": 1,
-                                "workers": 1, "strategy": "fixed"}))
+                       payload={"system": "s", "analysis": "dc", "jobs": 1}))
         progress(_chunk(1, 1, 0.5))
         assert "eta=--:--" in stream.getvalue().splitlines()[-1]
 
@@ -393,7 +336,7 @@ def test_recorded_slo_meta_passes_the_gate(
     assert after.content_digest == before.content_digest
 
 
-# -- campaign + pool-worker correlation --------------------------------------
+# -- campaign correlation ----------------------------------------------------
 
 
 class TestCampaignCorrelation:
@@ -423,25 +366,6 @@ class TestCampaignCorrelation:
             ledger = AnalysisLedger(tmp_path / "ledger.jsonl")
             entry = record_fmea(ledger, result, model=psu_simulink)
         assert entry.meta["correlation_id"] == cid
-
-    def test_pool_worker_events_carry_the_campaign_cid(
-        self, psu_simulink, psu_reliability, force_fan_out
-    ):
-        from repro.safety.campaign import FaultInjectionCampaign
-
-        obs.enable_events()
-        cid = obs.mint_correlation_id()
-        FaultInjectionCampaign(
-            psu_simulink, psu_reliability, sensors=["CS1"],
-            assume_stable=ASSUMED_STABLE, workers=2, correlation_id=cid,
-        ).run()
-        events = obs.event_bus().events()
-        heartbeats = [e for e in events if e.type == "worker_heartbeat"]
-        assert heartbeats, "the campaign never fanned out"
-        parent_pid = events[0].pid
-        assert any(e.pid != parent_pid for e in heartbeats)
-        assert all(e.cid == cid for e in heartbeats)
-        assert all(e.cid == cid for e in events)
 
     def test_ledger_digest_ignores_the_correlation_stamp(
         self, tmp_path, psu_simulink, psu_reliability, psu_fmea

@@ -2,16 +2,14 @@
 
 The acceptance gate for the observability PR: a campaign run with the
 event plane enabled must emit a monotonically increasing progress stream
-whose final ``done`` equals ``CampaignStats.jobs`` (serially and through
-a process pool, with worker heartbeats shipped back over the existing
-drain/ingest path), ``/metrics`` must round-trip through
+whose final ``done`` equals ``CampaignStats.jobs``, ``/metrics`` must
+round-trip through
 ``parse_prometheus_text`` *while the campaign is still running*, and the
 SSE stream must be well-formed per the EventSource framing rules.
 """
 
 import http.client
 import json
-import os
 import threading
 import time
 
@@ -124,20 +122,6 @@ class TestEventBus:
         assert [r["type"] for r in records] == ["one", "two"]
         assert records[0]["payload"] == {"a": 1}
 
-    def test_drain_ingest_resequences_but_keeps_origin(self):
-        worker = EventBus()
-        worker.emit("worker_heartbeat", {"chunk_jobs": 3})
-        shipped = worker.drain_dicts()
-        assert worker.events() == []  # drain empties the worker buffer
-        parent = EventBus()
-        parent.emit("campaign_started", {})
-        ingested = parent.ingest(shipped)
-        assert [e.seq for e in parent.events()] == [1, 2]
-        assert ingested[0].type == "worker_heartbeat"
-        # origin pid/ts are preserved; only seq is re-assigned by the parent
-        assert ingested[0].pid == shipped[0]["pid"]
-        assert ingested[0].ts == shipped[0]["ts"]
-
     def test_event_roundtrip(self):
         event = Event(seq=7, type="x", ts=1.5, pid=42, payload={"k": "v"})
         assert Event.from_dict(event.to_dict()) == event
@@ -156,7 +140,7 @@ class TestCampaignEvents:
         events = []
         obs.event_bus().add_callback(events.append)
         try:
-            stats = _campaign(system_b, workers=1).run().stats
+            stats = _campaign(system_b).run().stats
         finally:
             obs.event_bus().remove_callback(events.append)
         types = [e.type for e in events]
@@ -170,41 +154,14 @@ class TestCampaignEvents:
         assert dones[-1] == stats.jobs
         assert all(b > a for a, b in zip(dones, dones[1:]))
 
-    def test_parallel_progress_and_heartbeats_from_pool(
-        self, system_b, force_fan_out
-    ):
-        obs.enable_events()
-        collected = []
-        obs.event_bus().add_callback(collected.append)
-        try:
-            result = _campaign(
-                system_b, workers=2
-            ).run()
-        finally:
-            obs.event_bus().remove_callback(collected.append)
-        stats = result.stats
-        if stats.parallel_fallback:
-            pytest.skip("no process pool available on this platform")
-        assert stats.workers == 2
-        dones = [
-            e.payload["done"]
-            for e in collected
-            if e.type == "chunk_completed"
-        ]
-        assert all(b > a for a, b in zip(dones, dones[1:]))
-        assert dones[-1] == stats.jobs
-        heartbeats = [e for e in collected if e.type == "worker_heartbeat"]
-        assert heartbeats, "workers should ship heartbeats back to the parent"
-        assert all(h.pid != os.getpid() for h in heartbeats)
-
     def test_events_off_costs_nothing_visible(self, system_b):
         # Flag check only: with the plane disabled a campaign emits nothing.
-        _campaign(system_b, workers=1).run()
+        _campaign(system_b).run()
         assert obs.event_bus().events() == []
 
     def test_job_wall_percentiles_published(self, system_b):
         obs.enable()
-        stats = _campaign(system_b, workers=1).run().stats
+        stats = _campaign(system_b).run().stats
         assert 0.0 < stats.job_wall_p50 <= stats.job_wall_p95
         assert stats.job_wall_p95 <= stats.job_wall_p99
         histogram = obs.histogram("campaign_job_wall_seconds")
@@ -240,7 +197,7 @@ class TestLiveServer:
 
             obs.event_bus().add_callback(scrape)
             try:
-                stats = _campaign(system_b, workers=1).run().stats
+                stats = _campaign(system_b).run().stats
             finally:
                 obs.event_bus().remove_callback(scrape)
         assert scrapes, "expected at least one mid-run scrape"
@@ -255,7 +212,7 @@ class TestLiveServer:
     def test_healthz_reports_planes_and_campaign(self, system_b):
         obs.enable()
         obs.enable_events()
-        _campaign(system_b, workers=1).run()
+        _campaign(system_b).run()
         with LiveTelemetryServer() as server:
             host, port = server.address
             status, headers, body = _http_get(host, port, "/healthz")

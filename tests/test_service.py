@@ -11,7 +11,6 @@ cache-hit rate and a bounded cache-hit latency, and the HTTP surface
 
 import http.client
 import json
-import os
 import re
 import threading
 import time
@@ -153,17 +152,8 @@ MALFORMED_DERIVED = [
 ]
 
 
-#: Malformed campaign options, each refused at submit: (key, value).  A
-#: worker count is bounded by the CPU count, since each worker is a process.
+#: Malformed campaign options, each refused at submit: (key, value).
 MALFORMED_CAMPAIGN_CONFIG = [
-    ("workers", 512),
-    pytest.param(
-        "workers", (os.cpu_count() or 1) + 1, id="workers-above-cpu-count"
-    ),
-    ("workers", 0),
-    ("workers", "x"),
-    ("workers", 2.0),
-    ("workers", True),
     ("max_retries", "lots"),
     ("max_retries", -1),
     ("job_timeout", -1),
@@ -267,13 +257,9 @@ class TestRequestValidation:
 
     def test_campaign_config_bounds_accepted(self, fmea_payload):
         payload = json.loads(json.dumps(fmea_payload))
-        payload["config"].update(
-            workers=os.cpu_count() or 1, max_retries=0, job_timeout=0.5,
-        )
+        payload["config"].update(max_retries=0, job_timeout=0.5)
         AnalysisRequest.from_payload(payload)
-        payload["config"].update(
-            workers=None, max_retries=None, job_timeout=None,
-        )
+        payload["config"].update(max_retries=None, job_timeout=None)
         AnalysisRequest.from_payload(payload)
 
     def test_campaign_runs_the_fingerprinted_config(
@@ -927,7 +913,7 @@ class TestHTTPEndpoints:
         self, server, fmea_payload
     ):
         bad_config = json.loads(json.dumps(fmea_payload))
-        bad_config["config"]["workers"] = 0
+        bad_config["config"]["max_retries"] = -1
         for body in (b"{not json", json.dumps(bad_config).encode("utf-8")):
             for _ in range(2):
                 conn = http.client.HTTPConnection(*server.address, timeout=10)
