@@ -1,6 +1,5 @@
 """BENCH injection — batched fault-injection engine: naive vs incremental
-campaigns, plus the gate that each MNA solve rule wins where the system's
-size picks it.
+campaigns.
 
 Times the two execution strategies of
 :class:`repro.safety.campaign.FaultInjectionCampaign` on the paper's
@@ -9,19 +8,14 @@ networks (Section VI scale), checks the strategies produce row-for-row
 identical FMEA tables while timing them, and writes the measurements to
 ``BENCH_injection.json`` at the repo root.
 
-The system's size picks the solve rule of an incremental campaign
-(:func:`repro.circuit.backends.resolve_backend`): below
-``SPARSE_AUTO_MIN_SIZE`` unknowns a ``dense`` system solves every fault
-directly on a delta-stamped copy of its matrix; at or above it a
-``sparse`` system applies Woodbury updates to one SuperLU factorization.
-The bench pins each rule by moving that threshold, so each retained rule
-has a benchmarked case where it wins: on the power supply and System A
-the incremental run (dense, direct) is also timed with ``sparse`` pinned,
-and a fourth tier times the parameterized distribution-grid case study
-(:func:`~repro.casestudies.build_power_grid_simulink`, ~5k blocks /
-~2.5k MNA unknowns) pinned ``dense`` vs ``sparse`` over a seeded
-injection sample.  Every pinned run must agree row for row with naive
-re-assembly.
+An incremental campaign solves every fault by Woodbury updates of one
+factorization of the constant matrix; the system's size picks only that
+factorization's backend (:func:`repro.circuit.backends.resolve_backend`:
+dense LAPACK LU below ``SPARSE_AUTO_MIN_SIZE`` unknowns, SuperLU at or
+above).  A fourth tier times the parameterized distribution-grid case
+study (:func:`~repro.casestudies.build_power_grid_simulink`, ~5k blocks /
+~2.5k MNA unknowns) incremental vs naive over a seeded injection sample.
+Every incremental run must agree row for row with naive re-assembly.
 
 A primed-reuse probe times what the analysis service saves by keeping one
 :class:`~repro.circuit.PrimedSystem` per cached model: cold grid samples
@@ -31,11 +25,11 @@ Both walls go to ``BENCH_injection.json``, and ``meta.scaling.primed_reuse``
 (shared over fresh, budget 1) lets ``watch-regressions`` flag a reuse path
 that stops winning.  Beside it, ``meta.scaling.smw_base_solves`` counts
 the base solves (``factorization_reuses``) one SMW fault solve costs on a
-grid sample over a shared primed system, with the sparse rule pinned
-(budget 3): Newton runs in each fault's Woodbury basis and solves full
-length only to verify, so a fault pays its own column and the refinement
-passes of its verifying step.  A solver that went back to full-length
-solves every iteration would read ~5.
+grid sample over a shared primed system (budget 3): Newton runs in each
+fault's Woodbury basis and solves full length only to verify, so a fault
+pays its own column and the refinement passes of its verifying step.  A
+solver that went back to full-length solves every iteration would read
+~5.
 
 Acceptance (full mode):
 
@@ -44,9 +38,6 @@ Acceptance (full mode):
   ~107 MNA unknowns);
 - incremental runs at least as fast as naive on *every* classic case
   (speedup >= 1.0 per case, not just the largest);
-- the sparse backend beats the dense (direct) one by >= 3x on the grid
-  tier, and the dense (direct) one beats pinned sparse on the power
-  supply and System A;
 - a grid sample on the shared primed system beats one that primes its own;
 - an SMW fault solve costs at most 3 base solves (smoke mode too).
 
@@ -70,7 +61,6 @@ strategy inversions against the previous night's entries.
 measurement, so the performance story is a curve, not a point.
 """
 
-import contextlib
 import json
 import math
 import os
@@ -91,7 +81,7 @@ from repro.casestudies import (
     power_supply_reliability,
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
-from repro.circuit import PrimedSystem, backends
+from repro.circuit import PrimedSystem
 from repro.obs.ledger import fmea_rows_payload
 from repro.safety.campaign import FaultInjectionCampaign
 from repro.simulink import to_netlist
@@ -123,8 +113,6 @@ REUSE_BUDGET = 1.0
 #: again solved full-length every Newton iteration reads ~5.
 SMW_BASE_SOLVES_BUDGET = 3.0
 SPEEDUP_TARGET = 3.0
-#: Sparse vs dense backend on the grid tier (full mode).
-SPARSE_SPEEDUP_TARGET = 3.0
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_injection.json"
 
@@ -132,31 +120,6 @@ STRATEGIES = (
     ("naive", {"incremental": False}),
     ("incremental", {}),
 )
-
-#: Grid tier runs: (label, pinned backend or None for the size pick,
-#: campaign kwargs).
-GRID_BACKENDS = (
-    ("dense", "dense", {}),
-    ("sparse", "sparse", {}),
-    ("naive", None, {"incremental": False}),
-)
-
-#: Classic cases whose size picks the dense rule, also timed with the
-#: sparse rule pinned: the direct solve must win there.
-DIRECT_CASES = ("power_supply", "system_a")
-
-
-@contextlib.contextmanager
-def pinned_backend(backend):
-    """Make every system resolve to ``backend`` (``None``: leave the size
-    rule alone) by moving the dense/sparse threshold."""
-    saved = backends.SPARSE_AUTO_MIN_SIZE
-    if backend is not None:
-        backends.SPARSE_AUTO_MIN_SIZE = 0 if backend == "sparse" else 10**9
-    try:
-        yield
-    finally:
-        backends.SPARSE_AUTO_MIN_SIZE = saved
 
 
 def build_cases():
@@ -182,19 +145,16 @@ def build_cases():
     ]
 
 
-def time_campaign(
-    model, reliability, stable, kwargs, repeats=None, backend=None
-):
+def time_campaign(model, reliability, stable, kwargs, repeats=None):
     """Best-of-N wall time; returns (seconds, FmeaResult)."""
     best, result = math.inf, None
     for _ in range(REPEATS if repeats is None else repeats):
         campaign = FaultInjectionCampaign(
             model, reliability, assume_stable=stable, **kwargs
         )
-        with pinned_backend(backend):
-            start = time.perf_counter()
-            outcome = campaign.run()
-            elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        outcome = campaign.run()
+        elapsed = time.perf_counter() - start
         if elapsed < best:
             best, result = elapsed, outcome
     return best, result
@@ -236,12 +196,8 @@ _TRAJECTORY_KEYS = (
     "jobs",
     "naive_s",
     "incremental_s",
-    "dense_s",
-    "sparse_s",
     "speedup",
     "incremental_speedup",
-    "sparse_speedup",
-    "direct_speedup",
     "fresh_s",
     "shared_s",
     "reuse_speedup",
@@ -299,45 +255,27 @@ def _ledger_record(
 
 
 #: Extra measurement rounds folded in (per case) when incremental
-#: measures slower than naive, or the direct rule slower than pinned
-#: sparse — the small cases run in ~1.5 ms, where a single descheduling
-#: blip flips the ratio; more minima de-noise it.
+#: measures slower than naive — the small cases run in ~1.5 ms, where a
+#: single descheduling blip flips the ratio; more minima de-noise it.
 REMEASURE_ROUNDS = 0 if SMOKE else 2
 
 
-def _classic_gates_hold(runs):
-    """Whether a classic case's timings already pass its gates: incremental
-    at least as fast as naive, and the direct dense rule faster than
-    pinned sparse (when timed)."""
-    incremental_s = runs["incremental"][0]
-    sparse_s = runs.get("sparse", (math.inf,))[0]
-    return incremental_s <= runs["naive"][0] and incremental_s < sparse_s
-
-
 def _classic_cases(payload, table):
-    """Time the three classic cases over both execution strategies, plus
-    pinned sparse on the cases whose size picks the direct dense rule."""
+    """Time the three classic cases over both execution strategies."""
     for case, model, reliability, stable in build_cases():
-        arms = [(label, None, kwargs) for label, kwargs in STRATEGIES]
-        if case in DIRECT_CASES:
-            arms.append(("sparse", "sparse", {}))
-        runs = {label: (math.inf, None) for label, _, _ in arms}
+        runs = {label: (math.inf, None) for label, _ in STRATEGIES}
         for round_ in range(1 + REMEASURE_ROUNDS):
-            if round_ and _classic_gates_hold(runs):
+            if round_ and runs["incremental"][0] <= runs["naive"][0]:
                 break
-            for label, backend, kwargs in arms:
+            for label, kwargs in STRATEGIES:
                 seconds, result = time_campaign(
-                    model, reliability, stable, kwargs, backend=backend
+                    model, reliability, stable, kwargs
                 )
                 if seconds < runs[label][0]:
                     runs[label] = (seconds, result)
         naive_s = runs["naive"][0]
         incremental_s = runs["incremental"][0]
-        identical = all(
-            rows_identical(runs["naive"][1], runs[label][1])
-            for label in runs
-            if label != "naive"
-        )
+        identical = rows_identical(runs["naive"][1], runs["incremental"][1])
         assert identical, f"{case}: strategies disagree on FMEA rows"
         stats = runs["incremental"][1].stats
         entry = {
@@ -349,11 +287,6 @@ def _classic_cases(payload, table):
             "rows_identical": identical,
             "incremental_stats": stats.as_dict(),
         }
-        if "sparse" in runs:
-            entry["sparse_s"] = round(runs["sparse"][0], 6)
-            entry["direct_speedup"] = round(
-                runs["sparse"][0] / incremental_s, 3
-            )
         payload["cases"][case] = entry
         if LEDGER_PATH:
             _ledger_record(
@@ -372,10 +305,7 @@ def _classic_cases(payload, table):
                 "Naive(s)": f"{naive_s:.3f}",
                 "Incr(s)": f"{incremental_s:.3f}",
                 "Speedup": f"{naive_s / incremental_s:.2f}x",
-                "Sparse(s)": (
-                    f"{runs['sparse'][0]:.3f}" if "sparse" in runs else "-"
-                ),
-                "Direct": stats.direct_solves,
+                "Backend": stats.solver_backend,
                 "SMW": stats.smw_solves,
                 "Rebuilds": stats.full_rebuilds,
             }
@@ -383,38 +313,33 @@ def _classic_cases(payload, table):
 
 
 def _grid_case(payload):
-    """Time the distribution grid with the backend pinned dense (direct)
-    vs sparse (incremental, serial) plus a naive reference, over a seeded
-    injection sample; all three must agree row for row."""
+    """Time the distribution grid incremental (on the size-picked
+    factorization) vs naive over a seeded injection sample; both must agree
+    row for row."""
     model = build_power_grid_simulink(
         feeders=GRID_FEEDERS, sections_per_feeder=GRID_SECTIONS
     )
     reliability = power_network_reliability()
     stable = power_grid_injection_sample(model, k=GRID_SAMPLE_K, seed=0)
-    runs = {}
-    for label, backend, kwargs in GRID_BACKENDS:
-        seconds, result = time_campaign(
-            model, reliability, stable, kwargs,
-            repeats=GRID_REPEATS, backend=backend,
+    runs = {
+        label: time_campaign(
+            model, reliability, stable, kwargs, repeats=GRID_REPEATS
         )
-        runs[label] = (seconds, result)
-    identical = all(
-        rows_identical(runs["sparse"][1], runs[label][1])
-        for label in ("dense", "naive")
-    )
-    assert identical, "power_grid: solver backends disagree on FMEA rows"
-    stats = runs["sparse"][1].stats
+        for label, kwargs in STRATEGIES
+    }
+    identical = rows_identical(runs["naive"][1], runs["incremental"][1])
+    assert identical, "power_grid: strategies disagree on FMEA rows"
+    stats = runs["incremental"][1].stats
     entry = {
         "jobs": stats.jobs,
         "feeders": GRID_FEEDERS,
         "sections_per_feeder": GRID_SECTIONS,
         "sample_k": GRID_SAMPLE_K,
-        "dense_s": round(runs["dense"][0], 6),
-        "sparse_s": round(runs["sparse"][0], 6),
+        "incremental_s": round(runs["incremental"][0], 6),
         "naive_s": round(runs["naive"][0], 6),
-        "sparse_speedup": round(runs["dense"][0] / runs["sparse"][0], 3),
+        "speedup": round(runs["naive"][0] / runs["incremental"][0], 3),
         "rows_identical": identical,
-        "sparse_stats": stats.as_dict(),
+        "incremental_stats": stats.as_dict(),
     }
     payload["cases"]["power_grid"] = entry
     if LEDGER_PATH:
@@ -422,42 +347,38 @@ def _grid_case(payload):
             "power_grid",
             model,
             reliability,
-            runs["sparse"][1],
+            runs["incremental"][1],
             timings={label: round(runs[label][0], 6) for label in runs},
         )
     report_table(
         "BENCH injection grid",
-        "dense (direct) vs sparse (SMW) solve rule on the distribution grid",
+        "incremental vs naive on the distribution grid",
         format_rows(
             [
                 {
                     "Case": "power_grid",
                     "Jobs": stats.jobs,
-                    "Dense(s)": f"{runs['dense'][0]:.3f}",
-                    "Sparse(s)": f"{runs['sparse'][0]:.3f}",
+                    "Backend": stats.solver_backend,
+                    "Incr(s)": f"{runs['incremental'][0]:.3f}",
                     "Naive(s)": f"{runs['naive'][0]:.3f}",
-                    "Sparse/Dense": f"{entry['sparse_speedup']:.2f}x",
+                    "Speedup": f"{entry['speedup']:.2f}x",
                     "Batched": stats.batched_columns,
                     "Rebuilds": stats.full_rebuilds,
                 }
             ]
         ),
     )
-    return entry
 
 
 def _smw_base_solves(model, reliability, conversion):
     """Base solves per SMW fault solve (``factorization_reuses`` over
-    ``smw_solves``) of one grid sample on a shared primed system, with the
-    sparse rule pinned: the smoke grid is small enough to run dense."""
+    ``smw_solves``) of one grid sample on a shared primed system."""
     stable = power_grid_injection_sample(model, k=GRID_SAMPLE_K, seed=0)
-    with pinned_backend("sparse"):
-        primed = PrimedSystem(conversion.netlist)
-        run = FaultInjectionCampaign(
-            model, reliability, assume_stable=stable
-        ).run(conversion=conversion, primed=primed)
-    stats = run.stats
-    assert stats.solver_backend == "sparse" and stats.smw_solves > 0
+    primed = PrimedSystem(conversion.netlist)
+    stats = FaultInjectionCampaign(
+        model, reliability, assume_stable=stable
+    ).run(conversion=conversion, primed=primed).stats
+    assert stats.smw_solves > 0
     return stats.factorization_reuses / stats.smw_solves
 
 
@@ -573,12 +494,11 @@ def test_bench_injection():
         "repeats": REPEATS,
         "system_b_rails": SYSTEM_B_BENCH_RAILS,
         "speedup_target": SPEEDUP_TARGET,
-        "sparse_speedup_target": SPARSE_SPEEDUP_TARGET,
         "cases": {},
     }
     table = []
     _classic_cases(payload, table)
-    grid = _grid_case(payload)
+    _grid_case(payload)
     reuse = _primed_reuse_case(payload)
     base_solves = payload["meta"]["scaling"]["smw_base_solves"]
 
@@ -592,12 +512,7 @@ def test_bench_injection():
         SMOKE
         or (
             largest["speedup"] >= SPEEDUP_TARGET
-            and grid["sparse_speedup"] >= SPARSE_SPEEDUP_TARGET
             and reuse["shared_s"] < reuse["fresh_s"]
-            and all(
-                payload["cases"][case]["direct_speedup"] > 1.0
-                for case in DIRECT_CASES
-            )
             and all(
                 entry["incremental_speedup"] >= 1.0
                 for entry in classic.values()
@@ -632,17 +547,6 @@ def test_bench_injection():
             "batched engine must beat naive re-assembly by "
             f">= {SPEEDUP_TARGET}x on System B, got {largest['speedup']}x"
         )
-        assert grid["sparse_speedup"] >= SPARSE_SPEEDUP_TARGET, (
-            "sparse backend must beat dense by "
-            f">= {SPARSE_SPEEDUP_TARGET}x on the grid, "
-            f"got {grid['sparse_speedup']}x"
-        )
-        for case in DIRECT_CASES:
-            direct = payload["cases"][case]["direct_speedup"]
-            assert direct > 1.0, (
-                f"{case}: the direct dense solve must beat pinned sparse, "
-                f"got {direct}x"
-            )
         assert reuse["shared_s"] < reuse["fresh_s"], (
             "a grid sample on the shared primed system must beat one that "
             f"primes its own, got {reuse['reuse_speedup']}x"

@@ -12,15 +12,19 @@ factorization engine a pluggable *backend*:
   right-hand sides, solved in a single call.
 
 Both factorizations expose the same two-method surface (:meth:`solve` for a
-vector or a column block), so :class:`repro.circuit.mna.CompiledSystem`,
+vector or a column block), so :class:`repro.circuit.mna.CompiledSystem`
+(whose fault solves are Woodbury updates of either),
 :func:`repro.circuit.transient.transient` and
-:func:`repro.circuit.ac.ac_analysis` can share one code path.
+:func:`repro.circuit.ac.ac_analysis` can share one code path.  Both refuse
+an exactly singular matrix with :class:`FactorizationError`.
 
 The system's size alone picks the backend (:func:`resolve_backend`):
 sparse at or above :data:`SPARSE_AUTO_MIN_SIZE` unknowns, dense below —
 the measured crossover where SuperLU's setup cost is repaid by O(nnz)
-solves.  There is no option to override it; tests pin a backend by
-patching the threshold.
+solves.  The size picks only the factorization, never the algorithm on
+top of it.  There is no option to override it; tests pin a backend by
+patching the threshold.  A dense-only process never imports
+``scipy.sparse``.
 
 Observability: every factorization increments ``mna_dense_factorizations``
 or ``mna_sparse_factorizations``; batched multi-RHS solves add their column
@@ -36,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs as _get_lapack_funcs
-from scipy.linalg import lu_factor as _lu_factor
 
 from repro import obs
 from repro.circuit.netlist import CircuitError
@@ -118,25 +121,40 @@ def getrs_solver(lu: np.ndarray, piv: np.ndarray):
 
 
 class DenseFactorization(Factorization):
-    """LAPACK LU (``getrf``) — the historical dense path."""
+    """LAPACK LU (``getrf``) — the historical dense path.
 
-    __slots__ = ("_lu", "_solve", "size")
+    An exactly singular matrix (a zero pivot) raises
+    :class:`FactorizationError`, as SuperLU does on the sparse backend, so
+    callers latch the same fallback on either backend.
+    """
+
+    __slots__ = ("_solve", "size")
 
     backend = "dense"
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.size = int(matrix.shape[0])
-        try:
-            with np.errstate(all="ignore"):
-                self._lu = _lu_factor(matrix, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            # LinAlgError: singular; ValueError: non-finite entries rejected
-            # by the factorizer.  Both mean "no reusable factorization".
-            raise FactorizationError(str(exc)) from None
-        self._solve = getrs_solver(*self._lu)
+        if self.size == 0:
+            raise FactorizationError("cannot factorize an empty matrix")
+        # ``getrf`` itself: ``lu_factor`` only warns on a zero pivot, and
+        # silencing a warning is process-wide, not per thread.
+        (getrf,) = _get_lapack_funcs(("getrf",), (matrix,))
+        lu, piv, info = getrf(matrix, overwrite_a=False)
+        if info > 0:
+            raise FactorizationError(
+                f"singular matrix: U[{info - 1},{info - 1}] is exactly zero"
+            )
+        self._solve = getrs_solver(lu, piv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs)
+        if rhs.ndim == 1:
+            return self._solve(rhs)
+        # One ``getrs`` per column: OpenBLAS hands a multi-column ``getrs``
+        # to its thread pool, whose wake-up costs milliseconds where a
+        # column of a small system costs microseconds.
+        return np.column_stack(
+            [self._solve(rhs[:, col]) for col in range(rhs.shape[1])]
+        )
 
 
 class SparseFactorization(Factorization):
@@ -203,10 +221,13 @@ def factorize(matrix, backend: str) -> Factorization:
     if backend == "sparse":
         factorization: Factorization = SparseFactorization(matrix)
     elif backend == "dense":
-        from scipy.sparse import issparse
+        # A dense caller passes an ndarray: only anything else may need
+        # scipy.sparse, which a dense-only process then never imports.
+        if not isinstance(matrix, np.ndarray):
+            from scipy.sparse import issparse
 
-        if issparse(matrix):
-            matrix = matrix.toarray()
+            if issparse(matrix):
+                matrix = matrix.toarray()
         factorization = DenseFactorization(np.asarray(matrix))
     else:
         raise CircuitError(

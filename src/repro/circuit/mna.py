@@ -17,22 +17,20 @@ Performance layers on top of the plain solver:
   maps: a reading indexes the vector, and the per-node and per-branch
   dicts are built only when read;
 - :class:`PrimedSystem` is the per-netlist part of the fault-injection
-  solver, immutable once primed: index maps, the constant matrix (dense,
-  or CSC with its SuperLU factorization), the baseline operating point
-  and its diode biases, and on the sparse rule ``A0⁻¹b0`` and the diode
-  directions' ``A0⁻¹u`` columns with their Woodbury ``S`` block.  Runs
-  over one netlist share it — the analysis service keeps one per cached
-  model;
+  solver, immutable once primed: index maps, the constant matrix and its
+  factorization, the baseline operating point and its diode biases,
+  ``A0⁻¹b0`` and the diode directions' ``A0⁻¹u`` columns with their
+  Woodbury ``S`` block.  Runs over one netlist share it — the analysis
+  service keeps one per cached model;
 - :class:`CompiledSystem` is the per-run solver over a primed system: it
   solves single-element replacements (the fault injection workload)
   without rebuilding the netlist, and keeps its own :class:`SolveStats`
-  and the columns of its own faults.  The system's size picks one rule
-  (:func:`repro.circuit.backends.resolve_backend`): a dense system
-  delta-stamps a copy of the cached constant matrix and solves it
-  directly; a sparse system applies low-rank Sherman–Morrison–Woodbury
-  updates to the primed SuperLU factorization.  Both fall back to exact
-  full re-assembly whenever a replacement changes the system topology (new
-  or removed branch unknowns, orphaned nodes) or the solve turns out
+  and the update basis of its latest fault.  Every fault is a low-rank
+  Sherman–Morrison–Woodbury update of the primed factorization; the
+  system's size picks only that factorization's backend (dense LAPACK or
+  SuperLU, :func:`repro.circuit.backends.resolve_backend`).  A fault falls
+  back to exact full re-assembly whenever it changes the system topology
+  (new or removed branch unknowns, orphaned nodes) or the solve turns out
   numerically unstable.
 """
 
@@ -43,6 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from repro import obs
 from repro.circuit import backends as _backends
@@ -556,7 +555,7 @@ def dc_operating_point(
 
 
 # ---------------------------------------------------------------------------
-# Compiled systems: direct delta-stamp and low-rank fault solves
+# Compiled systems: low-rank fault solves
 # ---------------------------------------------------------------------------
 
 
@@ -570,7 +569,6 @@ class SolveStats:
     smw_solves: int = 0  # solutions via Sherman–Morrison–Woodbury updates
     full_rebuilds: int = 0  # fault solves that fell back to full assembly
     baseline_reuses: int = 0  # faults electrically identical to the baseline
-    direct_solves: int = 0  # dense-system solves by direct delta-stamp
     batched_columns: int = 0  # RHS columns solved through multi-RHS blocks
 
     def merge(self, other: "SolveStats") -> None:
@@ -580,7 +578,6 @@ class SolveStats:
         self.smw_solves += other.smw_solves
         self.full_rebuilds += other.full_rebuilds
         self.baseline_reuses += other.baseline_reuses
-        self.direct_solves += other.direct_solves
         self.batched_columns += other.batched_columns
 
     def to_dict(self) -> Dict[str, int]:
@@ -591,7 +588,6 @@ class SolveStats:
             "smw_solves": self.smw_solves,
             "full_rebuilds": self.full_rebuilds,
             "baseline_reuses": self.baseline_reuses,
-            "direct_solves": self.direct_solves,
             "batched_columns": self.batched_columns,
         }
 
@@ -604,23 +600,26 @@ class _SmwFallback(Exception):
 _MIN_GAIN = 1e-18
 
 
+(_gesv,) = get_lapack_funcs(("gesv",), (np.zeros((1, 1)),))
+
+
 def _capacitance_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a small Woodbury capacitance system: LAPACK ``gesv``, an LU
     with partial pivoting.  Pivoting matters: the diagonal mixes ``1/g``
     terms spanning many orders of magnitude, so closed-form (Cramer)
-    solutions lose enough digits to trip the residual check.  At the rank
-    counts seen here (K = 9 on the grid) one call costs ~6 µs, a quarter
-    of a pure-Python elimination.  Raises :class:`_SmwFallback` when the
-    matrix is singular."""
-    try:
-        with np.errstate(all="ignore"):
-            return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError:
-        raise _SmwFallback from None
+    solutions lose enough digits to trip the residual check.  ``gesv`` is
+    called directly, not through ``np.linalg.solve``, whose wrapper costs
+    more than the solve at these rank counts (K = 1 to 9); Newton calls
+    this once per iteration.  ``matrix`` is overwritten.  Raises
+    :class:`_SmwFallback` when the matrix is singular."""
+    _, _, solution, info = _gesv(matrix, rhs, overwrite_a=True)
+    if info != 0:
+        raise _SmwFallback
+    return solution
 
 
 class _UpdateBasis:
-    """The update directions ``U`` of a sparse fault solve, with their
+    """The update directions ``U`` of a fault solve, with their
     solved columns ``W = A0⁻¹U`` (n × K) and ``S = UᵀW`` (K × K).
 
     A direction ``u = e_i - e_j`` is an index pair (-1: ground).  Built
@@ -633,10 +632,7 @@ class _UpdateBasis:
     )
 
     def __init__(
-        self,
-        pairs: List[Tuple[int, int]],
-        columns: np.ndarray,
-        gram: Optional[np.ndarray] = None,
+        self, pairs: List[Tuple[int, int]], columns: np.ndarray
     ) -> None:
         self.pairs = pairs
         self.columns = columns
@@ -646,7 +642,7 @@ class _UpdateBasis:
         self._pos = pos[self._pos_at]
         self._neg_at = np.flatnonzero(neg >= 0)
         self._neg = neg[self._neg_at]
-        self.gram = self.project(columns) if gram is None else gram
+        self.gram = self.project(columns)
 
     def project(self, block: np.ndarray) -> np.ndarray:
         """``Uᵀ block`` for a vector or an n × m block."""
@@ -663,34 +659,29 @@ class _UpdateBasis:
     def extend(
         self, pairs: List[Tuple[int, int]], columns: np.ndarray
     ) -> "_UpdateBasis":
-        """This basis followed by ``pairs``, whose columns are ``columns``;
-        only the new rows and columns of ``S`` are computed."""
-        tail = _UpdateBasis(pairs, columns)
-        if not self.pairs:
-            return tail
-        gram = np.block([
-            [self.gram, self.project(columns)],
-            [tail.project(self.columns), tail.gram],
-        ])
+        """This basis followed by ``pairs``, whose solved columns are
+        ``columns`` (``S`` is a gather of 2K rows of ``W``, whatever the
+        system size)."""
         return _UpdateBasis(
-            self.pairs + pairs, np.hstack([self.columns, columns]), gram
+            self.pairs + pairs, np.hstack([self.columns, columns])
         )
 
-    def weights(self, gains: np.ndarray, projected: np.ndarray) -> np.ndarray:
+    def weights(self, gains: List[float], projected: np.ndarray) -> np.ndarray:
         """Woodbury weights ``w`` with ``x = y - W w`` solving
         ``(A0 + U diag(gains) Uᵀ) x = A0 y``, given ``projected = Uᵀy``.
         Directions whose gain is 0 drop out (their weight is 0)."""
-        k = len(self.pairs)
-        kept = np.flatnonzero(gains)
-        weights = np.zeros(k)
-        if not len(kept):
-            return weights
-        if len(kept) == k:
+        if 0.0 not in gains:
             capacitance = self.gram.copy()
-        else:
+            capacitance.flat[:: len(gains) + 1] += [1.0 / g for g in gains]
+            return _capacitance_solve(capacitance, projected)
+        kept = [a for a, g in enumerate(gains) if g]
+        weights = np.zeros(len(self.pairs))
+        if kept:
             capacitance = self.gram[np.ix_(kept, kept)]
-        capacitance.flat[:: len(kept) + 1] += 1.0 / gains[kept]
-        weights[kept] = _capacitance_solve(capacitance, projected[kept])
+            capacitance.flat[:: len(kept) + 1] += [
+                1.0 / gains[a] for a in kept
+            ]
+            weights[kept] = _capacitance_solve(capacitance, projected[kept])
         return weights
 
 
@@ -736,14 +727,13 @@ class PrimedSystem:
 
     - the MNA index maps (:class:`_System`) and the node reference counts
       the update planner checks;
-    - the constant matrix for the rule the system's size picks — dense, or
-      CSC factored once with SuperLU (a failed factorization is latched:
-      every solve then falls back to full assembly);
+    - the constant matrix, dense or CSC as the system's size picks, and
+      its factorization by that backend (a failed factorization is
+      latched: every solve then falls back to full assembly);
     - the healthy baseline operating point (or the error that stopped it)
       and its diode biases for Newton warm starts;
-    - on the sparse rule, ``A0⁻¹b0`` and the diode directions' ``A0⁻¹u``
-      columns (one multi-RHS solve) with their block of the Woodbury
-      ``S = UᵀA0⁻¹U``.
+    - ``A0⁻¹b0`` and the diode directions' ``A0⁻¹u`` columns (one
+      multi-RHS solve) with their block of the Woodbury ``S = UᵀA0⁻¹U``.
 
     After that a primed system never changes, so every run over the same
     netlist — concurrent service jobs included — can share one, each
@@ -790,11 +780,11 @@ class PrimedSystem:
         self.baseline_error = ""
         #: Converged baseline diode biases, for Newton warm starts.
         self.warm_vd: Dict[str, float] = {}
-        #: Sparse rule: ``A0⁻¹b0``, the constant system's solution, which
-        #: every fault that leaves the RHS alone starts from.
+        #: ``A0⁻¹b0``, the constant system's solution, which every fault
+        #: that leaves the RHS alone starts from.
         self.static_solution: Optional[np.ndarray] = None
-        #: Sparse rule: the diode directions with their columns and ``S``
-        #: block, the head of every fault's update basis.
+        #: The diode directions with their columns and ``S`` block, the
+        #: head of every fault's update basis.
         self.diode_basis: Optional[_UpdateBasis] = None
         #: A0^{-1} u for the priming directions, keyed by (pos, neg) index.
         self.columns: Dict[Tuple[int, int], np.ndarray] = {}
@@ -804,10 +794,7 @@ class PrimedSystem:
             size=self.size,
             **{"solver.backend": self.backend},
         ):
-            if self.backend == "sparse":
-                self._factor = self._factorize()
-            else:
-                self.system.assemble_constant()
+            self._factor = self._factorize()
             # The baseline is solved like any fault, by a solver over this
             # system; what that solve counts and caches becomes the priming.
             priming = CompiledSystem(self)
@@ -826,17 +813,24 @@ class PrimedSystem:
                 }
             self.stats = priming.stats
 
+    @property
+    def matrix(self):
+        """The constant matrix ``A0``: CSC on the sparse backend, dense
+        otherwise (cached on the system; callers must not mutate it)."""
+        if self.backend == "sparse":
+            return self.system.assemble_constant_csc()
+        return self.system.assemble_constant()[0]
+
     def _factorize(self) -> Optional[_backends.Factorization]:
-        """SuperLU factors of the constant CSC matrix, or ``None`` (counted
-        and latched) when the matrix is singular or non-finite."""
-        matrix = self.system.assemble_constant_csc()
+        """The backend's factors of the constant matrix, or ``None``
+        (counted and latched) when the matrix is singular or non-finite."""
         with obs.span(
             "mna.factorize",
             size=self.size,
-            **{"solver.backend": "sparse"},
+            **{"solver.backend": self.backend},
         ):
             try:
-                return _backends.factorize(matrix, "sparse")
+                return _backends.factorize(self.matrix, self.backend)
             except _backends.FactorizationError as exc:
                 if obs.enabled():
                     obs.counter("mna_lu_failures").inc()
@@ -848,8 +842,8 @@ class PrimedSystem:
                         pass
                 return None
 
-    def _ensure_sparse(self) -> _backends.Factorization:
-        """The cached SuperLU factorization of the constant CSC matrix.
+    def _factorization(self) -> _backends.Factorization:
+        """The cached factorization of the constant matrix.
 
         A singular or non-finite constant matrix was latched at priming:
         every solve falls back to full assembly without re-trying the
@@ -1037,23 +1031,19 @@ class CompiledSystem:
     is passed in (its ``gmin`` applies).  The healthy operating point and
     any fault expressible as a same-node element replacement (shorts,
     resistive degradations, parameter drifts, opens that leave no node
-    orphaned) are then solved without rebuilding the netlist, by the one
-    rule the system's size picks (``backend``):
+    orphaned) are then solved without rebuilding the netlist.  Each fault
+    is a low-rank Sherman–Morrison–Woodbury update of the primed
+    factorization, with diode companion models folded into the update as
+    rank-one terms.  Newton runs on the K update directions' projections
+    ``Uᵀx`` until it converges, then verifies with full-length refined,
+    residual-checked solves (:class:`_WoodburyNewton`).  The system's size
+    picks only the factorization's ``backend``: dense LAPACK LU below
+    :data:`~repro.circuit.backends.SPARSE_AUTO_MIN_SIZE` unknowns, SuperLU
+    at or above.
 
-    - ``dense`` (below :data:`~repro.circuit.backends.SPARSE_AUTO_MIN_SIZE`
-      unknowns): the fault's deltas are stamped onto a copy of the cached
-      matrix and LAPACK solves it directly, Newton warm-started from the
-      baseline diode biases;
-    - ``sparse``: each fault is a low-rank Sherman–Morrison–Woodbury
-      update of the primed SuperLU factorization, with diode companion
-      models folded into the update as rank-one terms.  Newton runs on
-      the K update directions' projections ``Uᵀx`` until it converges,
-      then verifies with full-length refined, residual-checked solves
-      (:class:`_SparseNewton`).
-
-    The solver owns only what one run adds: its ``stats`` and the
-    ``A0⁻¹u`` columns of its faults' update directions, which never enter
-    the shared primed system.
+    The solver owns only what one run adds: its ``stats`` and the update
+    basis of its latest fault's own directions, which never enter the
+    shared primed system.
 
     Whenever a fault changes the system topology (removing or retyping a
     branch element, orphaning a node) or an updated solve fails its residual
@@ -1074,9 +1064,10 @@ class CompiledSystem:
             self.primed = PrimedSystem(netlist, gmin)
             # This run paid for the priming: count it as its own work.
             self.stats = replace(self.primed.stats)
-        #: A0^{-1} u for this run's update directions beyond the primed ones.
-        self._columns: Dict[Tuple[int, int], np.ndarray] = {}
-        #: While priming (sparse): ``A0⁻¹b0`` and the diode basis it solved.
+        #: The latest fault's own directions and its update basis: a
+        #: component's failure modes run back to back and share them.
+        self._fault_basis: Tuple[tuple, Optional[_UpdateBasis]] = ((), None)
+        #: While priming: ``A0⁻¹b0`` and the diode basis it solved.
         self._priming: Optional[Tuple[np.ndarray, _UpdateBasis]] = None
 
     @property
@@ -1127,7 +1118,7 @@ class CompiledSystem:
                 self.stats.baseline_reuses += 1
                 return solution
             try:
-                return self._solve_plan(plan)
+                return self._solve_incremental(plan)
             except _SmwFallback:
                 pass
         self.stats.full_rebuilds += 1
@@ -1140,23 +1131,18 @@ class CompiledSystem:
         self.stats.solves += 1
         return solution
 
-    def _solve_plan(self, plan: _UpdatePlan) -> DCSolution:
-        if self.primed.backend == "dense":
-            return self._solve_direct(plan)
-        return self._solve_incremental(plan)
-
     def _solve_baseline(self) -> DCSolution:
         """Priming's healthy solve, by full assembly if the rule declines."""
         plan = _UpdatePlan(diodes=tuple(self.primed.system.diodes))
         try:
-            return self._solve_plan(plan)
+            return self._solve_incremental(plan)
         except _SmwFallback:
             self.stats.full_rebuilds += 1
             baseline = dc_operating_point(self.primed.netlist, self.primed.gmin)
             self.stats.solves += 1
             return baseline
 
-    # -- the sparse Woodbury solver ---------------------------------------
+    # -- the Woodbury solver ----------------------------------------------
 
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A0⁻¹ rhs`` through the cached factorization.
@@ -1165,11 +1151,11 @@ class CompiledSystem:
         one factorization, all columns solved in a single backend call.
         """
         try:
-            return self.primed._ensure_sparse().solve(rhs)
+            return self.primed._factorization().solve(rhs)
         except _backends.FactorizationError:
             raise _SmwFallback from None
 
-    def _solve_directions(
+    def _solve_columns(
         self, pairs: List[Tuple[int, int]], lead: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """``A0⁻¹ [lead | u_1 … u_m]`` for update directions, as ONE
@@ -1192,22 +1178,26 @@ class CompiledSystem:
             obs.counter("mna_batched_rhs_columns").inc(len(pairs))
         return solved
 
-    def _solved_columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
-        """``A0⁻¹ u`` columns (n × len(pairs)) for a fault's own update
-        directions, the uncached ones solved as one block.
+    def _basis_for(
+        self, diode_basis: _UpdateBasis, own: List[Tuple[int, int]]
+    ) -> _UpdateBasis:
+        """The primed diode basis followed by a fault's own directions,
+        whose ``A0⁻¹ u`` columns are solved as one block.
 
-        A column this run solves stays in the run's own cache; the primed
-        diode columns live in the primed system's ``diode_basis``.
+        The run keeps the latest one: the failure modes of a component
+        are enumerated back to back and update the same directions.  It
+        never enters the shared primed system.
         """
-        own = self._columns
-        missing = list(dict.fromkeys(p for p in pairs if p not in own))
-        if missing:
-            solved = self._solve_directions(missing)
-            for col, pair in enumerate(missing):
-                own[pair] = np.ascontiguousarray(solved[:, col])
-        return np.column_stack([own[pair] for pair in pairs])
+        key = tuple(own)
+        if not key:
+            return diode_basis
+        if self._fault_basis[0] != key:
+            self._fault_basis = (
+                key, diode_basis.extend(own, self._solve_columns(own))
+            )
+        return self._fault_basis[1]
 
-    def _sparse_priming(self) -> Tuple[np.ndarray, _UpdateBasis]:
+    def _primed_basis(self) -> Tuple[np.ndarray, _UpdateBasis]:
         """The primed system's ``A0⁻¹b0`` and diode basis, solved here when
         this solver is the one priming: the constant RHS and the diode
         directions go through the factorization as one block."""
@@ -1220,7 +1210,7 @@ class CompiledSystem:
                 primed._direction(d.node_pos, d.node_neg)
                 for d in system.diodes
             ))
-            solved = self._solve_directions(pairs, system.constant_rhs())
+            solved = self._solve_columns(pairs, system.constant_rhs())
             self._priming = (
                 np.ascontiguousarray(solved[:, 0]),
                 _UpdateBasis(pairs, np.ascontiguousarray(solved[:, 1:])),
@@ -1230,7 +1220,7 @@ class CompiledSystem:
     def _woodbury(
         self,
         basis: _UpdateBasis,
-        gains: np.ndarray,
+        gains: List[float],
         rhs: np.ndarray,
         y: Optional[np.ndarray] = None,
     ) -> np.ndarray:
@@ -1243,7 +1233,7 @@ class CompiledSystem:
         if y is None:
             y = self._base_solve(rhs)
             self.stats.factorization_reuses += 1
-        if not gains.any():
+        if not any(gains):
             return y
         return y - basis.columns @ basis.weights(gains, basis.project(y))
 
@@ -1264,102 +1254,6 @@ class CompiledSystem:
             )
             return solution
 
-    # -- the direct dense-system solver -----------------------------------
-
-    def _solve_direct(self, plan: _UpdatePlan) -> DCSolution:
-        if not obs.enabled():
-            return self._solve_direct_impl(plan)
-        with obs.span(
-            "mna.direct_solve",
-            removed=plan.removed,
-            size=self.primed.size,
-            **{"solver.backend": self.backend},
-        ) as sp:
-            solution = self._solve_direct_impl(plan)
-            sp.set(iterations=solution.iterations)
-            return solution
-
-    def _solve_direct_impl(self, plan: _UpdatePlan) -> DCSolution:
-        """Delta-stamp the cached constant matrix and solve densely.
-
-        Below the sparse threshold the Woodbury bookkeeping (capacitance
-        system, residual check, refinement passes) costs more than one
-        LAPACK solve per Newton iteration.  The plan's deltas are applied
-        to a copy of the cached assembly — so the per-fault cost is a small
-        matrix copy plus ``np.linalg.solve``, with no netlist rebuild and
-        a warm-started Newton iteration — while exactness still comes from
-        solving the fully-assembled faulty system.
-        """
-        system = self.primed.system
-        base_matrix, base_rhs = system.assemble_constant()
-        matrix_static = base_matrix.copy()
-        rhs_static = base_rhs.copy()
-        for n_pos, n_neg, delta_g in plan.conductance:
-            system._stamp_conductance(matrix_static, n_pos, n_neg, delta_g)
-        for n_from, n_to, delta_i in plan.rhs_current:
-            system._stamp_current(rhs_static, n_from, n_to, delta_i)
-        for row, delta_v in plan.rhs_branch:
-            rhs_static[row] += delta_v
-        for row, delta in plan.branch_diag:
-            matrix_static[row, row] += delta
-
-        diodes = list(plan.diodes)
-        warm = self.primed.warm_vd
-        diode_voltages = {d.name: warm.get(d.name, 0.6) for d in diodes}
-
-        solution_vector: Optional[np.ndarray] = None
-        iterations = 0
-        for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-            if diodes:
-                matrix = matrix_static.copy()
-                rhs = rhs_static.copy()
-                for diode in diodes:
-                    g, ieq = _System._diode_companion(
-                        diode, diode_voltages[diode.name]
-                    )
-                    system._stamp_conductance(
-                        matrix, diode.node_pos, diode.node_neg, g
-                    )
-                    system._stamp_current(
-                        rhs, diode.node_pos, diode.node_neg, ieq
-                    )
-            else:
-                matrix = matrix_static
-                rhs = rhs_static
-            try:
-                with np.errstate(all="ignore"):
-                    vector = np.linalg.solve(matrix, rhs)
-            except np.linalg.LinAlgError:
-                raise _SmwFallback from None
-            if not np.all(np.isfinite(vector)):
-                raise _SmwFallback
-            if not diodes:
-                solution_vector = vector
-                break
-            converged = True
-            for diode in diodes:
-                old_vd = diode_voltages[diode.name]
-                new_vd = system.diode_voltage(vector, diode)
-                step = new_vd - old_vd
-                if abs(step) > _MAX_DIODE_STEP:
-                    new_vd = old_vd + math.copysign(_MAX_DIODE_STEP, step)
-                    converged = False
-                elif abs(step) > _NEWTON_TOLERANCE:
-                    converged = False
-                diode_voltages[diode.name] = new_vd
-            solution_vector = vector
-            if converged:
-                break
-        else:
-            # The full path would not converge either, but let it make that
-            # call (and raise its canonical error) itself.
-            raise _SmwFallback
-
-        self.stats.solves += 1
-        self.stats.newton_iterations += iterations
-        self.stats.direct_solves += 1
-        return system.to_solution(solution_vector, iterations)
-
     def _solve_incremental_impl(
         self, plan: _UpdatePlan
     ) -> Tuple[DCSolution, int]:
@@ -1378,8 +1272,8 @@ class CompiledSystem:
         """
         primed = self.primed
         system = primed.system
-        primed._ensure_sparse()
-        static_solution, diode_basis = self._sparse_priming()
+        primed._factorization()
+        static_solution, diode_basis = self._primed_basis()
 
         if plan.rhs_current or plan.rhs_branch:
             rhs_static = system.constant_rhs().copy()
@@ -1421,13 +1315,11 @@ class CompiledSystem:
         diode_slots = [
             slot(primed._direction(d.node_pos, d.node_neg)) for d in diodes
         ]
-        own = directions[len(diode_basis.pairs):]
-        basis = (
-            diode_basis.extend(own, self._solved_columns(own))
-            if own else diode_basis
+        basis = self._basis_for(
+            diode_basis, directions[len(diode_basis.pairs):]
         )
 
-        newton = _SparseNewton(
+        newton = _WoodburyNewton(
             self, basis, static_gains, diodes, diode_slots,
             rhs_static, y_static,
         )
@@ -1460,20 +1352,21 @@ class CompiledSystem:
     def _residual(
         self,
         basis: _UpdateBasis,
-        gains: np.ndarray,
+        gains: List[float],
         vector: np.ndarray,
         rhs: np.ndarray,
     ) -> np.ndarray:
-        """rhs - (A0 + U diag(gains) Uᵀ) @ vector (``A0`` in CSC form, so
-        large systems never materialise the dense constant matrix)."""
-        residual = rhs - self.primed.system.assemble_constant_csc() @ vector
-        basis.spread(gains * basis.project(vector), residual)
+        """rhs - (A0 + U diag(gains) Uᵀ) @ vector, with ``A0`` in the form
+        the backend factored (CSC on the sparse backend, so large systems
+        never materialise the dense constant matrix)."""
+        residual = rhs - self.primed.matrix @ vector
+        basis.spread(np.multiply(gains, basis.project(vector)), residual)
         return residual
 
     def _refined_solve(
         self,
         basis: _UpdateBasis,
-        gains: np.ndarray,
+        gains: List[float],
         rhs: np.ndarray,
         y: np.ndarray,
     ) -> np.ndarray:
@@ -1489,14 +1382,14 @@ class CompiledSystem:
         the solve falls back to full assembly.
         """
         vector = self._woodbury(basis, gains, rhs, y)
-        scale = 1.0 + float(np.max(np.abs(rhs)))
+        scale = 1.0 + float(abs(rhs).max())
         target = 1e-12 * scale
         error = math.inf
         for attempt in range(_MAX_SMW_REFINEMENTS + 1):
-            if not np.all(np.isfinite(vector)):
+            if not np.isfinite(vector).all():
                 raise _SmwFallback
             residual = self._residual(basis, gains, vector, rhs)
-            error = float(np.max(np.abs(residual)))
+            error = float(abs(residual).max())
             if not math.isfinite(error):
                 raise _SmwFallback
             if error <= target or attempt == _MAX_SMW_REFINEMENTS:
@@ -1507,8 +1400,8 @@ class CompiledSystem:
         return vector
 
 
-class _SparseNewton:
-    """The Newton state of one sparse fault solve: its diode biases and the
+class _WoodburyNewton:
+    """The Newton state of one fault solve: its diode biases and the
     two kinds of step that move them.
 
     A *reduced* step needs only ``Uᵀx``.  A diode's equivalent current
@@ -1518,14 +1411,19 @@ class _SparseNewton:
     per iteration.  The step reads the diode voltages as ``w / g``: the
     difference ``Uᵀy - S w`` cancels the digits of a large ``Uᵀy`` (a
     1 mΩ short left Newton oscillating by 2⁻²⁹ V about its fixed point).
+    When the diodes share one direction ``d`` (the power supply's single
+    diode), the static directions ``T`` are eliminated once per fault:
+    with ``R = S_dT (G_T⁻¹ + S_TT)⁻¹``, ``q = S_dd - R S_Td`` and
+    ``q0 = (Uᵀy_static)_d - R (Uᵀy_static)_T``, the step is the scalar
+    ``v = (q0 - q ieq) / (q g + 1)``, with no array work per iteration.
     A *full* step solves the whole vector by the refined, residual-checked
     Woodbury solve.
     """
 
     __slots__ = (
         "_solver", "_basis", "_static_gains", "_diodes", "_slot_list",
-        "_slots", "_rhs_static", "_y_static", "_projected_static",
-        "_gram_diodes", "biases", "vector", "smw_used",
+        "_rhs_static", "_y_static", "_projected_static", "_gram_diodes",
+        "_scalar", "biases", "vector", "smw_used",
     )
 
     def __init__(
@@ -1543,11 +1441,14 @@ class _SparseNewton:
         self._static_gains = static_gains
         self._diodes = diodes
         self._slot_list = slots
-        self._slots = np.array(slots, dtype=np.intp)
         self._rhs_static = rhs_static
         self._y_static = y_static
         self._projected_static = basis.project(y_static)
-        self._gram_diodes = basis.gram[:, self._slots]
+        self._gram_diodes = basis.gram[:, slots]
+        #: One diode direction: its slot with ``q`` and ``q0``.
+        self._scalar = (
+            self._diode_direction() if len(set(slots)) == 1 else None
+        )
         warm = solver.primed.warm_vd
         #: Diode biases the next step linearises at (Newton warm start).
         self.biases = [warm.get(d.name, 0.6) for d in diodes]
@@ -1555,7 +1456,33 @@ class _SparseNewton:
         self.vector: Optional[np.ndarray] = None
         self.smw_used = False
 
-    def _companions(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _diode_direction(self) -> Optional[Tuple[int, float, float]]:
+        """The slot of the one diode direction with ``q`` and ``q0``, the
+        static directions eliminated (``None`` if their block is
+        singular: the reduced steps then solve the whole K × K system)."""
+        slot = self._slot_list[0]
+        gram = self._basis.gram
+        projected = self._projected_static
+        static = [
+            a for a, gain in enumerate(self._static_gains)
+            if a != slot and abs(gain) >= _MIN_GAIN
+        ]
+        q = float(gram[slot, slot])
+        q0 = float(projected[slot])
+        if static:
+            block = gram[np.ix_(static, static)].T.copy()
+            block.flat[:: len(static) + 1] += [
+                1.0 / self._static_gains[a] for a in static
+            ]
+            try:
+                coupling = _capacitance_solve(block, gram[slot, static])
+            except _SmwFallback:
+                return None
+            q -= float(coupling @ gram[static, slot])
+            q0 -= float(coupling @ projected[static])
+        return slot, q, q0
+
+    def _companions(self) -> Tuple[List[float], List[float]]:
         """Update gains (static plus diode companions; 0 where negligible)
         and the diodes' equivalent currents, at the current biases."""
         gains = list(self._static_gains)
@@ -1568,41 +1495,61 @@ class _SparseNewton:
             currents.append(ieq)
         gains = [g if abs(g) >= _MIN_GAIN else 0.0 for g in gains]
         self.smw_used = self.smw_used or any(gains)
-        return np.array(gains), np.array(currents)
+        return gains, currents
 
-    def reduced_step(self) -> np.ndarray:
-        """The diode voltages of the next iterate, from ``Uᵀx`` alone."""
-        basis = self._basis
+    def reduced_step(self) -> List[float]:
+        """The diode voltages of the next iterate, from ``Uᵀx`` alone.
+
+        Newton takes one of these per iteration on K-vectors, so the
+        per-diode work stays in Python floats and numpy sees only the
+        K × K solve (none at all for one diode direction)."""
+        if self._scalar is not None:
+            slot, q, q0 = self._scalar
+            gain = self._static_gains[slot]
+            current = 0.0
+            for diode, bias in zip(self._diodes, self.biases):
+                g, ieq = _System._diode_companion(diode, bias)
+                gain += g
+                current += ieq
+            if abs(gain) < _MIN_GAIN:
+                raise _SmwFallback  # the diodes' direction dropped out
+            self.smw_used = True
+            voltage = (q0 - q * current) / (q * gain + 1.0)
+            if not math.isfinite(voltage):
+                raise _SmwFallback
+            return [voltage] * len(self._diodes)
         gains, currents = self._companions()
-        projected = self._projected_static - self._gram_diodes @ currents
-        held = gains[self._slots]
-        if not held.all():
+        held = [gains[slot] for slot in self._slot_list]
+        if not all(held):
             raise _SmwFallback  # a diode's direction dropped out
-        weights = basis.weights(gains, projected)
-        voltages = weights[self._slots] / held
-        if not np.all(np.isfinite(voltages)):
+        projected = self._projected_static - self._gram_diodes @ currents
+        weights = self._basis.weights(gains, projected).tolist()
+        voltages = [
+            weights[slot] / g for slot, g in zip(self._slot_list, held)
+        ]
+        if not all(map(math.isfinite, voltages)):
             raise _SmwFallback
         return voltages
 
-    def full_step(self) -> np.ndarray:
+    def full_step(self) -> List[float]:
         """Solve the whole vector at the current biases (kept as
         :attr:`vector`); returns its diode voltages."""
         basis = self._basis
         gains, currents = self._companions()
         stamped = np.zeros(len(basis.pairs))
-        np.add.at(stamped, self._slots, currents)
+        np.add.at(stamped, self._slot_list, currents)
         rhs = self._rhs_static.copy()
         basis.spread(stamped, rhs)
         y = self._y_static - basis.columns @ stamped
         self.vector = self._solver._refined_solve(basis, gains, rhs, y)
-        return basis.project(self.vector)[self._slots]
+        return basis.project(self.vector)[self._slot_list].tolist()
 
-    def advance(self, voltages: np.ndarray) -> bool:
+    def advance(self, voltages: List[float]) -> bool:
         """Move the biases to ``voltages``, at most ``_MAX_DIODE_STEP`` per
         diode; True when no diode moved by more than ``_NEWTON_TOLERANCE``."""
         converged = True
         biases = self.biases
-        for k, new_vd in enumerate(voltages.tolist()):
+        for k, new_vd in enumerate(voltages):
             step = new_vd - biases[k]
             if abs(step) > _MAX_DIODE_STEP:
                 new_vd = biases[k] + math.copysign(_MAX_DIODE_STEP, step)

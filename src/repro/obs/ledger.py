@@ -330,7 +330,7 @@ def _stats_metrics(result) -> Dict[str, object]:
     for name in (
         "wall_time", "baseline_time", "jobs", "rows", "solves", "retries",
         "timeouts", "job_failures", "resumed_jobs", "solver_backend",
-        "direct_solves", "batched_columns",
+        "batched_columns",
     ):
         value = getattr(stats, name, None)
         if value is not None:

@@ -118,7 +118,6 @@ class CampaignStats:
     smw_solves: int = 0
     full_rebuilds: int = 0
     baseline_reuses: int = 0
-    direct_solves: int = 0  # dense-system direct delta-stamp solves
     batched_columns: int = 0  # SMW columns solved as multi-RHS blocks
     retries: int = 0  # transient-failure retries
     timeouts: int = 0  # jobs killed by the per-job wall-clock budget
@@ -135,7 +134,7 @@ class CampaignStats:
         "jobs", "rows", "solves", "newton_iterations",
         "factorization_reuses", "smw_solves", "full_rebuilds",
         "baseline_reuses", "retries", "timeouts", "job_failures",
-        "resumed_jobs", "direct_solves", "batched_columns",
+        "resumed_jobs", "batched_columns",
     )
 
     def absorb(self, solve_stats: SolveStats) -> None:
@@ -145,7 +144,6 @@ class CampaignStats:
         self.smw_solves += solve_stats.smw_solves
         self.full_rebuilds += solve_stats.full_rebuilds
         self.baseline_reuses += solve_stats.baseline_reuses
-        self.direct_solves += solve_stats.direct_solves
         self.batched_columns += solve_stats.batched_columns
 
     def as_dict(self) -> Dict[str, object]:
@@ -489,6 +487,10 @@ class FaultInjectionCampaign:
         slots: List[Tuple[FmeaRow, Optional[InjectionJob]]] = []
         jobs: List[InjectionJob] = []
         for block in self.model.all_blocks():
+            # Scope first: a sampled campaign on a large model keeps a few
+            # blocks of thousands, and resolving a block's type is the cost.
+            if block.name in stable or block.path() in stable:
+                continue
             etype = block.effective_type
             info = block.effective_info
             if block.block_type == "Subsystem" and not block.param(
@@ -496,8 +498,6 @@ class FaultInjectionCampaign:
             ):
                 continue  # plain subsystems are analysed through their contents
             if info.role in ("sensor", "reference", "support", "structural"):
-                continue
-            if block.name in stable or block.path() in stable:
                 continue
             entry = self.reliability.get(etype)
             if entry is None:

@@ -164,9 +164,10 @@ def reliability_from_payload(payload: Sequence[Mapping[str, object]]):
 def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
     """``config`` with ``analysis``, ``t_stop`` and ``dt`` filled in and
     checked, so the fingerprint and the campaign read the same values, and
-    the campaign options ``max_retries`` and ``job_timeout`` checked.
-    Unknown keys pass through untouched and reach neither the campaign nor
-    the cache key.
+    the campaign option ``max_retries`` checked.  Unknown keys pass
+    through untouched and reach neither the campaign nor the cache key.
+    ``job_timeout`` is one: a job runs on a worker thread, where the
+    campaign's SIGALRM deadline cannot be armed.
 
     A missing or ``null`` value takes the campaign default; a malformed one
     raises :class:`ServiceError`, which ``POST /jobs`` answers with 400.
@@ -190,17 +191,12 @@ def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
                 f"got {value!r}"
             )
         out[key] = float(value)  # type: ignore[arg-type]
-    for key, valid, expected in (
-        ("max_retries", lambda v: _integer(v) and v >= 0,
-         "a non-negative integer"),
-        ("job_timeout", lambda v: _finite(v) and v > 0,
-         "a finite positive number"),
-    ):
-        value = out.get(key)
-        if value is not None and not valid(value):
-            raise ServiceError(
-                f"config.{key} must be {expected}, got {value!r}"
-            )
+    retries = out.get("max_retries")
+    if retries is not None and not (_integer(retries) and retries >= 0):
+        raise ServiceError(
+            "config.max_retries must be a non-negative integer, "
+            f"got {retries!r}"
+        )
     return out
 
 
@@ -301,7 +297,7 @@ class AnalysisRequest:
     :func:`reliability_payload` list form.  ``config`` carries campaign
     and classification parameters (``threshold``, ``sensors``,
     ``assume_stable``, ``min_absolute_delta``, ``analysis``, ``t_stop``,
-    ``dt``, ``job_timeout``, ``max_retries``); ``analysis``,
+    ``dt``, ``max_retries``); ``analysis``,
     ``t_stop`` and ``dt`` are normalised at construction (see
     :func:`_normalised_config`).
     ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
@@ -1065,7 +1061,7 @@ class AnalysisService:
         kwargs: Dict[str, object] = {}
         for key in (
             "threshold", "min_absolute_delta", "analysis", "t_stop", "dt",
-            "max_retries", "job_timeout",
+            "max_retries",
         ):
             if key in config and config[key] is not None:
                 kwargs[key] = config[key]

@@ -1,12 +1,13 @@
-"""Dense-vs-sparse solver backend parity: the differential acceptance
-gate for the two MNA solve rules.
+"""Dense-vs-sparse factorization parity: the differential acceptance
+gate for the two backends under the one fault-solve rule.
 
-The system's size picks the rule (dense direct solves below
-``SPARSE_AUTO_MIN_SIZE`` unknowns, sparse SuperLU + Woodbury updates at or
-above it).  Each test pins one rule by moving that threshold, and the FMEA
-rows must then be identical to naive re-assembly (discrete fields
-exactly, sensor deltas to numerical noise) on all three case studies and
-on a seeded generated distribution grid.
+Every fault runs Newton in its Woodbury basis; the system's size picks
+only the factorization under it (dense LAPACK LU below
+``SPARSE_AUTO_MIN_SIZE`` unknowns, SuperLU at or above it).  Each test
+pins one backend by moving that threshold, and the FMEA rows must then be
+identical to naive re-assembly (discrete fields exactly, sensor deltas to
+numerical noise) on all three case studies and on a seeded generated
+distribution grid.
 """
 
 import math

@@ -110,13 +110,12 @@ def test_incremental_matches_naive(campaign_results, case):
 
 @pytest.mark.parametrize("case", CASE_NAMES)
 def test_incremental_engages_fast_path(campaign_results, case):
-    """Every incremental campaign solves through a fast path: low-rank SMW
-    updates against the shared factorization, or the dense-direct
-    delta-stamp path on small systems."""
+    """Every incremental campaign solves through the fast path: low-rank
+    SMW updates against the shared factorization, whatever its size."""
     stats = campaign_results[case]["incremental"].stats
     assert stats.mode == "incremental"
-    assert stats.smw_solves + stats.direct_solves > 0
-    assert stats.factorization_reuses + stats.direct_solves > 0
+    assert stats.smw_solves > 0
+    assert stats.factorization_reuses > 0
 
 
 @pytest.mark.parametrize("case", CASE_NAMES)
@@ -125,7 +124,6 @@ def test_naive_mode_never_uses_fast_path(campaign_results, case):
     assert stats.mode == "naive"
     assert stats.smw_solves == 0
     assert stats.factorization_reuses == 0
-    assert stats.direct_solves == 0
     assert stats.batched_columns == 0
 
 
@@ -133,7 +131,7 @@ def test_most_system_b_jobs_stay_low_rank(campaign_results):
     """The scaling subject must actually exercise the fast path: only the
     two source-stranding fuse opens may fall back to full assembly."""
     stats = campaign_results["system_b"]["incremental"].stats
-    assert stats.direct_solves >= 200
+    assert stats.smw_solves >= 200
     assert stats.full_rebuilds == 2
 
 
@@ -180,3 +178,42 @@ def test_worst_sensor_tie_ignores_solver_noise(deltas):
     )
     row = campaign._classify(row, ("ok", readings), baseline, monitored)
     assert row.effect == "reading at CS0 deviates by 32.4%"
+
+
+def test_enumeration_resolves_only_in_scope_blocks(monkeypatch):
+    """A sampled campaign checks scope before it resolves a block's type:
+    on a grid with k components in scope, enumeration looks up the type
+    of the in-scope blocks only, not of every block of the model."""
+    from repro.casestudies import (
+        build_power_grid_simulink,
+        power_grid_injection_sample,
+    )
+    from repro.safety.fmea import FmeaResult
+    from repro.simulink import model as model_module
+    from repro.simulink import to_netlist
+
+    model = build_power_grid_simulink(feeders=2, sections_per_feeder=10)
+    stable = power_grid_injection_sample(model, k=3, seed=0)
+    campaign = FaultInjectionCampaign(
+        model, power_network_reliability(), assume_stable=stable
+    )
+    conversion = to_netlist(model)
+    in_scope = [
+        block for block in model.all_blocks()
+        if block.name not in stable and block.path() not in stable
+    ]
+    assert len(in_scope) < len(list(model.all_blocks())) // 5
+    lookups = []
+    real = model_module.block_type_info
+
+    def counting(type_name):
+        lookups.append(type_name)
+        return real(type_name)
+
+    monkeypatch.setattr(model_module, "block_type_info", counting)
+    slots, jobs = campaign._enumerate(
+        conversion, FmeaResult(system=model.name, method="injection")
+    )
+    assert len(lookups) == len(in_scope)
+    assert {job.component for job in jobs} <= {b.name for b in in_scope}
+    assert len({job.component for job in jobs}) == 3

@@ -547,9 +547,6 @@ def test_mna_lu_failure_counter(case, monkeypatch):
 
     model, _ = case
     conversion = to_netlist(model)
-    # Only sparse systems factor their constant matrix; pin this one sparse.
-    monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", 0)
-
     def broken_factor(matrix, backend):
         raise backends.FactorizationError("singular")
 
@@ -559,11 +556,11 @@ def test_mna_lu_failure_counter(case, monkeypatch):
     # the primed system, which owns the factorization.
     primed = mna_mod.PrimedSystem(conversion.netlist)
     with pytest.raises(mna_mod._SmwFallback):
-        primed._ensure_sparse()
+        primed._factorization()
     assert obs.counter("mna_lu_failures").value == 1
     # Latched: subsequent calls fall back without re-counting.
     with pytest.raises(mna_mod._SmwFallback):
-        primed._ensure_sparse()
+        primed._factorization()
     assert obs.counter("mna_lu_failures").value == 1
 
 

@@ -8,7 +8,13 @@ must actually take the full-assembly path.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.circuit import (
@@ -18,6 +24,7 @@ from repro.circuit import (
     backends,
     dc_operating_point,
 )
+from repro.circuit import mna
 from repro.circuit.mna import _MAX_GMIN_RETRIES
 from repro.circuit.netlist import Netlist, Resistor, VoltageSource
 
@@ -98,7 +105,7 @@ class TestIncrementalFaults:
         )
         assert_solutions_close(fast, reference)
         assert compiled.stats.full_rebuilds == 0
-        assert compiled.stats.smw_solves + compiled.stats.direct_solves > 0
+        assert compiled.stats.smw_solves > 0
 
     def test_inductor_open_pinches_branch_current_off(self):
         netlist = ladder()
@@ -122,6 +129,44 @@ class TestIncrementalFaults:
         )
         assert again is baseline
         assert compiled.stats.baseline_reuses == 1
+
+
+class TestOneDiodeDirection:
+    FAULTS = [
+        ("R2", Resistor("R2", "rail", "0", 1e-3)),
+        ("R2", Resistor("R2", "rail", "0", 150.0)),
+        ("R2", None),
+        ("R1", Resistor("R1", "in", "mid", 1e4)),
+        ("L1", Resistor("L1", "mid", "rail", 1e-3)),
+        ("V1", VoltageSource("V1", "in", "0", 3.3)),
+    ]
+
+    def test_scalar_step_follows_the_k_by_k_newton(self, monkeypatch):
+        """With one diode direction the reduced step eliminates the static
+        directions once and runs on scalars; it must take the Newton path
+        the K × K step takes, to rounding."""
+        netlist = ladder()
+        scalar = CompiledSystem(netlist)
+        taken = []
+        real = mna._WoodburyNewton._diode_direction
+
+        def spy(self):
+            taken.append(real(self))
+            return taken[-1]
+
+        monkeypatch.setattr(mna._WoodburyNewton, "_diode_direction", spy)
+        fast = [scalar.solve_replacement(*fault) for fault in self.FAULTS]
+        assert len(taken) == len(self.FAULTS) and None not in taken
+        monkeypatch.setattr(
+            mna._WoodburyNewton, "_diode_direction", lambda self: None
+        )
+        general = CompiledSystem(netlist)
+        for fault, solution in zip(self.FAULTS, fast):
+            reference = general.solve_replacement(*fault)
+            assert solution.iterations == reference.iterations, fault
+            assert_solutions_close(solution, reference, tol=1e-10)
+        assert scalar.stats == general.stats
+        assert scalar.stats.full_rebuilds == 0
 
 
 class TestFallbacks:
@@ -263,7 +308,7 @@ class TestPrimedSystem:
         own.solve_replacement("R2", short)
         assert own.stats.solves == primed.stats.solves + first.stats.solves
 
-    def test_failed_baseline_is_kept_and_raised(self):
+    def test_failed_baseline_is_kept_and_raised(self, monkeypatch):
         # Two sources forcing one node to different voltages: singular
         # whatever the gmin.
         netlist = Netlist("clash")
@@ -272,13 +317,20 @@ class TestPrimedSystem:
         netlist.resistor("R1", "a", "0", 10.0)
         with pytest.raises(CircuitError) as plain:
             dc_operating_point(netlist)
-        primed = PrimedSystem(netlist)
-        assert primed.baseline is None
-        assert primed.warm_vd == {}
-        for _ in range(2):
-            with pytest.raises(CircuitError, match="singular"):
-                CompiledSystem(primed).solve()
-        assert primed.baseline_error == str(plain.value)
+        # Both factorization backends refuse the singular constant matrix
+        # and latch the fallback to full assembly the same way.
+        for rule, threshold in (("dense", 10**9), ("sparse", 0)):
+            monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", threshold)
+            primed = PrimedSystem(netlist)
+            assert primed.backend == rule
+            assert primed._factor is None
+            assert primed.stats.full_rebuilds == 1
+            assert primed.baseline is None
+            assert primed.warm_vd == {}
+            for _ in range(2):
+                with pytest.raises(CircuitError, match="singular"):
+                    CompiledSystem(primed).solve()
+            assert primed.baseline_error == str(plain.value)
 
 
 class TestGminRetry:
@@ -300,3 +352,41 @@ class TestGminRetry:
                 rel_tol=1e-4,
                 abs_tol=1e-6,
             )
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("backend", backends.BACKENDS)
+    def test_singular_matrix_is_refused_without_a_warning(self, backend):
+        """A zero pivot is a FactorizationError on both backends, so a
+        primed system latches its fallback the same way on either; the
+        dense LU must not warn and hand back solves of ``±inf``."""
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(backends.FactorizationError, match="singular"):
+                backends.factorize(singular, backend)
+
+    def test_dense_campaign_never_imports_scipy_sparse(self):
+        """A process whose systems all stay dense (every paper case study)
+        never loads ``scipy.sparse``: its import is a visible share of a
+        small server's memory."""
+        script = (
+            "import sys\n"
+            "from repro.casestudies import build_power_supply_simulink, "
+            "power_supply_reliability\n"
+            "from repro.casestudies.power_supply import ASSUMED_STABLE\n"
+            "from repro.safety.campaign import FaultInjectionCampaign\n"
+            "result = FaultInjectionCampaign(build_power_supply_simulink(), "
+            "power_supply_reliability(), assume_stable=ASSUMED_STABLE).run()\n"
+            "assert result.stats.solver_backend == 'dense'\n"
+            "assert result.stats.smw_solves > 0\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -156,10 +156,10 @@ MALFORMED_DERIVED = [
 MALFORMED_CAMPAIGN_CONFIG = [
     ("max_retries", "lots"),
     ("max_retries", -1),
-    ("job_timeout", -1),
-    ("job_timeout", 0),
-    ("job_timeout", float("nan")),
 ]
+
+#: ``job_timeout`` values a service job ignores, valid or not.
+IGNORED_JOB_TIMEOUTS = [-1, 0, float("nan"), 0.5]
 
 
 def _finish(service, job, timeout=JOB_TIMEOUT):
@@ -257,9 +257,9 @@ class TestRequestValidation:
 
     def test_campaign_config_bounds_accepted(self, fmea_payload):
         payload = json.loads(json.dumps(fmea_payload))
-        payload["config"].update(max_retries=0, job_timeout=0.5)
+        payload["config"].update(max_retries=0)
         AnalysisRequest.from_payload(payload)
-        payload["config"].update(max_retries=None, job_timeout=None)
+        payload["config"].update(max_retries=None)
         AnalysisRequest.from_payload(payload)
 
     def test_campaign_runs_the_fingerprinted_config(
@@ -432,6 +432,27 @@ class TestComputeAndCache:
             assert job.state == "done", job.error
             assert job.cached is True
             assert job.result["rows"] == first.result["rows"]
+
+    @pytest.mark.parametrize("value", IGNORED_JOB_TIMEOUTS)
+    def test_job_timeout_config_is_an_ignored_unknown_key(
+        self, service, fmea_payload, value
+    ):
+        """A service job runs on a worker thread, where the campaign's
+        SIGALRM deadline cannot be armed, so ``job_timeout`` is no service
+        option: any value is ignored like an unknown key (same cache key,
+        same answer, served from the ledger) and never reaches the
+        campaign."""
+        first = _finish(service, service.submit(fmea_payload))
+        timed = _with_config(fmea_payload, job_timeout=value)
+        request = AnalysisRequest.from_payload(timed)
+        assert request.cache_key() == first.cache_key
+        model = service._materialize_model(request).model
+        campaign = service._campaign(request, model, request.fingerprint())
+        assert campaign.job_timeout is None
+        job = _finish(service, service.submit(timed))
+        assert job.state == "done", job.error
+        assert job.cached is True
+        assert job.result["rows"] == first.result["rows"]
 
     def test_threshold_change_recomputes(self, service, fmea_payload):
         _finish(service, service.submit(fmea_payload))
@@ -974,6 +995,18 @@ class TestHTTPEndpoints:
         assert status == 400
         assert f"config.{key}" in payload["error"]
         assert server.service.jobs() == []
+
+    @pytest.mark.parametrize("value", IGNORED_JOB_TIMEOUTS)
+    def test_job_timeout_config_is_accepted(
+        self, server, fmea_payload, value
+    ):
+        body = _with_config(fmea_payload, job_timeout=value)
+        status, accepted = _http_request(
+            *server.address, "POST", "/jobs", body
+        )
+        assert status == 202
+        done = _poll_done(*server.address, accepted["id"])
+        assert done["state"] == "done"
 
     @pytest.mark.parametrize(
         "build, message",

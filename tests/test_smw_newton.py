@@ -106,9 +106,9 @@ def test_every_solution_is_a_checked_full_step(
     solutions = []  # (solution, full steps, its steps, its verdicts)
 
     real_refined = mna.CompiledSystem._refined_solve
-    real_full = mna._SparseNewton.full_step
-    real_reduced = mna._SparseNewton.reduced_step
-    real_advance = mna._SparseNewton.advance
+    real_full = mna._WoodburyNewton.full_step
+    real_reduced = mna._WoodburyNewton.reduced_step
+    real_advance = mna._WoodburyNewton.advance
     real_solve = mna.CompiledSystem._solve_incremental_impl
 
     def refined_spy(self, *args):
@@ -140,9 +140,9 @@ def test_every_solution_is_a_checked_full_step(
         return solution, full_steps
 
     monkeypatch.setattr(mna.CompiledSystem, "_refined_solve", refined_spy)
-    monkeypatch.setattr(mna._SparseNewton, "full_step", full_spy)
-    monkeypatch.setattr(mna._SparseNewton, "reduced_step", reduced_spy)
-    monkeypatch.setattr(mna._SparseNewton, "advance", advance_spy)
+    monkeypatch.setattr(mna._WoodburyNewton, "full_step", full_spy)
+    monkeypatch.setattr(mna._WoodburyNewton, "reduced_step", reduced_spy)
+    monkeypatch.setattr(mna._WoodburyNewton, "advance", advance_spy)
     monkeypatch.setattr(
         mna.CompiledSystem, "_solve_incremental_impl", solve_spy
     )
@@ -178,7 +178,7 @@ def test_failed_reduced_step_continues_in_full_space(
 ):
     model, stable = grid
     reference = _run(model, stable)
-    real_reduced = mna._SparseNewton.reduced_step
+    real_reduced = mna._WoodburyNewton.reduced_step
     calls = {}
 
     def flaky(self):
@@ -187,7 +187,7 @@ def test_failed_reduced_step_continues_in_full_space(
             raise mna._SmwFallback
         return real_reduced(self)
 
-    monkeypatch.setattr(mna._SparseNewton, "reduced_step", flaky)
+    monkeypatch.setattr(mna._WoodburyNewton, "reduced_step", flaky)
     run = _run(model, stable)
     assert calls
     assert fmea_rows_payload(run) == naive_rows
@@ -224,7 +224,7 @@ def test_unconverged_reduced_loop_rebuilds(grid, pinned_sparse, monkeypatch):
     def restless(self):
         return np.asarray(self.biases) + 1e-3
 
-    monkeypatch.setattr(mna._SparseNewton, "reduced_step", restless)
+    monkeypatch.setattr(mna._WoodburyNewton, "reduced_step", restless)
     compiled = CompiledSystem(primed)
     shorted = netlist.element("RT1_3")
     short = type(shorted)(
@@ -272,7 +272,7 @@ def test_ill_conditioned_open_matches_previous_loop_and_dense_row(
         solution._vector, _LD1_1_OPEN_PREVIOUS_LOOP, rtol=0, atol=1e-9
     )
     # Full-length steps from the first iteration are the previous loop.
-    monkeypatch.setattr(mna._SparseNewton, "reduced_step", _never_reduced)
+    monkeypatch.setattr(mna._WoodburyNewton, "reduced_step", _never_reduced)
     full_only = CompiledSystem(netlist).solve_replacement("LD1_1", None)
     np.testing.assert_allclose(
         solution._vector, full_only._vector, rtol=0, atol=1e-9
