@@ -1,10 +1,11 @@
 """Ablation A2 — safety-mechanism deployment strategies.
 
-Step 4b's automation can search exhaustively (optimal), greedily (scales),
-or return the whole Pareto front for the analyst to choose from (the
-paper's "pareto front of viable solutions").  On System B's catalogue the
-exhaustive optimum and the greedy plan must both reach ASIL-B, with greedy
-paying at most a modest cost premium; the front must bracket both.
+Step 4b's automation searches exactly (the Pareto DP: optimal) or returns
+the whole Pareto front for the analyst to choose from (the paper's "pareto
+front of viable solutions"); the greedy heuristic is the baseline.  On
+System B's catalogue the optimum and the greedy plan must both reach
+ASIL-B, with greedy paying at most a modest cost premium; the front must
+bracket both.
 """
 
 import pytest
@@ -51,7 +52,7 @@ def test_a2_pareto_front(benchmark, fmea, catalogue):
 
     rows = [
         {
-            "Strategy": "exhaustive (optimal)",
+            "Strategy": "Pareto DP (optimal)",
             "Cost(h)": f"{optimal.cost:g}",
             "SPFM": f"{optimal.spfm * 100:.2f}%",
             "ASIL": optimal.asil,

@@ -1,9 +1,11 @@
 """BENCH optimizer — separable Pareto DP vs exhaustive enumeration vs greedy.
 
-Times the mechanism-search strategies of :mod:`repro.safety.optimizer` on
-synthetic catalogues of growing size, cross-checks the DP against the
-enumerated optimum on every feasible case (bit-equal cost *and* SPFM), and
-writes the measurements to ``BENCH_optimizer.json`` at the repo root.
+Times the mechanism search of :mod:`repro.safety.optimizer` (the exact
+Pareto DP behind ``search_for_target`` and ``pareto_front``) against
+``enumerate_plans`` and ``greedy_plan`` on synthetic catalogues of growing
+size, cross-checks the DP against the enumerated optimum on every feasible
+case (bit-equal cost *and* SPFM), and writes the measurements to
+``BENCH_optimizer.json`` at the repo root.
 
 A System B-scale case (96 rows, two options each, two-decimal costs) times
 the bounded target search against the whole-frontier fold plus scan on an
@@ -14,11 +16,11 @@ Acceptance (full mode):
 - on the ``near_cap`` case — a deployment space just under the historical
   200k enumeration cap — the DP is >= 10x faster than exhaustive
   enumeration;
-- on every case where enumeration is feasible, ``dp_search_for_target`` is
-  bit-equal to the enumerated optimum and ``dp_pareto_front`` equals the
+- on every case where enumeration is feasible, ``search_for_target`` is
+  bit-equal to the enumerated optimum and ``pareto_front`` equals the
   enumeration-based front plan for plan;
-- on the ``beyond_cap`` case enumeration raises while the DP still returns
-  the exact front;
+- on the ``beyond_cap`` case ``enumerate_plans`` raises while the DP still
+  returns the exact front;
 - on the ``system_b_scale`` case the bounded search returns the same plan
   (cost, SPFM and deployments) as the unbounded fold on every target, and
   is >= 3x faster on the reachable one.
@@ -50,18 +52,17 @@ from repro.safety.optimizer import (
     _dp_scan,
     _options_per_row,
     _SpfmEvaluator,
-    dp_pareto_front,
-    dp_search_for_target,
     enumerate_plans,
     greedy_plan,
     pareto_front,
+    search_for_target,
 )
 
 SMOKE = os.environ.get("BENCH_OPTIMIZER_SMOKE") == "1"
 LEDGER_PATH = os.environ.get("BENCH_OPTIMIZER_LEDGER") or None
 #: How many trajectory points BENCH_optimizer.json retains.
 TRAJECTORY_KEEP = 120
-#: Best-of-N wall-clock per (case, strategy); 1 repeat in smoke mode.
+#: Best-of-N wall-clock per (case, arm); 1 repeat in smoke mode.
 REPEATS = 1 if SMOKE else 3
 SPEEDUP_TARGET = 10.0
 TARGET_ASIL = "ASIL-C"
@@ -182,7 +183,7 @@ def bench_system_b_scale():
     entry = {"rows": SCALE_ROWS, "options_per_row": 2, "targets": {}}
     for kind, target in SCALE_TARGETS.items():
         unbounded_s, reference = timed(unbounded_search, fmea, catalogue, target)
-        bounded_s, plan = timed(dp_search_for_target, fmea, catalogue, target)
+        bounded_s, plan = timed(search_for_target, fmea, catalogue, target)
         assert plan_key(plan) == plan_key(reference), (kind, target)
         assert (plan is None) == (kind == "unreachable"), (kind, target)
         if kind == "met":
@@ -218,6 +219,17 @@ def exhaustive_optimum(fmea, catalogue, space):
     if not feasible:
         return None
     return min(feasible, key=lambda plan: (plan.cost, -plan.spfm))
+
+
+def enumerated_front(fmea, catalogue, space):
+    """The Pareto front of every enumerated plan, cost ascending."""
+    plans = enumerate_plans(fmea, catalogue, max_plans=space)
+    plans.sort(key=lambda plan: (plan.cost, -plan.spfm))
+    front = []
+    for plan in plans:
+        if not front or plan.spfm > front[-1].spfm + 1e-12:
+            front.append(plan)
+    return front
 
 
 def fronts_identical(dp_front, enum_front):
@@ -272,6 +284,7 @@ def _ledger_record(case, fmea, plan):
         AnalysisLedger(LEDGER_PATH),
         plan,
         system=fmea.system,
+        # "strategy" keeps the nightly entries' ids comparable across runs.
         config={"bench": case, "target": TARGET_ASIL, "strategy": "dp"},
         meta={"bench": "optimizer", "mode": "smoke" if SMOKE else "full"},
     )
@@ -302,14 +315,10 @@ def test_bench_optimizer():
         exhaustive_s, optimum = timed(
             exhaustive_optimum, fmea, catalogue, space
         )
-        dp_s, dp_plan = timed(
-            dp_search_for_target, fmea, catalogue, TARGET_ASIL
-        )
+        dp_s, dp_plan = timed(search_for_target, fmea, catalogue, TARGET_ASIL)
         greedy_s, greedy = timed(greedy_plan, fmea, catalogue, TARGET_ASIL)
-        dp_front_s, dp_front = timed(dp_pareto_front, fmea, catalogue)
-        enum_front = pareto_front(
-            fmea, catalogue, max_plans=space, strategy="exhaustive"
-        )
+        dp_front_s, dp_front = timed(pareto_front, fmea, catalogue)
+        enum_front = enumerated_front(fmea, catalogue, space)
 
         # Correctness cross-checks: DP bit-equal to the enumerated optimum,
         # front plan for plan, greedy never cheaper than the optimum.
@@ -354,11 +363,11 @@ def test_bench_optimizer():
     fmea, catalogue = synth_case(16, 2, 53)  # 3^16 ≈ 43e6 plans
     raised = False
     try:
-        pareto_front(fmea, catalogue, strategy="exhaustive")
+        enumerate_plans(fmea, catalogue)
     except ValueError:
         raised = True
     assert raised, "enumeration should refuse the 3^16 space"
-    beyond_s, beyond_front = timed(dp_pareto_front, fmea, catalogue)
+    beyond_s, beyond_front = timed(pareto_front, fmea, catalogue)
     assert beyond_front, "DP front must succeed beyond the enumeration cap"
     payload["cases"]["beyond_cap"] = {
         "rows": 16,

@@ -253,7 +253,7 @@ def _cmd_fmeda(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    plan = same.search_deployment(args.target, strategy=args.search_strategy)
+    plan = same.search_deployment(args.target)
     if plan is None:
         print(f"no deployment in the catalogue reaches {args.target}")
         _obs_end(args, session, same)
@@ -390,9 +390,7 @@ def _cmd_decisive(args: argparse.Namespace) -> int:
     same.open_ssam(args.ssam)
     same.load_reliability(args.reliability)
     same.load_mechanisms(args.mechanisms)
-    log = same.run_decisive(
-        args.target, args.max_iterations, search_strategy=args.search_strategy
-    )
+    log = same.run_decisive(args.target, args.max_iterations)
     for record in log.iterations:
         deployed = ", ".join(
             f"{d.mechanism} on {d.component}" for d in record.deployments
@@ -635,23 +633,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_search_strategy_argument(parser: argparse.ArgumentParser) -> None:
-    """Optimizer-backend flag for the mechanism-search verbs.
-
-    Named ``--search-strategy`` so it cannot be mistaken for an
-    injection-campaign option on the same commands.
-    """
-    parser.add_argument(
-        "--search-strategy",
-        dest="search_strategy",
-        choices=["dp", "greedy", "exhaustive"],
-        default="dp",
-        help="mechanism-search backend: 'dp' (exact separable Pareto "
-        "dynamic program, default), 'greedy' heuristic, or the legacy "
-        "bounded 'exhaustive' enumeration",
-    )
-
-
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     """Fault-tolerance flags shared by the campaign commands."""
     parser.add_argument(
@@ -754,7 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmeda.add_argument("--reliability", required=True)
     fmeda.add_argument("--mechanisms", required=True)
     fmeda.add_argument("--target", default="ASIL-B")
-    _add_search_strategy_argument(fmeda)
     fmeda.add_argument("--sensor", action="append")
     fmeda.add_argument("--threshold", type=float, default=0.2)
     fmeda.add_argument("--assume-stable", action="append", dest="assume_stable")
@@ -791,7 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     decisive.add_argument("--reliability", required=True)
     decisive.add_argument("--mechanisms", required=True)
     decisive.add_argument("--target", default="ASIL-B")
-    _add_search_strategy_argument(decisive)
     decisive.add_argument("--max-iterations", type=int, default=10)
     decisive.add_argument(
         "--out",

@@ -101,7 +101,6 @@ class DecisiveProcess:
         target_asil: str = "ASIL-B",
         overwrite_reliability: bool = False,
         ledger=None,
-        search_strategy: str = "dp",
     ) -> None:
         if not model.component_packages or not model.top_components():
             raise ProcessError("model has no architecture (Step 2 missing)")
@@ -109,9 +108,6 @@ class DecisiveProcess:
         self.reliability = reliability
         self.mechanisms = mechanisms
         self.target_asil = target_asil
-        #: Optimizer backend for Step 4b: the exact separable Pareto DP
-        #: (default), ``"greedy"``, or legacy ``"exhaustive"`` enumeration.
-        self.search_strategy = search_strategy
         #: When set, Step 3 replaces hand-modelled failure data with the
         #: catalogue's — the right mode when re-running the process against
         #: revised reliability data (e.g. an environmental derating).
@@ -180,15 +176,8 @@ class DecisiveProcess:
     def step4b_refine(self, fmea: FmeaResult) -> List[Deployment]:
         """Search the mechanism catalogue for a deployment meeting the
         target (Step 4b); returns the *new* deployments (possibly empty)."""
-        with obs.span(
-            "decisive.step4b_refine",
-            target=self.target_asil,
-            strategy=self.search_strategy,
-        ):
-            plan = search_for_target(
-                fmea, self.mechanisms, self.target_asil,
-                strategy=self.search_strategy,
-            )
+        with obs.span("decisive.step4b_refine", target=self.target_asil):
+            plan = search_for_target(fmea, self.mechanisms, self.target_asil)
         if plan is None:
             return []
         existing = {(d.component, d.failure_mode) for d in self.deployments}
@@ -329,10 +318,9 @@ class DecisiveProcess:
                 deployments=self.deployments,
                 model_digest_value=self._system_digest() or "",
                 reliability=self.reliability,
-                config={
-                    "target": self.target_asil,
-                    "search_strategy": self.search_strategy,
-                },
+                # "search_strategy" is kept so every entry id stays the
+                # one recorded before the DP became the only search.
+                config={"target": self.target_asil, "search_strategy": "dp"},
                 meta={"met_target": record.met_target},
             )
         except Exception:  # noqa: BLE001 — provenance must not break the loop

@@ -232,23 +232,6 @@ class EventBus:
             campaign = self._campaign_entry(event)
             campaign["active"] = False
             campaign["eta_seconds"] = 0.0
-        elif event.type in ("job_submitted", "job_started", "job_finished"):
-            # Analysis-service job lifecycle (repro.service): running
-            # totals so `/healthz` summarises the queue without reaching
-            # into the service object.
-            service = self._status.setdefault(
-                "service_jobs",
-                {"submitted": 0, "finished": 0, "failed": 0, "cached": 0},
-            )
-            if event.type == "job_submitted":
-                service["submitted"] += 1  # type: ignore[index]
-            elif event.type == "job_finished":
-                service["finished"] += 1  # type: ignore[index]
-                if p.get("state") == "failed":
-                    service["failed"] += 1  # type: ignore[index]
-                if p.get("cached"):
-                    service["cached"] += 1  # type: ignore[index]
-            service["last_job"] = p.get("job")  # type: ignore[index]
 
     def _campaign_entry(self, event: Event) -> Dict[str, object]:
         """The keyed progress entry for ``event``'s campaign (lock held)."""

@@ -291,7 +291,7 @@ class Regression:
 
 def _strategy_timings(entry: LedgerEntry) -> Dict[str, float]:
     """Per-strategy wall times recorded by the injection benchmark
-    (``meta.timings`` — e.g. ``{"naive": ..., "parallel": ...}``)."""
+    (``meta.timings`` — e.g. ``{"naive": ..., "incremental": ...}``)."""
     timings = entry.meta.get("timings")
     if not isinstance(timings, dict):
         return {}
@@ -314,8 +314,8 @@ def watch_regressions(
     wall-time regression beyond ``max_walltime_pct`` percent of the
     baseline (``None`` disables the timing gate), a strategy
     inversion — the candidate entry's recorded per-strategy timings
-    (``meta.timings``, written by the injection benchmark) showing a
-    batched strategy running slower than naive re-assembly — a
+    (``meta.timings``, written by the injection benchmark) showing the
+    incremental strategy running slower than naive re-assembly — a
     latency-scaling bust: the candidate's recorded scaling probes
     (``meta.scaling``, written by the service benchmark as
     ``{name: {"ratio": ..., "budget": ...}}``) showing a ratio above its
@@ -363,17 +363,15 @@ def watch_regressions(
         )
     timings = _strategy_timings(diff.after)
     naive = timings.get("naive")
-    if naive:
-        for label in ("incremental", "parallel"):
-            batched = timings.get(label)
-            if batched is not None and batched > naive:
-                regressions.append(
-                    Regression(
-                        "strategy",
-                        f"{label} strategy slower than naive "
-                        f"({batched:.3f}s vs {naive:.3f}s)",
-                    )
-                )
+    incremental = timings.get("incremental")
+    if naive and incremental is not None and incremental > naive:
+        regressions.append(
+            Regression(
+                "strategy",
+                "incremental strategy slower than naive "
+                f"({incremental:.3f}s vs {naive:.3f}s)",
+            )
+        )
     scaling = diff.after.meta.get("scaling")
     if isinstance(scaling, dict):
         # Written by the service benchmark: per-probe latency-scaling

@@ -77,8 +77,6 @@ from repro.safety.mechanisms import (
 )
 from repro.safety.optimizer import (
     DeploymentPlan,
-    dp_pareto_front,
-    dp_search_for_target,
     enumerate_plans,
     greedy_plan,
     pareto_front,
@@ -139,8 +137,6 @@ __all__ = [
     "load_mechanism_table",
     "save_mechanism_table",
     "DeploymentPlan",
-    "dp_pareto_front",
-    "dp_search_for_target",
     "enumerate_plans",
     "greedy_plan",
     "pareto_front",

@@ -12,10 +12,10 @@ This module turns that loop into a campaign:
    pays only for its own faults;
 2. every injection is enumerated up front as an :class:`InjectionJob`;
 3. jobs execute against a single :class:`~repro.circuit.CompiledSystem`
-   over that primed system (delta-stamped direct solves for dense
-   systems, Sherman–Morrison–Woodbury updates of the one SuperLU
-   factorization for sparse ones, with exact full-assembly fallback),
-   serially, in enumeration order;
+   over that primed system (Newton on Sherman–Morrison–Woodbury updates
+   of its one factorization, dense LU or SuperLU as the system's size
+   picks, with exact full-assembly fallback), serially, in enumeration
+   order;
 4. rows are classified in enumeration order, so the resulting
    :class:`~repro.safety.fmea.FmeaResult` is row-for-row identical to the
    historical per-mode re-solve, whatever the solve path.
@@ -75,16 +75,16 @@ from repro.safety.resilience import (
 from repro.simulink import FailureBehavior, SimulinkError, SimulinkModel, to_netlist
 from repro.simulink.electrical import ElectricalConversion
 
-#: Serial campaigns flush the checkpoint every this many completed jobs.
+#: A campaign flushes its checkpoint every this many completed jobs.
 _CHECKPOINT_EVERY = 25
 
 #: Sensors whose relative deltas lie within this of the worst one are tied,
 #: and the tie goes to the first in sensor order, so the sensor an effect
 #: names cannot depend on which solver path produced the solution.  The
-#: paths (naive, direct, SMW) differ by ~1e-10 in a delta, and sensors in
-#: series on one current path differ by gmin leakage, ~1e-9; rounding the
-#: deltas to 9 decimals split such a pair whenever the two paths' values
-#: straddled a rounding boundary.
+#: paths (naive re-assembly, Woodbury update) differ by ~1e-10 in a delta,
+#: and sensors in series on one current path differ by gmin leakage,
+#: ~1e-9; rounding the deltas to 9 decimals split such a pair whenever the
+#: two paths' values straddled a rounding boundary.
 _SENSOR_TIE_TOLERANCE = 1e-6
 
 
@@ -358,11 +358,11 @@ class FaultInjectionCampaign:
     Parameters match :func:`~repro.safety.fmea.run_simulink_fmea` plus:
 
     incremental:
-        solve DC injections through a shared compiled system
-        (delta-stamped direct solves, or low-rank updates of a cached
-        sparse factorization, picked by the system's size) instead of
-        per-mode full re-assembly.  Results are identical either way —
-        topology-changing faults transparently fall back to full assembly;
+        solve DC injections through a shared compiled system (low-rank
+        Woodbury updates of one cached factorization, whose backend the
+        system's size picks) instead of per-mode full re-assembly.
+        Results are identical either way — topology-changing faults
+        transparently fall back to full assembly;
     max_retries:
         bounded retry budget for transient (numerical) failures; a job
         that exhausts it is recorded as a :class:`JobFailure`;
@@ -402,7 +402,6 @@ class FaultInjectionCampaign:
         job_timeout: Optional[float] = None,
         checkpoint: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        correlation_id: Optional[str] = None,
     ) -> None:
         if analysis not in ("dc", "transient"):
             raise FmeaError(
@@ -431,10 +430,6 @@ class FaultInjectionCampaign:
         self.job_timeout = job_timeout
         self.checkpoint = checkpoint
         self.resume = resume
-        #: Correlation id scoped over the whole run (events, spans, logs).
-        #: ``None`` inherits whatever ambient id the caller installed (the
-        #: service wraps ``run()`` in its job's id anyway).
-        self.correlation_id = correlation_id
         self._fingerprint: Optional[str] = None
         self._job_wall_times: List[float] = []
         self._progress_total = 0
@@ -555,7 +550,7 @@ class FaultInjectionCampaign:
 
         Cached for the duration of ONE run only (:func:`campaign_fingerprint`
         hashes the whole model, so the checkpoint and every progress event
-        must not pay it repeatedly) — ``_run_campaign`` resets the cache at
+        must not pay it repeatedly) — :meth:`run` resets the cache at
         entry, to the fingerprint the caller passed to :meth:`run` or to
         nothing,
         because the iterate-and-rerun workflows (DECISIVE, service tenants)
@@ -721,9 +716,9 @@ class FaultInjectionCampaign:
         ``campaign.classify`` phases, and the final counters are published
         as ``campaign_*`` metrics.
 
-        The whole run executes under this campaign's correlation id (when
-        one was given): every event, span and log record it produces
-        carries the id.
+        Every event, span and log record the run produces carries the
+        ambient correlation id (:func:`repro.obs.correlation`), when the
+        caller installed one.
         """
         if primed is not None and (
             conversion is None or primed.netlist is not conversion.netlist
@@ -731,15 +726,6 @@ class FaultInjectionCampaign:
             raise FmeaError(
                 "primed must be the primed system of conversion.netlist"
             )
-        with obs.correlation(self.correlation_id):
-            return self._run_campaign(fingerprint, conversion, primed)
-
-    def _run_campaign(
-        self,
-        fingerprint: Optional[str],
-        conversion: Optional[ElectricalConversion],
-        primed: Optional[PrimedSystem],
-    ) -> FmeaResult:
         started = time.perf_counter()
         # The model/config may have been mutated since the previous run of
         # this campaign object; take the fingerprint afresh per run (the

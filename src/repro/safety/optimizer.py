@@ -2,25 +2,26 @@
 
 Given an FMEA result and a safety-mechanism catalogue, the optimiser answers
 the questions the paper automates: *which mechanisms, on which components,
-reach the target ASIL at the lowest cost?* and *what is the Pareto front of
-viable (cost, SPFM) trade-offs?*
+reach the target ASIL at the lowest cost?* (:func:`search_for_target`) and
+*what is the Pareto front of viable (cost, SPFM) trade-offs?*
+(:func:`pareto_front`).
 
-Strategies:
+Both answers come out of one **exact** separable Pareto dynamic program.
+SPFM (Eq. 1) is additive over per-failure-mode residual rates, so the
+search space separates by row: fold rows one at a time, keeping only
+(cost, residual-rate) states that survive dominance pruning (and, for a
+target search, that can still finish under the target at no more than the
+greedy plan's cost).  Polynomial in rows × options × frontier instead of
+exponential in rows.
 
-- :func:`dp_search_for_target` / :func:`dp_pareto_front` — **exact**
-  separable Pareto dynamic program (the default).  SPFM (Eq. 1) is additive
-  over per-failure-mode residual rates, so the search space separates by
-  row: fold rows one at a time, keeping only (cost, residual-rate) states
-  that survive dominance pruning (and, for a target search, that can still
-  finish under the target at no more than the greedy plan's cost).
-  Polynomial in rows × options × frontier instead of exponential in rows;
+Two helpers stay public without being a search engine of their own:
+
 - :func:`enumerate_plans` — exhaustive enumeration over per-failure-mode
-  options (bounded; raises when the space is too large);
+  options (bounded; raises when the space is too large), the reference the
+  DP's exactness is checked against;
 - :func:`greedy_plan` — iteratively deploy the mechanism with the best
-  SPFM-gain-per-cost until the target is met;
-- :func:`search_for_target` — strategy dispatcher (``dp`` default,
-  ``exhaustive`` and ``greedy`` selectable);
-- :func:`pareto_front` — non-dominated (cost, SPFM) plans (``dp`` default).
+  SPFM-gain-per-cost until the target is met; the target search's
+  incumbent cost bound.
 """
 
 from __future__ import annotations
@@ -49,17 +50,10 @@ _MAX_ENUMERATION = 200_000
 #: thousand states (see docs/performance.md).
 _MAX_DP_STATES = 200_000
 
-#: Strategies accepted by :func:`search_for_target`.
-SEARCH_STRATEGIES = ("dp", "exhaustive", "greedy")
-
-#: Strategies accepted by :func:`pareto_front` (greedy has no front).
-PARETO_STRATEGIES = ("dp", "exhaustive")
-
-
 class _SpfmEvaluator:
     """Incremental SPFM scoring over a fixed FMEA.
 
-    The search strategies below score thousands of candidate plans against
+    The searches below score thousands of candidate plans against
     the *same* FMEA; calling :func:`repro.safety.metrics.spfm` each time
     re-derives the safety-related component set, re-scans every row and
     re-sums ``component_fit`` per component.  This evaluator precomputes all
@@ -207,7 +201,7 @@ def enumerate_plans(
     if space > max_plans:
         raise ValueError(
             f"deployment space has {space} plans (> {max_plans}); "
-            f"use greedy_plan or pareto_front instead"
+            f"use search_for_target or pareto_front instead"
         )
     evaluator = _SpfmEvaluator(fmea)
     plans: List[DeploymentPlan] = []
@@ -412,7 +406,7 @@ def _dp_scan(
     return None
 
 
-def dp_search_for_target(
+def search_for_target(
     fmea: FmeaResult,
     catalogue: SafetyMechanismModel,
     target_asil: str,
@@ -441,7 +435,7 @@ def dp_search_for_target(
     per_row = _options_per_row(fmea, catalogue)
     evaluator = _SpfmEvaluator(fmea)
     with obs.span(
-        "optimizer.dp", target=target_asil, rows=len(per_row)
+        "optimizer.search", target=target_asil, rows=len(per_row)
     ) as sp:
         # The prune bound adds a margin far above the float noise between
         # a prefix-plus-suffix sum and the full row-order sum.
@@ -479,19 +473,19 @@ def dp_search_for_target(
     return plan
 
 
-def dp_pareto_front(
+def pareto_front(
     fmea: FmeaResult,
     catalogue: SafetyMechanismModel,
     max_states: int = _MAX_DP_STATES,
 ) -> List[DeploymentPlan]:
-    """The non-dominated (cost, SPFM) plans via the Pareto DP.
+    """Non-dominated plans: no other plan has lower cost *and* higher SPFM.
 
-    The DP's final frontier *is* the Pareto front — no enumeration, no
+    The Pareto DP's final frontier *is* the front — no enumeration, no
     plan-count cap.  Sorted by increasing cost (hence increasing SPFM).
     """
     per_row = _options_per_row(fmea, catalogue)
     evaluator = _SpfmEvaluator(fmea)
-    with obs.span("optimizer.dp_pareto", rows=len(per_row)) as sp:
+    with obs.span("optimizer.pareto", rows=len(per_row)) as sp:
         states, stats = _dp_frontier(per_row, max_states)
         _publish_dp(sp, stats, len(states))
         plans = [evaluator.plan(_dp_deployments(state)) for state in states]
@@ -638,83 +632,3 @@ def _greedy_loop(
         lambda_spf = sum(contributions.values())
         plan = current_plan()
     return plan
-
-
-# -- dispatchers -------------------------------------------------------------
-
-
-def _check_strategy(strategy: str, allowed: Tuple[str, ...]) -> None:
-    if strategy not in allowed:
-        raise ValueError(
-            f"unknown search strategy {strategy!r}; "
-            f"expected one of {list(allowed)}"
-        )
-
-
-def search_for_target(
-    fmea: FmeaResult,
-    catalogue: SafetyMechanismModel,
-    target_asil: str,
-    max_exhaustive: int = 20_000,
-    strategy: str = "dp",
-) -> Optional[DeploymentPlan]:
-    """Minimal-cost plan meeting ``target_asil``.
-
-    ``strategy`` selects the engine:
-
-    - ``"dp"`` (default): the exact separable Pareto DP — optimal on any
-      catalogue size, no enumeration cap;
-    - ``"exhaustive"``: bounded enumeration (up to ``max_exhaustive``
-      plans), with a greedy fallback beyond the bound — the historical
-      behaviour, kept as a reference;
-    - ``"greedy"``: the gain-per-cost heuristic directly.
-
-    Returns ``None`` when the target cannot be met with the catalogue.
-    """
-    _check_strategy(strategy, SEARCH_STRATEGIES)
-    with obs.span(
-        "optimizer.search", target=target_asil, strategy=strategy
-    ) as sp:
-        if strategy == "dp":
-            return dp_search_for_target(fmea, catalogue, target_asil)
-        if strategy == "greedy":
-            return greedy_plan(fmea, catalogue, target_asil)
-        try:
-            plans = enumerate_plans(fmea, catalogue, max_plans=max_exhaustive)
-        except ValueError:
-            sp.set(fallback="greedy")
-            return greedy_plan(fmea, catalogue, target_asil)
-        sp.set(plans=len(plans))
-        feasible = [plan for plan in plans if plan.meets(target_asil)]
-        if not feasible:
-            return None
-        return min(feasible, key=lambda plan: (plan.cost, -plan.spfm))
-
-
-def pareto_front(
-    fmea: FmeaResult,
-    catalogue: SafetyMechanismModel,
-    max_plans: int = _MAX_ENUMERATION,
-    strategy: str = "dp",
-) -> List[DeploymentPlan]:
-    """Non-dominated plans: no other plan has lower cost *and* higher SPFM.
-
-    Sorted by increasing cost (hence increasing SPFM).  With the default
-    ``strategy="dp"`` the front comes out of the Pareto DP directly —
-    catalogues whose plan space exceeds ``max_plans`` (where
-    ``strategy="exhaustive"`` raises) are fine.
-    """
-    _check_strategy(strategy, PARETO_STRATEGIES)
-    if strategy == "dp":
-        return dp_pareto_front(fmea, catalogue)
-    with obs.span("optimizer.pareto") as sp:
-        plans = enumerate_plans(fmea, catalogue, max_plans=max_plans)
-        plans.sort(key=lambda plan: (plan.cost, -plan.spfm))
-        front: List[DeploymentPlan] = []
-        best_spfm = -1.0
-        for plan in plans:
-            if plan.spfm > best_spfm + 1e-12:
-                front.append(plan)
-                best_spfm = plan.spfm
-        sp.set(plans=len(plans), front=len(front))
-    return front

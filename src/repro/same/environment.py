@@ -249,23 +249,16 @@ class SAME:
         self.deployments.append(deployment)
         return deployment
 
-    def search_deployment(
-        self, target_asil: str, strategy: str = "dp"
-    ) -> Optional[DeploymentPlan]:
-        """Let SAME determine the solution for the target safety level.
-
-        ``strategy`` selects the optimizer backend: the exact separable
-        Pareto DP (default), ``"greedy"``, or the legacy bounded
-        ``"exhaustive"`` enumeration.
-        """
+    def search_deployment(self, target_asil: str) -> Optional[DeploymentPlan]:
+        """Let SAME determine the cheapest solution for the target safety
+        level (the exact Pareto DP of :func:`search_for_target`)."""
         self._require("mechanisms")
         self._require("last_fmea")
         with self._correlated(), obs.span(
-            "same.search_deployment", target=target_asil, strategy=strategy
+            "same.search_deployment", target=target_asil
         ) as sp:
             plan = search_for_target(
-                self.last_fmea, self.mechanisms, target_asil,
-                strategy=strategy,
+                self.last_fmea, self.mechanisms, target_asil
             )
             if plan is not None and self.ledger is not None:
                 from repro.obs.ledger import record_optimizer
@@ -276,7 +269,9 @@ class SAME:
                     system=self.last_fmea.system,
                     model=self.simulink_model or self.ssam_model,
                     reliability=self.reliability,
-                    config={"target": target_asil, "strategy": strategy},
+                    # "strategy" is kept so every entry id stays the one
+                    # recorded before the DP became the only search.
+                    config={"target": target_asil, "strategy": "dp"},
                     meta={"facade": "same"},
                 )
                 sp.set(ledger_entry=entry.entry_id)
@@ -284,11 +279,11 @@ class SAME:
             self.deployments = list(plan.deployments)
         return plan
 
-    def pareto(self, strategy: str = "dp") -> List[DeploymentPlan]:
+    def pareto(self) -> List[DeploymentPlan]:
         """The Pareto front of (cost, SPFM) deployment trade-offs."""
         self._require("mechanisms")
         self._require("last_fmea")
-        return pareto_front(self.last_fmea, self.mechanisms, strategy=strategy)
+        return pareto_front(self.last_fmea, self.mechanisms)
 
     # -- outputs ------------------------------------------------------------------
 
@@ -394,7 +389,6 @@ class SAME:
         self,
         target_asil: str = "ASIL-B",
         max_iterations: int = 10,
-        search_strategy: str = "dp",
     ) -> ProcessLog:
         self._require("ssam_model")
         self._require("reliability")
@@ -405,7 +399,6 @@ class SAME:
             self.mechanisms,
             target_asil,
             ledger=self.ledger,
-            search_strategy=search_strategy,
         )
         with self._correlated(), obs.span("same.decisive", target=target_asil):
             log = process.run(max_iterations)

@@ -167,7 +167,8 @@ def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
     the campaign option ``max_retries`` checked.  Unknown keys pass
     through untouched and reach neither the campaign nor the cache key.
     ``job_timeout`` is one: a job runs on a worker thread, where the
-    campaign's SIGALRM deadline cannot be armed.
+    campaign's SIGALRM deadline cannot be armed.  ``search_strategy`` is
+    another: every search runs the exact Pareto DP.
 
     A missing or ``null`` value takes the campaign default; a malformed one
     raises :class:`ServiceError`, which ``POST /jobs`` answers with 400.
@@ -301,10 +302,8 @@ class AnalysisRequest:
     ``t_stop`` and ``dt`` are normalised at construction (see
     :func:`_normalised_config`).
     ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
-    extend the base FMEA; ``config.search_strategy`` (``"dp"``,
-    ``"exhaustive"`` or ``"greedy"``, default ``"dp"``) picks the search
-    engine.  Everything is checked at construction, so a malformed request
-    is a :class:`ServiceError` before any campaign runs.
+    extend the base FMEA.  Everything is checked at construction, so a
+    malformed request is a :class:`ServiceError` before any campaign runs.
     """
 
     kind: str
@@ -356,7 +355,6 @@ class AnalysisRequest:
             ("component_class", "failure_mode", "name"),
         )
         from repro.safety.metrics import ASIL_SPFM_TARGETS
-        from repro.safety.optimizer import SEARCH_STRATEGIES
 
         if (self.kind == "search" or self.target_asil) and (
             self.target_asil not in ASIL_SPFM_TARGETS
@@ -364,11 +362,6 @@ class AnalysisRequest:
             raise ServiceError(
                 f"target_asil must be one of {tuple(ASIL_SPFM_TARGETS)}, "
                 f"got {self.target_asil!r}"
-            )
-        if self.search_strategy() not in SEARCH_STRATEGIES:
-            raise ServiceError(
-                "config.search_strategy must be one of "
-                f"{SEARCH_STRATEGIES}, got {self.config['search_strategy']!r}"
             )
 
     @classmethod
@@ -438,12 +431,6 @@ class AnalysisRequest:
             model_text=self._model_text.text if self._model_text else None,
         )
 
-    def search_strategy(self) -> str:
-        """The search engine: ``config.search_strategy``, ``"dp"`` when
-        absent or ``null``."""
-        strategy = self.config.get("search_strategy")
-        return "dp" if strategy is None else strategy  # type: ignore[return-value]
-
     def cache_key(self, fingerprint: Optional[str] = None) -> str:
         """Ledger cache key: fingerprint ⊕ everything else that shapes rows.
 
@@ -451,9 +438,7 @@ class AnalysisRequest:
         thresholds (checkpointed raw outcomes stay valid across them), but
         the *rows* a client receives do depend on them — so the cache key
         folds in the classification config, the deployment set and the
-        search target on top of the fingerprint.  A search with a strategy
-        other than the default ``"dp"`` folds that in too (a default search
-        keeps the key it always had).
+        search target on top of the fingerprint.
         """
         return self._key(fingerprint, base=False)
 
@@ -478,9 +463,6 @@ class AnalysisRequest:
             "mechanisms": [] if base else self.mechanisms,
             "target_asil": "" if base else self.target_asil,
         }
-        strategy = self.search_strategy()
-        if not base and self.kind == "search" and strategy != "dp":
-            payload["search_strategy"] = strategy
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -1048,7 +1030,6 @@ class AnalysisService:
         request: AnalysisRequest,
         model,
         fingerprint: str,
-        correlation_id: Optional[str] = None,
     ):
         from repro.safety.campaign import FaultInjectionCampaign
 
@@ -1074,7 +1055,6 @@ class AnalysisService:
             assume_stable=tuple(assume_stable),  # type: ignore[arg-type]
             checkpoint=checkpoint,
             resume=resume,
-            correlation_id=correlation_id,
             **kwargs,  # type: ignore[arg-type]
         )
 
@@ -1118,10 +1098,7 @@ class AnalysisService:
         else:
             cached = self._materialize_model(request)
             model = cached.model
-            campaign = self._campaign(
-                request, model, job.fingerprint,
-                correlation_id=job.correlation_id,
-            )
+            campaign = self._campaign(request, model, job.fingerprint)
             primed = (
                 cached.primed()
                 if campaign.incremental and campaign.analysis == "dc"
@@ -1188,10 +1165,7 @@ class AnalysisService:
             )
             for m in request.mechanisms
         )
-        strategy = request.search_strategy()
-        plan = search_for_target(
-            fmea, catalogue, request.target_asil, strategy=strategy
-        )
+        plan = search_for_target(fmea, catalogue, request.target_asil)
         if plan is None:
             # No deployment meets the target: a real answer, but not a
             # cacheable ledger entry (record_optimizer needs a plan).
@@ -1204,8 +1178,10 @@ class AnalysisService:
             entry = record_optimizer(
                 self.ledger, plan, system=fmea.system, model=model,
                 reliability=reliability,
+                # "strategy" is kept so every entry id stays the one
+                # recorded before the DP became the only search.
                 config={**config, "target": request.target_asil,
-                        "strategy": strategy},
+                        "strategy": "dp"},
                 meta=meta, model_digest_value=digest,
             )
         return _answer(entry, from_cache=False)

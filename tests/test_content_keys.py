@@ -23,6 +23,7 @@ on:
 """
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -49,7 +50,12 @@ from repro.casestudies import (
     power_network_reliability,
     power_supply_reliability,
 )
-from repro.casestudies.power_supply import ASSUMED_STABLE
+from repro.casestudies.power_supply import (
+    ASSUMED_STABLE,
+    build_power_supply_ssam,
+)
+from repro.decisive.process import DecisiveProcess
+from repro.metamodel import core as metamodel_core
 from repro.obs import ledger as ledger_mod
 from repro.obs.ledger import AnalysisLedger, LedgerEntry
 from repro.safety import campaign as campaign_mod
@@ -57,6 +63,7 @@ from repro.safety import resilience
 from repro.safety.campaign import FaultInjectionCampaign
 from repro.safety.metrics import asil_from_spfm, spfm
 from repro.safety.resilience import _canonical, canonical_json
+from repro.same import SAME
 from repro.service import (
     AnalysisRequest,
     AnalysisService,
@@ -89,6 +96,19 @@ GOLDEN_LEDGER_MODEL_DIGEST = (
 GOLDEN_RELIABILITY_DIGEST = (
     "9f09c7f6568bb2140d6d08b645b28f94f1cdefc68085e0fe6a901d2d558bc0d9"
 )
+#: An ASIL-B power-supply search: its service cache key, and the ledger ids
+#: of its entry as recorded by the service, by ``SAME.search_deployment``
+#: and by the first ``DecisiveProcess`` iteration (on the SSAM model).
+#: Recorded while the search engine was still selectable (``"dp"`` by
+#: default), so a change here invalidates existing ledgers and caches.
+GOLDEN_SEARCH_CACHE_KEY = (
+    "7ee1b58c577b37a3df4fdd3cc31fc2405ea5f9bd53d3e622594e762392a665e0"
+)
+GOLDEN_SEARCH_ENTRY_IDS = {
+    "service": "optimizer-0b9c32e119e8",
+    "same": "optimizer-bd53c72778e7",
+    "decisive": "decisive-iteration-07acf47952d3",
+}
 
 
 def _reference(value):
@@ -630,6 +650,96 @@ def test_entry_recorded_with_a_worker_count_keeps_its_digest(tmp_path):
         entry.entry_id, entry.content_digest,
     )
     assert LedgerEntry.from_dict(line).content_digest == entry.content_digest
+
+
+def _psu_search_body(mechanisms, **config):
+    body = _psu_body(
+        kind="search",
+        target_asil="ASIL-B",
+        mechanisms=[
+            {
+                "component_class": spec.component_class,
+                "failure_mode": spec.failure_mode,
+                "name": spec.name,
+                "coverage": spec.coverage,
+                "cost": spec.cost,
+            }
+            for spec in mechanisms.specs()
+        ],
+    )
+    body["config"].update(config)
+    return body
+
+
+def test_recorded_search_ids_are_unchanged(
+    tmp_path, monkeypatch, clean_obs, psu_mechanisms
+):
+    body = _psu_search_body(psu_mechanisms)
+    assert AnalysisRequest.from_payload(body).cache_key() == (
+        GOLDEN_SEARCH_CACHE_KEY
+    )
+    with AnalysisService(tmp_path / "service.jsonl", workers=1) as service:
+        job = _done(service, service.submit(_encoded(body)))
+    assert job.cache_key == GOLDEN_SEARCH_CACHE_KEY
+
+    same = SAME()
+    same.open_simulink(build_power_supply_simulink())
+    same.load_reliability(power_supply_reliability())
+    same.load_mechanisms(psu_mechanisms)
+    same.set_ledger(tmp_path / "same.jsonl")
+    same.run_fmea_simulink(sensors=["CS1"], assume_stable=ASSUMED_STABLE)
+    assert same.search_deployment("ASIL-B") is not None
+    (searched,) = same.ledger.entries(kind="optimizer")
+
+    # An iteration digests the SSAM system with its objects' uids, which
+    # count up per process: build the model as a fresh process does.
+    monkeypatch.setattr(metamodel_core, "_object_ids", itertools.count(1))
+    log = DecisiveProcess(
+        build_power_supply_ssam(),
+        power_supply_reliability(),
+        psu_mechanisms,
+        target_asil="ASIL-B",
+        ledger=AnalysisLedger(tmp_path / "decisive.jsonl"),
+    ).run()
+    assert {
+        "service": job.result["entry"],
+        "same": searched.entry_id,
+        "decisive": log.iterations[0].ledger_entry,
+    } == GOLDEN_SEARCH_ENTRY_IDS
+
+
+def test_config_search_strategy_reaches_neither_the_search_nor_the_keys(
+    tmp_path, clean_obs, psu_mechanisms
+):
+    """Every search runs the exact Pareto DP, so ``config.search_strategy``
+    is an unknown key: any value is accepted, and a body that sets it gets
+    the cache key and plan of one that does not, computed and from the
+    cache alike."""
+    plain = _psu_search_body(psu_mechanisms)
+    values = ("greedy", "exhaustive", "bogus", None, 7)
+    for value in values:
+        request = AnalysisRequest.from_payload(
+            _psu_search_body(psu_mechanisms, search_strategy=value)
+        )
+        assert request.cache_key() == GOLDEN_SEARCH_CACHE_KEY, value
+    computed = []
+    for name, body in (
+        ("plain", plain),
+        ("greedy", _psu_search_body(psu_mechanisms, search_strategy="greedy")),
+    ):
+        with AnalysisService(tmp_path / f"{name}.jsonl", workers=1) as service:
+            job = _done(service, service.submit(_encoded(body)))
+        assert not job.cached
+        computed.append(_answer(job))
+    assert computed[0]["entry"] == GOLDEN_SEARCH_ENTRY_IDS["service"]
+    assert computed[0]["rows"] == computed[1]["rows"]
+    assert computed[0]["entry"] == computed[1]["entry"]
+    with AnalysisService(tmp_path / "plain.jsonl", workers=1) as service:
+        for value in values:
+            body = _psu_search_body(psu_mechanisms, search_strategy=value)
+            hit = _done(service, service.submit(_encoded(body)))
+            assert hit.cached, value
+            assert hit.result["entry"] == computed[0]["entry"], value
 
 
 def test_memo_hit_with_no_reachable_plan_parses_and_recomputes(

@@ -348,10 +348,11 @@ class TestCampaignCorrelation:
 
         obs.enable_events()
         cid = obs.mint_correlation_id()
-        result = FaultInjectionCampaign(
-            psu_simulink, psu_reliability, sensors=["CS1"],
-            assume_stable=ASSUMED_STABLE, correlation_id=cid,
-        ).run()
+        with obs.correlation(cid):
+            result = FaultInjectionCampaign(
+                psu_simulink, psu_reliability, sensors=["CS1"],
+                assume_stable=ASSUMED_STABLE,
+            ).run()
         events = obs.event_bus().events()
         assert events, "campaign emitted no events"
         assert all(e.cid == cid for e in events), [

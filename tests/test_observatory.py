@@ -153,26 +153,18 @@ class TestWatchRegressions:
         assert watch_regressions(diff, max_walltime_pct=None) == []
 
     def test_strategy_inversion_flagged(self):
-        """A candidate entry whose recorded per-strategy timings show a
-        batched strategy losing to naive is a regression in itself."""
+        """A candidate entry whose recorded per-strategy timings show the
+        incremental strategy losing to naive is a regression in itself."""
         after = _fmeda_entry()
-        after.meta["timings"] = {
-            "naive": 1.0,
-            "incremental": 0.4,
-            "parallel": 1.7,
-        }
+        after.meta["timings"] = {"naive": 1.0, "incremental": 1.7}
         diff = diff_entries(_fmeda_entry(), after)
         regressions = watch_regressions(diff)
         assert [r.kind for r in regressions] == ["strategy"]
-        assert "parallel" in regressions[0].message
+        assert "incremental" in regressions[0].message
 
     def test_strategy_timings_faster_than_naive_pass(self):
         after = _fmeda_entry()
-        after.meta["timings"] = {
-            "naive": 1.0,
-            "incremental": 0.4,
-            "parallel": 0.6,
-        }
+        after.meta["timings"] = {"naive": 1.0, "incremental": 0.4}
         diff = diff_entries(_fmeda_entry(), after)
         assert watch_regressions(diff) == []
 

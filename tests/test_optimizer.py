@@ -60,7 +60,7 @@ class TestEnumeration:
         assert len(enumerate_plans(fmea, catalogue)) == 6
 
     def test_space_limit_enforced(self, fmea, catalogue):
-        with pytest.raises(ValueError, match="use greedy_plan"):
+        with pytest.raises(ValueError, match="use search_for_target"):
             enumerate_plans(fmea, catalogue, max_plans=3)
 
     def test_empty_catalogue_yields_bare_plan(self, fmea):
@@ -99,11 +99,6 @@ class TestTargetSearch:
         plan = search_for_target(fmea, catalogue, "ASIL-A")
         assert plan is not None
         assert plan.cost == 0.0
-
-    def test_greedy_fallback_used_for_large_spaces(self, fmea, catalogue):
-        plan = search_for_target(fmea, catalogue, "ASIL-B", max_exhaustive=2)
-        assert plan is not None
-        assert plan.meets("ASIL-B")
 
 
 class TestGreedy:

@@ -1,9 +1,10 @@
-"""Separable Pareto DP: exactness, search bounds, state cap, dispatch.
+"""Separable Pareto DP: exactness, search bounds, state cap, signatures.
 
-The DP must be *bit-equal* to exhaustive enumeration wherever enumeration
-is feasible — same optimal cost and same SPFM for the target search, and
-a plan-for-plan identical Pareto front — while scaling to spaces where
-enumeration raises.  The bounded target search must return exactly the
+The DP is the only search engine: :func:`search_for_target` and
+:func:`pareto_front` must be *bit-equal* to exhaustive enumeration
+wherever enumeration is feasible — same optimal cost and same SPFM for the
+target search, and a plan-for-plan identical Pareto front — while scaling
+to spaces where enumeration raises.  The bounded target search must return exactly the
 plan the unbounded fold's cost-ascending scan returns.
 """
 
@@ -24,8 +25,6 @@ from repro.safety.optimizer import (
     _incumbent_limit,
     _options_per_row,
     _SpfmEvaluator,
-    dp_pareto_front,
-    dp_search_for_target,
     enumerate_plans,
     greedy_plan,
     pareto_front,
@@ -72,6 +71,18 @@ def exhaustive_optimum(fmea, catalogue, target):
     return min(feasible, key=lambda plan: (plan.cost, -plan.spfm))
 
 
+def enumerated_front(fmea, catalogue):
+    """The Pareto front of every enumerated plan: cost ascending, each
+    plan strictly above the best SPFM of the cheaper ones."""
+    plans = enumerate_plans(fmea, catalogue, max_plans=50_000)
+    plans.sort(key=lambda plan: (plan.cost, -plan.spfm))
+    front = []
+    for plan in plans:
+        if not front or plan.spfm > front[-1].spfm + 1e-12:
+            front.append(plan)
+    return front
+
+
 class TestExactness:
     @pytest.mark.parametrize("seed", range(30))
     def test_dp_bit_equal_to_enumeration(self, seed):
@@ -79,7 +90,7 @@ class TestExactness:
         fmea, catalogue = synth_case(rng, rng.randint(1, 7))
         for target in TARGETS:
             best = exhaustive_optimum(fmea, catalogue, target)
-            plan = dp_search_for_target(fmea, catalogue, target)
+            plan = search_for_target(fmea, catalogue, target)
             assert (plan is None) == (best is None), (seed, target)
             if best is not None:
                 assert plan.cost == best.cost, (seed, target)
@@ -89,10 +100,8 @@ class TestExactness:
     def test_dp_pareto_equals_enumerated_front(self, seed):
         rng = random.Random(100 + seed)
         fmea, catalogue = synth_case(rng, rng.randint(1, 7))
-        dp_front = dp_pareto_front(fmea, catalogue)
-        enum_front = pareto_front(
-            fmea, catalogue, max_plans=50_000, strategy="exhaustive"
-        )
+        dp_front = pareto_front(fmea, catalogue)
+        enum_front = enumerated_front(fmea, catalogue)
         assert [(p.cost, p.spfm) for p in dp_front] == [
             (p.cost, p.spfm) for p in enum_front
         ], seed
@@ -105,7 +114,7 @@ class TestExactness:
             greedy = greedy_plan(fmea, catalogue, target)
             if greedy is None:
                 continue
-            plan = dp_search_for_target(fmea, catalogue, target)
+            plan = search_for_target(fmea, catalogue, target)
             assert plan is not None, (seed, target)
             assert plan.cost <= greedy.cost + 1e-9, (seed, target)
 
@@ -189,7 +198,7 @@ class TestBoundedOracle:
             with mock.patch.object(
                 optimizer, "_dp_frontier", wraps=optimizer._dp_frontier
             ) as fold:
-                plan = dp_search_for_target(fmea, catalogue, target)
+                plan = search_for_target(fmea, catalogue, target)
             # One bounded fold (none for an unreachable target): the
             # fallback to the whole fold is never what answers.
             assert fold.call_count <= 1, target
@@ -204,7 +213,7 @@ class TestBoundedOracle:
     def test_already_met_target_costs_nothing(self):
         fmea, catalogue = synth_case(random.Random(14), 5)
         for target in ("QM", "ASIL-A"):
-            plan = dp_search_for_target(fmea, catalogue, target)
+            plan = search_for_target(fmea, catalogue, target)
             assert plan.deployments == () and plan.cost == 0
             assert _plan_key(plan) == _plan_key(
                 unbounded_search(fmea, catalogue, target)
@@ -232,7 +241,7 @@ class TestBoundedOracle:
 
         monkeypatch.setattr(optimizer, "_dp_frontier", no_fold)
         monkeypatch.setattr(optimizer, "_greedy", no_fold)
-        assert dp_search_for_target(fmea, catalogue, "ASIL-B") is None
+        assert search_for_target(fmea, catalogue, "ASIL-B") is None
 
     def test_greedy_choice_order_cost_below_row_order_cost(self):
         # Every row is needed for ASIL-D, so the optimum deploys all three.
@@ -261,7 +270,7 @@ class TestBoundedOracle:
             )
         catalogue = SafetyMechanismModel(specs)
         greedy = greedy_plan(fmea, catalogue, "ASIL-D")
-        plan = dp_search_for_target(fmea, catalogue, "ASIL-D")
+        plan = search_for_target(fmea, catalogue, "ASIL-D")
         assert [d.component for d in greedy.deployments] == ["C2", "C1", "C0"]
         assert greedy.cost < plan.cost
         assert sorted(greedy.deployments, key=lambda d: d.component) == list(
@@ -294,7 +303,7 @@ class TestBoundedOracle:
             return optimizer.DeploymentPlan(plan.deployments, plan.spfm, 0.0)
 
         monkeypatch.setattr(optimizer, "_greedy", cheap_greedy)
-        plan = dp_search_for_target(fmea, catalogue, "ASIL-B")
+        plan = search_for_target(fmea, catalogue, "ASIL-B")
         assert _plan_key(plan) == _plan_key(reference)
 
 
@@ -309,7 +318,9 @@ def traced():
 
 
 def _dp_span():
-    (record,) = [r for r in obs.tracer().records() if r.name == "optimizer.dp"]
+    (record,) = [
+        r for r in obs.tracer().records() if r.name == "optimizer.search"
+    ]
     return record.attrs
 
 
@@ -318,7 +329,7 @@ class TestSearchTelemetry:
         fmea, catalogue = synth_case(random.Random(18), 6)
         greedy = greedy_plan(fmea, catalogue, "ASIL-B")
         obs.reset()
-        plan = dp_search_for_target(fmea, catalogue, "ASIL-B")
+        plan = search_for_target(fmea, catalogue, "ASIL-B")
         attrs = _dp_span()
         assert attrs["incumbent_cost"] == greedy.cost
         assert attrs["bound_pruned"] > 0
@@ -328,16 +339,16 @@ class TestSearchTelemetry:
 
     def test_unreachable_search_is_flagged(self, traced):
         fmea, catalogue = synth_case(random.Random(18), 6)
-        assert dp_search_for_target(fmea, catalogue, "ASIL-D") is None
+        assert search_for_target(fmea, catalogue, "ASIL-D") is None
         attrs = _dp_span()
         assert attrs["unreachable"] is True and attrs["met"] is False
         assert "candidates" not in attrs
 
     def test_pareto_fold_is_unbounded(self, traced):
         fmea, catalogue = synth_case(random.Random(18), 6)
-        dp_pareto_front(fmea, catalogue)
+        pareto_front(fmea, catalogue)
         (record,) = [
-            r for r in obs.tracer().records() if r.name == "optimizer.dp_pareto"
+            r for r in obs.tracer().records() if r.name == "optimizer.pareto"
         ]
         assert record.attrs["bound_pruned"] == 0
         assert "incumbent_cost" not in record.attrs
@@ -350,7 +361,7 @@ class TestScale:
         # Force a space comfortably past the enumeration cap.
         with pytest.raises(ValueError):
             enumerate_plans(fmea, catalogue)
-        front = dp_pareto_front(fmea, catalogue)
+        front = pareto_front(fmea, catalogue)
         assert front
         costs = [plan.cost for plan in front]
         spfms = [plan.spfm for plan in front]
@@ -402,41 +413,41 @@ class TestStateCap:
         with pytest.raises(ValueError, match="DP frontier has"):
             _dp_frontier(_options_per_row(fmea, catalogue), max_states=16)
         with pytest.raises(ValueError, match="DP frontier has"):
-            dp_pareto_front(fmea, catalogue, max_states=16)
+            pareto_front(fmea, catalogue, max_states=16)
         # The bounds keep a target search's frontier far smaller, but it
         # refuses the same way once that frontier passes the cap.
         with pytest.raises(ValueError, match="DP frontier has"):
-            dp_search_for_target(fmea, catalogue, "ASIL-B", max_states=2)
+            search_for_target(fmea, catalogue, "ASIL-B", max_states=2)
         # The default cap is far above either frontier.
-        assert dp_pareto_front(fmea, catalogue)
-        assert dp_search_for_target(fmea, catalogue, "ASIL-B") is not None
+        assert pareto_front(fmea, catalogue)
+        assert search_for_target(fmea, catalogue, "ASIL-B") is not None
 
 
 class TestDispatch:
     def test_unknown_strategy_rejected(self):
+        """No engine is selectable: the DP is the only search."""
         rng = random.Random(11)
         fmea, catalogue = synth_case(rng, 2)
-        with pytest.raises(ValueError, match="unknown search strategy"):
-            search_for_target(fmea, catalogue, "ASIL-B", strategy="magic")
-        with pytest.raises(ValueError, match="unknown search strategy"):
-            pareto_front(fmea, catalogue, strategy="greedy")
+        with pytest.raises(TypeError, match="strategy"):
+            search_for_target(fmea, catalogue, "ASIL-B", strategy="dp")
+        with pytest.raises(TypeError, match="strategy"):
+            pareto_front(fmea, catalogue, strategy="dp")
 
     def test_bad_asil_rejected_up_front(self):
         rng = random.Random(12)
         fmea, catalogue = synth_case(rng, 2)
         with pytest.raises(Exception):
-            dp_search_for_target(fmea, catalogue, "ASIL-Z")
+            search_for_target(fmea, catalogue, "ASIL-Z")
 
     def test_strategies_agree_on_feasibility(self):
+        """The DP, enumeration and the greedy heuristic agree on whether a
+        target is reachable, and the DP's plan is the enumerated optimum."""
         rng = random.Random(13)
         fmea, catalogue = synth_case(rng, 4)
         for target in TARGETS:
-            via_dp = search_for_target(
-                fmea, catalogue, target, strategy="dp"
-            )
-            via_exhaustive = search_for_target(
-                fmea, catalogue, target, strategy="exhaustive"
-            )
-            assert (via_dp is None) == (via_exhaustive is None)
-            if via_dp is not None:
-                assert via_dp.cost == via_exhaustive.cost
+            plan = search_for_target(fmea, catalogue, target)
+            best = exhaustive_optimum(fmea, catalogue, target)
+            greedy = greedy_plan(fmea, catalogue, target)
+            assert (plan is None) == (best is None) == (greedy is None)
+            if plan is not None:
+                assert plan.cost == best.cost

@@ -86,6 +86,44 @@ class TestFacadeFlow:
             environment.calculate_spfm()
 
 
+class TestOneSearchEngine:
+    """Every search is the exact Pareto DP: no layer takes an engine."""
+
+    def test_facade_and_process_take_no_engine(
+        self, same, psu_ssam, psu_reliability, psu_mechanisms
+    ):
+        from repro.decisive.process import DecisiveProcess
+
+        with pytest.raises(TypeError, match="strategy"):
+            same.search_deployment("ASIL-B", strategy="greedy")
+        with pytest.raises(TypeError, match="strategy"):
+            same.pareto(strategy="dp")
+        with pytest.raises(TypeError, match="search_strategy"):
+            same.run_decisive("ASIL-B", search_strategy="greedy")
+        with pytest.raises(TypeError, match="search_strategy"):
+            DecisiveProcess(
+                psu_ssam, psu_reliability, psu_mechanisms,
+                search_strategy="greedy",
+            )
+
+    @pytest.mark.parametrize(
+        "verb,required",
+        [
+            ("fmeda", ["--model", "m", "--reliability", "r",
+                       "--mechanisms", "s"]),
+            ("decisive", ["--ssam", "m", "--reliability", "r",
+                          "--mechanisms", "s"]),
+        ],
+    )
+    def test_search_strategy_flag_is_unknown(self, verb, required, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, *required, "--search-strategy", "dp"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --search-strategy" in (
+            capsys.readouterr().err
+        )
+
+
 class TestWorkspace:
     def test_simulink_roundtrip(self, tmp_path, psu_simulink):
         workspace = Workspace(tmp_path / "ws")

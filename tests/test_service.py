@@ -125,8 +125,6 @@ MALFORMED_DERIVED = [
     ("target-unknown", lambda f, s: dict(s, target_asil="ASIL-Z"),
      "target_asil"),
     ("target-empty", lambda f, s: dict(s, target_asil=""), "target_asil"),
-    ("strategy-bogus", lambda f, s: _with_config(s, search_strategy="bogus"),
-     "config.search_strategy"),
     ("deployment-no-component",
      lambda f, s: _edit_first(f, "deployments", component=None),
      r"deployments\[0\]\.component"),
@@ -293,38 +291,13 @@ class TestRequestValidation:
         with pytest.raises(ServiceError, match=message):
             AnalysisRequest.from_payload(bad)
 
-    def test_search_strategy_keys_only_non_default_searches(
-        self, fmea_payload, psu_fmea, psu_mechanisms
-    ):
-        search = _search_payload(fmea_payload, psu_mechanisms)
-        fmeda = _fmeda_payload(fmea_payload, psu_fmea)
-
-        def key(body, **config):
-            return AnalysisRequest.from_payload(
-                _with_config(body, **config)
-            ).cache_key()
-
-        # The default, spelled out or `null`, keeps the key it always had.
-        assert key(search, search_strategy="dp") == key(search)
-        assert key(search, search_strategy=None) == key(search)
-        assert len({
-            key(search),
-            key(search, search_strategy="greedy"),
-            key(search, search_strategy="exhaustive"),
-        }) == 3
-        # Only a search runs the strategy, so only a search keys on it.
-        assert key(fmeda, search_strategy="greedy") == key(fmeda)
-
     def test_fmea_cache_key_is_the_base_question(
         self, fmea_payload, psu_fmea, psu_mechanisms
     ):
         fmea = AnalysisRequest.from_payload(fmea_payload)
         for body in (
             _fmeda_payload(fmea_payload, psu_fmea),
-            _with_config(
-                _search_payload(fmea_payload, psu_mechanisms),
-                search_strategy="greedy",
-            ),
+            _search_payload(fmea_payload, psu_mechanisms),
         ):
             request = AnalysisRequest.from_payload(body)
             assert request.cache_key() != fmea.cache_key()
@@ -549,27 +522,6 @@ class TestComputeAndCache:
         )
         for key in ("rows", "spfm", "asil", "entry", "metrics") + extra:
             assert first.result.get(key) is not None, key
-
-    def test_search_strategies_do_not_share_an_answer(
-        self, service, fmea_payload, psu_mechanisms
-    ):
-        search = _search_payload(fmea_payload, psu_mechanisms)
-        dp = _finish(service, service.submit(search))
-        greedy = _finish(
-            service,
-            service.submit(_with_config(search, search_strategy="greedy")),
-        )
-        assert dp.state == greedy.state == "done", (dp.error, greedy.error)
-        # The greedy search is computed, not served the dp plan.
-        assert greedy.cached is False
-        assert greedy.result["entry"] != dp.result["entry"]
-        strategies = {
-            e.entry_id: e.config["strategy"]
-            for e in service.ledger.entries() if e.kind == "optimizer"
-        }
-        assert strategies == {
-            dp.result["entry"]: "dp", greedy.result["entry"]: "greedy",
-        }
 
     def test_failed_job_reports_error(self, service, fmea_payload):
         bad = dict(fmea_payload, model={"format": "repro-simulink/1",
