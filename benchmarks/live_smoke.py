@@ -65,8 +65,8 @@ def main() -> int:
     # -- /metrics scraped mid-run parses and carries the histograms ------
     assert scrapes, "no mid-run /metrics scrape happened"
     families = parse_prometheus_text(scrapes[-1])
-    assert "campaign_job_wall_seconds" in families, sorted(families)
-    assert families["campaign_job_wall_seconds"]["count"] == stats.jobs
+    assert "campaign_job_seconds" in families, sorted(families)
+    assert families["campaign_job_seconds"]["count"] == stats.jobs
 
     # -- progress stream: monotonic, complete ----------------------------
     dones = [e.payload["done"] for e in events if e.type == "chunk_completed"]

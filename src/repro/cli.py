@@ -218,8 +218,6 @@ def _cmd_fmea(args: argparse.Namespace) -> int:
         sensors=args.sensor or None,
         threshold=args.threshold,
         assume_stable=args.assume_stable or (),
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
@@ -248,8 +246,6 @@ def _cmd_fmeda(args: argparse.Namespace) -> int:
         sensors=args.sensor or None,
         threshold=args.threshold,
         assume_stable=args.assume_stable or (),
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
@@ -321,8 +317,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     fmea = same.run_fmea_simulink(
         sensors=["CS1"],
         assume_stable=ASSUMED_STABLE,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
@@ -634,7 +628,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    """Fault-tolerance flags shared by the campaign commands."""
+    """Checkpoint/resume flags shared by the campaign commands."""
     parser.add_argument(
         "--checkpoint",
         metavar="PATH",
@@ -644,20 +638,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         "--resume",
         action="store_true",
         help="skip jobs already recorded in --checkpoint for this model",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock budget; a job over budget is recorded as "
-        "a failure instead of hanging the campaign",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retry budget for transient job failures (default 2)",
     )
 
 
@@ -695,8 +675,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="render live progress events (chunk completions, retries, "
-        "ETA) on stderr",
+        help="render live progress events (chunk completions, "
+        "checkpoints, ETA) on stderr",
     )
     parser.add_argument(
         "--events",

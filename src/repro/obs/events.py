@@ -382,7 +382,6 @@ class ConsoleProgress:
     RENDERED = (
         "campaign_started",
         "chunk_completed",
-        "job_retried",
         "checkpoint_written",
         "campaign_finished",
         "iteration_finished",
@@ -442,13 +441,6 @@ class ConsoleProgress:
                 "iteration {index}: spfm={spfm} asil={asil} met_target={met}".format(
                     index=p.get("index"), spfm=p.get("spfm"),
                     asil=p.get("asil"), met=p.get("met_target"),
-                )
-            )
-        elif event.type == "job_retried":
-            self._write(
-                "retry job={job} attempt={attempt} error={error}".format(
-                    job=p.get("job"), attempt=p.get("attempt"),
-                    error=p.get("error"),
                 )
             )
         elif event.type == "checkpoint_written":

@@ -150,15 +150,11 @@ _METRIC_HELP = {
     "campaign_smw_solves": "Sherman-Morrison-Woodbury low-rank fault solves.",
     "campaign_full_rebuilds": "Faults requiring full matrix re-assembly.",
     "campaign_baseline_reuses": "No-op faults served from the healthy baseline.",
-    "campaign_retries": "Transient-failure job retries.",
-    "campaign_timeouts": "Jobs killed by the per-job wall-clock budget.",
     "campaign_job_failures": "Jobs recorded as structured failures.",
     "campaign_resumed_jobs": "Jobs skipped thanks to a checkpoint.",
     "campaign_wall_seconds": "Wall time of the last campaign, seconds.",
     "campaign_baseline_seconds": "Healthy baseline solve time, seconds.",
     "campaign_job_seconds": "Per-injection execution time, seconds.",
-    "campaign_job_wall_seconds":
-        "Per-job wall time including retries and backoff, seconds.",
     "decisive_fmea_reuses": "DECISIVE Step 4a evaluations served from cache.",
     "service_fmea_reuses":
         "Service FMEDA/search jobs derived from the recorded FMEA.",

@@ -328,9 +328,8 @@ def _stats_metrics(result) -> Dict[str, object]:
         return {}
     out: Dict[str, object] = {}
     for name in (
-        "wall_time", "baseline_time", "jobs", "rows", "solves", "retries",
-        "timeouts", "job_failures", "resumed_jobs", "solver_backend",
-        "batched_columns",
+        "wall_time", "baseline_time", "jobs", "rows", "solves",
+        "job_failures", "resumed_jobs", "solver_backend", "batched_columns",
     ):
         value = getattr(stats, name, None)
         if value is not None:

@@ -1,9 +1,8 @@
 """Signal-based sampling profiler with flamegraph-ready output.
 
 :class:`SamplingProfiler` interrupts the main thread on a CPU-time timer
-(``SIGPROF`` / ``ITIMER_PROF`` — deliberately *not* ``SIGALRM``, which the
-per-job deadline machinery in ``repro.safety.resilience`` owns), captures
-the interrupted Python stack, and aggregates identical stacks into counts.
+(``SIGPROF`` / ``ITIMER_PROF``, so idle waits cost nothing), captures the
+interrupted Python stack, and aggregates identical stacks into counts.
 :meth:`SamplingProfiler.write_folded` emits the collapsed-stack format
 (``frame;frame;frame count`` per line) consumed by ``flamegraph.pl``,
 speedscope and every other flamegraph renderer.

@@ -7,8 +7,8 @@
   enumerated up front, incremental (factorization-reusing) solves run
   serially, per-campaign timing statistics;
 - :mod:`repro.safety.resilience` — fault-tolerance primitives for the
-  campaign engine: structured job failures, bounded retry with backoff,
-  per-job deadlines, checkpoint–resume keyed by a campaign fingerprint;
+  campaign engine: structured job failures and checkpoint–resume keyed
+  by a campaign fingerprint;
 - :mod:`repro.safety.graph_analysis` — Algorithm 1: graph-based single-point
   failure determination for SSAM models (Section IV-D2);
 - :mod:`repro.safety.fmeda` — FMEDA: safety-mechanism-aware diagnostic
@@ -39,8 +39,6 @@ from repro.safety.resilience import (
     CampaignCheckpoint,
     CheckpointError,
     JobFailure,
-    JobTimeoutError,
-    RetryPolicy,
     campaign_fingerprint,
 )
 from repro.safety.graph_analysis import run_ssam_fmea
@@ -103,8 +101,6 @@ __all__ = [
     "InjectionJob",
     "CampaignStats",
     "JobFailure",
-    "JobTimeoutError",
-    "RetryPolicy",
     "CampaignCheckpoint",
     "CheckpointError",
     "campaign_fingerprint",

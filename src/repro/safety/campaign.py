@@ -24,12 +24,11 @@ Per-campaign instrumentation (job counts, solve mix, factorization reuses,
 wall time) is attached to the result as :class:`CampaignStats` — the raw
 material for the paper's Table V/VI efficiency story.
 
-Execution is fault tolerant (see :mod:`repro.safety.resilience`): a job
-that raises records a structured :class:`~repro.safety.resilience.JobFailure`
-row instead of aborting the campaign, transient failures are retried with
-exponential backoff, a runaway job is cut off by ``job_timeout``, and a
-``checkpoint`` file lets ``resume`` skip already-completed jobs — also
-after the process running the campaign was killed.
+Execution is fault tolerant (see :mod:`repro.safety.resilience`): each
+job runs once, a job that raises records a structured
+:class:`~repro.safety.resilience.JobFailure` row instead of aborting the
+campaign, and a ``checkpoint`` file lets ``resume`` skip already-completed
+jobs — also after the process running the campaign was killed.
 """
 
 from __future__ import annotations
@@ -64,13 +63,9 @@ from repro.safety.fmea import (
     _solve_readings_transient,
 )
 from repro.safety.resilience import (
-    TRANSIENT_ERRORS,
     CampaignCheckpoint,
     JobFailure,
-    JobTimeoutError,
-    RetryPolicy,
     campaign_fingerprint,
-    job_deadline,
 )
 from repro.simulink import FailureBehavior, SimulinkError, SimulinkModel, to_netlist
 from repro.simulink.electrical import ElectricalConversion
@@ -119,12 +114,10 @@ class CampaignStats:
     full_rebuilds: int = 0
     baseline_reuses: int = 0
     batched_columns: int = 0  # SMW columns solved as multi-RHS blocks
-    retries: int = 0  # transient-failure retries
-    timeouts: int = 0  # jobs killed by the per-job wall-clock budget
     job_failures: int = 0  # jobs that ended as structured JobFailure rows
     resumed_jobs: int = 0  # jobs skipped because a checkpoint had them
-    # Per-job wall-time distribution (all attempts + backoff, seconds);
-    # 0.0 when no job executed this run (e.g. fully resumed).
+    # Per-job wall-time distribution (seconds); 0.0 when no job executed
+    # this run (e.g. fully resumed).
     job_wall_p50: float = 0.0
     job_wall_p95: float = 0.0
     job_wall_p99: float = 0.0
@@ -133,8 +126,7 @@ class CampaignStats:
     _COUNTER_FIELDS = (
         "jobs", "rows", "solves", "newton_iterations",
         "factorization_reuses", "smw_solves", "full_rebuilds",
-        "baseline_reuses", "retries", "timeouts", "job_failures",
-        "resumed_jobs", "batched_columns",
+        "baseline_reuses", "job_failures", "resumed_jobs", "batched_columns",
     )
 
     def absorb(self, solve_stats: SolveStats) -> None:
@@ -216,38 +208,7 @@ def _execute_job(
     t_stop: float,
     dt: float,
 ) -> _Outcome:
-    """Run one injection; never raises for circuit-level failures.
-
-    With observability enabled, each execution is a ``campaign.job`` span
-    and feeds the ``campaign_job_seconds`` histogram.
-    """
-    if not obs.enabled():
-        return _execute_job_impl(conversion, compiled, job, analysis, t_stop, dt)
-    with obs.span(
-        "campaign.job",
-        job=job.index,
-        component=job.component,
-        failure_mode=job.failure_mode,
-    ) as sp:
-        started = time.perf_counter()
-        outcome = _execute_job_impl(
-            conversion, compiled, job, analysis, t_stop, dt
-        )
-        obs.histogram("campaign_job_seconds").observe(
-            time.perf_counter() - started
-        )
-        sp.set(outcome=outcome[0])
-        return outcome
-
-
-def _execute_job_impl(
-    conversion: ElectricalConversion,
-    compiled: Optional[CompiledSystem],
-    job: InjectionJob,
-    analysis: str,
-    t_stop: float,
-    dt: float,
-) -> _Outcome:
+    """Run one injection; never raises for circuit-level failures."""
     if compiled is not None and analysis == "dc":
         replacement = _behavior_replacement(
             conversion.netlist, job.element_name, job.behavior, job.block_params
@@ -271,87 +232,6 @@ def _execute_job_impl(
         return ("error", str(exc))
 
 
-def _run_job_isolated(
-    conversion: ElectricalConversion,
-    compiled: Optional[CompiledSystem],
-    job: InjectionJob,
-    analysis: str,
-    t_stop: float,
-    dt: float,
-    policy: RetryPolicy,
-    timeout: Optional[float],
-) -> Tuple[_Outcome, int, int, float]:
-    """Run one job under the fault-tolerance contract.
-
-    Never raises: circuit-level failures stay ``('error', …)`` outcomes
-    (handled inside :func:`_execute_job`), transient failures are retried
-    with exponential backoff up to ``policy.max_retries``, runaway solves
-    are cut off after ``timeout`` seconds, and anything else becomes a
-    ``('failed', JobFailure dict)`` outcome.  Returns ``(outcome,
-    retries_used, timeouts, wall_seconds)`` so the caller can aggregate
-    counters — and the end-to-end per-job wall time (all attempts plus
-    backoff sleeps, feeding ``campaign_job_wall_seconds`` and the
-    ``--stats`` percentiles; ``campaign_job_seconds`` stays the
-    per-*attempt* execution time).
-    """
-    started = time.perf_counter()
-    outcome, retries, timeouts = _attempt_job(
-        conversion, compiled, job, analysis, t_stop, dt, policy, timeout
-    )
-    wall = time.perf_counter() - started
-    if obs.enabled():
-        obs.histogram("campaign_job_wall_seconds").observe(wall)
-    return outcome, retries, timeouts, wall
-
-
-def _attempt_job(
-    conversion: ElectricalConversion,
-    compiled: Optional[CompiledSystem],
-    job: InjectionJob,
-    analysis: str,
-    t_stop: float,
-    dt: float,
-    policy: RetryPolicy,
-    timeout: Optional[float],
-) -> Tuple[_Outcome, int, int]:
-    """The retry loop behind :func:`_run_job_isolated`."""
-    attempt = 0
-    while True:
-        try:
-            with job_deadline(timeout):
-                outcome = _execute_job(
-                    conversion, compiled, job, analysis, t_stop, dt
-                )
-            return outcome, attempt, 0
-        except JobTimeoutError as exc:
-            # Deterministic work that ran away once will run away again:
-            # record the timeout, don't burn retries on it.
-            failure = JobFailure.from_exception(
-                job, exc, kind="timeout", retries=attempt
-            )
-            return ("failed", failure.to_dict()), attempt, 1
-        except TRANSIENT_ERRORS as exc:
-            attempt += 1
-            if attempt > policy.max_retries:
-                failure = JobFailure.from_exception(
-                    job, exc, retries=attempt - 1
-                )
-                return ("failed", failure.to_dict()), attempt - 1, 0
-            obs.emit_event(
-                "job_retried", level="warning", job=job.index,
-                component=job.component, attempt=attempt,
-                error=type(exc).__name__,
-            )
-            with obs.span(
-                "campaign.retry", job=job.index, attempt=attempt,
-                error=type(exc).__name__,
-            ):
-                time.sleep(policy.delay(attempt))
-        except Exception as exc:  # noqa: BLE001 — per-job isolation
-            failure = JobFailure.from_exception(job, exc, retries=attempt)
-            return ("failed", failure.to_dict()), attempt, 0
-
-
 class FaultInjectionCampaign:
     """A batched automated FMEA by fault injection on a Simulink model.
 
@@ -363,15 +243,6 @@ class FaultInjectionCampaign:
         system's size picks) instead of per-mode full re-assembly.
         Results are identical either way — topology-changing faults
         transparently fall back to full assembly;
-    max_retries:
-        bounded retry budget for transient (numerical) failures; a job
-        that exhausts it is recorded as a :class:`JobFailure`;
-    retry_backoff:
-        base delay (seconds) of the exponential backoff between retries;
-    job_timeout:
-        per-job wall-clock budget in seconds (``None``: unlimited).  A
-        runaway solve is cut off and recorded as a timeout
-        :class:`JobFailure` instead of hanging the campaign;
     checkpoint:
         path of a JSONL file where completed job outcomes are persisted
         (keyed by a content hash of the model + reliability data, so stale
@@ -397,19 +268,12 @@ class FaultInjectionCampaign:
         t_stop: float = 5e-3,
         dt: float = 5e-5,
         incremental: bool = True,
-        max_retries: int = 2,
-        retry_backoff: float = 0.05,
-        job_timeout: Optional[float] = None,
         checkpoint: Optional[Union[str, Path]] = None,
         resume: bool = False,
     ) -> None:
         if analysis not in ("dc", "transient"):
             raise FmeaError(
                 f"analysis must be 'dc' or 'transient', got {analysis!r}"
-            )
-        if job_timeout is not None and job_timeout <= 0:
-            raise FmeaError(
-                f"job_timeout must be positive, got {job_timeout!r}"
             )
         if resume and checkpoint is None:
             raise FmeaError("resume=True requires a checkpoint path")
@@ -424,10 +288,6 @@ class FaultInjectionCampaign:
         self.t_stop = t_stop
         self.dt = dt
         self.incremental = incremental
-        self.retry_policy = RetryPolicy(
-            max_retries=max(0, int(max_retries)), backoff=retry_backoff
-        )
-        self.job_timeout = job_timeout
         self.checkpoint = checkpoint
         self.resume = resume
         self._fingerprint: Optional[str] = None
@@ -580,13 +440,29 @@ class FaultInjectionCampaign:
             return {}
         outcomes: Dict[int, _Outcome] = {}
         emitted_at = 0
+        traced = obs.enabled()
         for position, job in enumerate(jobs, start=1):
-            outcome, retries, timeouts, wall = _run_job_isolated(
-                conversion, compiled, job, self.analysis,
-                self.t_stop, self.dt, self.retry_policy, self.job_timeout,
-            )
-            stats.retries += retries
-            stats.timeouts += timeouts
+            # Each job runs once (a deterministic job that raised would
+            # raise again); what it raises becomes a conservative failed row.
+            started = time.perf_counter()
+            with obs.span(
+                "campaign.job",
+                job=job.index,
+                component=job.component,
+                failure_mode=job.failure_mode,
+            ) as sp:
+                try:
+                    outcome = _execute_job(
+                        conversion, compiled, job, self.analysis,
+                        self.t_stop, self.dt,
+                    )
+                except Exception as exc:  # noqa: BLE001 — per-job isolation
+                    failure = JobFailure.from_exception(job, exc)
+                    outcome = ("failed", failure.to_dict())
+                sp.set(outcome=outcome[0])
+            wall = time.perf_counter() - started
+            if traced:
+                obs.histogram("campaign_job_seconds").observe(wall)
             self._job_wall_times.append(wall)
             outcomes[job.index] = outcome
             if checkpoint is not None:
@@ -624,10 +500,7 @@ class FaultInjectionCampaign:
                 f"injection failed ({failure['exception']}): "
                 f"{failure['message']}"
             )
-            row.warning = (
-                f"harness failure after {failure['retries']} retries "
-                f"({failure['kind']}); effect assumed dangerous"
-            )
+            row.warning = "harness failure; effect assumed dangerous"
             return row
         if kind == "error":
             # A non-convergent injected circuit is itself evidence of a
@@ -848,7 +721,6 @@ class FaultInjectionCampaign:
             campaign_span.set(
                 jobs=stats.jobs,
                 rows=stats.rows,
-                retries=stats.retries,
                 job_failures=stats.job_failures,
                 resumed_jobs=stats.resumed_jobs,
             )
@@ -861,7 +733,6 @@ class FaultInjectionCampaign:
                 jobs=stats.jobs,
                 rows=stats.rows,
                 wall_seconds=stats.wall_time,
-                retries=stats.retries,
                 job_failures=stats.job_failures,
                 fingerprint=self._short_fingerprint(),
             )

@@ -229,9 +229,6 @@ def run_simulink_fmea(
     t_stop: float = 5e-3,
     dt: float = 5e-5,
     incremental: bool = True,
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    job_timeout: Optional[float] = None,
     checkpoint: Optional[object] = None,
     resume: bool = False,
 ) -> FmeaResult:
@@ -261,14 +258,15 @@ def run_simulink_fmea(
         sensor values — the right mode when reactive elements shape the
         healthy reading);
     incremental:
-        solve DC injections through a shared compiled MNA system (direct
-        delta-stamped solves for dense systems, low-rank updates of a
-        cached sparse factorization for large ones) instead of per-mode
-        full re-assembly; rows are identical either way;
-    max_retries / retry_backoff / job_timeout / checkpoint / resume:
-        fault-tolerance controls — bounded retry with exponential backoff,
-        per-job wall-clock budgets, and checkpoint–resume of completed job
-        outcomes; see :class:`repro.safety.campaign.FaultInjectionCampaign`.
+        solve DC injections through a shared compiled MNA system: every
+        fault runs the Woodbury Newton on the one factorization (dense LU
+        or SuperLU) that the system's size picks, instead of per-mode full
+        re-assembly; rows are identical either way;
+    checkpoint / resume:
+        checkpoint–resume of completed job outcomes.  Each job runs once,
+        and one that raises becomes a conservative failed row instead of
+        aborting the campaign; see
+        :class:`repro.safety.campaign.FaultInjectionCampaign`.
 
     The function delegates to
     :class:`repro.safety.campaign.FaultInjectionCampaign`; campaign timing
@@ -289,9 +287,6 @@ def run_simulink_fmea(
         t_stop=t_stop,
         dt=dt,
         incremental=incremental,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        job_timeout=job_timeout,
         checkpoint=checkpoint,
         resume=resume,
     ).run()

@@ -89,10 +89,8 @@ def campaign_failures_sheet(
                 "Job": failure.index,
                 "Component": failure.component,
                 "Failure_Mode": failure.failure_mode,
-                "Kind": failure.kind,
                 "Exception": failure.exception,
                 "Message": failure.message,
-                "Retries": failure.retries,
             }
         )
     return sheet

@@ -3,15 +3,13 @@
 The paper's methodology is *iterative*: FME(D)A campaigns re-run on every
 design change, so a single pathological injection (singular matrix,
 diverging Newton loop, runaway solve) must not cost the whole run.
+Every job is deterministic and bounded (a capped Newton loop, a few
+refinements, then a full rebuild), so a job runs once: rerunning one that
+raised could only repeat the error.
 This module provides the building blocks the campaign engine composes:
 
 - :class:`JobFailure` — the structured record a job that raises leaves
   behind instead of aborting the campaign;
-- :class:`RetryPolicy` — bounded retry with exponential backoff for
-  transient failures (LU numerical rejections, memory pressure);
-- :func:`job_deadline` — a per-job wall-clock timeout for runaway solves
-  (SIGALRM-based; degrades to a no-op off the main thread or on platforms
-  without ``setitimer``);
 - :class:`CampaignCheckpoint` — append-only JSONL persistence of completed
   job outcomes keyed by a campaign fingerprint, so ``resume`` skips
   finished jobs after a crash — and lets later DECISIVE iterations reuse
@@ -27,36 +25,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import signal
-import threading
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro import obs
-
-#: Exception types worth retrying: they can be caused by transient
-#: numerical state (warm-start residue in a shared compiled system) or by
-#: infrastructure, not by the injected fault itself.
-TRANSIENT_ERRORS: Tuple[type, ...] = (np.linalg.LinAlgError, MemoryError)
-
-
-class JobTimeoutError(Exception):
-    """A job exceeded its wall-clock budget (runaway transient solve)."""
 
 
 @dataclass(frozen=True)
 class JobFailure:
-    """Structured record of one injection job that could not produce a
-    result — the row-level alternative to aborting the campaign.
+    """Structured record of one injection job that raised — the row-level
+    alternative to aborting the campaign.
 
-    ``kind`` is ``exception`` (the job raised) or ``timeout`` (it exceeded
-    the per-job wall-clock budget).  Failures are never checkpointed, so
-    a resumed campaign re-runs the job, whatever kind an older version
-    recorded (such as ``worker_lost`` from the deleted process pool).
+    Failures are never checkpointed, so a resumed campaign re-runs the
+    job, whatever an older version recorded for it (such as a
+    ``worker_lost`` failure from the deleted process pool).
     """
 
     index: int
@@ -64,8 +47,6 @@ class JobFailure:
     failure_mode: str
     exception: str  # exception class name
     message: str
-    kind: str = "exception"
-    retries: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -78,18 +59,14 @@ class JobFailure:
             failure_mode=str(data["failure_mode"]),
             exception=str(data["exception"]),
             message=str(data["message"]),
-            kind=str(data.get("kind", "exception")),
-            retries=int(data.get("retries", 0)),
         )
 
     @classmethod
-    def from_exception(
-        cls, job, exc: BaseException, kind: str = "exception", retries: int = 0
-    ) -> "JobFailure":
+    def from_exception(cls, job, exc: BaseException) -> "JobFailure":
         obs.emit_event(
             "injection_job_failed", level="error",
-            job=job.index, component=job.component, kind=kind,
-            error=type(exc).__name__, retries=retries,
+            job=job.index, component=job.component,
+            error=type(exc).__name__,
         )
         return cls(
             index=job.index,
@@ -97,61 +74,7 @@ class JobFailure:
             failure_mode=job.failure_mode,
             exception=type(exc).__name__,
             message=str(exc),
-            kind=kind,
-            retries=retries,
         )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff.
-
-    ``delay(attempt)`` is the sleep before retry ``attempt`` (1-based):
-    ``backoff``, ``2*backoff``, ``4*backoff``, … capped at ``max_delay``.
-    """
-
-    max_retries: int = 2
-    backoff: float = 0.05
-    max_delay: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
-
-    def delay(self, attempt: int) -> float:
-        return min(self.backoff * (2 ** max(0, attempt - 1)), self.max_delay)
-
-
-@contextmanager
-def job_deadline(seconds: Optional[float]) -> Iterator[None]:
-    """Raise :class:`JobTimeoutError` if the block runs past ``seconds``.
-
-    Uses ``SIGALRM`` + ``setitimer``, so it is only armed on the main
-    thread of a process (true for a CLI campaign; a service job runs on a
-    worker thread); anywhere else it is a no-op rather than a wrong
-    answer.
-    """
-    if (
-        not seconds
-        or seconds <= 0
-        or not hasattr(signal, "setitimer")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _expired(signum, frame):
-        raise JobTimeoutError(f"job exceeded {seconds:g}s wall clock")
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # -- checkpoint / resume -----------------------------------------------------
@@ -261,7 +184,7 @@ def campaign_fingerprint(
 
 #: Checkpointed job outcome: ('ok', readings) or ('error', message).
 #: Harness failures ('failed', …) are deliberately *not* persisted — a
-#: resumed campaign retries them, which is the point of resuming.
+#: resumed campaign re-runs them, which is the point of resuming.
 _PERSISTABLE_KINDS = ("ok", "error")
 
 

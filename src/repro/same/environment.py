@@ -146,17 +146,14 @@ class SAME:
         sensors: Optional[Sequence[str]] = None,
         threshold: float = 0.2,
         assume_stable: Iterable[str] = (),
-        max_retries: int = 2,
-        job_timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
     ) -> FmeaResult:
         """Injection-based FMEA of the Simulink model.
 
-        ``max_retries``/``job_timeout``/``checkpoint``/``resume`` are
-        forwarded to :class:`~repro.safety.campaign.FaultInjectionCampaign`
-        so iterative SAME workflows get the same fault tolerance and
-        checkpoint–resume behaviour as the CLI.
+        ``checkpoint``/``resume`` are forwarded to
+        :class:`~repro.safety.campaign.FaultInjectionCampaign` so iterative
+        SAME workflows get the same checkpoint–resume behaviour as the CLI.
         """
         self._require("simulink_model")
         self._require("reliability")
@@ -169,8 +166,6 @@ class SAME:
                 sensors=sensors,
                 threshold=threshold,
                 assume_stable=assume_stable,
-                max_retries=max_retries,
-                job_timeout=job_timeout,
                 checkpoint=checkpoint,
                 resume=resume,
             )

@@ -7,7 +7,7 @@ work:
 
 - :class:`AnalysisService` — async job queue over
   :class:`~repro.safety.campaign.FaultInjectionCampaign` (worker threads,
-  checkpoint/retry machinery) with a result
+  per-job isolation, checkpoints) with a result
   cache keyed by campaign fingerprint against the
   :class:`~repro.obs.ledger.AnalysisLedger`;
 - :class:`AnalysisServiceServer` — ``POST /jobs`` / ``GET /jobs[/<id>]``

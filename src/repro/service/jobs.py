@@ -5,8 +5,8 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 
 - **submit** an :class:`AnalysisRequest` (fmea / fmeda / search) and get an
   :class:`AnalysisJob` back immediately; a pool of worker *threads* drains
-  the queue, dispatching into :class:`FaultInjectionCampaign` with the
-  full retry/checkpoint machinery;
+  the queue, dispatching into :class:`FaultInjectionCampaign`, which runs
+  each job once, isolates a job that raises and checkpoints outcomes;
 - results are **cached against the analysis ledger**, keyed by the
   campaign fingerprint (content hash of model + reliability + solver
   config) combined with the classification/deployment config — an
@@ -163,12 +163,11 @@ def reliability_from_payload(payload: Sequence[Mapping[str, object]]):
 
 def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
     """``config`` with ``analysis``, ``t_stop`` and ``dt`` filled in and
-    checked, so the fingerprint and the campaign read the same values, and
-    the campaign option ``max_retries`` checked.  Unknown keys pass
-    through untouched and reach neither the campaign nor the cache key.
-    ``job_timeout`` is one: a job runs on a worker thread, where the
-    campaign's SIGALRM deadline cannot be armed.  ``search_strategy`` is
-    another: every search runs the exact Pareto DP.
+    checked, so the fingerprint and the campaign read the same values.
+    Unknown keys pass through untouched and reach neither the campaign nor
+    the cache key.  ``max_retries`` and ``job_timeout`` are two: a campaign
+    runs each job once, with no retry and no deadline.  ``search_strategy``
+    is another: every search runs the exact Pareto DP.
 
     A missing or ``null`` value takes the campaign default; a malformed one
     raises :class:`ServiceError`, which ``POST /jobs`` answers with 400.
@@ -192,18 +191,7 @@ def _normalised_config(config: Mapping[str, object]) -> Dict[str, object]:
                 f"got {value!r}"
             )
         out[key] = float(value)  # type: ignore[arg-type]
-    retries = out.get("max_retries")
-    if retries is not None and not (_integer(retries) and retries >= 0):
-        raise ServiceError(
-            "config.max_retries must be a non-negative integer, "
-            f"got {retries!r}"
-        )
     return out
-
-
-def _integer(value: object) -> bool:
-    """Whether ``value`` is a JSON integer (``bool`` is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite(value: object) -> bool:
@@ -298,9 +286,8 @@ class AnalysisRequest:
     :func:`reliability_payload` list form.  ``config`` carries campaign
     and classification parameters (``threshold``, ``sensors``,
     ``assume_stable``, ``min_absolute_delta``, ``analysis``, ``t_stop``,
-    ``dt``, ``max_retries``); ``analysis``,
-    ``t_stop`` and ``dt`` are normalised at construction (see
-    :func:`_normalised_config`).
+    ``dt``); ``analysis``, ``t_stop`` and ``dt`` are normalised at
+    construction (see :func:`_normalised_config`).
     ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
     extend the base FMEA.  Everything is checked at construction, so a
     malformed request is a :class:`ServiceError` before any campaign runs.
@@ -566,7 +553,7 @@ class AnalysisService:
         serially;
     checkpoint_dir:
         when set, every campaign checkpoints to
-        ``<dir>/<fingerprint>.jsonl`` with ``resume=True`` — a job retried
+        ``<dir>/<fingerprint>.jsonl`` with ``resume=True`` — a job resubmitted
         after a crash (or a near-identical tenant model) skips completed
         injections;
     history:
@@ -1042,7 +1029,6 @@ class AnalysisService:
         kwargs: Dict[str, object] = {}
         for key in (
             "threshold", "min_absolute_delta", "analysis", "t_stop", "dt",
-            "max_retries",
         ):
             if key in config and config[key] is not None:
                 kwargs[key] = config[key]

@@ -1,11 +1,11 @@
 """Fault-tolerant campaign execution: the acceptance gate for per-job
-isolation, retry/backoff, per-job timeouts and checkpoint–resume.
+isolation and checkpoint–resume.
 
-The contract under test: a campaign with poisoned, flaky or runaway jobs
-still completes, produces row-for-row identical rows for every *healthy*
-job versus a clean run, records each harness failure as exactly one
-structured ``JobFailure``, and a resumed run re-executes zero completed
-jobs.  Killing the campaign's process and resuming is drilled in
+The contract under test: each job runs once; a campaign with poisoned
+jobs still completes, produces row-for-row identical rows for every
+*healthy* job versus a clean run, records each harness failure as exactly
+one structured ``JobFailure`` on its first attempt, and a resumed run
+re-executes zero completed jobs.  Killing the campaign's process and resuming is drilled in
 ``test_campaign_chaos.py``.
 """
 
@@ -28,7 +28,6 @@ from repro.safety.report import campaign_failures_sheet, save_fmea_workbook
 from repro.safety.resilience import (
     CampaignCheckpoint,
     JobFailure,
-    RetryPolicy,
     campaign_fingerprint,
 )
 
@@ -89,7 +88,6 @@ def clean_serial(case):
 def _campaign(case, **kwargs):
     model, reliability = case
     kwargs.setdefault("assume_stable", ASSUMED_STABLE)
-    kwargs.setdefault("retry_backoff", 0.001)
     return FaultInjectionCampaign(model, reliability, **kwargs)
 
 
@@ -140,7 +138,6 @@ def test_poisoned_job_is_isolated_not_fatal(case, clean_serial, monkeypatch):
     result = _campaign(case).run()
     assert len(result.failures) == 1
     failure = result.failures[0]
-    assert failure.kind == "exception"
     assert failure.exception == "RuntimeError"
     assert "synthetic solver crash" in failure.message
     assert result.stats.job_failures == 1
@@ -151,58 +148,37 @@ def test_poisoned_job_is_isolated_not_fatal(case, clean_serial, monkeypatch):
     assert len(failed_rows) == 1
     assert failed_rows[0].safety_related is True
     assert failed_rows[0].impact == "DVF"
-    assert "harness failure" in failed_rows[0].warning
-
-
-def test_transient_failure_is_retried_to_success(case, clean_serial, monkeypatch):
-    calls = {"left": 2}
-
-    def should_fail(job):
-        if job.index == 1 and calls["left"] > 0:
-            calls["left"] -= 1
-            return True
-        return False
-
-    _poison(
-        monkeypatch, should_fail, lambda job: np.linalg.LinAlgError("blip")
+    assert failed_rows[0].warning == (
+        "harness failure; effect assumed dangerous"
     )
-    result = _campaign(case, max_retries=2).run()
-    assert result.failures == []
-    assert result.stats.retries == 2
-    assert_rows_identical(clean_serial, result)
 
 
-def test_transient_retry_budget_exhaustion_records_failure(
+def test_raised_error_fails_on_the_first_attempt(
     case, clean_serial, monkeypatch
 ):
-    _poison(
-        monkeypatch,
-        lambda job: job.index == 0,
-        lambda job: np.linalg.LinAlgError("always singular"),
-    )
-    result = _campaign(case, max_retries=1).run()
-    assert len(result.failures) == 1
-    assert result.failures[0].exception == "LinAlgError"
-    assert result.failures[0].retries == 1
-    assert result.stats.retries == 1
-    assert_healthy_rows_match(clean_serial, result)
-
-
-def test_job_timeout_cuts_off_runaway_solve(case, clean_serial, monkeypatch):
-    import time as time_mod
-
+    """A job is deterministic, so it runs once: a ``LinAlgError`` (which
+    a retry used to rerun) becomes the conservative failed row after one
+    ``_execute_job`` call."""
     real = campaign_mod._execute_job
+    calls = []
 
-    def runaway(conversion, compiled, job, analysis, t_stop, dt):
-        if job.index == 0:
-            time_mod.sleep(5.0)
+    def singular(conversion, compiled, job, analysis, t_stop, dt):
+        calls.append(job.index)
+        if job.index == 1:
+            raise np.linalg.LinAlgError("always singular")
         return real(conversion, compiled, job, analysis, t_stop, dt)
 
-    monkeypatch.setattr(campaign_mod, "_execute_job", runaway)
-    result = _campaign(case, job_timeout=0.2).run()
-    assert len(result.failures) == 1
-    assert result.failures[0].kind == "timeout"
-    assert result.stats.timeouts == 1
+    monkeypatch.setattr(campaign_mod, "_execute_job", singular)
+    result = _campaign(case).run()
+    assert calls.count(1) == 1
+    assert calls == list(range(result.stats.jobs))
+    assert [(f.index, f.exception) for f in result.failures] == [
+        (1, "LinAlgError")
+    ]
+    assert result.stats.job_failures == 1
+    (row,) = result.failed_rows()
+    assert (row.safety_related, row.impact) == (True, "DVF")
+    assert row.effect == "injection failed (LinAlgError): always singular"
     assert_healthy_rows_match(clean_serial, result)
 
 
@@ -373,15 +349,16 @@ def test_resume_reruns_a_recorded_worker_lost_failure(
     record = json.loads(lines[0])
     record["outcome"] = [
         "failed",
-        JobFailure(
-            index=record["index"],
-            component=record["component"],
-            failure_mode=record["failure_mode"],
-            exception="BrokenProcessPool",
-            message="worker process died repeatedly while executing this job",
-            kind="worker_lost",
-            retries=2,
-        ).to_dict(),
+        {
+            "index": record["index"],
+            "component": record["component"],
+            "failure_mode": record["failure_mode"],
+            "exception": "BrokenProcessPool",
+            "message": "worker process died repeatedly while executing "
+            "this job",
+            "kind": "worker_lost",
+            "retries": 2,
+        },
     ]
     path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
     resumed = _campaign(case, checkpoint=path, resume=True).run()
@@ -422,10 +399,14 @@ def test_non_finite_reading_gets_the_conservative_call(case, bad):
 # -- options that no longer exist ---------------------------------------------
 
 
-@pytest.mark.parametrize("option", ["workers", "strategy"])
+@pytest.mark.parametrize(
+    "option",
+    ["workers", "strategy", "max_retries", "retry_backoff", "job_timeout"],
+)
 def test_removed_campaign_options_are_rejected(case, option, capsys):
-    """Campaigns run serially: no layer takes a worker count (or the
-    older ``strategy``), so a caller that still passes one fails loudly
+    """Campaigns run serially and run each job once: no layer takes a
+    worker count (or the older ``strategy``), a retry budget, a backoff or
+    a per-job deadline, so a caller that still passes one fails loudly
     instead of being silently ignored."""
     from repro.cli import main
     from repro.same import SAME
@@ -441,6 +422,7 @@ def test_removed_campaign_options_are_rejected(case, option, capsys):
     same.load_reliability(reliability)
     with pytest.raises(TypeError, match=option):
         same.run_fmea_simulink(**{option: 2})
+    flag = "--" + option.replace("_", "-")
     for command in (
         ["fmea", "--model", "m.json", "--reliability", "r.json"],
         ["fmeda", "--model", "m.json", "--reliability", "r.json",
@@ -448,20 +430,11 @@ def test_removed_campaign_options_are_rejected(case, option, capsys):
         ["demo"],
     ):
         with pytest.raises(SystemExit):
-            main(command + [f"--{option}", "2"])
-        assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+            main(command + [flag, "2"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # -- satellites: primitives, reporting, counters -----------------------------
-
-
-def test_retry_policy_backoff_schedule():
-    policy = RetryPolicy(max_retries=3, backoff=0.1, max_delay=0.3)
-    assert policy.delay(1) == pytest.approx(0.1)
-    assert policy.delay(2) == pytest.approx(0.2)
-    assert policy.delay(3) == pytest.approx(0.3)  # capped
-    with pytest.raises(ValueError):
-        RetryPolicy(max_retries=-1)
 
 
 def test_job_failure_round_trip():
@@ -471,10 +444,11 @@ def test_job_failure_round_trip():
         failure_mode="RAM Failure",
         exception="LinAlgError",
         message="singular",
-        kind="exception",
-        retries=2,
     )
     assert JobFailure.from_dict(failure.to_dict()) == failure
+    # A record written while jobs were retried and timed reads back too.
+    old = dict(failure.to_dict(), kind="timeout", retries=2)
+    assert JobFailure.from_dict(old) == failure
 
 
 def test_campaign_fingerprint_is_stable_and_content_sensitive(case):
@@ -528,8 +502,13 @@ def test_failures_sheet_in_workbook(case, tmp_path, monkeypatch):
     result = _campaign(case).run()
     sheet = campaign_failures_sheet(result)
     assert sheet is not None
-    assert len(sheet.rows) == 1
-    assert sheet.rows[0]["Kind"] == "exception"
+    assert sheet.rows == [{
+        "Job": 0,
+        "Component": result.failures[0].component,
+        "Failure_Mode": result.failures[0].failure_mode,
+        "Exception": "RuntimeError",
+        "Message": "poisoned",
+    }]
 
     out = save_fmea_workbook(result, tmp_path / "wb")
     names = {p.stem for p in out.glob("*.csv")}
@@ -573,6 +552,10 @@ def test_retry_and_failure_metrics_published(case, monkeypatch):
     obs.enable()
     result = _campaign(case).run()
     assert obs.counter("campaign_job_failures").value == 1
-    names = {record.name for record in obs.tracer().records()}
-    assert "campaign.job" in names
+    published = {metric.name for metric in obs.registry().metrics()}
+    assert not {"campaign_retries", "campaign_timeouts"} & published
+    assert obs.histogram("campaign_job_seconds").count == result.stats.jobs
+    jobs = [r for r in obs.tracer().records() if r.name == "campaign.job"]
+    assert len(jobs) == result.stats.jobs
+    assert [r.attrs["outcome"] for r in jobs].count("failed") == 1
     assert result.stats.job_failures == 1

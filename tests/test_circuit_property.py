@@ -33,6 +33,7 @@ voltages agree only to a fraction of the solution's largest voltage
 """
 
 import math
+import os
 from collections import defaultdict
 from dataclasses import replace
 
@@ -55,6 +56,10 @@ from repro.circuit import (
     dc_operating_point,
     mna,
 )
+
+#: Random netlists drawn per run.  The nightly CI sweep sets
+#: ``CIRCUIT_PROPERTY_EXAMPLES=600``; the tier-1 profile draws 30.
+PROPERTY_EXAMPLES = int(os.environ.get("CIRCUIT_PROPERTY_EXAMPLES", "30"))
 
 #: The size rule each arm pins: the threshold that forces it.
 SIZE_RULES = {"dense": 10**9, "sparse": 0}
@@ -287,7 +292,7 @@ DEEP_REVERSE_DIODES = _netlist(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=PROPERTY_EXAMPLES, deadline=None)
 @given(netlists())
 @example(GMIN_HELD_DIODE)
 @example(DEEP_REVERSE_DIODES)

@@ -582,11 +582,8 @@ def test_reordered_body_misses_the_memo_and_hits_the_ledger(
 
 @pytest.mark.parametrize(
     "body, message",
-    [
-        (b"{not json", "not valid JSON"),
-        (_encoded(_psu_body(config={"max_retries": -1})), "config.max_retries"),
-    ],
-    ids=["not-json", "max-retries-negative"],
+    [(b"{not json", "not valid JSON")],
+    ids=["not-json"],
 )
 def test_malformed_body_is_refused_every_time_and_never_memoised(
     tmp_path, clean_obs, body, message
@@ -600,21 +597,33 @@ def test_malformed_body_is_refused_every_time_and_never_memoised(
     assert _memo_hits() == 0
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("workers", 4, id="workers-4"),
+        pytest.param("max_retries", 2, id="max_retries-2"),
+        pytest.param("max_retries", 0, id="max_retries-0"),
+        pytest.param("max_retries", -1, id="max_retries--1"),
+        pytest.param("max_retries", "lots", id="max_retries-lots"),
+        pytest.param("max_retries", None, id="max_retries-null"),
+    ],
+)
 def test_config_workers_reaches_neither_the_campaign_nor_the_keys(
-    tmp_path, clean_obs
+    tmp_path, clean_obs, key, value
 ):
-    """Campaigns run serially, so ``config.workers`` is an unknown key: a
-    body that sets it gets the fingerprint, cache key and rows of one that
-    does not, computed and from the cache alike."""
+    """Campaigns run serially and run each job once, so ``config.workers``
+    and ``config.max_retries`` are unknown keys: any value is accepted, and
+    a body that sets one gets the fingerprint, cache key and rows of one
+    that does not, computed and from the cache alike."""
     def keyed(job):
         # Wall times differ between two computes; everything else may not.
         answer = {k: v for k, v in _answer(job).items() if k != "metrics"}
         return job.fingerprint, job.cache_key, answer
 
     plain = _psu_body()
-    fanned = _psu_body(config=dict(plain["config"], workers=4))
+    ignored = _psu_body(config=dict(plain["config"], **{key: value}))
     computed = []
-    for name, body in (("plain", plain), ("fanned", fanned)):
+    for name, body in (("plain", plain), ("ignored", ignored)):
         with AnalysisService(tmp_path / f"{name}.jsonl", workers=1) as service:
             job = _done(service, service.submit(_encoded(body)))
         assert not job.cached
@@ -622,15 +631,24 @@ def test_config_workers_reaches_neither_the_campaign_nor_the_keys(
     assert computed[0] == computed[1]
     assert computed[0][1] == GOLDEN_CACHE_KEY
     with AnalysisService(tmp_path / "plain.jsonl", workers=1) as service:
-        hit = _done(service, service.submit(_encoded(fanned)))
+        hit = _done(service, service.submit(_encoded(ignored)))
     assert hit.cached
     assert keyed(hit) == computed[0]
 
 
-def test_entry_recorded_with_a_worker_count_keeps_its_digest(tmp_path):
+@pytest.mark.parametrize(
+    "metric, value",
+    [("workers", 2), ("retries", 1), ("timeouts", 0)],
+    ids=["workers", "retries", "timeouts"],
+)
+def test_entry_recorded_with_a_worker_count_keeps_its_digest(
+    tmp_path, metric, value
+):
     """Entries recorded while campaigns took a worker count carry
-    ``metrics.workers``.  ``metrics`` is outside the content digest, so
-    such a ledger reads back with every id and digest unchanged."""
+    ``metrics.workers``; entries recorded while jobs were retried and
+    timed carry ``metrics.retries`` and ``metrics.timeouts``.  ``metrics``
+    is outside the content digest, so such a ledger reads back with every
+    id and digest unchanged."""
     model = build_power_supply_simulink()
     result = FaultInjectionCampaign(
         model, power_supply_reliability(), sensors=["CS1"],
@@ -639,13 +657,13 @@ def test_entry_recorded_with_a_worker_count_keeps_its_digest(tmp_path):
     entry = ledger_mod.record_fmea(
         AnalysisLedger(tmp_path / "fresh.jsonl"), result, model=model
     )
-    assert "workers" not in entry.metrics
+    assert not {"workers", "retries", "timeouts"} & set(entry.metrics)
     line = entry.to_dict()
-    line["metrics"] = dict(line["metrics"], workers=2)
+    line["metrics"] = dict(line["metrics"], **{metric: value})
     old = tmp_path / "old.jsonl"
     old.write_text(json.dumps(line, sort_keys=True) + "\n")
     (read,) = AnalysisLedger(old).entries()
-    assert read.metrics["workers"] == 2
+    assert read.metrics[metric] == value
     assert (read.entry_id, read.content_digest) == (
         entry.entry_id, entry.content_digest,
     )

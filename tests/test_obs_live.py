@@ -164,7 +164,7 @@ class TestCampaignEvents:
         stats = _campaign(system_b).run().stats
         assert 0.0 < stats.job_wall_p50 <= stats.job_wall_p95
         assert stats.job_wall_p95 <= stats.job_wall_p99
-        histogram = obs.histogram("campaign_job_wall_seconds")
+        histogram = obs.histogram("campaign_job_seconds")
         assert histogram.count == stats.jobs
 
     def test_percentile_helper(self):
@@ -205,9 +205,8 @@ class TestLiveServer:
         assert status == 200
         families = parse_prometheus_text(body.decode("utf-8"))
         assert "campaign_job_seconds" in families
-        assert "campaign_job_wall_seconds" in families
         # the final chunk_completed fires once every job has executed
-        assert families["campaign_job_wall_seconds"]["count"] == stats.jobs
+        assert families["campaign_job_seconds"]["count"] == stats.jobs
 
     def test_healthz_reports_planes_and_campaign(self, system_b):
         obs.enable()
@@ -361,19 +360,6 @@ class TestSamplingProfiler:
 
     def test_stop_without_start(self):
         assert SamplingProfiler().stop() == 0
-
-    def test_does_not_disturb_job_deadline(self):
-        """SIGPROF profiling and the SIGALRM job deadline are independent."""
-        from repro.safety.resilience import JobTimeoutError, job_deadline
-
-        profiler = SamplingProfiler(interval=0.001)
-        assert profiler.start()
-        try:
-            with pytest.raises(JobTimeoutError):
-                with job_deadline(0.05):
-                    _busy(time.perf_counter() + 5.0)
-        finally:
-            assert profiler.stop() > 0
 
 
 # -- CLI integration ---------------------------------------------------------
