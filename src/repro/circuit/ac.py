@@ -21,17 +21,18 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.circuit import backends as _backends
-from repro.circuit.mna import DCSolution, _is_ground, dc_operating_point
+from repro.circuit.mna import (
+    DCSolution,
+    _System,
+    _is_ground,
+    dc_operating_point,
+)
 from repro.circuit.netlist import (
-    Ammeter,
     Capacitor,
     CircuitError,
-    CurrentSource,
     Diode,
     Inductor,
     Netlist,
-    Resistor,
-    Switch,
     VoltageSource,
 )
 
@@ -74,7 +75,6 @@ def ac_analysis(
     ac_sources: Optional[Dict[str, float]] = None,
     operating_point: Optional[DCSolution] = None,
     gmin: float = 1e-12,
-    _cache: Optional[_backends.FactorizationCache] = None,
 ) -> ACSolution:
     """Small-signal solution at ``frequency`` (Hz).
 
@@ -82,20 +82,22 @@ def ac_analysis(
     first voltage source at 1 V, everything else 0 — i.e. a standard
     single-input transfer-function setup).
 
-    The system's size picks the linear-solver backend
-    (:func:`~repro.circuit.backends.resolve_backend`).  ``_cache`` is a
-    :class:`~repro.circuit.backends.FactorizationCache` keyed by
-    frequency — :func:`frequency_response` shares one across a
-    sweep so revisited frequencies skip the factorization entirely.
+    The matrix is the DC system's (:class:`~repro.circuit.mna._System`:
+    the same index maps and linear stamps, ``gmin`` included) plus complex
+    triplets for ``jωC``, the inductors' ``-jωL`` and each diode's
+    small-signal conductance at ``operating_point`` (solved here when not
+    given).  At 0 Hz with every source at its DC value it is the DC
+    system.  The system's size picks the linear-solver backend
+    (:func:`~repro.circuit.backends.resolve_backend`); every call
+    factorizes afresh.
     """
     if frequency < 0:
         raise CircuitError("frequency must be >= 0")
     if len(netlist) == 0:
         raise CircuitError("cannot analyse an empty netlist")
     omega = 2.0 * math.pi * frequency
-
-    diodes = [e for e in netlist.elements() if isinstance(e, Diode)]
-    if diodes and operating_point is None:
+    system = _System(netlist, gmin)
+    if system.diodes and operating_point is None:
         operating_point = dc_operating_point(netlist)
 
     if ac_sources is None:
@@ -113,105 +115,54 @@ def ac_analysis(
             )
         ac_sources = {first: 1.0}
 
-    node_index: Dict[str, int] = {}
-    for node in netlist.nodes():
-        if not _is_ground(node) and node not in node_index:
-            node_index[node] = len(node_index)
-    branch_elements = [
-        e
-        for e in netlist.elements()
-        if isinstance(e, (VoltageSource, Ammeter, Inductor))
-    ]
-    branch_index = {
-        e.name: len(node_index) + i for i, e in enumerate(branch_elements)
-    }
-    size = len(node_index) + len(branch_elements)
-    if size == 0:
+    if system.size == 0:
         raise CircuitError("netlist has no unknowns")
 
-    matrix = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-
-    def idx(node: str) -> Optional[int]:
-        return None if _is_ground(node) else node_index[node]
-
-    def stamp_admittance(n1: str, n2: str, admittance: complex) -> None:
-        i, j = idx(n1), idx(n2)
-        if i is not None:
-            matrix[i, i] += admittance
-        if j is not None:
-            matrix[j, j] += admittance
-        if i is not None and j is not None:
-            matrix[i, j] -= admittance
-            matrix[j, i] -= admittance
-
-    for node_idx in node_index.values():
-        matrix[node_idx, node_idx] += gmin
-
+    # The real stamps (resistors, switches, branch incidences, inductor
+    # series resistances, gmin), then the frequency-dependent ones.
+    triplets, _ = system._constant_parts()
+    rhs = np.zeros(system.size, dtype=complex)
     for element in netlist.elements():
-        if isinstance(element, Resistor):
-            stamp_admittance(
-                element.node_pos, element.node_neg, 1.0 / element.resistance
-            )
-        elif isinstance(element, Switch):
-            resistance = (
-                element.on_resistance if element.closed else element.off_resistance
-            )
-            stamp_admittance(element.node_pos, element.node_neg, 1.0 / resistance)
-        elif isinstance(element, Capacitor):
-            stamp_admittance(
-                element.node_pos, element.node_neg, 1j * omega * element.capacitance
+        if isinstance(element, Capacitor):
+            system.stamp(
+                triplets, element.node_pos, element.node_neg,
+                1j * omega * element.capacitance,
             )
         elif isinstance(element, Diode):
             vd = operating_point.voltage_across(  # type: ignore[union-attr]
                 element.node_pos, element.node_neg
             )
-            n_vt = element.ideality * element.thermal_voltage
-            conductance = (
-                element.saturation_current * math.exp(min(vd, 2.0) / n_vt) / n_vt
+            system.stamp(
+                triplets, element.node_pos, element.node_neg,
+                _System._diode_companion(element, vd)[0],
             )
-            stamp_admittance(
-                element.node_pos, element.node_neg, max(conductance, 1e-12)
-            )
-        elif isinstance(element, CurrentSource):
-            continue  # independent current sources are AC-open here
-        elif isinstance(element, (VoltageSource, Ammeter, Inductor)):
-            k = branch_index[element.name]
-            i, j = idx(element.node_pos), idx(element.node_neg)
-            if i is not None:
-                matrix[i, k] += 1.0
-                matrix[k, i] += 1.0
-            if j is not None:
-                matrix[j, k] -= 1.0
-                matrix[k, j] -= 1.0
-            if isinstance(element, VoltageSource):
-                rhs[k] = ac_sources.get(element.name, 0.0)
-            elif isinstance(element, Inductor):
-                matrix[k, k] -= element.series_resistance + 1j * omega * (
-                    element.inductance
-                )
-        else:  # pragma: no cover - guarded by Netlist.add
-            raise CircuitError(
-                f"unsupported element type {type(element).__name__}"
+        elif isinstance(element, Inductor):
+            k = system.branch_index[element.name]
+            triplets[0].append(k)
+            triplets[1].append(k)
+            triplets[2].append(-1j * omega * element.inductance)
+        elif isinstance(element, VoltageSource):
+            # DC sources are AC shorts; current sources are AC-open.
+            rhs[system.branch_index[element.name]] = ac_sources.get(
+                element.name, 0.0
             )
 
-    resolved = _backends.resolve_backend(size)
     try:
-        if _cache is not None:
-            solution = _cache.solve(frequency, lambda: matrix, rhs, resolved)
-        else:
-            solution = _backends.factorize(matrix, resolved).solve(rhs)
+        solution = _backends.factorize_triplets(
+            system.size, triplets, _backends.resolve_backend(system.size),
+            dtype=complex,
+        ).solve(rhs)
     except _backends.FactorizationError:
         raise CircuitError("singular AC system matrix") from None
 
     return ACSolution(
         frequency=frequency,
         node_voltages={
-            node: complex(solution[i]) for node, i in node_index.items()
+            node: complex(solution[i]) for node, i in system.node_index.items()
         },
         branch_currents={
-            e.name: complex(solution[branch_index[e.name]])
-            for e in branch_elements
+            name: complex(solution[k])
+            for name, k in system.branch_index.items()
         },
     )
 
@@ -222,16 +173,12 @@ def frequency_response(
     frequencies: List[float],
     ac_sources: Optional[Dict[str, float]] = None,
 ) -> List[complex]:
-    """The transfer ``V(node)`` over a frequency list (shared DC solve +
-    shared factorization cache: repeated frequencies solve without
-    re-factorizing)."""
+    """The transfer ``V(node)`` over a frequency list (one shared DC
+    solve for the diodes' operating point)."""
     operating_point = None
     if any(isinstance(e, Diode) for e in netlist.elements()):
         operating_point = dc_operating_point(netlist)
-    cache = _backends.FactorizationCache(maxsize=8)
     return [
-        ac_analysis(
-            netlist, f, ac_sources, operating_point, _cache=cache
-        ).voltage(node)
+        ac_analysis(netlist, f, ac_sources, operating_point).voltage(node)
         for f in frequencies
     ]

@@ -14,9 +14,15 @@ factorization engine a pluggable *backend*:
 Both factorizations expose the same two-method surface (:meth:`solve` for a
 vector or a column block), so :class:`repro.circuit.mna.CompiledSystem`
 (whose fault solves are Woodbury updates of either),
-:func:`repro.circuit.transient.transient` and
+:func:`repro.circuit.mna.dc_operating_point` (one factorize-and-solve per
+Newton iteration), :func:`repro.circuit.transient.transient` and
 :func:`repro.circuit.ac.ac_analysis` can share one code path.  Both refuse
 an exactly singular matrix with :class:`FactorizationError`.
+
+Every analysis assembles its matrix from one ``(row, col, value)`` triplet
+stream: :func:`triplets_to_matrix` materialises a constant part as the
+backend's matrix, and :func:`add_triplets` adds a per-step part (diode
+companions, reactive companions) to a copy of it.
 
 The system's size alone picks the backend (:func:`resolve_backend`):
 sparse at or above :data:`SPARSE_AUTO_MIN_SIZE` unknowns, dense below —
@@ -29,7 +35,8 @@ patching the threshold.  A dense-only process never imports
 Observability: every factorization increments ``mna_dense_factorizations``
 or ``mna_sparse_factorizations``; batched multi-RHS solves add their column
 count to ``mna_batched_rhs_columns``; cache hits in a
-:class:`FactorizationCache` increment ``mna_factorization_cache_hits``.
+:class:`FactorizationCache` (only the transient integrator keeps one)
+increment ``mna_factorization_cache_hits``.
 All counters are no-ops while ``repro.obs`` is disabled.
 """
 
@@ -57,6 +64,8 @@ __all__ = [
     "getrs_solver",
     "triplets_to_dense",
     "triplets_to_csc",
+    "triplets_to_matrix",
+    "add_triplets",
     "resolve_backend",
 ]
 
@@ -211,6 +220,36 @@ def triplets_to_csc(size: int, triplets: Triplets, dtype=float):
     ).tocsc()
 
 
+def triplets_to_matrix(
+    size: int, triplets: Triplets, backend: str, dtype=float
+):
+    """The backend's matrix for ``triplets``: CSC on ``sparse``, dense
+    otherwise (a dense caller never imports ``scipy.sparse``)."""
+    if backend == "sparse":
+        return triplets_to_csc(size, triplets, dtype)
+    return triplets_to_dense(size, triplets, dtype)
+
+
+def add_triplets(matrix, triplets: Triplets):
+    """``matrix`` (dense or CSC) plus the stamps in ``triplets``, as a new
+    matrix of the same kind; ``matrix`` itself is left alone, and returned
+    as is when there are no stamps.
+
+    The dense sum adds the stamps to a copy one by one, in their order:
+    a per-step handful, where ``np.add.at``'s fixed cost would exceed the
+    adds.
+    """
+    rows, cols, vals = triplets
+    if not rows:
+        return matrix
+    if isinstance(matrix, np.ndarray):
+        out = matrix.copy()
+        for row, col, value in zip(rows, cols, vals):
+            out[row, col] += value
+        return out
+    return matrix + triplets_to_csc(matrix.shape[0], triplets)
+
+
 def factorize(matrix, backend: str) -> Factorization:
     """Factorize ``matrix`` (dense array or scipy sparse) with ``backend``.
 
@@ -242,9 +281,9 @@ def factorize_triplets(
     size: int, triplets: Triplets, backend: str, dtype=float
 ) -> Factorization:
     """Materialise + factorize a triplet-assembled matrix with ``backend``."""
-    if backend == "sparse":
-        return factorize(triplets_to_csc(size, triplets, dtype), backend)
-    return factorize(triplets_to_dense(size, triplets, dtype), backend)
+    return factorize(
+        triplets_to_matrix(size, triplets, backend, dtype), backend
+    )
 
 
 # -- factorization cache -----------------------------------------------------
@@ -256,8 +295,9 @@ class FactorizationCache:
     The transient integrator's step matrix depends only on the diode bias
     vector (the companion conductances of C/L are fixed for a fixed ``dt``),
     so once the circuit settles, every further step re-solves the *same*
-    matrix — this cache turns those re-factorizations into lookups.  AC
-    sweeps that revisit a frequency hit it the same way.
+    matrix — this cache turns those re-factorizations into lookups.  It is
+    the cache's only user: a DC Newton iteration or an AC frequency never
+    meets its matrix twice.
     """
 
     def __init__(self, maxsize: int = 8) -> None:

@@ -215,10 +215,14 @@ class DCSolution:
 class _System:
     """Index assignment and matrix assembly for one netlist.
 
-    The linear stamps (everything except the diode companion models) are
-    assembled once and cached as the backend's matrix, dense or CSC, next
-    to the constant RHS; :meth:`assemble` applies the per-iteration diode
-    deltas to a copy.  The triplet stream both are built from is not kept.
+    Every analysis assembles through here.  :meth:`stamp` turns a
+    conductance (or, for AC, an admittance) between two nodes into
+    ``(row, col, value)`` triplets.  The linear stamps (everything except
+    the diode companion models) are assembled once and cached as the
+    backend's matrix, dense or CSC (:meth:`constant_matrix`), next to the
+    constant RHS; an analysis adds its per-step triplets to that with
+    :func:`~repro.circuit.backends.add_triplets`.  The triplet stream the
+    constant is built from is not kept.
     """
 
     def __init__(self, netlist: Netlist, gmin: float) -> None:
@@ -242,25 +246,33 @@ class _System:
             e for e in netlist.elements() if isinstance(e, Diode)
         ]
         self._rhs: Optional[np.ndarray] = None
-        self._constant: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._constant_csc = None
+        #: The constant matrix per backend that asked for it.
+        self._constant: Dict[str, object] = {}
 
     def _idx(self, node: str) -> Optional[int]:
         if _is_ground(node):
             return None
         return self.node_index[node]
 
-    def _stamp_conductance(
-        self, matrix: np.ndarray, n1: str, n2: str, conductance: float
+    def stamp(
+        self, triplets: _backends.Triplets, n1: str, n2: str, g: complex
     ) -> None:
+        """Append the stamps of conductance ``g`` between ``n1`` and ``n2``
+        to ``triplets``: ``+g`` on both diagonals, ``-g`` off them."""
+        rows, cols, vals = triplets
         i, j = self._idx(n1), self._idx(n2)
         if i is not None:
-            matrix[i, i] += conductance
+            rows.append(i)
+            cols.append(i)
+            vals.append(g)
         if j is not None:
-            matrix[j, j] += conductance
+            rows.append(j)
+            cols.append(j)
+            vals.append(g)
         if i is not None and j is not None:
-            matrix[i, j] -= conductance
-            matrix[j, i] -= conductance
+            rows.extend((i, j))
+            cols.extend((j, i))
+            vals.extend((-g, -g))
 
     def _stamp_current(
         self, rhs: np.ndarray, n_from: str, n_to: str, current: float
@@ -284,9 +296,8 @@ class _System:
         Only the RHS is cached: the Python triplet lists are garbage once
         the backend's matrix exists (0.6 MB on a 2.5k-unknown grid).
         """
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
+        triplets: _backends.Triplets = ([], [], [])
+        rows, cols, vals = triplets
         rhs = np.zeros(self.size)
 
         def stamp(row: int, col: int, value: float) -> None:
@@ -294,31 +305,22 @@ class _System:
             cols.append(col)
             vals.append(value)
 
-        def stamp_conductance(n1: str, n2: str, conductance: float) -> None:
-            i, j = self._idx(n1), self._idx(n2)
-            if i is not None:
-                stamp(i, i, conductance)
-            if j is not None:
-                stamp(j, j, conductance)
-            if i is not None and j is not None:
-                stamp(i, j, -conductance)
-                stamp(j, i, -conductance)
-
         for node_idx in self.node_index.values():
             stamp(node_idx, node_idx, self.gmin)
 
         for element in self.netlist.elements():
             if isinstance(element, Resistor):
-                stamp_conductance(
-                    element.node_pos, element.node_neg,
+                self.stamp(
+                    triplets, element.node_pos, element.node_neg,
                     1.0 / element.resistance,
                 )
             elif isinstance(element, Switch):
                 resistance = (
                     element.on_resistance if element.closed else element.off_resistance
                 )
-                stamp_conductance(
-                    element.node_pos, element.node_neg, 1.0 / resistance
+                self.stamp(
+                    triplets, element.node_pos, element.node_neg,
+                    1.0 / resistance,
                 )
             elif isinstance(element, CurrentSource):
                 self._stamp_current(
@@ -348,7 +350,7 @@ class _System:
                 )
         if self._rhs is None:
             self._rhs = rhs
-        return (rows, cols, vals), self._rhs
+        return triplets, self._rhs
 
     def constant_rhs(self) -> np.ndarray:
         """The cached constant RHS (callers must not mutate it)."""
@@ -356,41 +358,32 @@ class _System:
             self._constant_parts()
         return self._rhs
 
-    def assemble_constant(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The linear stamps and RHS — everything except the diodes.
+    def constant_matrix(self, backend: str):
+        """The linear stamps — everything except the diodes — as
+        ``backend``'s matrix: CSC on ``sparse``, dense otherwise.
 
-        Built once per system and cached; callers must not mutate the
-        returned arrays (take a copy, as :meth:`assemble` does).
+        Built once per system and backend and cached; callers must not
+        mutate it (:func:`~repro.circuit.backends.add_triplets` copies).
         """
-        if self._constant is None:
-            triplets, rhs = self._constant_parts()
-            self._constant = (
-                _backends.triplets_to_dense(self.size, triplets), rhs
-            )
-        return self._constant
-
-    def assemble_constant_csc(self):
-        """The constant matrix as CSC, for the sparse backend (cached)."""
-        if self._constant_csc is None:
+        matrix = self._constant.get(backend)
+        if matrix is None:
             triplets, _ = self._constant_parts()
-            self._constant_csc = _backends.triplets_to_csc(
-                self.size, triplets
-            )
-        return self._constant_csc
+            matrix = _backends.triplets_to_matrix(self.size, triplets, backend)
+            self._constant[backend] = matrix
+        return matrix
 
-    def assemble(
-        self, diode_voltages: Dict[str, float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        base_matrix, base_rhs = self.assemble_constant()
-        matrix = base_matrix.copy()
-        rhs = base_rhs.copy()
-        for diode in self.diodes:
-            g, ieq = self._diode_companion(
-                diode, diode_voltages.get(diode.name, 0.6)
-            )
-            self._stamp_conductance(matrix, diode.node_pos, diode.node_neg, g)
+    def stamp_diodes(
+        self, biases: List[float], rhs: np.ndarray
+    ) -> _backends.Triplets:
+        """The diode companion models linearised at ``biases`` (one per
+        diode, in order): their conductances as triplets, their equivalent
+        currents added into ``rhs`` in place."""
+        triplets: _backends.Triplets = ([], [], [])
+        for diode, vd in zip(self.diodes, biases):
+            g, ieq = self._diode_companion(diode, vd)
+            self.stamp(triplets, diode.node_pos, diode.node_neg, g)
             self._stamp_current(rhs, diode.node_pos, diode.node_neg, ieq)
-        return matrix, rhs
+        return triplets
 
     @staticmethod
     def _diode_companion(diode: Diode, vd: float) -> Tuple[float, float]:
@@ -432,45 +425,20 @@ def system_size(netlist: Netlist) -> int:
     return _System(netlist, _DEFAULT_GMIN).size
 
 
-def _assemble_sparse(
-    system: _System, diode_voltages: Dict[str, float]
-) -> Tuple[object, np.ndarray]:
-    """CSC matrix + RHS with diode companions folded in (sparse backend).
-
-    The constant CSC is cached on the system; each Newton iteration only
-    adds the handful of diode companion stamps as a second sparse term.
-    """
-    matrix = system.assemble_constant_csc()
-    rhs = system.constant_rhs().copy()
-    if system.diodes:
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for diode in system.diodes:
-            g, ieq = system._diode_companion(
-                diode, diode_voltages.get(diode.name, 0.6)
-            )
-            i, j = system._idx(diode.node_pos), system._idx(diode.node_neg)
-            if i is not None:
-                rows.append(i)
-                cols.append(i)
-                vals.append(g)
-            if j is not None:
-                rows.append(j)
-                cols.append(j)
-                vals.append(g)
-            if i is not None and j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(-g)
-                rows.append(j)
-                cols.append(i)
-                vals.append(-g)
-            system._stamp_current(rhs, diode.node_pos, diode.node_neg, ieq)
-        matrix = matrix + _backends.triplets_to_csc(
-            system.size, (rows, cols, vals)
-        )
-    return matrix, rhs
+def _diode_step(biases: List[float], voltages: List[float]) -> bool:
+    """One Newton move of the diode biases, in place: each bias moves to
+    its new voltage, by at most ``_MAX_DIODE_STEP``.  True when no diode
+    moved by more than ``_NEWTON_TOLERANCE`` (converged)."""
+    converged = True
+    for k, new_vd in enumerate(voltages):
+        step = new_vd - biases[k]
+        if abs(step) > _MAX_DIODE_STEP:
+            new_vd = biases[k] + math.copysign(_MAX_DIODE_STEP, step)
+            converged = False
+        elif abs(step) > _NEWTON_TOLERANCE:
+            converged = False
+        biases[k] = new_vd
+    return converged
 
 
 def dc_operating_point(
@@ -483,7 +451,9 @@ def dc_operating_point(
     The system's size picks the linear-solver engine (see
     :mod:`repro.circuit.backends`): dense LAPACK below
     :data:`~repro.circuit.backends.SPARSE_AUTO_MIN_SIZE` unknowns, sparse
-    SuperLU at or above it.
+    SuperLU at or above it.  Each Newton iteration adds the diode
+    companions to the cached constant matrix and factorizes and solves
+    that once.
 
     Raises :class:`CircuitError` if Newton iteration fails to converge or the
     system matrix is singular even after retrying with a stronger ``gmin``
@@ -497,8 +467,10 @@ def dc_operating_point(
     if system.size == 0:
         raise CircuitError("netlist has no unknowns (everything grounded?)")
     resolved = _backends.resolve_backend(system.size)
+    constant = system.constant_matrix(resolved)
+    constant_rhs = system.constant_rhs()
 
-    diode_voltages: Dict[str, float] = {d.name: 0.6 for d in system.diodes}
+    biases = [0.6] * len(system.diodes)
     solution = np.zeros(system.size)
     iterations = 0
     with obs.span(
@@ -508,16 +480,13 @@ def dc_operating_point(
         **{"solver.backend": resolved},
     ) as sp:
         for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
+            rhs = constant_rhs.copy()
+            matrix = _backends.add_triplets(
+                constant, system.stamp_diodes(biases, rhs)
+            )
             try:
-                if resolved == "sparse":
-                    matrix, rhs = _assemble_sparse(system, diode_voltages)
-                    new_solution = _backends.factorize(
-                        matrix, "sparse"
-                    ).solve(rhs)
-                else:
-                    matrix, rhs = system.assemble(diode_voltages)
-                    new_solution = np.linalg.solve(matrix, rhs)
-            except (np.linalg.LinAlgError, _backends.FactorizationError):
+                new_solution = _backends.factorize(matrix, resolved).solve(rhs)
+            except _backends.FactorizationError:
                 # Retry (a bounded number of times) with a stronger gmin.
                 stronger = max(gmin * 1e3, 1e-9)
                 if _retries_left > 0 and stronger > gmin:
@@ -528,20 +497,9 @@ def dc_operating_point(
                 raise CircuitError(
                     f"singular MNA matrix for netlist {netlist.name!r}"
                 ) from None
-            if not system.diodes:
-                solution = new_solution
-                break
-            converged = True
-            for diode in system.diodes:
-                old_vd = diode_voltages[diode.name]
-                new_vd = system.diode_voltage(new_solution, diode)
-                step = new_vd - old_vd
-                if abs(step) > _MAX_DIODE_STEP:
-                    new_vd = old_vd + math.copysign(_MAX_DIODE_STEP, step)
-                    converged = False
-                elif abs(step) > _NEWTON_TOLERANCE:
-                    converged = False
-                diode_voltages[diode.name] = new_vd
+            converged = _diode_step(biases, [
+                system.diode_voltage(new_solution, d) for d in system.diodes
+            ])
             solution = new_solution
             if converged:
                 break
@@ -608,7 +566,7 @@ def _capacitance_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     with partial pivoting.  Pivoting matters: the diagonal mixes ``1/g``
     terms spanning many orders of magnitude, so closed-form (Cramer)
     solutions lose enough digits to trip the residual check.  ``gesv`` is
-    called directly, not through ``np.linalg.solve``, whose wrapper costs
+    called directly, not through numpy's ``linalg`` wrapper, which costs
     more than the solve at these rank counts (K = 1 to 9); Newton calls
     this once per iteration.  ``matrix`` is overwritten.  Raises
     :class:`_SmwFallback` when the matrix is singular."""
@@ -817,9 +775,7 @@ class PrimedSystem:
     def matrix(self):
         """The constant matrix ``A0``: CSC on the sparse backend, dense
         otherwise (cached on the system; callers must not mutate it)."""
-        if self.backend == "sparse":
-            return self.system.assemble_constant_csc()
-        return self.system.assemble_constant()[0]
+        return self.system.constant_matrix(self.backend)
 
     def _factorize(self) -> Optional[_backends.Factorization]:
         """The backend's factors of the constant matrix, or ``None``
@@ -1545,16 +1501,6 @@ class _WoodburyNewton:
         return basis.project(self.vector)[self._slot_list].tolist()
 
     def advance(self, voltages: List[float]) -> bool:
-        """Move the biases to ``voltages``, at most ``_MAX_DIODE_STEP`` per
-        diode; True when no diode moved by more than ``_NEWTON_TOLERANCE``."""
-        converged = True
-        biases = self.biases
-        for k, new_vd in enumerate(voltages):
-            step = new_vd - biases[k]
-            if abs(step) > _MAX_DIODE_STEP:
-                new_vd = biases[k] + math.copysign(_MAX_DIODE_STEP, step)
-                converged = False
-            elif abs(step) > _NEWTON_TOLERANCE:
-                converged = False
-            biases[k] = new_vd
-        return converged
+        """Move the biases to ``voltages`` by :func:`_diode_step`; True
+        when converged."""
+        return _diode_step(self.biases, voltages)

@@ -16,12 +16,17 @@ use the FMEA engine makes of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.circuit import backends as _backends
-from repro.circuit.mna import _System, _is_ground
+from repro.circuit.mna import (
+    _MAX_NEWTON_ITERATIONS,
+    _System,
+    _diode_step,
+    _is_ground,
+)
 from repro.circuit.netlist import (
     Capacitor,
     CircuitError,
@@ -113,78 +118,19 @@ def transient(
     # companion conductances (fixed for a fixed dt).  Only the RHS (source
     # waveforms, companion history currents) and the diode linearisation
     # change from step to step.
-    comp_triplets: Tuple[List[int], List[int], List[float]] = ([], [], [])
-
-    def stamp_companion(n1: str, n2: str, conductance: float) -> None:
-        i, j = system._idx(n1), system._idx(n2)
-        rows, cols, vals = comp_triplets
-        if i is not None:
-            rows.append(i)
-            cols.append(i)
-            vals.append(conductance)
-        if j is not None:
-            rows.append(j)
-            cols.append(j)
-            vals.append(conductance)
-        if i is not None and j is not None:
-            rows.extend((i, j))
-            cols.extend((j, i))
-            vals.extend((-conductance, -conductance))
-
+    companions: _backends.Triplets = ([], [], [])
     for cap in capacitors:
-        stamp_companion(cap.node_pos, cap.node_neg, cap.capacitance / dt)
+        system.stamp(companions, cap.node_pos, cap.node_neg, cap.capacitance / dt)
     for ind in inductors:
         k = system.branch_index[ind.name]
-        # assemble() contributed v - R_s*i = 0; extend to
+        # The constant part holds v - R_s*i = 0; extend it to
         # v - R_s*i - (L/dt)*i = -(L/dt)*i_prev
-        comp_triplets[0].append(k)
-        comp_triplets[1].append(k)
-        comp_triplets[2].append(-ind.inductance / dt)
-
-    if resolved == "sparse":
-        static_matrix = system.assemble_constant_csc()
-        if comp_triplets[0]:
-            static_matrix = static_matrix + _backends.triplets_to_csc(
-                system.size, comp_triplets
-            )
-    else:
-        static_matrix = system.assemble_constant()[0].copy()
-        rows, cols, vals = comp_triplets
-        if rows:
-            np.add.at(static_matrix, (rows, cols), vals)
-
-    def diode_matrix(companions: List[Tuple[float, float]]):
-        """Step matrix with the given per-diode (g, ieq) companions
-        stamped in — only built on a factorization-cache miss."""
-        if resolved == "sparse":
-            rows: List[int] = []
-            cols: List[int] = []
-            vals: List[float] = []
-            for diode, (g, _) in zip(system.diodes, companions):
-                i = system._idx(diode.node_pos)
-                j = system._idx(diode.node_neg)
-                if i is not None:
-                    rows.append(i)
-                    cols.append(i)
-                    vals.append(g)
-                if j is not None:
-                    rows.append(j)
-                    cols.append(j)
-                    vals.append(g)
-                if i is not None and j is not None:
-                    rows.extend((i, j))
-                    cols.extend((j, i))
-                    vals.extend((-g, -g))
-            matrix = static_matrix + _backends.triplets_to_csc(
-                system.size, (rows, cols, vals)
-            )
-        else:
-            matrix = static_matrix.copy()
-            for diode, (g, _) in zip(system.diodes, companions):
-                system._stamp_conductance(
-                    matrix, diode.node_pos, diode.node_neg, g
-                )
-        return matrix
+        companions[0].append(k)
+        companions[1].append(k)
+        companions[2].append(-ind.inductance / dt)
+    static_matrix = _backends.add_triplets(
+        system.constant_matrix(resolved), companions
+    )
 
     cache = _backends.FactorizationCache(maxsize=_TRANSIENT_CACHE_SLOTS)
     base_rhs = system.constant_rhs()
@@ -210,63 +156,32 @@ def transient(
             k = system.branch_index[ind.name]
             rhs[k] -= (ind.inductance / dt) * ind_current[ind.name]
 
-        # Newton loop for diodes within the step.
-        if system.diodes:
-            diode_voltages = {
-                d.name: system.diode_voltage(solution, d) or 0.6
-                for d in system.diodes
-            }
-            for _ in range(100):
-                key = tuple(
-                    diode_voltages[d.name] for d in system.diodes
-                )
-                companions = [
-                    _System._diode_companion(d, diode_voltages[d.name])
-                    for d in system.diodes
-                ]
-                step_rhs = rhs.copy()
-                for diode, (_, ieq) in zip(system.diodes, companions):
-                    system._stamp_current(
-                        step_rhs, diode.node_pos, diode.node_neg, ieq
-                    )
-                try:
-                    candidate = cache.solve(
-                        key,
-                        lambda: diode_matrix(companions),
-                        step_rhs,
-                        resolved,
-                    )
-                except _backends.FactorizationError:
-                    raise CircuitError(
-                        f"singular transient matrix at t={t:.3e}"
-                    ) from None
-                converged = True
-                for diode in system.diodes:
-                    new_vd = system.diode_voltage(candidate, diode)
-                    old_vd = diode_voltages[diode.name]
-                    delta = new_vd - old_vd
-                    if abs(delta) > 0.5:
-                        new_vd = old_vd + (0.5 if delta > 0 else -0.5)
-                        converged = False
-                    elif abs(delta) > 1e-9:
-                        converged = False
-                    diode_voltages[diode.name] = new_vd
-                solution = candidate
-                if converged:
-                    break
-            else:
-                raise CircuitError(
-                    f"transient Newton did not converge at t={t:.3e}"
-                )
-        else:
+        # Newton loop for diodes within the step (one pass without any).
+        biases = [
+            system.diode_voltage(solution, d) or 0.6 for d in system.diodes
+        ]
+        for _ in range(_MAX_NEWTON_ITERATIONS):
+            step_rhs = rhs.copy()
+            diode_stamps = system.stamp_diodes(biases, step_rhs)
             try:
                 solution = cache.solve(
-                    (), lambda: static_matrix, rhs, resolved
+                    tuple(biases),
+                    lambda: _backends.add_triplets(static_matrix, diode_stamps),
+                    step_rhs,
+                    resolved,
                 )
             except _backends.FactorizationError:
                 raise CircuitError(
                     f"singular transient matrix at t={t:.3e}"
                 ) from None
+            if _diode_step(biases, [
+                system.diode_voltage(solution, d) for d in system.diodes
+            ]):
+                break
+        else:
+            raise CircuitError(
+                f"transient Newton did not converge at t={t:.3e}"
+            )
 
         # Update state.
         def node_voltage(node: str) -> float:

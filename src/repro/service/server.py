@@ -109,6 +109,12 @@ class _ServiceHandler(_Handler):
         except ServiceError:
             self._json(404, {"error": f"unknown job {job_id!r}"})
             return
+        if job.state in ("done", "failed"):
+            # The worker publishes the final state (and ``job_finished``)
+            # before it attaches the job's event log to the ledger entry,
+            # and sets ``done_event`` right after: a finished job is
+            # answered once its record is complete.
+            job.done_event.wait()
         self._json(200, job.to_dict())
 
     def _serve_job_events(self, job_id: str, query: Dict[str, list]) -> None:

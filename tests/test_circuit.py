@@ -13,6 +13,7 @@ from repro.circuit import (
     DCSolution,
     Netlist,
     Resistor,
+    backends,
     dc_operating_point,
     transient,
 )
@@ -261,6 +262,33 @@ class TestTransient:
             transient(netlist, 0.0, 1e-5)
         with pytest.raises(CircuitError):
             transient(netlist, 1e-3, -1.0)
+
+    @pytest.mark.parametrize("rule", ["dense", "sparse"])
+    def test_settled_diode_rc_reaches_the_dc_operating_point(
+        self, rule, monkeypatch
+    ):
+        """Run for over 20 time constants, a diode-resistor-capacitor
+        circuit settles where the DC solve puts it: the transient's diode
+        Newton, its companions and its step matrix assemble the same
+        system as ``dc_operating_point`` once the capacitor is charged."""
+        monkeypatch.setattr(
+            backends, "SPARSE_AUTO_MIN_SIZE", 0 if rule == "sparse" else 10**9
+        )
+        netlist = Netlist("diode-rc")
+        netlist.voltage_source("V1", "a", "0", 5.0)
+        netlist.diode("D1", "a", "b")
+        netlist.resistor("R1", "b", "c", 1000)
+        netlist.capacitor("C1", "c", "0", 1e-6)
+        netlist.resistor("R2", "c", "0", 10e3)
+        tau = 1e-6 * (1000 * 10e3) / (1000 + 10e3)  # ~0.91 ms
+        result = transient(netlist, t_stop=22 * tau, dt=tau / 100)
+        dc = dc_operating_point(netlist)
+        assert set(result.node_voltages) == set(dc.node_voltages)
+        for node, value in dc.node_voltages.items():
+            assert result.final_voltage(node) == pytest.approx(
+                value, abs=1e-6
+            ), node
+        assert result.final_voltage("c") > 3.5  # the diode conducts
 
     def test_series_lengths_consistent(self):
         netlist = Netlist()

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import CircuitError, Netlist, ac_analysis, frequency_response
+from repro.circuit import (
+    CircuitError,
+    Netlist,
+    VoltageSource,
+    ac_analysis,
+    backends,
+    dc_operating_point,
+    frequency_response,
+)
+
+#: ``SPARSE_AUTO_MIN_SIZE`` values that pin each backend.
+SIZE_RULES = {"dense": 10**9, "sparse": 0}
 
 
 def rc_lowpass(r=1000.0, c=1e-6):
@@ -140,3 +151,66 @@ def test_property_rc_matches_closed_form(r, c, decades):
     omega_rc = 2 * math.pi * frequency * r * c
     expected = 1.0 / math.sqrt(1.0 + omega_rc**2)
     assert measured == pytest.approx(expected, rel=1e-4)
+
+
+_ohms = st.sampled_from((1.0, 10.0, 47.0, 220.0, 1e3, 4.7e3))
+
+
+@st.composite
+def linear_netlists(draw):
+    """A resistor ladder fed by one to three voltage sources, with
+    capacitors and inductors (each with a series resistance) hung on
+    random nodes; no current sources and no diodes."""
+    size = draw(st.integers(2, 12))
+    nodes = [f"n{index}" for index in range(size)]
+    netlist = Netlist(f"linear-{size}")
+    for index, (a, b) in enumerate(zip(nodes, nodes[1:])):
+        netlist.resistor(f"R{index}", a, b, draw(_ohms))
+    netlist.resistor("RL", nodes[-1], "0", draw(_ohms))
+    for index in range(draw(st.integers(1, 3))):
+        source = f"v{index}"
+        netlist.voltage_source(
+            f"V{index}", source, "0", draw(st.sampled_from((1.8, 5.0, -3.3)))
+        )
+        netlist.resistor(f"RV{index}", source, draw(st.sampled_from(nodes)),
+                         draw(_ohms))
+    for index in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from(nodes))
+        b = draw(st.sampled_from(nodes + ["0"]))
+        if a != b:
+            netlist.capacitor(f"C{index}", a, b, 1e-6)
+    for index in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from(nodes))
+        b = draw(st.sampled_from(nodes + ["0"]))
+        if a != b:
+            netlist.inductor(
+                f"L{index}", a, b, 1e-3, series_resistance=draw(_ohms)
+            )
+    return netlist
+
+
+@pytest.mark.parametrize("rule", sorted(SIZE_RULES))
+@settings(max_examples=40, deadline=None)
+@given(netlist=linear_netlists())
+def test_property_zero_hertz_equals_the_dc_operating_point(rule, netlist):
+    """At 0 Hz, with every source at its DC voltage, the AC system is the
+    DC system: capacitors open, inductors their series resistance."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", SIZE_RULES[rule])
+        dc = dc_operating_point(netlist)
+        sources = {
+            e.name: e.voltage
+            for e in netlist.elements()
+            if isinstance(e, VoltageSource)
+        }
+        ac = ac_analysis(netlist, 0.0, ac_sources=sources)
+    assert ac.node_voltages.keys() == dc.node_voltages.keys()
+    for node, value in dc.node_voltages.items():
+        assert abs(ac.voltage(node).imag) == 0.0, node
+        assert math.isclose(
+            ac.voltage(node).real, value, rel_tol=1e-9, abs_tol=1e-12
+        ), (rule, node, ac.voltage(node), value)
+    for name, current in dc.branch_currents.items():
+        assert math.isclose(
+            ac.current(name).real, current, rel_tol=1e-9, abs_tol=1e-12
+        ), (rule, name, ac.current(name), current)

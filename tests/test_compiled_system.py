@@ -334,12 +334,43 @@ class TestPrimedSystem:
 
 
 class TestGminRetry:
-    def test_caller_gmin_never_weakened(self):
+    @pytest.mark.parametrize("rule", ["dense", "sparse"])
+    def test_caller_gmin_never_weakened(self, rule, monkeypatch):
         """The singular-matrix retry must strengthen the caller's gmin, not
         reset it to the default floor (regression: a caller-supplied 1e-6
-        used to retry at 1e-9, *weaker* than what the caller asked for)."""
-        assert max(1e-6 * 1e3, 1e-9) == pytest.approx(1e-3)
+        used to retry at 1e-9, *weaker* than what the caller asked for).
+        One ``factorize`` serves both backends, so refusing its first call
+        forces the retry on either."""
+        monkeypatch.setattr(
+            backends, "SPARSE_AUTO_MIN_SIZE", 0 if rule == "sparse" else 10**9
+        )
+        factorize = backends.factorize
+        factorized = []
+
+        def refuse_first(matrix, backend):
+            factorized.append(backend)
+            if len(factorized) == 1:
+                raise backends.FactorizationError("forced singular")
+            return factorize(matrix, backend)
+
+        system_gmins = []
+
+        class RecordingSystem(mna._System):
+            def __init__(self, netlist, gmin):
+                system_gmins.append(gmin)
+                super().__init__(netlist, gmin)
+
+        monkeypatch.setattr(backends, "factorize", refuse_first)
+        monkeypatch.setattr(mna, "_System", RecordingSystem)
+        solution = dc_operating_point(ladder(), gmin=1e-6)
         assert _MAX_GMIN_RETRIES >= 1
+        assert system_gmins == [1e-6, pytest.approx(1e-3)]
+        assert set(factorized) == {rule}
+        assert len(factorized) == 1 + solution.iterations
+        monkeypatch.undo()
+        assert_solutions_close(
+            solution, dc_operating_point(ladder(), gmin=1e-3), tol=1e-12
+        )
 
     def test_solver_works_at_strong_gmin(self):
         netlist = ladder()

@@ -542,6 +542,33 @@ class TestJobStreams:
         assert records[-1]["type"] == "job_finished"
         assert records[-1]["level"] == "info"
 
+    def test_done_job_answers_with_its_log_attached(
+        self, server, psu_simulink, psu_reliability, monkeypatch
+    ):
+        """The worker publishes ``done`` and ``job_finished`` before it
+        exports the job's log; a slow export must not let ``GET /jobs/<id>``
+        say ``done`` while the ledger entry still lacks the artifact."""
+        import time as _time
+
+        export = AnalysisService._export_job_log
+
+        def slow_export(service, job):
+            _time.sleep(0.5)
+            export(service, job)
+
+        monkeypatch.setattr(AnalysisService, "_export_job_log", slow_export)
+        host, port = server.address
+        _, accepted = _http_request(
+            host, port, "POST", "/jobs",
+            _payload(psu_simulink, psu_reliability),
+        )
+        job = _poll_done(host, port, accepted["id"])
+        assert job["state"] == "done"
+        ledger = server.service.ledger
+        entry = ledger.resolve(job["result"]["entry"])
+        expected = ledger.path.parent / "logs" / f"{accepted['id']}.jsonl"
+        assert str(expected) in entry.artifacts
+
     def test_unknown_job_events_404(self, server):
         host, port = server.address
         status, _ = _http_request(host, port, "GET", "/jobs/nope/events")
