@@ -11,9 +11,9 @@ computation with bit-identical rows for every client.  Last, it times a
 grid-size revisit both ways, alternating: a byte-identical body keyed by
 its sha256 alone (request-memo hit) against a new body of the same
 question that is parsed and keyed (parse path); both are ledger hits.
-Then it times cold keying: parse plus fingerprint, cache key and model-LRU
-key of new-sample grid bodies whose model the service has already seen,
-against one ``canonical_json`` of that model.
+Then it times cold keying: parse plus fingerprint and cache key, through
+the service's model entry, of new-sample grid bodies whose model the
+service has already seen, against one ``canonical_json`` of that model.
 Measurements go to ``BENCH_service.json`` at the repo root.
 
 Acceptance (full mode):
@@ -27,9 +27,10 @@ Acceptance (full mode):
 - the memo-hit revisit is faster than the parse-path one in every pair
   (smoke mode too), with the same rows;
 - cold keying of a body with a seen model costs less than one
-  serialisation of that model (smoke mode too): the model's canonical
-  text is memoised by its raw text, so the body is parsed once and the
-  model is not serialised again.
+  serialisation of that model (smoke mode too): the service's entry for
+  the model keeps its canonical text and is found by the sha256 of the
+  body's raw model text, so the body is parsed once and the model is not
+  serialised again.
 
 Smoke mode (``BENCH_SERVICE_SMOKE=1``): shrinks the ledgers, repeat
 counts and the revisit grid (4 feeders x 60 sections instead of the
@@ -340,10 +341,10 @@ def probe_cold_keying(tmp):
     """Parse plus keying of new-sample grid bodies, over one serialisation
     of their model.
 
-    The service first keys one body, so it has seen the model's text.
+    The service first keys one body, so it has an entry for the model.
     Each later body (a new injection sample, so new bytes) is parsed and
-    given its fingerprint, cache key and model-LRU key the way a worker
-    keys a cold job; each is paired with one ``canonical_json`` of the
+    given its fingerprint and cache key the way a worker keys a cold job,
+    through that entry; each is paired with one ``canonical_json`` of the
     model payload, the serialisation the keys used to repeat per job.
     """
     model = build_power_grid_simulink(**REVISIT_GRID)
@@ -356,14 +357,15 @@ def probe_cold_keying(tmp):
     def key(body):
         request = AnalysisRequest.from_payload(body)
         svc._content_keys(request)
-        return request.model_digest()
+        return request
 
-    digest = key(bodies[0])
+    entry = svc._model_entry(key(bodies[0]))
     keying, serialising = [], []
     for body in bodies[1:]:
         start = time.perf_counter()
-        assert key(body) == digest
+        request = key(body)
         keying.append((time.perf_counter() - start) * 1e3)
+        assert svc._model_entry(request) is entry
         start = time.perf_counter()
         canonical_json(payload)
         serialising.append((time.perf_counter() - start) * 1e3)

@@ -92,6 +92,23 @@ def resolve_backend(size: int) -> str:
 # -- factorizations ----------------------------------------------------------
 
 
+#: LAPACK ``getrf``/``getrs`` for real (DC, transient) and complex (AC)
+#: systems, bound once: the lookup costs more than factorizing a 7-unknown
+#: system.  Any other dtype looks them up per call.
+_LU_ROUTINES = {
+    np.dtype(dtype): _get_lapack_funcs(
+        ("getrf", "getrs"), (np.zeros((1, 1), dtype),)
+    )
+    for dtype in (np.float64, np.complex128)
+}
+
+
+def _lu_routines(array: np.ndarray):
+    """``(getrf, getrs)`` for ``array``'s dtype."""
+    routines = _LU_ROUTINES.get(array.dtype)
+    return routines or _get_lapack_funcs(("getrf", "getrs"), (array,))
+
+
 class Factorization:
     """Interface: a factorized system matrix supporting repeated solves.
 
@@ -117,7 +134,7 @@ def getrs_solver(lu: np.ndarray, piv: np.ndarray):
     :class:`FactorizationError` on a nonzero LAPACK ``info``.
     """
     lu = np.asfortranarray(lu)
-    (getrs,) = _get_lapack_funcs(("getrs",), (lu,))
+    _, getrs = _lu_routines(lu)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -147,7 +164,7 @@ class DenseFactorization(Factorization):
             raise FactorizationError("cannot factorize an empty matrix")
         # ``getrf`` itself: ``lu_factor`` only warns on a zero pivot, and
         # silencing a warning is process-wide, not per thread.
-        (getrf,) = _get_lapack_funcs(("getrf",), (matrix,))
+        getrf, _ = _lu_routines(matrix)
         lu, piv, info = getrf(matrix, overwrite_a=False)
         if info > 0:
             raise FactorizationError(

@@ -14,9 +14,10 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
   to the computed rows, without constructing the model at all.  Lookups
   go through the ledger's cache-key index
   (:class:`~repro.obs.ledger.LedgerIndex`, the ledger's one read path):
-  one dict hit plus one line seek, O(1) in history size, under a lock
-  held only for the seek.  A computed answer and a cached one are both
-  built from the recorded ledger entry, so they have the same keys;
+  one dict hit plus one line seek, O(1) in history size, under the
+  ledger's own lock, which it holds only for the seek.  A computed answer
+  and a cached one are both built from the recorded ledger entry, so they
+  have the same keys;
 - a **byte-identical revisit costs one hash of its body**: ``POST /jobs``
   hands the raw body to :meth:`AnalysisService.submit`, which looks its
   sha256 up in the request memo — body digest to the keys that body
@@ -46,21 +47,22 @@ Requests carry models as *payloads* (the ``repro-simulink/1`` dict format)
 rather than live objects: fingerprinting hashes the raw payload without
 materialising a :class:`SimulinkModel`, so a cache hit costs one
 fingerprint, one index lookup and one line seek (a memo hit not even the
-fingerprint).  Materialised models are kept in a small digest-keyed LRU
-with their netlist conversion and the netlist's primed solver (index maps,
-constant matrix, factorization, baseline), so concurrent tenants computing
-new fault samples of the same model parse, convert and factor it once; each
-campaign only reads what is shared (every fault works on a copy of the
-netlist, and a campaign keeps the columns of its own faults to itself).
+fingerprint).
 
-Each content key is computed once per job and handed down: the fingerprint
-keys the cache, the campaign's checkpoint, and the ledger
-entry; the model digest keys the LRU; and the LRU entry keeps the model's
-ledger digest, so FMEA, FMEDA and search of one model pay it once.  A body
-is parsed once, keeping the sha256 of its model's raw text, and the service
-memoises the model's canonical text under it: both the fingerprint and the
-model digest derive from that text, so a cold job whose model text was
-seen before serialises no model.
+The service keeps **one entry per model** in a small LRU keyed by the
+sha256 of the model's canonical text, which the fingerprint hashes.  A
+body is parsed once, keeping the sha256 of its model's raw text: an alias
+of the entry, so a cold job whose model text was seen before serialises no
+model.  The first job to compute adds the materialised model, its netlist
+conversion and the netlist's primed solver (index maps, constant matrix,
+factorization, baseline), so concurrent tenants computing new fault
+samples of one model parse, convert and factor it once; each campaign only
+reads what is shared (every fault works on a copy of the netlist, and a
+campaign keeps the columns of its own faults to itself).  The entry's
+digest is the ledger model digest of every payload that round-trips
+through ``SimulinkModel``, so recording evidence serialises no model
+either.  Each content key is computed once per job and handed down: the
+fingerprint keys the cache, the campaign's checkpoint and the ledger entry.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ __all__ = [
 
 _KINDS = ("fmea", "fmeda", "search")
 
-#: Materialised models kept warm, by model-payload digest.
+#: Model entries kept, by canonical-text digest; their aliases share it.
 _MODEL_CACHE_SIZE = 16
 
 #: Request bodies remembered, by sha256 of the body: ~200 B of keys each.
@@ -306,16 +308,10 @@ class AnalysisRequest:
         default=None, init=False, repr=False, compare=False
     )
     #: sha256 of the raw JSON text of the body's ``model`` member, when
-    #: the request was parsed from a body; the service's canonical-text
-    #: memo is keyed by it.
+    #: the request was parsed from a body: an alias of the service's entry
+    #: for the model.
     model_text_sha256: str = field(
         default="", init=False, repr=False, compare=False
-    )
-    #: The model's canonical text, given by the service's memo
-    #: (:meth:`AnalysisService._attach_model_text`); both content keys of
-    #: the model derive from it when set.
-    _model_text: Optional["_ModelText"] = field(
-        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -398,13 +394,14 @@ class AnalysisRequest:
             self._reliability = reliability_from_payload(self.reliability)
         return self._reliability
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, model_text: Optional[bytes] = None) -> str:
         """The campaign fingerprint, computed off the raw payloads.
 
         It equals :func:`campaign_fingerprint` of the materialised model
         whenever the payload is a model's ``to_dict()``, since
-        ``SimulinkModel.from_dict`` round-trips it.  With the model's
-        canonical text attached, the model is not serialised again.
+        ``SimulinkModel.from_dict`` round-trips it.  Given the model's
+        canonical text (the service's model entry keeps it), the model is
+        not serialised again.
         """
         from repro.safety.resilience import campaign_fingerprint
 
@@ -415,7 +412,7 @@ class AnalysisRequest:
             self.config["t_stop"],  # type: ignore[arg-type]
             self.config["dt"],  # type: ignore[arg-type]
             None,
-            model_text=self._model_text.text if self._model_text else None,
+            model_text=model_text,
         )
 
     def cache_key(self, fingerprint: Optional[str] = None) -> str:
@@ -451,18 +448,6 @@ class AnalysisRequest:
             "target_asil": "" if base else self.target_asil,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def model_digest(self) -> str:
-        """Digest of the model payload: the key of the service's LRU of
-        materialised models.
-
-        It is the sha256 of the payload's sorted compact dump.  For a
-        parsed body that dump is the model's canonical text, so with that
-        text attached its memoised digest is returned."""
-        if self._model_text is not None:
-            return self._model_text.digest
-        blob = json.dumps(self.model, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -581,18 +566,17 @@ class AnalysisService:
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._jobs: "OrderedDict[str, AnalysisJob]" = OrderedDict()
         self._lock = threading.Lock()
-        self._ledger_lock = threading.Lock()
         #: Single-flight registry: cache key -> the job currently
         #: computing that key.  Later identical submissions attach to the
         #: leader instead of starting their own campaign.
         self._inflight: Dict[str, AnalysisJob] = {}
         self._inflight_lock = threading.Lock()
+        #: One entry per model, by the digest of its canonical text, and
+        #: the aliases that find it: sha256 of a body's raw model text ->
+        #: that digest.  Both are LRUs under one lock and one bound.
         self._model_cache: "OrderedDict[str, _CachedModel]" = OrderedDict()
+        self._model_aliases: "OrderedDict[str, str]" = OrderedDict()
         self._model_cache_lock = threading.Lock()
-        #: Canonical-text memo: sha256 of a body's raw model text -> the
-        #: model's canonical text and its digest (the LRU key).
-        self._model_texts: "OrderedDict[str, _ModelText]" = OrderedDict()
-        self._model_texts_lock = threading.Lock()
         #: Request memo: body sha256 -> the keys that body computed.
         self._request_memo: "OrderedDict[str, _RequestKeys]" = OrderedDict()
         self._request_memo_lock = threading.Lock()
@@ -838,10 +822,9 @@ class AnalysisService:
         try:
             path = self.ledger.path.parent / "logs" / f"{job.id}.jsonl"
             obs.event_bus().write_jsonl(path, cid=job.correlation_id)
-            with self._ledger_lock:
-                self.ledger.attach_artifact(
-                    str(entry_id), path, kind="service-log"
-                )
+            self.ledger.attach_artifact(
+                str(entry_id), path, kind="service-log"
+            )
         except Exception:  # noqa: BLE001 — never fail the job over telemetry
             pass
 
@@ -853,17 +836,11 @@ class AnalysisService:
         Entries carry their cache key in ``meta.service_cache_key``; the
         rows stored in the entry are exactly the payload recorded when the
         result was computed, so a hit is bit-identical to the original.
-        The lock only covers the index seek — one `latest_by_cache_key`
-        lookup — so a lookup can no longer stall concurrent appends for
-        the duration of a full-file parse.
+        The lookup is one index seek under the ledger's own lock, so it
+        never stalls concurrent appends for a full-file parse.
         """
-        entry = self._recorded(cache_key)
+        entry = self.ledger.latest_by_cache_key(cache_key)
         return None if entry is None else _answer(entry, from_cache=True)
-
-    def _recorded(self, cache_key: str):
-        """The latest ledger entry recorded under ``cache_key``, or None."""
-        with self._ledger_lock:
-            return self.ledger.latest_by_cache_key(cache_key)
 
     # -- single-flight coalescing -----------------------------------------
 
@@ -952,65 +929,60 @@ class AnalysisService:
         return job.request
 
     def _content_keys(self, request: AnalysisRequest) -> Tuple[str, str]:
-        """The request's fingerprint and cache key.  A parsed body's
-        fingerprint hashes its model's memoised canonical text."""
-        self._attach_model_text(request)
-        fingerprint = request.fingerprint()
+        """The request's fingerprint and cache key.  The fingerprint
+        hashes the canonical text of the request's model entry."""
+        fingerprint = request.fingerprint(self._model_entry(request).text)
         return fingerprint, request.cache_key(fingerprint)
 
-    def _attach_model_text(self, request: AnalysisRequest) -> None:
-        """Give a request parsed from a body its model's canonical text.
-
-        The text is looked up by the sha256 of the body's raw model text,
-        so a model is serialised (``canonical_json``, round-trip check
-        included) once per distinct text, however many bodies carry it.
-        Two workers racing on a new text may both serialise it; they get
-        the same text.  The memo holds as many texts as the model LRU
-        holds models.  A request built from a mapping has no raw text and
-        keeps computing its keys from the payload."""
+    def _model_entry(self, request: AnalysisRequest) -> "_CachedModel":
+        """The entry for the request's model: found by the sha256 of the
+        body's raw model text when that text was seen, else found or made
+        under the digest of the model's canonical text, serialised here
+        (``canonical_json``, round-trip check included), with the raw-text
+        digest as its alias.  Workers racing on a new text may both
+        serialise it; they get one entry.  A request built from a mapping
+        has no raw text, so it serialises its model each time."""
         raw = request.model_text_sha256
-        if not raw or request._model_text is not None:
-            return
-        with self._model_texts_lock:
-            text = self._model_texts.get(raw)
-            if text is not None:
-                self._model_texts.move_to_end(raw)
-        if text is None:
+        with self._model_cache_lock:
+            entry = self._model_cache.get(self._model_aliases.get(raw, ""))
+        if entry is None:
             from repro.safety.resilience import canonical_json
 
-            blob = canonical_json(request.model).encode("utf-8")
-            text = _ModelText(blob, hashlib.sha256(blob).hexdigest())
-            with self._model_texts_lock:
-                self._model_texts[raw] = text
-                while len(self._model_texts) > _MODEL_CACHE_SIZE:
-                    self._model_texts.popitem(last=False)
-        request._model_text = text
+            text = canonical_json(request.model).encode("utf-8")
+            entry = _CachedModel(text, hashlib.sha256(text).hexdigest())
+        with self._model_cache_lock:
+            entry = self._model_cache.setdefault(entry.digest, entry)
+            self._model_cache.move_to_end(entry.digest)
+            if raw:
+                self._model_aliases[raw] = entry.digest
+                self._model_aliases.move_to_end(raw)
+            while len(self._model_cache) > _MODEL_CACHE_SIZE:
+                self._forget(self._model_cache.popitem(last=False)[0])
+            while len(self._model_aliases) > _MODEL_CACHE_SIZE:
+                self._model_aliases.popitem(last=False)
+        return entry
+
+    def _forget(self, digest: str) -> None:
+        """Drop the aliases of the entry under ``digest`` (lock held)."""
+        for raw in [r for r, d in self._model_aliases.items() if d == digest]:
+            del self._model_aliases[raw]
 
     def _materialize_model(self, request: AnalysisRequest) -> "_CachedModel":
-        """The payload as a :class:`SimulinkModel` with its netlist
-        conversion, via the digest LRU.  Jobs racing on a new model share
-        one entry, so the model is parsed and converted once."""
-        self._attach_model_text(request)
-        digest = request.model_digest()
-        with self._model_cache_lock:
-            cached = self._model_cache.get(digest)
-            if cached is not None:
-                self._model_cache.move_to_end(digest)
-                obs.counter("service_model_cache_hits").inc()
-            else:
-                cached = self._model_cache[digest] = _CachedModel(
-                    request.model
-                )
-                while len(self._model_cache) > _MODEL_CACHE_SIZE:
-                    self._model_cache.popitem(last=False)
+        """The request's model entry, built (:meth:`_CachedModel.build`);
+        a job whose model another job built is a model cache hit.  An
+        entry whose build raises is dropped with its aliases."""
+        entry = self._model_entry(request)
         try:
-            cached.build()
+            built = entry.build(request.model)
         except Exception:
             with self._model_cache_lock:
-                if self._model_cache.get(digest) is cached:
-                    del self._model_cache[digest]
+                if self._model_cache.get(entry.digest) is entry:
+                    del self._model_cache[entry.digest]
+                    self._forget(entry.digest)
             raise
-        return cached
+        if not built:
+            obs.counter("service_model_cache_hits").inc()
+        return entry
 
     def _campaign(
         self,
@@ -1065,7 +1037,9 @@ class AnalysisService:
         reliability = request.reliability_model()
         base = None
         if request.kind != "fmea":
-            base = self._recorded(request.fmea_cache_key(job.fingerprint))
+            base = self.ledger.latest_by_cache_key(
+                request.fmea_cache_key(job.fingerprint)
+            )
         if base is not None:
             # The FMEA of this very question is on record: derive the
             # FMEDA or search from its rows.  Like a cache hit, this never
@@ -1095,7 +1069,7 @@ class AnalysisService:
                 conversion=cached.conversion,
                 primed=primed,
             )
-            digest = cached.ledger_digest()
+            digest = cached.ledger_digest
         config = {
             "analysis": request.config["analysis"],
             "t_stop": request.config["t_stop"],
@@ -1105,13 +1079,12 @@ class AnalysisService:
 
         if request.kind == "fmea":
             value = spfm(fmea, [])
-            with self._ledger_lock:
-                entry = record_fmea(
-                    self.ledger, fmea, model=model, reliability=reliability,
-                    spfm=value, asil=asil_from_spfm(value), config=config,
-                    meta=meta, fingerprint=job.fingerprint,
-                    model_digest_value=digest,
-                )
+            entry = record_fmea(
+                self.ledger, fmea, model=model, reliability=reliability,
+                spfm=value, asil=asil_from_spfm(value), config=config,
+                meta=meta, fingerprint=job.fingerprint,
+                model_digest_value=digest,
+            )
             return _answer(entry, from_cache=False)
 
         if request.kind == "fmeda":
@@ -1129,12 +1102,11 @@ class AnalysisService:
                 for d in request.deployments
             ]
             fmeda = run_fmeda(fmea, deployments)
-            with self._ledger_lock:
-                entry = record_fmeda(
-                    self.ledger, fmeda, model=model,
-                    reliability=reliability, config=config, meta=meta,
-                    model_digest_value=digest,
-                )
+            entry = record_fmeda(
+                self.ledger, fmeda, model=model,
+                reliability=reliability, config=config, meta=meta,
+                model_digest_value=digest,
+            )
             return _answer(entry, from_cache=False)
 
         # kind == "search"
@@ -1160,16 +1132,15 @@ class AnalysisService:
                 "target_asil": request.target_asil,
                 "from_cache": False,
             }
-        with self._ledger_lock:
-            entry = record_optimizer(
-                self.ledger, plan, system=fmea.system, model=model,
-                reliability=reliability,
-                # "strategy" is kept so every entry id stays the one
-                # recorded before the DP became the only search.
-                config={**config, "target": request.target_asil,
-                        "strategy": "dp"},
-                meta=meta, model_digest_value=digest,
-            )
+        entry = record_optimizer(
+            self.ledger, plan, system=fmea.system, model=model,
+            reliability=reliability,
+            # "strategy" is kept so every entry id stays the one
+            # recorded before the DP became the only search.
+            config={**config, "target": request.target_asil,
+                    "strategy": "dp"},
+            meta=meta, model_digest_value=digest,
+        )
         return _answer(entry, from_cache=False)
 
 
@@ -1184,23 +1155,17 @@ class _RequestKeys(NamedTuple):
     cache_key: str
 
 
-class _ModelText(NamedTuple):
-    """A model's canonical text (``canonical_json`` of its payload, UTF-8)
-    and that text's sha256, which is the request's :meth:`model_digest`."""
-
-    text: bytes
-    digest: str
-
-
 class _CachedModel:
-    """A model in the service's LRU: the materialised model and its
-    ``to_netlist`` conversion, built once under the entry's lock by
-    :meth:`build`; the netlist's primed solver, built once under the same
-    lock the first time a DC incremental campaign needs it
-    (:meth:`primed`); and its ledger
-    :func:`~repro.obs.ledger.model_digest`, computed the first time a job
-    records against the model.  Two workers racing on the digest may both
-    compute it; they get the same value.
+    """The service's one entry for a model.
+
+    Keying a job creates it with the model's canonical text ``text``
+    (``canonical_json`` of the payload, UTF-8) and that text's sha256
+    ``digest``, its key.  The first job to compute fills in the rest from
+    its own request's payload, once, under the entry's lock
+    (:meth:`build`): the materialised model, its ``to_netlist`` conversion
+    and its ledger ``model_digest``; the netlist's primed solver follows
+    the first time a DC incremental campaign needs it (:meth:`primed`).
+    The entry keeps no payload: the job that keyed it may be a cache hit.
 
     Campaigns share the conversion and the primed system read-only: every
     fault is applied to a copy of the netlist (``Netlist.without`` /
@@ -1209,28 +1174,45 @@ class _CachedModel:
     """
 
     __slots__ = (
-        "model", "conversion", "_payload", "_lock", "_ledger_digest",
+        "text", "digest", "model", "conversion", "ledger_digest", "_lock",
         "_primed",
     )
 
-    def __init__(self, payload: Mapping[str, object]) -> None:
+    def __init__(self, text: bytes, digest: str) -> None:
+        self.text = text
+        self.digest = digest
         self.model = None
         self.conversion = None
-        self._payload: Optional[Mapping[str, object]] = payload
+        self.ledger_digest = ""
         self._lock = threading.Lock()
-        self._ledger_digest: Optional[str] = None
         self._primed = None
 
-    def build(self) -> None:
+    def build(self, payload: Mapping[str, object]) -> bool:
+        """Materialise ``payload`` (this entry's model) unless built
+        already; whether this call built it."""
         with self._lock:
             if self.conversion is not None:
-                return
+                return False
             from repro.simulink import SimulinkModel, to_netlist
 
-            assert self._payload is not None
-            model = SimulinkModel.from_dict(dict(self._payload))
+            model = SimulinkModel.from_dict(dict(payload))
+            # ``from_dict`` keeps every leaf object the payload gives it
+            # (names, types, ports, parameter values) and only adds keys:
+            # library parameter defaults, a default ``name``, a
+            # ``Subsystem``'s ``diagram``.  So when ``to_dict()`` equals
+            # the payload, both hold the same leaves under the same keys
+            # and serialise to the same canonical text, whose sha256 —
+            # the ledger's ``model_digest`` — is this entry's digest.
+            # Otherwise the ledger digests the text of ``to_dict()``.
+            if model.to_dict() == payload:
+                self.ledger_digest = self.digest
+            else:
+                from repro.obs import ledger
+
+                self.ledger_digest = ledger.model_digest(model)
             self.conversion = to_netlist(model)
-            self.model, self._payload = model, None
+            self.model = model
+            return True
 
     def primed(self):
         """The conversion's :class:`~repro.circuit.PrimedSystem`: index
@@ -1244,13 +1226,6 @@ class _CachedModel:
                 assert self.conversion is not None
                 self._primed = PrimedSystem(self.conversion.netlist)
             return self._primed
-
-    def ledger_digest(self) -> str:
-        if self._ledger_digest is None:
-            from repro.obs import ledger
-
-            self._ledger_digest = ledger.model_digest(self.model)
-        return self._ledger_digest
 
 
 def _answer(entry, from_cache: bool) -> Dict[str, object]:

@@ -41,6 +41,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from repro.circuit import (
     Ammeter,
@@ -60,7 +61,20 @@ from repro.circuit import (
 
 #: Random netlists drawn per run.  The nightly CI sweep sets
 #: ``CIRCUIT_PROPERTY_EXAMPLES=600``; the tier-1 profile draws 30.
-PROPERTY_EXAMPLES = int(os.environ.get("CIRCUIT_PROPERTY_EXAMPLES", "30"))
+TIER1_EXAMPLES = 30
+PROPERTY_EXAMPLES = int(
+    os.environ.get("CIRCUIT_PROPERTY_EXAMPLES", TIER1_EXAMPLES)
+)
+
+#: A longer sweep reads and writes its own example database, under
+#: ``.hypothesis/circuit-property-sweep``: it replays the netlists it
+#: failed on, and the tier-1 profile, on the default database, does not.
+SWEEP_SETTINGS = (
+    {"database": DirectoryBasedExampleDatabase(
+        ".hypothesis/circuit-property-sweep"
+    )}
+    if PROPERTY_EXAMPLES > TIER1_EXAMPLES else {}
+)
 
 #: The size rule each arm pins: the threshold that forces it.
 SIZE_RULES = {"dense": 10**9, "sparse": 0}
@@ -339,7 +353,7 @@ DEEP_REVERSE_DIODES = _netlist(
 )
 
 
-@settings(max_examples=PROPERTY_EXAMPLES, deadline=None)
+@settings(max_examples=PROPERTY_EXAMPLES, deadline=None, **SWEEP_SETTINGS)
 @given(netlists())
 @example(GMIN_HELD_DIODE)
 @example(DEEP_REVERSE_DIODES)

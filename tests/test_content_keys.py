@@ -10,8 +10,10 @@ on:
   has always had (golden values), so existing ledgers, checkpoints and
   cache keys keep matching;
 - a service job hashes each payload once: one campaign fingerprint per job,
-  one ledger model digest per model across FMEA, FMEDA and search, and each
-  recorded digest equals a from-scratch recomputation;
+  and the ledger model digest of a payload that round-trips through
+  ``SimulinkModel`` is the key of the service's entry for the model, so
+  recording digests no model; each recorded digest equals a from-scratch
+  recomputation;
 - a byte-identical resubmission hashes its body and nothing else: it
   parses nothing and computes no fingerprint, yet gets the same keys and
   answer, and only a body that keyed without error is memoised;
@@ -83,6 +85,8 @@ GOLDEN_FINGERPRINT = (
 GOLDEN_CACHE_KEY = (
     "e95928de9abbdd471b9c08c74f94eee691b432c6bb62435216df942b9840d065"
 )
+#: The key of the service's entry for the model: the sha256 of the model
+#: payload's canonical text.
 GOLDEN_SERVICE_MODEL_DIGEST = (
     "9ef86ff5d4d7a4adff7600c43ef322d1315fba429e40b8113380a4bdb6a4bdc7"
 )
@@ -312,7 +316,7 @@ def test_spliced_fingerprint_equals_its_definition(
 # -- golden keys ---------------------------------------------------------------
 
 
-def test_power_supply_request_keys_are_unchanged():
+def test_power_supply_request_keys_are_unchanged(tmp_path):
     model, reliability = build_power_supply_simulink(), power_supply_reliability()
     request = AnalysisRequest.from_payload(
         {
@@ -327,7 +331,11 @@ def test_power_supply_request_keys_are_unchanged():
     fingerprint = request.fingerprint()
     assert fingerprint == GOLDEN_FINGERPRINT
     assert request.cache_key(fingerprint) == GOLDEN_CACHE_KEY
-    assert request.model_digest() == GOLDEN_SERVICE_MODEL_DIGEST
+    service = AnalysisService(tmp_path / "ledger.jsonl")  # keys only
+    assert service._content_keys(request) == (fingerprint, GOLDEN_CACHE_KEY)
+    assert (
+        service._model_entry(request).digest == GOLDEN_SERVICE_MODEL_DIGEST
+    )
     assert resilience.campaign_fingerprint(
         model, reliability, "dc", 5e-3, 5e-5, None
     ) == GOLDEN_FINGERPRINT
@@ -421,9 +429,10 @@ def test_service_job_hashes_each_payload_once(
         service.wait(job.id, JOB_TIMEOUT)
         assert job.state == "done", job.error
         # A cold FMEA: one fingerprint, carried into the campaign and the
-        # ledger entry; one ledger model digest.
+        # ledger entry.  The payload round-trips, so the ledger model
+        # digest is the model entry's key: no digest of its own.
         assert len(fingerprints) == 1
-        assert len(digests) == 1
+        assert len(digests) == 0
         for body in (fmeda_body, search_body):
             job = service.submit(body)
             service.wait(job.id, JOB_TIMEOUT)
@@ -431,7 +440,7 @@ def test_service_job_hashes_each_payload_once(
         # FMEDA and search derive from the recorded FMEA: one fingerprint
         # each (for their cache key), and the FMEA entry's model digest.
         assert len(fingerprints) == 3
-        assert len(digests) == 1
+        assert len(digests) == 0
         entries = service.ledger.entries()
 
     assert [e.kind for e in entries] == ["fmea", "fmeda", "optimizer"]
@@ -890,17 +899,26 @@ def test_body_that_is_no_request_object_is_refused(body, message):
         AnalysisRequest.from_payload(body)
 
 
-def _keys(request):
+def _reference_keys(request):
+    """Fingerprint, cache key and model key computed from the payload: the
+    model key as the service's model LRU was always keyed, the sha256 of
+    the payload's sorted compact dump."""
     fingerprint = request.fingerprint()
-    return fingerprint, request.cache_key(fingerprint), request.model_digest()
+    blob = json.dumps(request.model, sort_keys=True, separators=(",", ":"))
+    return (
+        fingerprint, request.cache_key(fingerprint),
+        hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+    )
 
 
 @pytest.mark.parametrize("case", ["psu", "sys_a", "sys_b", "grid", "nan"])
 def test_body_keys_from_the_memoised_text_are_bit_identical(
     case_payloads, tmp_path, case
 ):
-    """Fingerprint, cache key and LRU key of a parsed body, derived from
-    the memoised canonical text, equal those computed from the payload."""
+    """Fingerprint, cache key and model entry key of a parsed body,
+    derived from the text of the service's entry, equal those computed
+    from the payload; the body's raw model text is an alias of the
+    entry."""
     model, reliability, config = case_payloads["psu" if case == "nan" else case]
     body = {
         "kind": "fmea",
@@ -910,15 +928,19 @@ def test_body_keys_from_the_memoised_text_are_bit_identical(
     }
     if case == "nan":  # the canonical text falls back to the walk
         body["model"]["limits"] = [math.nan, -math.inf]
-    expected = _keys(AnalysisRequest.from_payload(body))
+    expected = _reference_keys(AnalysisRequest.from_payload(body))
     service = AnalysisService(tmp_path / "ledger.jsonl")
     for text in (
         json.dumps(body), json.dumps(body, indent=1, ensure_ascii=False),
     ):
         request = AnalysisRequest.from_payload(text.encode("utf-8"))
-        service._attach_model_text(request)
-        assert request._model_text is not None
-        assert _keys(request) == expected
+        fingerprint, cache_key = service._content_keys(request)
+        entry = service._model_entry(request)
+        assert (fingerprint, cache_key, entry.digest) == expected
+        assert service._model_aliases[request.model_text_sha256] == (
+            entry.digest
+        )
+    assert list(service._model_cache) == [expected[2]]
 
 
 def _model_serialisations(monkeypatch):
@@ -937,16 +959,17 @@ def test_model_is_serialised_once_per_distinct_model_text(
     serialised = _model_serialisations(monkeypatch)
     digests = _count_calls(monkeypatch, [(ledger_mod, "model_digest")])
     with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
-        # A mapping submission serialises its model once per job, for its
-        # fingerprint; the first job of a model also digests it for the
-        # ledger.
+        # A mapping submission has no raw text to find its model entry
+        # by: it serialises its model for its keys, and once more to find
+        # the entry when it computes.  The payload round-trips, so the
+        # ledger model digest is the entry's key: no ledger digest.
         mapped = _done(service, service.submit(_psu_body()))
-        assert (len(serialised()), len(digests)) == (2, 1)
+        assert (len(serialised()), len(digests)) == (2, 0)
         _done(service, service.submit(_psu_body(config=dict(config, threshold=0.3))))
-        assert (len(serialised()), len(digests)) == (3, 1)
+        assert (len(serialised()), len(digests)) == (4, 0)
         # A body with a new model text: one serialisation (a ledger hit).
         body = _done(service, service.submit(_encoded(_psu_body())))
-        assert body.cached and len(serialised()) == 4
+        assert body.cached and len(serialised()) == 5
         # New bodies with a seen model text: none, whether they hit the
         # ledger (0.3) or compute (0.4).
         for threshold in (0.3, 0.4):
@@ -954,25 +977,119 @@ def test_model_is_serialised_once_per_distinct_model_text(
                 _psu_body(config=dict(config, threshold=threshold))
             )))
             assert job.cached == (threshold == 0.3)
-        assert len(serialised()) == 4
+        assert len(serialised()) == 5
         # The same model in other whitespace is another text: one more.
         _done(service, service.submit(_encoded(_psu_body(), indent=1)))
-        assert len(serialised()) == 5
-        assert len(digests) == 1
-        # Body and mapping keys agree, so both paths share one LRU entry.
+        assert len(serialised()) == 6
+        assert len(digests) == 0
+        # Body and mapping keys agree, so both paths share one entry, which
+        # both texts alias.
         assert (body.fingerprint, body.cache_key) == (
             mapped.fingerprint, mapped.cache_key,
         )
         assert len(service._model_cache) == 1
+        assert len(service._model_aliases) == 2
 
 
-def test_model_text_memo_is_bounded(tmp_path, monkeypatch, clean_obs):
+def test_model_entries_and_aliases_share_one_bound(
+    tmp_path, monkeypatch, clean_obs
+):
+    """Entries and aliases are each bounded by ``_MODEL_CACHE_SIZE``, and
+    an evicted entry takes its aliases with it."""
     monkeypatch.setattr(jobs_mod, "_MODEL_CACHE_SIZE", 2)
+
+    def bounded(service):
+        entries, aliases = service._model_cache, service._model_aliases
+        assert len(entries) <= 2 and len(aliases) <= 2
+        assert set(aliases.values()) <= set(entries)
+        return len(entries), len(aliases)
+
     with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
-        for indent in (None, 1, 2):
+        for indent in (None, 1, 2):  # one model in three texts
             _done(service, service.submit(_encoded(_psu_body(), indent=indent)))
-            assert len(service._model_texts) <= 2
-        assert len(service._model_texts) == 2
+            bounded(service)
+        (first,) = service._model_cache
+        assert bounded(service) == (1, 2)
+        # Two more models as mappings, which have no alias: the first
+        # model's entry is evicted, and its two aliases with it.
+        for name in ("psu-2", "psu-3"):
+            body = _psu_body()
+            body["model"]["name"] = name
+            _done(service, service.submit(body))
+            bounded(service)
+        assert bounded(service) == (2, 0)
+        assert first not in service._model_cache
+
+
+def _round_trip_cases():
+    """Power-supply payloads ``SimulinkModel.from_dict`` does not give
+    back from ``to_dict``, by what ``from_dict`` adds."""
+
+    def without_name(payload):
+        del payload["name"]
+
+    def without_default(payload):
+        block = payload["diagram"]["blocks"][0]
+        assert block["type"] == "DCVoltageSource"
+        del block["parameters"]["voltage"]  # the library default, 5 V
+
+    def without_diagram(payload):
+        (block,) = [
+            b for b in payload["diagram"]["blocks"] if b["type"] == "Subsystem"
+        ]
+        del block["diagram"]
+
+    return {
+        "no-name": without_name,
+        "no-default": without_default,
+        "no-subsystem-diagram": without_diagram,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_round_trip_cases()))
+def test_payload_that_does_not_round_trip_records_the_models_digest(
+    tmp_path, monkeypatch, clean_obs, case
+):
+    """The model entry's key is the digest of the payload's text; when
+    ``from_dict`` adds to the payload, the ledger records the digest of
+    the model it built, as SAME records for that model."""
+    body = _psu_body()
+    _round_trip_cases()[case](body["model"])
+    digests = _count_calls(monkeypatch, [(ledger_mod, "model_digest")])
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        job = _done(service, service.submit(_encoded(body)))
+        (entry,) = service.ledger.entries()
+        (key,) = service._model_cache
+    assert len(digests) == 1
+    monkeypatch.undo()
+    model = simulink.SimulinkModel.from_dict(body["model"])
+    assert entry.model_digest == ledger_mod.model_digest(model) != key
+    assert job.result["entry"] == entry.entry_id
+    if case != "no-name":  # the same model as the case study's
+        assert entry.model_digest == GOLDEN_LEDGER_MODEL_DIGEST
+
+
+@pytest.mark.parametrize("case", ["psu", "sys_a", "sys_b"])
+def test_payload_that_round_trips_records_its_entry_key(
+    case_payloads, tmp_path, monkeypatch, clean_obs, case
+):
+    """A payload ``to_dict`` gives back costs no ledger digest: the entry
+    key is recorded, and it equals the digest of the built model."""
+    model, reliability, config = case_payloads[case]
+    body = {
+        "kind": "fmea",
+        "model": model.to_dict(),
+        "reliability": reliability_payload(reliability),
+        "config": config,
+    }
+    digests = _count_calls(monkeypatch, [(ledger_mod, "model_digest")])
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        _done(service, service.submit(_encoded(body)))
+        (entry,) = service.ledger.entries()
+        (key,) = service._model_cache
+    assert len(digests) == 0
+    monkeypatch.undo()
+    assert entry.model_digest == key == ledger_mod.model_digest(model)
 
 
 def test_computed_job_digests_its_entry_once(tmp_path, monkeypatch, clean_obs):
@@ -1038,15 +1155,17 @@ def test_concurrent_cold_jobs_share_one_netlist_and_match_naive(
         for sample in samples
     ]
     conversions = _slow_conversions(monkeypatch)
-    # Both workers leave the barrier as they look the model up in the LRU.
+    # Both workers leave the barrier as they serialise the model, so each
+    # keys it before either has an entry for it: they must share one.
     barrier = threading.Barrier(2, timeout=JOB_TIMEOUT)
-    digest = AnalysisRequest.model_digest
+    serialise = resilience.canonical_json
 
-    def gated(request):
-        barrier.wait()
-        return digest(request)
+    def gated(value):
+        if isinstance(value, dict) and "diagram" in value:
+            barrier.wait()
+        return serialise(value)
 
-    monkeypatch.setattr(AnalysisRequest, "model_digest", gated)
+    monkeypatch.setattr(resilience, "canonical_json", gated)
     with AnalysisService(tmp_path / "ledger.jsonl", workers=2) as service:
         jobs = [service.submit(_encoded(body)) for body in bodies]
         for job in jobs:
@@ -1143,13 +1262,13 @@ def test_concurrent_cold_jobs_share_one_factorization_and_match_naive(
         }
         for sample in samples
     ]
-    # Both workers leave the barrier as they look the model up in the LRU.
+    # Both workers leave the barrier as they build the model's entry.
     barrier = threading.Barrier(2, timeout=JOB_TIMEOUT)
-    digest = AnalysisRequest.model_digest
+    build = jobs_mod._CachedModel.build
 
-    def gated(request):
+    def gated(entry, payload):
         barrier.wait()
-        return digest(request)
+        return build(entry, payload)
 
     def constant_factorizations():
         # ``mna_sparse_factorizations`` also counts the Newton iterations
@@ -1163,7 +1282,7 @@ def test_concurrent_cold_jobs_share_one_factorization_and_match_naive(
     obs.enable()
     try:
         with pytest.MonkeyPatch.context() as gate:
-            gate.setattr(AnalysisRequest, "model_digest", gated)
+            gate.setattr(jobs_mod._CachedModel, "build", gated)
             with AnalysisService(tmp_path / "ledger.jsonl", workers=2) as service:
                 jobs = [service.submit(_encoded(body)) for body in bodies]
                 for job in jobs:

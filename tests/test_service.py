@@ -501,13 +501,36 @@ class TestComputeAndCache:
             assert first.result.get(key) is not None, key
 
     def test_failed_job_reports_error(self, service, fmea_payload):
-        bad = dict(fmea_payload, model={"format": "repro-simulink/1",
-                                        "name": "broken",
-                                        "diagram": {"blocks": "garbage"}})
-        job = _finish(service, service.submit(bad))
-        assert job.state == "failed"
-        assert job.error
-        assert int(obs.counter("service_jobs_failed").value) == 1
+        """A model that passes validation but fails to materialise, as a
+        mapping or as a body: the job fails with the exception class,
+        records nothing, and leaves no model entry or alias.  The same
+        submission again (for a body, a request-memo hit) fails the same
+        way."""
+        ghost = {"source": "ghost", "source_port": "p",
+                 "target": "ghost", "target_port": "n"}
+        cases = [
+            ({"blocks": "garbage"}, "TypeError"),
+            ({"blocks": [], "lines": [ghost]}, "SimulinkError"),
+        ]
+        failed = memo_hits = 0
+        for diagram, error in cases:
+            bad = dict(fmea_payload, model={"format": "repro-simulink/1",
+                                            "name": "broken",
+                                            "diagram": diagram})
+            for submission in (bad, json.dumps(bad).encode("utf-8")):
+                for _ in range(2):
+                    job = _finish(service, service.submit(submission))
+                    failed += 1
+                    assert job.state == "failed"
+                    assert job.error.startswith(f"{error}: "), job.error
+                    assert service.ledger.entries() == []
+                    assert not service._model_cache
+                    assert not service._model_aliases
+                memo_hits += isinstance(submission, bytes)
+        assert int(obs.counter("service_jobs_failed").value) == failed
+        assert int(obs.counter("service_request_memo_hits").value) == (
+            memo_hits
+        )
 
     def test_job_events_ride_the_bus(self, service, fmea_payload):
         obs.enable_events()
