@@ -13,8 +13,9 @@ its sha256 alone (request-memo hit) against a new body of the same
 question that is parsed and keyed (parse path); both are ledger hits.
 Then it times cold keying: parse plus fingerprint and cache key, through
 the service's model entry, of new-sample grid bodies whose model the
-service has already seen, against one ``canonical_json`` of that model.
-Measurements go to ``BENCH_service.json`` at the repo root.
+service has already seen, against one ``canonical_json`` of that model
+and against one ``json.loads`` of the body.  Measurements go to
+``BENCH_service.json`` at the repo root.
 
 Acceptance (full mode):
 
@@ -28,9 +29,11 @@ Acceptance (full mode):
   (smoke mode too), with the same rows;
 - cold keying of a body with a seen model costs less than one
   serialisation of that model (smoke mode too): the service's entry for
-  the model keeps its canonical text and is found by the sha256 of the
-  body's raw model text, so the body is parsed once and the model is not
-  serialised again.
+  the model keeps its canonical text and is found by the body's raw model
+  text, so the model is not serialised again;
+- that keying also costs less than one ``json.loads`` of the body (smoke
+  mode too): the raw model text is an alias the service holds, so the
+  body's parse does not scan its model member.
 
 Smoke mode (``BENCH_SERVICE_SMOKE=1``): shrinks the ledgers, repeat
 counts and the revisit grid (4 feeders x 60 sections instead of the
@@ -42,10 +45,11 @@ Provenance (``BENCH_SERVICE_LEDGER=/path/to/ledger.jsonl``): records a
 ratio/budget pairs, so the nightly ``same watch-regressions`` gate flags
 cache-hit-latency scaling regressions (the ``scaling`` rule), and a
 memo-hit revisit no faster than a parse-path one (``revisit_memo``, memo
-p50 over parse p50, budget 1), and cold keying that costs a serialisation
+p50 over parse p50, budget 1), cold keying that costs a serialisation
 of the model again (``cold_keying``, keying p50 over ``canonical_json``
-p50, budget 1); ``meta.revisit`` and ``meta.cold_keying`` carry the
-walls.
+p50, budget 1), and cold keying that costs a parse of the body
+(``cold_keying_parse``, keying p50 over ``json.loads`` p50, budget 1);
+``meta.revisit`` and ``meta.cold_keying`` carry the walls.
 
 ``BENCH_service.json`` keeps a bounded ``trajectory`` of past runs.
 """
@@ -339,13 +343,15 @@ def probe_revisit(tmp):
 
 def probe_cold_keying(tmp):
     """Parse plus keying of new-sample grid bodies, over one serialisation
-    of their model.
+    of their model and over one ``json.loads`` of the body.
 
-    The service first keys one body, so it has an entry for the model.
-    Each later body (a new injection sample, so new bytes) is parsed and
-    given its fingerprint and cache key the way a worker keys a cold job,
-    through that entry; each is paired with one ``canonical_json`` of the
-    model payload, the serialisation the keys used to repeat per job.
+    The service first keys one body, so it has an entry for the model and
+    holds its raw text.  Each later body (a new injection sample, so new
+    bytes) is parsed the way ``submit`` parses it and given its
+    fingerprint and cache key the way a worker keys a cold job, through
+    that entry; each is paired with one ``canonical_json`` of the model
+    payload, the serialisation the keys used to repeat per job, and with
+    one ``json.loads`` of the body, the parse the body used to cost.
     """
     model = build_power_grid_simulink(**REVISIT_GRID)
     payload = model.to_dict()
@@ -355,12 +361,12 @@ def probe_cold_keying(tmp):
     svc = AnalysisService(Path(tmp) / "cold-keying.jsonl")  # keys only
 
     def key(body):
-        request = AnalysisRequest.from_payload(body)
+        request = svc._parse(body)
         svc._content_keys(request)
         return request
 
     entry = svc._model_entry(key(bodies[0]))
-    keying, serialising = [], []
+    keying, serialising, loading = [], [], []
     for body in bodies[1:]:
         start = time.perf_counter()
         request = key(body)
@@ -369,11 +375,15 @@ def probe_cold_keying(tmp):
         start = time.perf_counter()
         canonical_json(payload)
         serialising.append((time.perf_counter() - start) * 1e3)
+        start = time.perf_counter()
+        json.loads(body)
+        loading.append((time.perf_counter() - start) * 1e3)
     return {
         "body_bytes": len(bodies[0]),
         "bodies": COLD_KEYING_BODIES,
         "keying_p50_ms": round(statistics.median(keying), 3),
         "canonical_json_p50_ms": round(statistics.median(serialising), 3),
+        "json_loads_p50_ms": round(statistics.median(loading), 3),
     }
 
 
@@ -403,6 +413,9 @@ def _extended_trajectory(payload):
     point["revisit_memo_ms"] = payload["revisit"]["memo_p50_ms"]
     point["revisit_parse_ms"] = payload["revisit"]["parse_p50_ms"]
     point["cold_keying"] = payload["scaling"]["cold_keying"]["ratio"]
+    point["cold_keying_parse"] = (
+        payload["scaling"]["cold_keying_parse"]["ratio"]
+    )
     trajectory.append(point)
     return trajectory[-TRAJECTORY_KEEP:]
 
@@ -499,6 +512,16 @@ def test_bench_service():
             ),
             "budget": 1.0,
         },
+        # ... and less than one parse of the body: the model member of a
+        # body whose model text the service holds is not scanned.
+        "cold_keying_parse": {
+            "ratio": round(
+                payload["cold_keying"]["keying_p50_ms"]
+                / payload["cold_keying"]["json_loads_p50_ms"],
+                3,
+            ),
+            "budget": 1.0,
+        },
     }
     payload["accepted"] = bool(SMOKE or hit_ratio <= SCALING_BUDGET)
     payload["trajectory"] = _extended_trajectory(payload)
@@ -535,7 +558,8 @@ def test_bench_service():
             "Rebuild p99(us)": "-",
             "Hit p99(ms)": (
                 f"keying p50 {cold['keying_p50_ms']:.2f} / "
-                f"canonical_json p50 {cold['canonical_json_p50_ms']:.2f}"
+                f"canonical_json p50 {cold['canonical_json_p50_ms']:.2f} / "
+                f"json.loads p50 {cold['json_loads_p50_ms']:.2f}"
             ),
         }
     )
@@ -566,6 +590,10 @@ def test_bench_service():
     cold_ratio = payload["scaling"]["cold_keying"]["ratio"]
     assert cold_ratio <= 1.0, (
         f"cold keying took {cold_ratio:.2f}x one serialisation of the model"
+    )
+    parse_ratio = payload["scaling"]["cold_keying_parse"]["ratio"]
+    assert parse_ratio <= 1.0, (
+        f"cold keying took {parse_ratio:.2f}x one json.loads of the body"
     )
 
     if not SMOKE:

@@ -51,18 +51,22 @@ fingerprint).
 
 The service keeps **one entry per model** in a small LRU keyed by the
 sha256 of the model's canonical text, which the fingerprint hashes.  A
-body is parsed once, keeping the sha256 of its model's raw text: an alias
-of the entry, so a cold job whose model text was seen before serialises no
-model.  The first job to compute adds the materialised model, its netlist
-conversion and the netlist's primed solver (index maps, constant matrix,
-factorization, baseline), so concurrent tenants computing new fault
-samples of one model parse, convert and factor it once; each campaign only
-reads what is shared (every fault works on a copy of the netlist, and a
-campaign keeps the columns of its own faults to itself).  The entry's
-digest is the ledger model digest of every payload that round-trips
-through ``SimulinkModel``, so recording evidence serialises no model
-either.  Each content key is computed once per job and handed down: the
-fingerprint keys the cache, the campaign's checkpoint and the ledger entry.
+body is parsed once, keeping its model's raw text: an alias of the entry,
+so a cold job whose model text was seen before serialises no model.  Nor
+does it parse it: the body's parse does not scan a member whose value is
+an alias, and the request parses its kept text only if something reads
+its model (the build of an entry that a cache-hit job keyed, or an entry
+whose alias was evicted).  The first job to compute adds the materialised
+model, its netlist conversion and the netlist's primed solver (index maps,
+constant matrix, factorization, baseline), so concurrent tenants computing
+new fault samples of one model parse, convert and factor it once; each
+campaign only reads what is shared (every fault works on a copy of the
+netlist, and a campaign keeps the columns of its own faults to itself).
+The entry's digest is the ledger model digest of every payload that
+round-trips through ``SimulinkModel``, so recording evidence serialises
+no model either.  Each content key is computed once per job and handed
+down: the fingerprint keys the cache, the campaign's checkpoint and the
+ledger entry.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro import obs
@@ -244,8 +249,14 @@ def _entries(
 #: uses for every value.
 _DECODER = json.JSONDecoder()
 
+#: The parsed ``model`` member of a body whose model text was known: not
+#: parsed (see :func:`_parse_body`).
+_UNREAD = object()
 
-def _parse_body(text: str) -> Tuple[object, Optional[str]]:
+
+def _parse_body(
+    text: str, known: Collection[str] = ()
+) -> Tuple[object, Optional[str]]:
     """``json.loads(text)``, plus the raw text of the top-level object's
     ``model`` member (the last one when the key repeats, as the parsed
     value keeps the last), or ``None`` when there is none.
@@ -255,13 +266,24 @@ def _parse_body(text: str) -> Tuple[object, Optional[str]]:
     each member's value with the C scanner and records where the value's
     text starts and ends.  Any other body goes to ``json.loads`` itself.
     Both raise ``ValueError`` on malformed JSON, as ``json.loads`` does.
+
+    ``known`` holds raw model texts an earlier parse reported for a model
+    object.  Each is the whole text of one JSON object, which ends where
+    its text ends, so a member whose value starts with one is not scanned:
+    its span ends after that text.  The last ``model`` member's value is
+    then ``_UNREAD`` and the reported text is the known text itself;
+    another member's value is parsed from its text after all.
     """
     start = json.decoder.WHITESPACE.match(text, 0).end()
     if not text.startswith("{", start):
         return json.loads(text), None
-    spans = []
+    spans: List[Union[str, Tuple[int, int]]] = []
 
     def scan(string: str, index: int):
+        for raw in known:
+            if string.startswith(raw, index):
+                spans.append(raw)
+                return _UNREAD, index + len(raw)
         value, end = _DECODER.scan_once(string, index)
         spans.append((index, end))
         return value, end
@@ -272,11 +294,17 @@ def _parse_body(text: str) -> Tuple[object, Optional[str]]:
     end = json.decoder.WHITESPACE.match(text, end).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    model_text = None
-    for (key, _), (first, last) in zip(pairs, spans):
+    value: Dict[str, object] = {}
+    model_span = None
+    for (key, member), span in zip(pairs, spans):
         if key == "model":
-            model_text = text[first:last]
-    return dict(pairs), model_text
+            model_span = span
+        elif member is _UNREAD:
+            member = json.loads(span)  # type: ignore[arg-type]
+        value[key] = member
+    if model_span is None or isinstance(model_span, str):
+        return value, model_span
+    return value, text[model_span[0]:model_span[1]]
 
 
 @dataclass
@@ -293,6 +321,8 @@ class AnalysisRequest:
     ``deployments`` (fmeda) and ``mechanisms`` + ``target_asil`` (search)
     extend the base FMEA.  Everything is checked at construction, so a
     malformed request is a :class:`ServiceError` before any campaign runs.
+    A request parsed from a body whose model text the service knew leaves
+    ``model`` unparsed until something reads it (:meth:`from_payload`).
     """
 
     kind: str
@@ -307,23 +337,31 @@ class AnalysisRequest:
     _reliability: object = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: sha256 of the raw JSON text of the body's ``model`` member, when
-    #: the request was parsed from a body: an alias of the service's entry
-    #: for the model.
-    model_text_sha256: str = field(
-        default="", init=False, repr=False, compare=False
+    #: The raw JSON text of the body's ``model`` member, when the request
+    #: was parsed from a body: an alias of the service's entry for the
+    #: model.
+    model_text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
     )
+    #: The model's name: the job record's ``system``.
+    system: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ServiceError(
                 f"kind must be one of {_KINDS}, got {self.kind!r}"
             )
-        if not isinstance(self.model, Mapping) or "diagram" not in self.model:
+        if self.model is _UNREAD:
+            # A known model text: validated when the service first saw
+            # it.  ``__getattr__`` parses it on first read.
+            del self.model
+        elif not (isinstance(self.model, Mapping) and "diagram" in self.model):
             raise ServiceError(
                 "model must be a repro-simulink/1 payload dict "
                 "(SimulinkModel.to_dict())"
             )
+        else:
+            self.system = str(self.model.get("name", "model"))
         if not isinstance(self.reliability, (list, tuple)):
             raise ServiceError("reliability must be a list of entry dicts")
         if self.kind == "search" and not self.mechanisms:
@@ -347,18 +385,37 @@ class AnalysisRequest:
                 f"got {self.target_asil!r}"
             )
 
+    def __getattr__(self, name: str) -> object:
+        # Reached only for an attribute that is not set: the ``model`` of
+        # a request whose body's model text was known, parsed here once.
+        text = self.__dict__.get("model_text")
+        if name != "model" or text is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self.model = json.loads(text)
+        return self.model
+
     @classmethod
     def from_payload(
-        cls, payload: Union[Mapping[str, object], bytes]
+        cls,
+        payload: Union[Mapping[str, object], bytes],
+        known: Optional[Mapping[str, str]] = None,
     ) -> "AnalysisRequest":
         """A request from its JSON object, or from the raw request body
         (UTF-8 JSON bytes) that holds one.  A body is parsed once
-        (:func:`_parse_body`), and the request keeps the sha256 of its
-        model's raw text."""
+        (:func:`_parse_body`), and the request keeps its model's raw text.
+
+        ``known`` maps raw model texts the service holds to their models'
+        names.  A body whose ``model`` member is one of them is not parsed
+        there: the request keeps that text, takes its ``system`` from
+        ``known`` and parses ``model`` only if something reads it."""
         model_text = None
         if isinstance(payload, bytes):
             try:
-                payload, model_text = _parse_body(payload.decode("utf-8"))
+                payload, model_text = _parse_body(
+                    payload.decode("utf-8"), known or ()
+                )
             except (UnicodeDecodeError, ValueError):
                 raise ServiceError("request body is not valid JSON") from None
         if not isinstance(payload, Mapping):
@@ -378,10 +435,9 @@ class AnalysisRequest:
             raise ServiceError(f"request missing field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ServiceError(f"malformed request: {exc}") from None
-        if model_text is not None:
-            request.model_text_sha256 = hashlib.sha256(
-                model_text.encode("utf-8")
-            ).hexdigest()
+        request.model_text = model_text
+        if payload["model"] is _UNREAD:
+            request.system = known[model_text]  # type: ignore[index]
         return request
 
     # -- keys -------------------------------------------------------------
@@ -406,7 +462,7 @@ class AnalysisRequest:
         from repro.safety.resilience import campaign_fingerprint
 
         return campaign_fingerprint(
-            self.model,
+            self.model if model_text is None else None,
             self.reliability_model(),
             self.config["analysis"],  # type: ignore[arg-type]
             self.config["t_stop"],  # type: ignore[arg-type]
@@ -572,8 +628,9 @@ class AnalysisService:
         self._inflight: Dict[str, AnalysisJob] = {}
         self._inflight_lock = threading.Lock()
         #: One entry per model, by the digest of its canonical text, and
-        #: the aliases that find it: sha256 of a body's raw model text ->
-        #: that digest.  Both are LRUs under one lock and one bound.
+        #: the aliases that find it: a body's raw model text -> that
+        #: digest.  Both are LRUs under one lock and one bound.  A body
+        #: whose model member is an alias is not parsed there.
         self._model_cache: "OrderedDict[str, _CachedModel]" = OrderedDict()
         self._model_aliases: "OrderedDict[str, str]" = OrderedDict()
         self._model_cache_lock = threading.Lock()
@@ -627,7 +684,8 @@ class AnalysisService:
         over).  A body whose sha256 is in the request memo becomes a job
         whose keys are already known: no parse, no fingerprint, no cache
         key.  Any other body, like a mapping, is parsed and validated here,
-        so a malformed one raises :class:`ServiceError`.
+        so a malformed one raises :class:`ServiceError`; a body's model
+        member whose text the service knows is not parsed (:meth:`_parse`).
         """
         keys = body = None
         digest = ""
@@ -636,7 +694,7 @@ class AnalysisService:
             digest = hashlib.sha256(body).hexdigest()
             keys = self._memo_lookup(digest)
             if keys is None:
-                request = AnalysisRequest.from_payload(body)
+                request = self._parse(body)
         elif not isinstance(request, AnalysisRequest):
             request = AnalysisRequest.from_payload(request)
         if self._stopping or not self._threads:
@@ -647,8 +705,7 @@ class AnalysisService:
         else:
             assert isinstance(request, AnalysisRequest)
             keys = _RequestKeys(
-                request.kind, str(request.model.get("name", "model")),
-                request.tenant, "", "",
+                request.kind, request.system, request.tenant, "", ""
             )
         job = AnalysisJob(
             id=uuid.uuid4().hex[:12],
@@ -918,15 +975,27 @@ class AnalysisService:
 
     # -- computation ------------------------------------------------------
 
-    @staticmethod
-    def _request_of(job: AnalysisJob) -> AnalysisRequest:
+    def _request_of(self, job: AnalysisJob) -> AnalysisRequest:
         """The job's request; a memo-hit job that has to compute parses
         its kept body here (it parsed and validated once already)."""
         if job.request is None:
             assert job.body is not None
-            job.request = AnalysisRequest.from_payload(job.body)
+            job.request = self._parse(job.body)
             job.body = None
         return job.request
+
+    def _parse(self, body: bytes) -> AnalysisRequest:
+        """The request in ``body``, its model member left unparsed when its
+        text is an alias (:meth:`AnalysisRequest.from_payload`).  Aliases
+        exist only for models that were validated and whose build did not
+        fail, and each is the whole text of a model object, as a parse
+        reported it."""
+        with self._model_cache_lock:
+            known = {
+                raw: self._model_cache[digest].system
+                for raw, digest in self._model_aliases.items()
+            }
+        return AnalysisRequest.from_payload(body, known)
 
     def _content_keys(self, request: AnalysisRequest) -> Tuple[str, str]:
         """The request's fingerprint and cache key.  The fingerprint
@@ -935,21 +1004,23 @@ class AnalysisService:
         return fingerprint, request.cache_key(fingerprint)
 
     def _model_entry(self, request: AnalysisRequest) -> "_CachedModel":
-        """The entry for the request's model: found by the sha256 of the
-        body's raw model text when that text was seen, else found or made
-        under the digest of the model's canonical text, serialised here
-        (``canonical_json``, round-trip check included), with the raw-text
-        digest as its alias.  Workers racing on a new text may both
-        serialise it; they get one entry.  A request built from a mapping
-        has no raw text, so it serialises its model each time."""
-        raw = request.model_text_sha256
+        """The entry for the request's model: found by the body's raw
+        model text when that text was seen, else found or made under the
+        digest of the model's canonical text, serialised here
+        (``canonical_json``, round-trip check included), with the raw text
+        as its alias.  Workers racing on a new text may both serialise it;
+        they get one entry.  A request built from a mapping has no raw
+        text, so it serialises its model each time."""
+        raw = request.model_text
         with self._model_cache_lock:
             entry = self._model_cache.get(self._model_aliases.get(raw, ""))
         if entry is None:
             from repro.safety.resilience import canonical_json
 
             text = canonical_json(request.model).encode("utf-8")
-            entry = _CachedModel(text, hashlib.sha256(text).hexdigest())
+            entry = _CachedModel(
+                text, hashlib.sha256(text).hexdigest(), request.system
+            )
         with self._model_cache_lock:
             entry = self._model_cache.setdefault(entry.digest, entry)
             self._model_cache.move_to_end(entry.digest)
@@ -973,7 +1044,7 @@ class AnalysisService:
         entry whose build raises is dropped with its aliases."""
         entry = self._model_entry(request)
         try:
-            built = entry.build(request.model)
+            built = entry.build(request)
         except Exception:
             with self._model_cache_lock:
                 if self._model_cache.get(entry.digest) is entry:
@@ -1159,13 +1230,14 @@ class _CachedModel:
     """The service's one entry for a model.
 
     Keying a job creates it with the model's canonical text ``text``
-    (``canonical_json`` of the payload, UTF-8) and that text's sha256
-    ``digest``, its key.  The first job to compute fills in the rest from
-    its own request's payload, once, under the entry's lock
-    (:meth:`build`): the materialised model, its ``to_netlist`` conversion
-    and its ledger ``model_digest``; the netlist's primed solver follows
-    the first time a DC incremental campaign needs it (:meth:`primed`).
-    The entry keeps no payload: the job that keyed it may be a cache hit.
+    (``canonical_json`` of the payload, UTF-8), that text's sha256
+    ``digest``, its key, and the model's name ``system``.  The first job to
+    compute fills in the rest from its own request's payload, once, under
+    the entry's lock (:meth:`build`): the materialised model, its
+    ``to_netlist`` conversion and its ledger ``model_digest``; the
+    netlist's primed solver follows the first time a DC incremental
+    campaign needs it (:meth:`primed`).  The entry keeps no payload: the
+    job that keyed it may be a cache hit.
 
     Campaigns share the conversion and the primed system read-only: every
     fault is applied to a copy of the netlist (``Netlist.without`` /
@@ -1174,27 +1246,31 @@ class _CachedModel:
     """
 
     __slots__ = (
-        "text", "digest", "model", "conversion", "ledger_digest", "_lock",
-        "_primed",
+        "text", "digest", "system", "model", "conversion", "ledger_digest",
+        "_lock", "_primed",
     )
 
-    def __init__(self, text: bytes, digest: str) -> None:
+    def __init__(self, text: bytes, digest: str, system: str) -> None:
         self.text = text
         self.digest = digest
+        self.system = system
         self.model = None
         self.conversion = None
         self.ledger_digest = ""
         self._lock = threading.Lock()
         self._primed = None
 
-    def build(self, payload: Mapping[str, object]) -> bool:
-        """Materialise ``payload`` (this entry's model) unless built
-        already; whether this call built it."""
+    def build(self, request: AnalysisRequest) -> bool:
+        """Materialise ``request.model`` (this entry's model) unless built
+        already; whether this call built it.  The model is read only when
+        this call builds: a request whose model text was known parses it
+        here, not when its entry was built already."""
         with self._lock:
             if self.conversion is not None:
                 return False
             from repro.simulink import SimulinkModel, to_netlist
 
+            payload = request.model
             model = SimulinkModel.from_dict(dict(payload))
             # ``from_dict`` keeps every leaf object the payload gives it
             # (names, types, ports, parameter values) and only adds keys:

@@ -536,6 +536,13 @@ def _answer(job):
     return {k: v for k, v in job.result.items() if k != "from_cache"}
 
 
+def _keyed(job):
+    """A job's name, keys and answer.  Wall times differ between two
+    computes; everything else may not."""
+    answer = {k: v for k, v in _answer(job).items() if k != "metrics"}
+    return job.system, job.fingerprint, job.cache_key, answer
+
+
 def _memo_hits():
     return int(obs.counter("service_request_memo_hits").value)
 
@@ -624,11 +631,6 @@ def test_config_workers_reaches_neither_the_campaign_nor_the_keys(
     and ``config.max_retries`` are unknown keys: any value is accepted, and
     a body that sets one gets the fingerprint, cache key and rows of one
     that does not, computed and from the cache alike."""
-    def keyed(job):
-        # Wall times differ between two computes; everything else may not.
-        answer = {k: v for k, v in _answer(job).items() if k != "metrics"}
-        return job.fingerprint, job.cache_key, answer
-
     plain = _psu_body()
     ignored = _psu_body(config=dict(plain["config"], **{key: value}))
     computed = []
@@ -636,13 +638,13 @@ def test_config_workers_reaches_neither_the_campaign_nor_the_keys(
         with AnalysisService(tmp_path / f"{name}.jsonl", workers=1) as service:
             job = _done(service, service.submit(_encoded(body)))
         assert not job.cached
-        computed.append(keyed(job))
+        computed.append(_keyed(job))
     assert computed[0] == computed[1]
-    assert computed[0][1] == GOLDEN_CACHE_KEY
+    assert computed[0][2] == GOLDEN_CACHE_KEY
     with AnalysisService(tmp_path / "plain.jsonl", workers=1) as service:
         hit = _done(service, service.submit(_encoded(ignored)))
     assert hit.cached
-    assert keyed(hit) == computed[0]
+    assert _keyed(hit) == computed[0]
 
 
 @pytest.mark.parametrize(
@@ -773,7 +775,8 @@ def test_memo_hit_with_no_reachable_plan_parses_and_recomputes(
     tmp_path, monkeypatch, clean_obs, psu_mechanisms
 ):
     """An unreachable target records nothing, so its revisit misses the
-    ledger: the memo-hit job parses its kept bytes and computes."""
+    ledger: the memo-hit job parses its kept bytes and computes.  Its
+    model text is known by then, so that parse leaves the model unread."""
     spec = next(iter(psu_mechanisms.specs()))
     body = _encoded(_psu_body(
         kind="search",
@@ -789,8 +792,10 @@ def test_memo_hit_with_no_reachable_plan_parses_and_recomputes(
     with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
         first = _done(service, service.submit(body))
         assert first.result["plan"] is None
+        reads = _model_reads(monkeypatch, body)
         parses = _count_calls(monkeypatch, [(jobs_mod, "_parse_body")])
         second = _done(service, service.submit(body))
+        assert reads() == ([], [])
         monkeypatch.undo()
     assert _memo_hits() == 1
     assert len(_body_parses(parses, body)) == 1
@@ -824,12 +829,18 @@ _member_keys = st.sampled_from(["model", "kind", "config"]) | st.text(max_size=4
 @st.composite
 def _object_texts(draw):
     """A JSON object text with repeated keys (``model`` among them), any
-    whitespace, escaped and raw unicode, NaN and infinities, and the text
-    of its last ``model`` member's value (``None`` without one)."""
-    pieces, model_text = [], None
+    whitespace, escaped and raw unicode, NaN and infinities; the text of
+    its last ``model`` member's value (``None`` without one); and its
+    members as ``(key, value text, where the value text ends)``."""
+    pieces, model_text, members = [], None, []
+    at = len(head := draw(_spaces) + "{")
     for key, value in draw(
         st.lists(st.tuples(_member_keys, _json_native), max_size=6)
     ):
+        if draw(st.booleans()):  # an object, as every model text is
+            value = draw(
+                st.dictionaries(st.text(max_size=3), _json_native, max_size=4)
+            )
         if key == "model" and draw(st.booleans()):
             key_text = '"' + "".join(f"\\u{ord(c):04x}" for c in key) + '"'
         else:
@@ -841,22 +852,73 @@ def _object_texts(draw):
         )
         if key == "model":
             model_text = value_text
-        pieces.append(
-            draw(_spaces) + key_text + draw(_spaces) + ":" + draw(_spaces)
-            + value_text + draw(_spaces)
-        )
+        lead = draw(_spaces) + key_text + draw(_spaces) + ":" + draw(_spaces)
+        at += len(lead) + len(value_text) + (1 if pieces else 0)
+        members.append((key, value_text, at))
+        tail = draw(_spaces)
+        pieces.append(lead + value_text + tail)
+        at += len(tail)
     inner = ",".join(pieces) if pieces else draw(_spaces)
-    return draw(_spaces) + "{" + inner + "}" + draw(_spaces), model_text
+    text = head + inner + "}" + draw(_spaces)
+    assert all(text[end - len(v):end] == v for _, v, end in members)
+    return text, model_text, members
+
+
+def _candidate_texts(draw, case):
+    """Texts a body could hold that the service might know: the body's own
+    model text, the text of a member that is not ``model``, a strict
+    prefix of the model text and the first of two ``model`` members."""
+    _, model_text, members = case
+    candidates = [value for key, value, _ in members if key == "model"][:1]
+    if model_text is not None:
+        candidates.append(model_text)
+        cut = draw(st.integers(0, len(model_text) - 1))
+        candidates.append(model_text[:cut])
+    others = [value for key, value, _ in members if key != "model"]
+    if others:
+        candidates.append(draw(st.sampled_from(others)))
+    return candidates
+
+
+def _learned(candidates):
+    """The candidates a service can hold: a known text is only ever the
+    raw text a parse reported for a ``model`` member holding an object."""
+    known = []
+    for candidate in candidates:
+        try:
+            value, raw = jobs_mod._parse_body('{"model":' + candidate + "}")
+        except ValueError:
+            continue
+        if raw == candidate and isinstance(value["model"], dict):
+            known.append(candidate)
+    return known
+
+
+def _parsed(text, known=()):
+    """``_parse_body(text, known)``, with an unread model member parsed
+    from the known text the parse reported."""
+    value, raw = jobs_mod._parse_body(text, known)
+    if isinstance(value, dict) and value.get("model") is jobs_mod._UNREAD:
+        assert any(raw is k for k in known)
+        value["model"] = json.loads(raw)
+    return value, raw
 
 
 @settings(max_examples=300, deadline=None)
-@given(_object_texts())
-def test_body_parse_equals_json_loads(case):
-    text, model_text = case
-    value, raw = jobs_mod._parse_body(text)
-    # repr: equal values in the same key order, NaN included.
-    assert repr(value) == repr(json.loads(text))
-    assert raw == model_text
+@given(_object_texts(), st.data())
+def test_body_parse_equals_json_loads(case, data):
+    text, model_text, _ = case
+    known = _learned(_candidate_texts(data.draw, case))
+    # A strict prefix of a model text is never whole, so never known.
+    if model_text is not None:
+        assert not [
+            t for t in known if t != model_text and model_text.startswith(t)
+        ]
+    for texts in ((), known):
+        value, raw = _parsed(text, texts)
+        # repr: equal values in the same key order, NaN included.
+        assert repr(value) == repr(json.loads(text))
+        assert raw == model_text
 
 
 @settings(max_examples=300, deadline=None)
@@ -866,21 +928,30 @@ def test_body_parse_equals_json_loads(case):
     st.sampled_from(["", "x", "}", ",", "{", "]", " 1", '"', "\ufeff"]),
 )
 def test_malformed_body_gets_the_same_refusal(case, data, junk):
-    text = case[0]
-    cut = data.draw(st.integers(0, len(text)))
-    broken = text[:cut] + junk
+    text, _, members = case
+    known = _learned(_candidate_texts(data.draw, case))
+    if members and data.draw(st.booleans()):
+        # Junk inside the body, right after a member's value: known or not.
+        cut = data.draw(st.sampled_from([end for _, _, end in members]))
+        broken = text[:cut] + junk + text[cut:]
+    else:
+        cut = data.draw(st.integers(0, len(text)))
+        broken = text[:cut] + junk
     try:
         expected = repr(json.loads(broken))
     except ValueError:
         expected = None
-    try:
-        value = repr(jobs_mod._parse_body(broken)[0])
-    except ValueError:
-        value = None
-    assert value == expected
-    if expected is None:
-        with pytest.raises(ServiceError, match="not valid JSON"):
-            AnalysisRequest.from_payload(broken.encode("utf-8"))
+    for texts in ((), known):
+        try:
+            value = repr(_parsed(broken, texts)[0])
+        except ValueError:
+            value = None
+        assert value == expected
+        if expected is None:
+            with pytest.raises(ServiceError, match="not valid JSON"):
+                AnalysisRequest.from_payload(
+                    broken.encode("utf-8"), dict.fromkeys(texts, "model")
+                )
 
 
 @pytest.mark.parametrize(
@@ -937,7 +1008,7 @@ def test_body_keys_from_the_memoised_text_are_bit_identical(
         fingerprint, cache_key = service._content_keys(request)
         entry = service._model_entry(request)
         assert (fingerprint, cache_key, entry.digest) == expected
-        assert service._model_aliases[request.model_text_sha256] == (
+        assert service._model_aliases[request.model_text] == (
             entry.digest
         )
     assert list(service._model_cache) == [expected[2]]
@@ -1019,6 +1090,100 @@ def test_model_entries_and_aliases_share_one_bound(
             bounded(service)
         assert bounded(service) == (2, 0)
         assert first not in service._model_cache
+
+
+# -- a known model text is not parsed again --------------------------------------
+
+
+def _model_reads(monkeypatch, body):
+    """Count what reads the model member of ``body``: the body parse's C
+    scanner at that member, and any ``json.loads`` of its known text."""
+    text = body.decode("utf-8")
+    start = text.index('"model": ') + len('"model": ')
+    model_text = jobs_mod._parse_body(text)[1]
+    scans = _count_calls(monkeypatch, [(jobs_mod._DECODER, "scan_once")])
+    loads = _count_calls(monkeypatch, [(jobs_mod.json, "loads")])
+    return lambda: (
+        [args for args in scans if args == (text, start)],
+        [args for args in loads if args == (model_text,)],
+    )
+
+
+def _fresh_answer(tmp_path, body):
+    """Keys and answer of ``body`` computed by a fresh service."""
+    with AnalysisService(tmp_path / "fresh.jsonl", workers=1) as service:
+        job = _done(service, service.submit(body))
+    assert not job.cached
+    return _keyed(job)
+
+
+def test_seen_model_text_is_not_parsed_again(tmp_path, monkeypatch, clean_obs):
+    """A body whose model text the service holds, with a new config, never
+    hands its model member to the C scanner and never parses the model
+    (its entry is built), yet gets the keys, entry id and rows of a fresh
+    service computing the same body."""
+    config = {"sensors": ["CS1"], "assume_stable": list(ASSUMED_STABLE)}
+    body = _encoded(_psu_body(config=dict(config, threshold=0.3)))
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        _done(service, service.submit(_encoded(_psu_body())))
+        reads = _model_reads(monkeypatch, body)
+        job = _done(service, service.submit(body))
+        assert reads() == ([], [])
+        monkeypatch.undo()
+        assert not job.cached
+        assert len(service._model_cache) == len(service._model_aliases) == 1
+    assert job.system == "sensor_power_supply"
+    assert _keyed(job) == _fresh_answer(tmp_path, body)
+
+
+def test_evicted_alias_computes_from_the_kept_text(
+    tmp_path, monkeypatch, clean_obs
+):
+    """An alias evicted between submit and compute: the job parses the
+    model text its request kept, once, and gets the fresh answer."""
+    body = _encoded(_psu_body(config={"sensors": ["CS1"], "threshold": 0.3}))
+    with AnalysisService(tmp_path / "ledger.jsonl", workers=1) as service:
+        _done(service, service.submit(_encoded(_psu_body())))
+        keys = service._content_keys
+
+        def evicted(request):
+            with service._model_cache_lock:
+                service._model_cache.clear()
+                service._model_aliases.clear()
+            return keys(request)
+
+        monkeypatch.setattr(service, "_content_keys", evicted)
+        reads = _model_reads(monkeypatch, body)
+        job = _done(service, service.submit(body))
+        scans, loads = reads()
+        monkeypatch.undo()
+        assert (len(scans), len(loads)) == (0, 1)
+        assert len(service._model_cache) == len(service._model_aliases) == 1
+    assert _keyed(job) == _fresh_answer(tmp_path, body)
+
+
+def test_keyed_only_entry_builds_from_the_kept_text(
+    tmp_path, monkeypatch, clean_obs
+):
+    """A cache-hit job keys the model's entry without building it; the
+    next job with that model text computes, parsing the text its request
+    kept once to build the entry, and gets the fresh answer."""
+    path = tmp_path / "ledger.jsonl"
+    first = _encoded(_psu_body())
+    with AnalysisService(path, workers=1) as service:
+        _done(service, service.submit(first))
+    body = _encoded(_psu_body(config={"sensors": ["CS1"], "threshold": 0.3}))
+    with AnalysisService(path, workers=1) as service:
+        assert _done(service, service.submit(first)).cached
+        (entry,) = service._model_cache.values()
+        assert entry.conversion is None  # keyed, not built
+        reads = _model_reads(monkeypatch, body)
+        job = _done(service, service.submit(body))
+        scans, loads = reads()
+        monkeypatch.undo()
+        assert (len(scans), len(loads)) == (0, 1)
+        assert entry.conversion is not None
+    assert _keyed(job) == _fresh_answer(tmp_path, body)
 
 
 def _round_trip_cases():
@@ -1187,10 +1352,11 @@ def test_memo_and_model_entry_hold_under_contention(
     tmp_path, monkeypatch, clean_obs
 ):
     """Eight clients, four workers, a 1 µs switch interval: four questions
-    about one model, each body sent twice at once.  The model is converted
-    once, the memo keeps one entry per body, and every answer equals a
-    plain campaign's."""
-    thresholds = (0.1, 0.2, 0.3, 0.4)
+    about one model, each body sent twice at once; then four more, whose
+    model text the service now holds, so their parses read its aliases
+    while workers move them.  The model is converted once, the memo keeps
+    one entry per body, and every answer equals a plain campaign's."""
+    thresholds = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
     config = {"sensors": ["CS1"], "assume_stable": list(ASSUMED_STABLE)}
     bodies = [
         _encoded(_psu_body(config=dict(config, threshold=t)))
@@ -1204,24 +1370,26 @@ def test_memo_and_model_entry_hold_under_contention(
         with AnalysisService(tmp_path / "ledger.jsonl", workers=4) as service:
 
             def client(index):
-                job = service.submit(bodies[index % len(bodies)])
+                job = service.submit(bodies[index])
                 service.wait(job.id, JOB_TIMEOUT)
-                finished.append((index % len(bodies), job))
+                finished.append((index, job))
 
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(JOB_TIMEOUT)
-                assert not thread.is_alive()
+            for wave in (range(4), range(4, 8)):
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in (*wave, *wave)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(JOB_TIMEOUT)
+                    assert not thread.is_alive()
             assert service.status()["request_memo_entries"] == len(bodies)
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.undo()
     assert len(conversions) == 1
-    assert len(finished) == 8
+    assert len(finished) == 16
     model, reliability = build_power_supply_simulink(), power_supply_reliability()
     for index, job in finished:
         assert job.state == "done", job.error
@@ -1266,9 +1434,9 @@ def test_concurrent_cold_jobs_share_one_factorization_and_match_naive(
     barrier = threading.Barrier(2, timeout=JOB_TIMEOUT)
     build = jobs_mod._CachedModel.build
 
-    def gated(entry, payload):
+    def gated(entry, request):
         barrier.wait()
-        return build(entry, payload)
+        return build(entry, request)
 
     def constant_factorizations():
         # ``mna_sparse_factorizations`` also counts the Newton iterations
